@@ -9,12 +9,8 @@
 // trajectory fingerprint (FNV-1a over every request's finish time, latency
 // and status). All shard counts of one server count must fingerprint
 // identically — the conservative engine is bit-exact, so parallelism is
-// free of replay drift; main() checks this (adaptive cases included) and
-// the speedup table prints shards=1 as the denominator.
-//
-// Each server count also runs a shards=4 ADAPTIVE case: a static profile
-// pass measures per-server traffic, then greedy bin-packing places servers
-// on shards by that weight. Same fingerprint, tighter imbalance.
+// free of replay drift; main() checks this and the speedup table prints
+// shards=1 as the denominator.
 //
 // A final case exercises the aggregate arrival path at population scale:
 // one open-loop stream standing in for 1,000,000 modeled clients (memory is
@@ -55,10 +51,6 @@ struct ScaleRun {
   std::uint64_t boundary_events = 0;
   std::uint32_t fingerprint = 0;
   std::size_t shards = 0;
-  // Per-server boundary-event counts — the measured per-lane traffic a
-  // profile pass feeds back as ClusterOptions::server_weights for adaptive
-  // assignment.
-  std::vector<double> lane_weights;
 };
 
 std::uint32_t Fnv1a(std::uint32_t h, std::uint64_t v) {
@@ -73,18 +65,14 @@ std::uint32_t Fnv1a(std::uint32_t h, std::uint64_t v) {
 // The chaos workload: crashes and a partition spread over distinct servers
 // (and, at shards > 1, distinct shards), two open-loop clients homed per
 // server. Identical virtual trajectory for every shard count.
-ScaleRun RunScaleCase(
-    std::size_t servers, std::size_t shards, bench::SweepCase* record,
-    serving::ShardAssignment assignment = serving::ShardAssignment::kStatic,
-    std::vector<double> weights = {}) {
+ScaleRun RunScaleCase(std::size_t servers, std::size_t shards,
+                      bench::SweepCase* record) {
   serving::ClusterOptions opts;
   opts.num_servers = servers;
   opts.server.num_gpus = 1;
   opts.server.pool_threads = 100;
   opts.seed = 41;
   opts.shards = shards;
-  opts.assignment = assignment;
-  opts.server_weights = std::move(weights);
   opts.faults.Crash(At(150), sim::Duration::Millis(400), /*server=*/0);
   opts.faults.Partition(At(450), sim::Duration::Millis(350),
                         /*server=*/servers - 1,
@@ -112,9 +100,6 @@ ScaleRun RunScaleCase(
   out.sync_windows = cluster.engine().sync_windows();
   out.boundary_events = cluster.engine().boundary_events();
   out.shards = cluster.shards();
-  for (const std::uint64_t b : cluster.engine().lane_boundary_events()) {
-    out.lane_weights.push_back(static_cast<double>(b));
-  }
   std::uint32_t h = 2166136261u;
   for (const auto& r : results) {
     h = Fnv1a(h, static_cast<std::uint64_t>(r.finish_time.nanos()));
@@ -210,18 +195,6 @@ int main() {
         RunScaleCase(servers, shards, &out);
       });
     }
-    // Adaptive assignment at shards=4: a static profile pass measures
-    // per-server traffic (lane boundary events), which the recorded run
-    // feeds back as server weights. The trajectory fingerprint must still
-    // match shards=1 — assignment only changes the thread-to-work packing.
-    sweep.Add("servers" + std::to_string(servers) + "-shards4-adaptive",
-              [servers](bench::SweepCase& out) {
-                const ScaleRun profile =
-                    RunScaleCase(servers, /*shards=*/4, /*record=*/nullptr);
-                RunScaleCase(servers, /*shards=*/4, &out,
-                             serving::ShardAssignment::kAdaptive,
-                             profile.lane_weights);
-              });
   }
   sweep.Add("stream-1M-clients", RunMillionClientCase);
 

@@ -557,39 +557,31 @@ void BM_ServingObservabilityOverhead(benchmark::State& state) {
 BENCHMARK(BM_ServingObservabilityOverhead)->Unit(benchmark::kMillisecond);
 
 // --- sharded cluster engine -------------------------------------------------
-// The same 16-server chaos workload executed single-threaded (shards=1),
-// with a static 4-shard partition, and with an adaptive (traffic-weighted
-// bin-packed) 4-shard partition, back-to-back inside every iteration so
-// host drift cancels. Exports:
-//   speedup           wall-clock ratio (shards=1 time / static shards=4 time)
-//   adaptive_speedup  wall-clock ratio (static shards=4 / adaptive shards=4)
-//   events/s          static sharded-run event throughput (wall clock)
-//   allocs/event      static sharded-run allocations per executed event
-//   identical         1 iff static trajectory matches shards=1 bit-for-bit
-//   adaptive_identical 1 iff the adaptive trajectory also matches
-// The perf-smoke gate requires speedup >= 1.8, adaptive_speedup >= 1.0, and
-// both identity flags == 1 on a multi-core runner; on a single hardware
-// thread the speedups degrade to ~1x (the barrier costs stay) and those
-// gates are not meaningful.
+// The same 16-server chaos workload executed single-threaded (shards=1) and
+// with a 4-shard partition, back-to-back inside every iteration so host
+// drift cancels. Exports:
+//   speedup           wall-clock ratio (shards=1 time / shards=4 time)
+//   events/s          sharded-run event throughput (wall clock)
+//   allocs/event      sharded-run allocations per executed event
+//   identical         1 iff the sharded trajectory matches shards=1
+//                     bit-for-bit
+// The perf-smoke gate requires speedup >= 1.8 and identical == 1 on a
+// multi-core runner; on a single hardware thread the speedup degrades to
+// ~1x (the barrier costs stay) and that gate is not meaningful.
 void BM_ShardedClusterThroughput(benchmark::State& state) {
   struct ClusterOut {
     double secs = 0.0;
     std::uint64_t events = 0;
     std::uint64_t allocs = 0;
-    std::vector<double> lane_weights;
     std::vector<serving::ClusterClientResult> clients;
   };
-  auto run = [](std::size_t shards, std::vector<double> weights = {}) {
+  auto run = [](std::size_t shards) {
     serving::ClusterOptions opts;
     opts.num_servers = 16;
     opts.server.num_gpus = 1;
     opts.server.pool_threads = 100;
     opts.seed = 17;
     opts.shards = shards;
-    if (!weights.empty()) {
-      opts.assignment = serving::ShardAssignment::kAdaptive;
-      opts.server_weights = std::move(weights);
-    }
     const auto at = [](double ms) {
       return sim::TimePoint() + sim::Duration::Millis(ms);
     };
@@ -614,9 +606,6 @@ void BM_ShardedClusterThroughput(benchmark::State& state) {
                    .count();
     out.allocs = g_allocs - a0;
     out.events = cluster.engine().events_executed();
-    for (const std::uint64_t b : cluster.engine().lane_boundary_events()) {
-      out.lane_weights.push_back(static_cast<double>(b));
-    }
     return out;
   };
   auto same_trajectory = [](const ClusterOut& a, const ClusterOut& b) {
@@ -633,24 +622,20 @@ void BM_ShardedClusterThroughput(benchmark::State& state) {
     return true;
   };
 
-  double seq_s = 0.0, par_s = 0.0, ada_s = 0.0;
+  double seq_s = 0.0, par_s = 0.0;
   std::uint64_t par_events = 0, par_allocs = 0;
-  bool identical = true, ada_identical = true;
+  bool identical = true;
   for (auto _ : state) {
     const ClusterOut seq = run(1);
     const ClusterOut par = run(4);
-    const ClusterOut ada = run(4, par.lane_weights);
     seq_s += seq.secs;
     par_s += par.secs;
-    ada_s += ada.secs;
     par_events += par.events;
     par_allocs += par.allocs;
     identical = identical && same_trajectory(seq, par);
-    ada_identical = ada_identical && same_trajectory(seq, ada);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(par_events));
   state.counters["speedup"] = par_s > 0 ? seq_s / par_s : 0.0;
-  state.counters["adaptive_speedup"] = ada_s > 0 ? par_s / ada_s : 0.0;
   state.counters["events/s"] =
       par_s > 0 ? static_cast<double>(par_events) / par_s : 0.0;
   state.counters["allocs/event"] =
@@ -658,7 +643,6 @@ void BM_ShardedClusterThroughput(benchmark::State& state) {
                        static_cast<double>(par_events)
                  : 0.0;
   state.counters["identical"] = identical ? 1.0 : 0.0;
-  state.counters["adaptive_identical"] = ada_identical ? 1.0 : 0.0;
 }
 // One full chaos run per engine config per iteration (~seconds): the default
 // min-time keeps this at a single iteration, and the paired legs make that

@@ -129,9 +129,9 @@ struct SweepCase {
   // into every BENCH_*.json (shards: max across cases, defaulting to 1;
   // windows/boundary events/instants/wakeups: sums; shard_events:
   // element-wise sums; imbalance: max/mean of the pooled per-shard counts).
-  // Imbalance makes adaptive vs. static assignment visible in artifacts:
-  // 1.0 is a perfect packing, N means the busiest shard carries N times the
-  // mean event load.
+  // Imbalance makes the shard packing visible in artifacts: 1.0 is a
+  // perfect packing, N means the busiest shard carries N times the mean
+  // event load.
   void RecordEngine(const sim::ShardedEngine& engine);
   std::uint64_t engine_shards = 0;  // 0 until RecordEngine is called
   std::uint64_t engine_sync_windows = 0;

@@ -1,7 +1,7 @@
 #include "serving/cluster.h"
 
 #include <algorithm>
-#include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -46,46 +46,12 @@ std::size_t ValidatedShards(const ClusterOptions& o) {
   return shards;
 }
 
-// Server -> shard lane map (one lane per server). kStatic is s % shards;
-// kAdaptive runs deterministic greedy bin-packing on the measured weights:
-// heaviest server first (ties by index), each onto the least-loaded shard
-// (ties to the lowest shard index). Uniform weights reproduce kStatic
-// exactly — round k of the greedy pass sees all shard loads equal and fills
-// shards 0..S-1 in index order — so switching the policy on never perturbs
-// a trajectory, only the packing of lanes onto threads.
-std::vector<std::size_t> LaneMap(const ClusterOptions& o, std::size_t shards) {
-  const std::size_t n = o.num_servers;
-  std::vector<std::size_t> lanes(n);
-  if (o.assignment == ShardAssignment::kAdaptive &&
-      !o.server_weights.empty() && o.server_weights.size() != n) {
-    throw std::invalid_argument(
-        "ClusterOptions::server_weights holds " +
-        std::to_string(o.server_weights.size()) + " weights for " +
-        std::to_string(n) +
-        " servers; give one measured weight per server (e.g. "
-        "engine().shard_events() from a profile pass), or leave it empty "
-        "for uniform weights");
-  }
-  if (o.assignment == ShardAssignment::kStatic || shards <= 1 ||
-      o.server_weights.empty()) {
-    for (std::size_t s = 0; s < n; ++s) lanes[s] = s % shards;
-    return lanes;
-  }
-  std::vector<std::size_t> order(n);
-  for (std::size_t s = 0; s < n; ++s) order[s] = s;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return o.server_weights[a] > o.server_weights[b];
-                   });
-  std::vector<double> load(shards, 0.0);
-  for (const std::size_t s : order) {
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < shards; ++k) {
-      if (load[k] < load[best]) best = k;
-    }
-    lanes[s] = best;
-    load[best] += o.server_weights[s];
-  }
+// Server -> shard lane map (one lane per server): server s lives on shard
+// s % shards. The engine merges boundary traffic in (time, lane, seq) order,
+// so how lanes are packed onto shards never touches the trajectory.
+std::vector<std::size_t> LaneMap(std::size_t servers, std::size_t shards) {
+  std::vector<std::size_t> lanes(servers);
+  for (std::size_t s = 0; s < servers; ++s) lanes[s] = s % shards;
   return lanes;
 }
 
@@ -94,7 +60,7 @@ std::vector<std::size_t> LaneMap(const ClusterOptions& o, std::size_t shards) {
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
       engine_(ValidatedShards(options_), options_.router.net_delay,
-              LaneMap(options_, ValidatedShards(options_))),
+              LaneMap(options_.num_servers, ValidatedShards(options_))),
       env_(engine_.hub()),
       tracer_(options_.server.executor.tracer) {
   if (options_.num_servers < 1) {
@@ -174,7 +140,7 @@ sim::Task Cluster::Probe(std::size_t server, bool& ok) {
       // Jitter stretches the round trip (factor 1.0 outside any window —
       // an exact multiply, so jitter-free plans are bit-identical).
       co_await env_.Delay(options_.router.net_delay * 2.0 *
-                          JitterFactor(server));
+                          JitterFactor(server, sent));
     }
     if (options_.router.score.enabled) {
       // The probe exercises the serving path, so its service time runs at
@@ -340,396 +306,189 @@ sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
 sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
                                    std::size_t home, sim::Rng& rng,
                                    sim::TimePoint arrival,
-                                   RequestStatus& status,
-                                   metrics::PhaseAccount* pa,
-                                   std::size_t* served) {
+                                   RequestStatus& status, double& latency_ms,
+                                   int& completed) {
+  // One path at every shard count: the serve section runs between a hop onto
+  // the server's shard and a hop back to the hub. With shards = 1 both hops
+  // are plain delays on the one queue (a zero-latency hop completes inline),
+  // so every shard count runs the same decisions at the same instants. Route,
+  // counters, and router state are only ever touched hub-side. Phase charges
+  // land at the same virtual instants at every shard count (the account is
+  // frame-local, so charging from the server's shard is race-free), keeping
+  // the blame table byte-identical across shard counts.
   const RouterOptions& ro = options_.router;
   metrics::IncidentLog* const ilog = options_.incidents;
+  metrics::PhaseAccount account;
+  metrics::PhaseAccount* const pa =
+      options_.phases != nullptr ? &account : nullptr;
+  if (pa != nullptr) {
+    pa->Start(arrival);
+    // An arrival that found its predecessor still in flight queued at the
+    // front end; that wait is pre-routing time.
+    pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
+  }
+  std::size_t served = home;
   // Brownout admission control: a shed class is rejected at the front door
   // before any routing or network cost (load it cannot carry is exactly
   // what the cluster is shedding).
-  if (router_->BrownoutSheds(spec.priority)) {
-    ++counters_.requests_shed_brownout;
-    status = RequestStatus::kRejected;
-    if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-    co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-    co_return;
-  }
+  bool rejected = router_->BrownoutSheds(spec.priority);
+  if (rejected) ++counters_.requests_shed_brownout;
   // Tracks whether the leg about to start is a free failover re-admission;
   // its forward hop is then blamed on the failover, not on routine routing.
   bool failing_over = false;
-  for (int attempt = 1;;) {
+  for (int attempt = 1; !rejected;) {
     const std::size_t s = router_->Route(home);
     if (s == Router::kNoServer) {
       // Nothing routable anywhere: terminate promptly as a rejection
       // instead of spinning (mirrors requests_rejected_no_device).
       ++counters_.requests_rejected_no_server;
-      status = RequestStatus::kRejected;
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      co_return;
+      rejected = true;
+      break;
     }
-    if (served != nullptr) *served = s;
+    served = s;
     router_->OnRequestStart(s);
 
-    // Forward leg. A partition active at send time drops the request; the
-    // router only learns from the missing ack after the probe timeout.
-    // Jitter stretches the hop (factor 1.0 outside any window — an exact
-    // multiply, so jitter-free plans are bit-identical).
+    // Forward leg. A partition active at send time drops the request on the
+    // wire: it never reaches the server's shard, so the whole lost round
+    // stays on the hub, and the router only learns from the missing ack
+    // after the probe timeout. Jitter stretches the hop (factor 1.0 outside
+    // any window — an exact multiply, so jitter-free plans are
+    // bit-identical); it is >= 1, so a jittered hop never undercuts the
+    // engine lookahead.
     const bool lost_to = env_.Now() < part_to_until_[s];
-    if (ro.net_delay > sim::Duration::Zero()) {
-      co_await env_.Delay(ro.net_delay * JitterFactor(s));
+    const sim::Duration forward = ro.net_delay * JitterFactor(s, env_.Now());
+    if (!lost_to) {
+      co_await engine_.HopToShard(s, forward);
+    } else if (forward > sim::Duration::Zero()) {
+      co_await env_.Delay(forward);
     }
+    sim::Environment& senv = servers_[s]->env();
     if (pa != nullptr) {
       pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
                               : metrics::Phase::kRouterHop,
-                 env_.Now());
+                 (lost_to ? env_ : senv).Now());
     }
     failing_over = false;
+
+    // A round that does not finish the request ends in the one tail below.
+    // `free_failover` marks a loss that is the network's or the server's
+    // fault, re-admitted without spending the retry budget when the router
+    // fails over; anything else is a budgeted retry, and the request ends
+    // as `failure` once the budget is spent. `error` reports the round to
+    // the router's health view.
+    bool free_failover = false;
+    bool error = true;
+    RequestStatus failure = RequestStatus::kFailed;
     if (lost_to) {
       ++counters_.requests_lost_to_server;
       co_await env_.Delay(ro.probe_timeout);
       // Waiting out the missing ack is network blame, like the hop itself.
       if (pa != nullptr) pa->Charge(metrics::Phase::kRouterHop, env_.Now());
       router_->OnRequestEnd(s);
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        // Loss is the network's fault, not the request's: re-admit without
-        // spending the retry budget (the cross-server failover contract).
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
+      free_failover = true;
+    } else {
+      // Serve section, on the server's shard. Admission first: make sure
+      // this client has a tenant slot on the server (a first arrival on a
+      // non-home server streams parameters and warms up). Then the full
+      // in-server pipeline (admission control, breaker, device placement,
+      // retries, device failover); the original arrival anchors the
+      // deadline end-to-end across server hops.
+      std::size_t tenant = 0;
+      bool tenant_ok = true;
+      RequestStatus leg = RequestStatus::kOk;
+      bool lost_from = false;
+      double jitter_back = 1.0;
+      std::exception_ptr err;
+      try {
+        co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
+        if (pa != nullptr) pa->Charge(metrics::Phase::kReload, senv.Now());
+        if (tenant_ok) {
+          co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg,
+                                                   pa);
+          lost_from = senv.Now() < part_from_until_[s];
+        } else {
+          // Tenant instantiation failed (an alloc-fault window on the
+          // server): the leg failed, a budgeted retry.
+          leg = RequestStatus::kFailed;
         }
-        continue;
+        // The response leg's partition and jitter are read at its send
+        // instant on the server's clock — after the serve, or where the
+        // tenant instantiation failed (the failure reply crosses the same
+        // leg). The window arrays are written only during hub instants, so
+        // the reads are race-free and temporally exact.
+        jitter_back = JitterFactor(s, senv.Now());
+      } catch (...) {
+        // Carry server-side errors across the hop: rethrowing on the worker
+        // would resume the client's continuation on the wrong thread.
+        err = std::current_exception();
       }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    // Admission: make sure this client has a tenant slot on the server.
-    std::size_t tenant = 0;
-    bool tenant_ok = true;
-    co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
-    // First arrival on a non-home server streams parameters and warms up.
-    if (pa != nullptr) pa->Charge(metrics::Phase::kReload, env_.Now());
-    if (!tenant_ok) {
-      // The failure reply still crosses the network back to the router —
-      // the same response leg a served request pays. (Also what makes the
-      // sharded path's return hop cost-symmetric: there the coroutine is
-      // physically on the server's shard and must hop home regardless.)
-      if (ro.net_delay > sim::Duration::Zero()) {
-        co_await env_.Delay(ro.net_delay * JitterFactor(s));
-      }
+      // Response leg: back onto the hub.
+      co_await engine_.HopToHub(s, ro.net_delay * jitter_back);
+      if (err != nullptr) std::rethrow_exception(err);
       if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
       router_->OnRequestEnd(s);
-      router_->OnRequestError(s);
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    // Serve through the full in-server pipeline (admission control, breaker,
-    // device placement, retries, device failover). The original arrival
-    // anchors the deadline end-to-end across server hops.
-    RequestStatus leg = RequestStatus::kOk;
-    co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg, pa);
-
-    // Response leg (jitter evaluated at the send instant, like lost_from).
-    const bool lost_from = env_.Now() < part_from_until_[s];
-    if (ro.net_delay > sim::Duration::Zero()) {
-      co_await env_.Delay(ro.net_delay * JitterFactor(s));
-    }
-    if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
-    router_->OnRequestEnd(s);
-    if (lost_from) {
-      ++counters_.responses_lost_from_server;
-      router_->OnRequestError(s);
-      if (ro.failover) {
+      if (lost_from) {
         // At-least-once: the work happened but the answer is gone, so the
         // request re-executes on a routable server, budget untouched.
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
+        ++counters_.responses_lost_from_server;
+        free_failover = true;
+      } else if (leg == RequestStatus::kOk ||
+                 leg == RequestStatus::kFailedRetried) {
+        router_->OnRequestSuccess(s);
+        ++counters_.requests_ok;
+        status = (attempt == 1 && leg == RequestStatus::kOk)
+                     ? RequestStatus::kOk
+                     : RequestStatus::kFailedRetried;
+        break;
+      } else if (leg == RequestStatus::kTimedOut) {
+        status = RequestStatus::kTimedOut;
+        ++counters_.requests_timed_out;
+        break;
+      } else {
+        // leg is kRejected or kFailed. A rejection from a server that lost
+        // every device (crash) is a server failure, not a request failure —
+        // fail over for free.
+        failure = leg;
+        free_failover = leg == RequestStatus::kRejected && !HasUsableDevice(s);
+        error = free_failover || leg == RequestStatus::kFailed;
       }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
+    }
+    if (error) router_->OnRequestError(s);
+    if (free_failover && ro.failover) {
+      ++counters_.requests_failed_over;
+      failing_over = true;
+      if (ilog != nullptr) {
+        ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
       }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
       continue;
     }
-
-    if (leg == RequestStatus::kOk || leg == RequestStatus::kFailedRetried) {
-      router_->OnRequestSuccess(s);
-      ++counters_.requests_ok;
-      status = (attempt == 1 && leg == RequestStatus::kOk)
-                   ? RequestStatus::kOk
-                   : RequestStatus::kFailedRetried;
-      co_return;
-    }
-    if (leg == RequestStatus::kTimedOut) {
-      status = RequestStatus::kTimedOut;
-      ++counters_.requests_timed_out;
-      co_return;
-    }
-    // leg is kRejected or kFailed.
-    if (leg == RequestStatus::kRejected && !HasUsableDevice(s)) {
-      // The server lost every device (crash): that is a server failure,
-      // not a request failure — fail over for free.
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-    } else if (leg == RequestStatus::kFailed) {
-      router_->OnRequestError(s);
-    }
     if (attempt > ro.max_retries) {
-      status = leg;
+      status = failure;
       ++counters_.requests_failed;
-      co_return;
+      break;
     }
     ++counters_.retries;
     ++attempt;
     co_await env_.Delay(ro.retry_backoff);
     if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
   }
-}
-
-sim::Task Cluster::ShardedDispatch(std::size_t client, const ClientSpec& spec,
-                                   std::size_t home, sim::Rng& rng,
-                                   sim::TimePoint arrival,
-                                   RequestStatus& status,
-                                   metrics::PhaseAccount* pa,
-                                   std::size_t* served) {
-  // Mirrors DispatchRequest decision-for-decision and delay-for-delay; the
-  // only difference is WHERE the serve section executes: the forward and
-  // response network legs become cross-shard hops, so the in-server
-  // pipeline runs on the server's shard inside parallel windows while the
-  // hub bookkeeping stays on the hub. Route, counters, and router state are
-  // only ever touched hub-side. Phase charges land at the same virtual
-  // instants as the unsharded path's (the account itself is frame-local, so
-  // charging from the server's shard is race-free), keeping the blame table
-  // byte-identical across shard counts.
-  const RouterOptions& ro = options_.router;
-  metrics::IncidentLog* const ilog = options_.incidents;
-  if (router_->BrownoutSheds(spec.priority)) {
-    ++counters_.requests_shed_brownout;
+  if (rejected) {
     status = RequestStatus::kRejected;
     if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
     co_await env_.Delay(ro.retry_backoff);
     if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-    co_return;
   }
-  bool failing_over = false;
-  for (int attempt = 1;;) {
-    const std::size_t s = router_->Route(home);
-    if (s == Router::kNoServer) {
-      ++counters_.requests_rejected_no_server;
-      status = RequestStatus::kRejected;
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      co_return;
-    }
-    if (served != nullptr) *served = s;
-    router_->OnRequestStart(s);
-
-    // A partition active at send time drops the request on the wire: it
-    // never reaches the server's shard, so the whole round — forward leg,
-    // probe timeout, error bookkeeping — stays on the hub, with the same
-    // virtual-time cost as the unsharded path. The jitter factor is
-    // evaluated at the same send instant as the unsharded path; it is
-    // >= 1, so a jittered hop never undercuts the engine lookahead.
-    const bool lost_to = env_.Now() < part_to_until_[s];
-    const double jitter_fwd = JitterFactor(s);
-    if (lost_to) {
-      co_await env_.Delay(ro.net_delay * jitter_fwd);
-      if (pa != nullptr) {
-        pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                                : metrics::Phase::kRouterHop,
-                   env_.Now());
-      }
-      failing_over = false;
-      ++counters_.requests_lost_to_server;
-      co_await env_.Delay(ro.probe_timeout);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kRouterHop, env_.Now());
-      router_->OnRequestEnd(s);
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    // Forward leg: the request physically moves onto the server's shard
-    // (lane s is server s, wherever the assignment packed it).
-    co_await engine_.HopToShard(s, ro.net_delay * jitter_fwd);
-    if (pa != nullptr) {
-      pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                              : metrics::Phase::kRouterHop,
-                 servers_[s]->env().Now());
-    }
-    failing_over = false;
-
-    std::size_t tenant = 0;
-    bool tenant_ok = true;
-    RequestStatus leg = RequestStatus::kOk;
-    bool lost_from = false;
-    double jitter_back = 1.0;
-    std::exception_ptr err;
-    try {
-      co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
-      if (pa != nullptr) {
-        pa->Charge(metrics::Phase::kReload, servers_[s]->env().Now());
-      }
-      if (tenant_ok) {
-        co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg,
-                                                 pa);
-        // Read at the serve-completion instant on the server's clock,
-        // exactly where the unsharded path evaluates it (before the
-        // response leg). The window arrays are written only during hub
-        // instants, so the read is race-free and temporally exact.
-        lost_from = servers_[s]->env().Now() < part_from_until_[s];
-      }
-      // The response leg's jitter is evaluated at its send instant — after
-      // a successful serve, or at the instant the tenant instantiation
-      // failed (where the unsharded path charges the same factor).
-      jitter_back = servers_[s]->env().Now() < jitter_until_[s]
-                        ? jitter_factor_[s]
-                        : 1.0;
-    } catch (...) {
-      // Carry server-side errors across the hop: rethrowing on the worker
-      // would resume the client's continuation on the wrong thread.
-      err = std::current_exception();
-    }
-
-    // Response leg: back onto the hub.
-    co_await engine_.HopToHub(s, ro.net_delay * jitter_back);
-    if (err != nullptr) std::rethrow_exception(err);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
-
-    if (!tenant_ok) {
-      // Tenant instantiation failed (an alloc-fault window on the server):
-      // the failure reply already paid the return hop above, so the hub
-      // bookkeeping lands at the same instant as the unsharded path's.
-      router_->OnRequestEnd(s);
-      router_->OnRequestError(s);
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    router_->OnRequestEnd(s);
-    if (lost_from) {
-      ++counters_.responses_lost_from_server;
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    if (leg == RequestStatus::kOk || leg == RequestStatus::kFailedRetried) {
-      router_->OnRequestSuccess(s);
-      ++counters_.requests_ok;
-      status = (attempt == 1 && leg == RequestStatus::kOk)
-                   ? RequestStatus::kOk
-                   : RequestStatus::kFailedRetried;
-      co_return;
-    }
-    if (leg == RequestStatus::kTimedOut) {
-      status = RequestStatus::kTimedOut;
-      ++counters_.requests_timed_out;
-      co_return;
-    }
-    if (leg == RequestStatus::kRejected && !HasUsableDevice(s)) {
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-    } else if (leg == RequestStatus::kFailed) {
-      router_->OnRequestError(s);
-    }
-    if (attempt > ro.max_retries) {
-      status = leg;
-      ++counters_.requests_failed;
-      co_return;
-    }
-    ++counters_.retries;
-    ++attempt;
-    co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+  latency_ms = (env_.Now() - arrival).millis();
+  const bool ok =
+      status == RequestStatus::kOk || status == RequestStatus::kFailedRetried;
+  if (pa != nullptr) {
+    options_.phases->Record(static_cast<int>(served), spec.model, account, ok,
+                            env_.Now() - arrival);
   }
+  if (ilog != nullptr) {
+    ilog->RequestOutcome(static_cast<int>(served), env_.Now(), ok);
+  }
+  if (ok) ++completed;
 }
 
 sim::Task Cluster::ClientProc(std::size_t client,
@@ -737,8 +496,6 @@ sim::Task Cluster::ClientProc(std::size_t client,
                               std::uint64_t seed, ClusterClientResult& out) {
   sim::Rng rng(seed);
   ArrivalProcess arrivals(spec.arrivals);
-  const bool legacy_open =
-      spec.request.mean_interarrival > sim::Duration::Zero();
   metrics::MetricRegistry* const registry = options_.registry;
   metrics::MetricRegistry::Histogram* const latency_hist =
       registry == nullptr
@@ -750,49 +507,20 @@ sim::Task Cluster::ClientProc(std::size_t client,
     if (arrivals.open_loop()) {
       if (b > 0) arrival = arrivals.Next(rng);
       if (arrival > env_.Now()) co_await env_.Delay(arrival - env_.Now());
-    } else if (legacy_open) {
-      if (b > 0) {
-        arrival = arrival + spec.request.mean_interarrival *
-                                (-std::log(1.0 - rng.NextDouble()));
-      }
-      if (arrival > env_.Now()) co_await env_.Delay(arrival - env_.Now());
     } else {
       arrival = env_.Now();
     }
-    RequestStatus status = RequestStatus::kOk;
-    metrics::PhaseAccount account;
-    metrics::PhaseAccount* pa = nullptr;
-    std::size_t served = out.home_server;
-    if (options_.phases != nullptr) {
-      pa = &account;
-      pa->Start(arrival);
-      // An arrival that found its predecessor still in flight queued at the
-      // front end; that wait is pre-routing time.
-      pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
-    }
-    if (engine_.sharded()) {
-      co_await ShardedDispatch(client, spec.request, out.home_server, rng,
-                               arrival, status, pa, &served);
-    } else {
-      co_await DispatchRequest(client, spec.request, out.home_server, rng,
-                               arrival, status, pa, &served);
-    }
-    out.request_latency_ms.push_back((env_.Now() - arrival).millis());
-    out.request_status.push_back(status);
+    // Only this process appends to `out`, so the new slots stay put while
+    // the dispatch fills them.
+    out.request_latency_ms.push_back(0.0);
+    out.request_status.push_back(RequestStatus::kOk);
+    co_await DispatchRequest(client, spec.request, out.home_server, rng,
+                             arrival, out.request_status.back(),
+                             out.request_latency_ms.back(),
+                             out.requests_completed);
     if (latency_hist != nullptr) {
       latency_hist->Observe(out.request_latency_ms.back());
     }
-    const bool ok = status == RequestStatus::kOk ||
-                    status == RequestStatus::kFailedRetried;
-    if (pa != nullptr) {
-      options_.phases->Record(static_cast<int>(served), spec.request.model,
-                              account, ok, env_.Now() - arrival);
-    }
-    if (options_.incidents != nullptr) {
-      options_.incidents->RequestOutcome(static_cast<int>(served), env_.Now(),
-                                         ok);
-    }
-    if (ok) ++out.requests_completed;
   }
   out.finish_time = env_.Now() - sim::TimePoint();
   // Fold this client's meters into each server it ever ran on. Runs during
@@ -810,6 +538,15 @@ std::vector<ClusterClientResult> Cluster::Run(
     const std::vector<ClusterClientSpec>& clients) {
   if (ran_) throw std::logic_error("Cluster::Run may only be called once");
   ran_ = true;
+  for (const ClusterClientSpec& c : clients) {
+    if (c.request.mean_interarrival > sim::Duration::Zero()) {
+      throw std::invalid_argument(
+          "ClusterClientSpec::request.mean_interarrival is the single-server "
+          "legacy open loop, which a cluster would run closed-loop; set the "
+          "open-loop generator in ClusterClientSpec::arrivals instead (e.g. "
+          "kind = kPoisson, rate_rps = 1 / mean_interarrival)");
+    }
+  }
   {
     std::vector<int> priorities;
     priorities.reserve(clients.size());
@@ -887,38 +624,13 @@ sim::Task Cluster::StreamRequestProc(std::size_t stream,
                                      std::size_t home, sim::Rng rng,
                                      sim::TimePoint arrival, int index,
                                      ClusterStreamResult& out) {
-  RequestStatus status = RequestStatus::kOk;
-  metrics::PhaseAccount account;
-  metrics::PhaseAccount* pa = nullptr;
-  std::size_t served = home;
-  if (options_.phases != nullptr) {
-    pa = &account;
-    pa->Start(arrival);
-    pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
-  }
-  if (engine_.sharded()) {
-    co_await ShardedDispatch(stream, spec.request, home, rng, arrival, status,
-                             pa, &served);
-  } else {
-    co_await DispatchRequest(stream, spec.request, home, rng, arrival, status,
-                             pa, &served);
-  }
   // Slots are indexed by arrival order, so the result layout is identical
   // no matter which order responses land in.
-  out.request_latency_ms[static_cast<std::size_t>(index)] =
-      (env_.Now() - arrival).millis();
-  out.request_status[static_cast<std::size_t>(index)] = status;
-  const bool ok = status == RequestStatus::kOk ||
-                  status == RequestStatus::kFailedRetried;
-  if (pa != nullptr) {
-    options_.phases->Record(static_cast<int>(served), spec.request.model,
-                            account, ok, env_.Now() - arrival);
-  }
-  if (options_.incidents != nullptr) {
-    options_.incidents->RequestOutcome(static_cast<int>(served), env_.Now(),
-                                       ok);
-  }
-  if (ok) ++out.requests_completed;
+  const auto slot = static_cast<std::size_t>(index);
+  co_await DispatchRequest(stream, spec.request, home, rng, arrival,
+                           out.request_status[slot],
+                           out.request_latency_ms[slot],
+                           out.requests_completed);
   const sim::Duration finished = env_.Now() - sim::TimePoint();
   out.finish_time = std::max(out.finish_time, finished);
   if (--outstanding_requests_ == 0 && streams_running_ == 0) StopAll();

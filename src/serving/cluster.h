@@ -21,9 +21,10 @@
 namespace olympian::serving {
 
 // One client of the cluster: the per-request spec (model, batch, deadline,
-// count) plus an open-loop arrival generator. With `arrivals` closed-loop
-// and `request.mean_interarrival` zero the client behaves exactly like the
-// single-server closed-loop client, one level up.
+// count) plus its arrival generator. With `arrivals` closed-loop the client
+// behaves exactly like the single-server closed-loop client, one level up.
+// Open-loop timing comes from `arrivals` alone: Cluster::Run rejects a
+// nonzero `request.mean_interarrival` (the single-server legacy open loop).
 struct ClusterClientSpec {
   ClientSpec request;
   ArrivalSpec arrivals;
@@ -41,18 +42,6 @@ struct ClusterClientResult {
   std::vector<RequestStatus> request_status;
 
   int CountStatus(RequestStatus s) const;
-};
-
-// Server -> shard assignment policy for sharded runs.
-enum class ShardAssignment {
-  // server s lives on shard s % shards (the PR-7 layout).
-  kStatic,
-  // Deterministic greedy bin-packing on per-server event weight: servers
-  // sorted by (weight desc, index asc), each placed on the least-loaded
-  // shard (ties -> lowest shard). With uniform (or absent) weights this
-  // reproduces kStatic exactly, so the trajectory never depends on the
-  // policy — only the thread-to-work packing does.
-  kAdaptive,
 };
 
 struct ClusterOptions {
@@ -84,8 +73,8 @@ struct ClusterOptions {
   // Simulation shards. 1 (the default) keeps everything on one event queue —
   // the unsharded engine, byte-identical to the pre-sharding cluster. With
   // shards > 1 the servers are partitioned across worker shards (one engine
-  // lane per server, packed by `assignment`; router, clients, and server-
-  // level fault injection on the hub) and the experiment runs on
+  // lane per server, server s on shard s % shards; router, clients, and
+  // server-level fault injection on the hub) and the experiment runs on
   // sim::ShardedEngine's conservative windows. Clamped to num_servers.
   //
   // Every cluster configuration shards: per-request kAllocFault device
@@ -99,13 +88,6 @@ struct ClusterOptions {
   // which is hub-applied). Violations throw with the offending option and
   // the fix named in the message.
   std::size_t shards = 1;
-  // How servers are packed onto shards (irrelevant to the trajectory, which
-  // is shard-assignment-independent by the engine's lane merge order).
-  ShardAssignment assignment = ShardAssignment::kStatic;
-  // Per-server event weights for kAdaptive: measured work (e.g. a profile
-  // pass's engine.shard_events(), or lane boundary-event counts from a
-  // previous run). Empty means uniform. Size must be num_servers otherwise.
-  std::vector<double> server_weights;
 };
 
 // One aggregate request stream: an open-loop arrival process standing in
@@ -149,7 +131,8 @@ class Cluster : private RouterTransport {
   Cluster& operator=(const Cluster&) = delete;
 
   // Runs all clients from t=0 to completion (client i's home server is
-  // i % num_servers). May only be called once.
+  // i % num_servers). May only be called once. Throws std::invalid_argument
+  // for a client with a nonzero request.mean_interarrival.
   std::vector<ClusterClientResult> Run(
       const std::vector<ClusterClientSpec>& clients);
 
@@ -174,20 +157,15 @@ class Cluster : private RouterTransport {
 
   sim::Task ClientProc(std::size_t client, const ClusterClientSpec& spec,
                        std::uint64_t seed, ClusterClientResult& out);
-  // One request end-to-end: route -> forward leg -> serve -> response leg,
-  // with failover re-admission and the budgeted retry loop.
+  // One request end-to-end: route -> forward hop onto the server's shard ->
+  // serve -> response hop back to the hub, with failover re-admission and
+  // the budgeted retry loop. Writes the outcome into `status` and
+  // `latency_ms`, counts a success into `completed`, and feeds the phase
+  // collector and the incident log.
   sim::Task DispatchRequest(std::size_t client, const ClientSpec& spec,
                             std::size_t home, sim::Rng& rng,
                             sim::TimePoint arrival, RequestStatus& status,
-                            metrics::PhaseAccount* pa, std::size_t* served);
-  // Sharded twin of DispatchRequest: identical decision sequence and
-  // virtual-time cost, but the serve section physically executes on the
-  // server's shard — the forward/response network legs become cross-shard
-  // hops through the engine's boundary channels.
-  sim::Task ShardedDispatch(std::size_t client, const ClientSpec& spec,
-                            std::size_t home, sim::Rng& rng,
-                            sim::TimePoint arrival, RequestStatus& status,
-                            metrics::PhaseAccount* pa, std::size_t* served);
+                            double& latency_ms, int& completed);
   // Bring client's tenant up on `server`, charging parameter streaming +
   // warm-up for a first arrival on a non-home server. `ok` is false on a
   // transient allocation failure. Runs on the server's environment (the
@@ -211,18 +189,14 @@ class Cluster : private RouterTransport {
   // artifact).
   void ExportEngineIntrospection(metrics::MetricRegistry& reg) const;
 
-  std::size_t shard_of(std::size_t server) const {
-    // One engine lane per server, so the lane map IS the assignment.
-    return engine_.lane_shard(server);
-  }
-
   void ArmServerFaults();
   void ApplyServerFault(const fault::ServerFaultEvent& e);
   static void FaultTrampoline(void* ctx, std::uint64_t index);
   void StopAll();
-  // Hop-delay multiplier for `server` at the hub's current instant.
-  double JitterFactor(std::size_t server) const {
-    return env_.Now() < jitter_until_[server] ? jitter_factor_[server] : 1.0;
+  // Hop-delay multiplier for `server` at instant `at` (a hop's send
+  // instant, on the clock of the side that sends it).
+  double JitterFactor(std::size_t server, sim::TimePoint at) const {
+    return at < jitter_until_[server] ? jitter_factor_[server] : 1.0;
   }
   // Lowest capacity multiplier across the server's devices right now (1.0
   // when no fractional-capacity window is open). Read hub-side only.

@@ -318,8 +318,12 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
         continue;  // went down while loading
       }
       if (ctx->cancel != nullptr) {
-        // A draining hedge of a previous request still owns this context;
-        // let it finish (it was cancelled, so it drains fast).
+        // Another request still owns this tenant's context: a draining hedge
+        // of a previous request (cancelled, so it drains fast), or, on the
+        // cluster's stream path, where one tenant per (server, stream)
+        // carries every request of the stream on that server, a concurrent
+        // request of the same stream. Poll until it is free; the wait is
+        // charged to kBackoff.
         hop_detail = "reroute";
         co_await env_.Delay(deg.reject_backoff);
         if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());

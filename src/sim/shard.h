@@ -109,7 +109,8 @@ class ShardedEngine {
 
   // Awaitable: move the running coroutine from the hub onto lane `l`'s
   // shard, resuming `latency` later on that shard's clock. Must be awaited
-  // from hub-resident code. With shards == 1, a plain Delay on the hub.
+  // from hub-resident code. With shards == 1, a plain Delay on the hub —
+  // except that a zero-latency hop completes inline, with no event.
   auto HopToShard(std::size_t l, Duration latency) {
     return HopAwaiter{this, l, /*to_hub=*/false, latency};
   }
@@ -117,7 +118,7 @@ class ShardedEngine {
   // Awaitable: move the running coroutine from lane `l`'s shard back onto
   // the hub, resuming `latency` later on the hub's clock. Must be awaited
   // from code resident on that lane's shard. With shards == 1, a plain
-  // Delay.
+  // Delay (inline when the latency is zero, as for HopToShard).
   auto HopToHub(std::size_t l, Duration latency) {
     return HopAwaiter{this, l, /*to_hub=*/true, latency};
   }
@@ -143,8 +144,8 @@ class ShardedEngine {
   // Events executed across all shards.
   std::uint64_t events_executed() const;
   // Events executed on shard k's environment alone (the hub excluded).
-  // With shards == 1 this is the whole run. Feed these back in as adaptive
-  // assignment weights, or ratio max/mean as an imbalance metric.
+  // With shards == 1 this is the whole run. Their max/mean ratio is an
+  // imbalance metric.
   std::uint64_t shard_events(std::size_t k) const {
     return sharded() ? envs_[k + 1]->events_executed()
                      : envs_.front()->events_executed();
@@ -209,7 +210,11 @@ class ShardedEngine {
     std::size_t lane;
     bool to_hub;
     Duration latency;
-    bool await_ready() const noexcept { return false; }
+    // Unsharded, a zero-latency hop is no hop at all. Sharded, every hop
+    // goes through Send, which rejects a latency below the lookahead.
+    bool await_ready() const noexcept {
+      return !eng->sharded() && latency == Duration::Zero();
+    }
     void await_suspend(std::coroutine_handle<> h) {
       eng->Send(lane, to_hub, latency, h);
     }

@@ -412,11 +412,11 @@ TEST(ClusterTest, CrossShardFailoverSpendsNoRetryBudget) {
   EXPECT_GT(cluster.engine().boundary_events(), 0u);
 }
 
-// Returns the invalid_argument message `make_cluster` throws ("" if none).
+// Returns the invalid_argument message `f` throws ("" if none).
 template <typename F>
-std::string ConstructionError(F make_cluster) {
+std::string InvalidArgumentMessage(F f) {
   try {
-    make_cluster();
+    f();
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -431,7 +431,7 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
   no_delay.router.net_delay = Duration::Zero();
   {
     const std::string msg =
-        ConstructionError([&] { serving::Cluster cluster(no_delay); });
+        InvalidArgumentMessage([&] { serving::Cluster cluster(no_delay); });
     EXPECT_NE(msg.find("RouterOptions::net_delay"), std::string::npos) << msg;
     EXPECT_NE(msg.find("shards = 1"), std::string::npos) << msg;
   }
@@ -442,20 +442,9 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
   cap.server.faults.CapacityFault(At(10), Duration::Millis(5), 0.5);
   {
     const std::string msg =
-        ConstructionError([&] { serving::Cluster cluster(cap); });
+        InvalidArgumentMessage([&] { serving::Cluster cluster(cap); });
     EXPECT_NE(msg.find("kCapacityFault"), std::string::npos) << msg;
     EXPECT_NE(msg.find("CapacityLoss"), std::string::npos) << msg;
-  }
-  // Adaptive assignment with a wrong-sized weight vector names the option.
-  serving::ClusterOptions weights = SmallCluster(4);
-  weights.shards = 2;
-  weights.assignment = serving::ShardAssignment::kAdaptive;
-  weights.server_weights = {1.0, 2.0};  // 2 weights, 4 servers
-  {
-    const std::string msg =
-        ConstructionError([&] { serving::Cluster cluster(weights); });
-    EXPECT_NE(msg.find("ClusterOptions::server_weights"), std::string::npos)
-        << msg;
   }
   // Both rejected configurations are fine unsharded.
   no_delay.shards = 1;
@@ -472,6 +461,19 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
   metrics::MetricRegistry registry;
   lifted.server.observability.registry = &registry;
   EXPECT_NO_THROW(serving::Cluster{lifted});
+  // The single-server legacy open loop would silently run closed-loop in a
+  // cluster, so Run rejects it and names the arrival generator as the fix.
+  serving::ClusterClientSpec legacy;
+  legacy.request.model = "googlenet";
+  legacy.request.num_batches = 2;
+  legacy.request.mean_interarrival = Duration::Millis(10);
+  {
+    serving::Cluster cluster(SmallCluster(2));
+    const std::string msg =
+        InvalidArgumentMessage([&] { cluster.Run({legacy}); });
+    EXPECT_NE(msg.find("ClusterClientSpec::arrivals"), std::string::npos)
+        << msg;
+  }
 }
 
 TEST(ClusterTest, ShardedAllocFaultMatchesUnshardedTrajectory) {

@@ -265,23 +265,42 @@ TEST(GoldenDeterminismTest, ClusterMatchesGoldenAndReplays) {
 // across shards it too must match the unsharded count (same events, merely
 // executed on different queues).
 
+// Fault-path variants of the sharded workload (the default is the plain
+// crash + inbound-partition run).
+struct ClusterVariant {
+  // Adds a server -> router partition (lost responses) and an alloc-fault
+  // window on every server (crash victims' first-arrival tenants fail).
+  // The window opens 5 ms before the crash on purpose: on a shared instant
+  // the sharded engine runs the hub's crash before the server's fault,
+  // unlike shards=1, and the summed event count differs by one.
+  bool lost_responses = false;
+  bool failover = true;         // RouterOptions::failover
+  bool zero_net_delay = false;  // RouterOptions::net_delay = 0 (shards=1)
+};
+
 GoldenClusterRun RunShardedClusterWorkload(
-    std::size_t shards,
-    serving::ShardAssignment assignment = serving::ShardAssignment::kStatic,
-    std::vector<double> weights = {}) {
+    std::size_t shards, ClusterVariant variant = {},
+    metrics::RouterCounters* counters = nullptr) {
   serving::ClusterOptions opts;
   opts.num_servers = 4;
   opts.server.num_gpus = 1;
   opts.server.pool_threads = 100;
   opts.seed = 11;
   opts.shards = shards;
-  opts.assignment = assignment;
-  opts.server_weights = std::move(weights);
   opts.faults.Crash(sim::TimePoint() + sim::Duration::Millis(100),
                     sim::Duration::Millis(400), /*server=*/0);
   opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(300),
                         sim::Duration::Millis(300), /*server=*/2,
                         fault::PartitionDirection::kToServer);
+  if (variant.lost_responses) {
+    opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(200),
+                          sim::Duration::Millis(150), /*server=*/1,
+                          fault::PartitionDirection::kFromServer);
+    opts.server.faults.AllocFault(sim::TimePoint() + sim::Duration::Millis(95),
+                                  sim::Duration::Millis(40));
+  }
+  opts.router.failover = variant.failover;
+  if (variant.zero_net_delay) opts.router.net_delay = sim::Duration::Zero();
   serving::Cluster cluster(opts);
   serving::ClusterClientSpec c;
   c.request.model = "googlenet";
@@ -301,18 +320,30 @@ GoldenClusterRun RunShardedClusterWorkload(
   out.ok = cluster.counters().requests_ok;
   out.failed_over = cluster.counters().requests_failed_over;
   out.transitions = cluster.counters().server_transitions;
+  if (counters != nullptr) *counters = cluster.counters();
   return out;
 }
+
+// Absolute pins for the workload above and its fault-path variants. The
+// shard-count pins compare runs with each other, so a change to code every
+// shard count shares would move both sides and still pass; these pin values.
+const GoldenClusterRun kGoldenShardedCluster{
+    {961891928LL, 823517020LL, 878444850LL, 802498387LL, 946666024LL,
+     822168740LL, 863506674LL, 801495179LL},
+    {5, 5, 5, 5, 5, 5, 5, 5},
+    4085189ULL, 46ULL, 40ULL, 6ULL, 10ULL};
 
 TEST(GoldenDeterminismTest, ShardedClusterBitIdenticalToUnsharded) {
   const GoldenClusterRun seq = RunShardedClusterWorkload(1);
   const GoldenClusterRun par = RunShardedClusterWorkload(4);
   const GoldenClusterRun par2 = RunShardedClusterWorkload(4);
   if (PrintRequested()) {
-    PrintGoldenCluster("kGoldenShardedCluster(seq)", seq);
+    PrintGoldenCluster("kGoldenShardedCluster", seq);
     PrintGoldenCluster("kGoldenShardedCluster(par)", par);
     return;
   }
+  EXPECT_EQ(seq, kGoldenShardedCluster)
+      << "single-queue run diverged from golden values";
   EXPECT_EQ(par, par2)
       << "same-seed 4-shard replay diverged: thread scheduling leaked into "
          "the trajectory";
@@ -328,35 +359,57 @@ TEST(GoldenDeterminismTest, ShardedClusterWithTwoShardsMatchesToo) {
   EXPECT_EQ(par, seq);
 }
 
-TEST(GoldenDeterminismTest, ShardedAdaptiveAssignmentReplaysStaticTrajectory) {
-  // Skewed measured weights pack the servers differently from s % shards —
-  // the boundary merge order is per-lane (per-server), so the trajectory
-  // must not move by a nanosecond at either shard count.
-  const std::vector<double> kWeights{5.0, 1.0, 4.0, 2.0};
-  const GoldenClusterRun seq = RunShardedClusterWorkload(1);
-  const GoldenClusterRun adaptive2 = RunShardedClusterWorkload(
-      2, serving::ShardAssignment::kAdaptive, kWeights);
-  const GoldenClusterRun adaptive4 = RunShardedClusterWorkload(
-      4, serving::ShardAssignment::kAdaptive, kWeights);
-  EXPECT_EQ(adaptive2, seq)
-      << "adaptive assignment at shards=2 diverged from the static "
-         "trajectory";
-  EXPECT_EQ(adaptive4, seq)
-      << "adaptive assignment at shards=4 diverged from the static "
-         "trajectory";
-  // Sanity: the weights above actually change the shards=2 packing versus
-  // s % shards (greedy: server 0 -> shard 0, server 2 -> shard 1, server 3
-  // -> shard 1, server 1 -> shard 0), so the pin is not vacuous.
-  serving::ClusterOptions opts;
-  opts.num_servers = 4;
-  opts.shards = 2;
-  opts.assignment = serving::ShardAssignment::kAdaptive;
-  opts.server_weights = kWeights;
-  serving::Cluster probe(opts);
-  EXPECT_EQ(probe.engine().lane_shard(0), 0u);
-  EXPECT_EQ(probe.engine().lane_shard(1), 0u);
-  EXPECT_EQ(probe.engine().lane_shard(2), 1u);
-  EXPECT_EQ(probe.engine().lane_shard(3), 1u);
+// Lost responses and failed first-arrival tenants, with router failover on
+// (free re-admission) and off (budgeted retries), at shards 1 and 4; and the
+// same run with a zero network delay, where every hop completes inline.
+const GoldenClusterRun kGoldenLostResponses{
+    {1230287462LL, 1202134651LL, 1025052519LL, 1018794248LL, 1138995546LL,
+     1182981105LL, 1038570923LL, 1020892112LL},
+    {5, 5, 5, 5, 5, 5, 5, 5},
+    9325576ULL, 53ULL, 40ULL, 9ULL, 18ULL};
+const GoldenClusterRun kGoldenLostResponsesNoFailover{
+    {230800187LL, 835279810LL, 509375448LL, 733307371LL, 230800267LL,
+     838571307LL, 509909840LL, 733191152LL},
+    {0, 5, 3, 5, 0, 5, 3, 5},
+    2073021ULL, 70ULL, 26ULL, 0ULL, 12ULL};
+const GoldenClusterRun kGoldenZeroNetDelay{
+    {1164094264LL, 1110202407LL, 1042393909LL, 1015749645LL, 1237101878LL,
+     1122433123LL, 1073683017LL, 1020002030LL},
+    {5, 5, 5, 5, 5, 5, 5, 5},
+    9093519ULL, 55ULL, 40ULL, 11ULL, 22ULL};
+
+TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
+  const ClusterVariant lossy{.lost_responses = true};
+  const ClusterVariant no_failover{.lost_responses = true, .failover = false};
+  const ClusterVariant zero_delay{.lost_responses = true,
+                                  .zero_net_delay = true};
+  metrics::RouterCounters lossy_counters, no_failover_counters;
+  const GoldenClusterRun a =
+      RunShardedClusterWorkload(1, lossy, &lossy_counters);
+  const GoldenClusterRun b =
+      RunShardedClusterWorkload(1, no_failover, &no_failover_counters);
+  const GoldenClusterRun c = RunShardedClusterWorkload(1, zero_delay);
+  if (PrintRequested()) {
+    PrintGoldenCluster("kGoldenLostResponses", a);
+    PrintGoldenCluster("kGoldenLostResponsesNoFailover", b);
+    PrintGoldenCluster("kGoldenZeroNetDelay", c);
+    return;
+  }
+  EXPECT_EQ(a, kGoldenLostResponses);
+  EXPECT_EQ(b, kGoldenLostResponsesNoFailover);
+  EXPECT_EQ(c, kGoldenZeroNetDelay);
+  EXPECT_EQ(RunShardedClusterWorkload(4, lossy), kGoldenLostResponses);
+  EXPECT_EQ(RunShardedClusterWorkload(4, no_failover),
+            kGoldenLostResponsesNoFailover);
+  // The pins are only worth something if the branches they guard fired.
+  // With failover on, crash victims and lost legs re-admit for free, so
+  // budgeted retries certify that the alloc-fault window failed tenant
+  // set-ups or legs.
+  EXPECT_GT(lossy_counters.responses_lost_from_server, 0u);
+  EXPECT_GT(lossy_counters.requests_lost_to_server, 0u);
+  EXPECT_GT(lossy_counters.retries, 0u);
+  EXPECT_GT(no_failover_counters.responses_lost_from_server, 0u);
+  EXPECT_GT(no_failover_counters.requests_failed, 0u);
 }
 
 // Sharded observability: a cluster run with a server-side tracer AND a
