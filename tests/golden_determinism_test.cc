@@ -18,15 +18,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/profiler.h"
 #include "core/scheduler.h"
 #include "fault/fault.h"
+#include "metrics/counters.h"
+#include "metrics/phase_account.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "serving/cluster.h"
@@ -174,6 +178,275 @@ TEST(GoldenDeterminismTest, ObservabilityLeavesOutcomesBitIdentical) {
     EXPECT_GT(observed.events, plain.events)
         << "sampler ticks should add events";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Single-server fault-path pins. The goldens above run fault-free with
+// failover off, and the failover, retry, deadline and hedge tests compare a
+// run with its own replay or check counts, so a change that moves both
+// sides of such a comparison still passes. These pin absolute values for
+// staged 2-GPU runs that, between them, drive every branch of the server's
+// request loop: device failover with replica loads, an alloc-fault window
+// on the failover target, hang escalation, retries to exhaustion, deadlines
+// (mid-run and before a retry), shedding, the breaker, every device down,
+// and hedges triggered by the degraded bit and by the health score.
+
+std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= v & 0xffu;
+    h *= 1099511628211ull;
+    v >>= 8;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+std::uint64_t Fnv1a(const std::string& s) {
+  std::uint64_t h = kFnvOffset;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct GoldenServerRun {
+  std::vector<std::int64_t> finish_ns;  // per-client
+  std::vector<std::int64_t> gpu_ns;     // per-client
+  std::uint64_t requests = 0;  // FNV-1a over every request's latency, status
+  std::uint64_t events = 0;
+  std::uint64_t counters = 0;  // FNV-1a of ServingCounters::Print
+  std::uint64_t blame = 0;     // FNV-1a of PhaseCollector::WriteBlameJson
+  std::uint64_t trace = 0;     // FNV-1a of Tracer::WriteChromeTrace
+
+  bool operator==(const GoldenServerRun&) const = default;
+};
+
+enum class ServerStaging {
+  // Reset on GPU 0 with an alloc-fault window on GPU 1, the failover
+  // target; later a hang on GPU 1 that escalates to down and fails back.
+  kFailover,
+  // Kernel failure -> retry into a hang -> hedge on the degraded bit ->
+  // reset kills the primary mid-kernel -> the hedge wins.
+  kHedgeWin,
+  // Failover off, under Olympian: kernel failures, retries to exhaustion,
+  // the breaker, deadlines, and admission shedding on a small pool.
+  kDegradation,
+  // Open-loop clients: score-triggered hedges under a capacity fault on
+  // GPU 0, degraded-bit hedges during a short hang on GPU 1 (one reeled in
+  // when its primary finishes first), then every device resets and the
+  // remaining requests are rejected.
+  kGrayHedge,
+};
+
+sim::TimePoint AtMs(double ms) {
+  return sim::TimePoint() + sim::Duration::Millis(ms);
+}
+
+GoldenServerRun RunServerStaging(ServerStaging staging,
+                                 metrics::ServingCounters* counters) {
+  metrics::Tracer tracer(2000000);
+  metrics::PhaseCollector phases(
+      metrics::PhaseCollector::Options{.slo_ms = 50.0});
+  serving::ServerOptions opts;
+  opts.num_gpus = 2;
+  opts.executor.tracer = &tracer;
+  opts.observability.phases = &phases;
+  opts.failover.enabled = true;
+  std::vector<serving::ClientSpec> clients;
+  bool olympian = false;
+  switch (staging) {
+    case ServerStaging::kFailover:
+      opts.seed = 99;
+      opts.faults.DeviceReset(AtMs(600), sim::Duration::Millis(250), 0);
+      opts.faults.AllocFault(AtMs(600), sim::Duration::Millis(30), 1);
+      opts.faults.DeviceHang(AtMs(1200), sim::Duration::Millis(300), 1);
+      opts.failover.health.hang_down_after = sim::Duration::Millis(10);
+      clients = {{.model = "resnet-152", .batch = 20, .num_batches = 10},
+                 {.model = "googlenet",
+                  .batch = 20,
+                  .num_batches = 16,
+                  .deadline = sim::Duration::Millis(200)}};
+      break;
+    case ServerStaging::kHedgeWin:
+      opts.seed = 23;
+      opts.faults.KernelFailure(AtMs(595), /*stream=*/1, 0);
+      opts.faults.DeviceHang(AtMs(600), sim::Duration::Millis(300), 0);
+      opts.faults.DeviceReset(AtMs(650), sim::Duration::Seconds(100), 0);
+      opts.failover.health.hang_down_after = sim::Duration::Seconds(10);
+      opts.failover.hedge_when_degraded = true;
+      opts.failover.hedge_delay = sim::Duration::Millis(1);
+      opts.degradation.retry.base_backoff = sim::Duration::Millis(10);
+      clients = {{.model = "resnet-152", .batch = 20, .num_batches = 10},
+                 {.model = "googlenet", .batch = 20, .num_batches = 10}};
+      break;
+    case ServerStaging::kDegradation:
+      opts.seed = 5;
+      opts.failover.enabled = false;
+      opts.pool_threads = 6;
+      opts.degradation.admission_watermark = 0.5;
+      opts.degradation.retry.max_retries = 1;
+      opts.degradation.retry.base_backoff = sim::Duration::Millis(40);
+      opts.degradation.breaker.failure_threshold = 2;
+      opts.degradation.breaker.cooldown = sim::Duration::Millis(20);
+      for (int i = 0; i < 8; ++i) {
+        opts.faults.KernelFailure(AtMs(100 + 60 * i), /*stream=*/i % 4,
+                                  static_cast<std::size_t>(i % 2));
+      }
+      olympian = true;
+      clients = {{.model = "resnet-152", .batch = 20, .num_batches = 6},
+                 {.model = "googlenet", .batch = 20, .num_batches = 6},
+                 {.model = "resnet-152",
+                  .batch = 20,
+                  .num_batches = 6,
+                  .deadline = sim::Duration::Millis(250)},
+                 {.model = "googlenet",
+                  .batch = 20,
+                  .num_batches = 6,
+                  .deadline = sim::Duration::Millis(180)}};
+      break;
+    case ServerStaging::kGrayHedge:
+      opts.seed = 17;
+      opts.failover.health.score.enabled = true;
+      opts.failover.health.score.degrade_below = 0.10;
+      opts.failover.health.score.recover_above = 0.20;
+      opts.failover.hedge_below_score = 0.95;
+      opts.failover.hedge_when_degraded = true;
+      opts.failover.hedge_delay = sim::Duration::Millis(1);
+      opts.failover.health.hang_down_after = sim::Duration::Seconds(1);
+      opts.faults.CapacityFault(AtMs(100), sim::Duration::Millis(500), 0.25,
+                                0);
+      opts.faults.DeviceHang(AtMs(750), sim::Duration::Millis(30), 1);
+      opts.faults.DeviceReset(AtMs(1000), sim::Duration::Seconds(10), 0);
+      opts.faults.DeviceReset(AtMs(1000), sim::Duration::Seconds(10), 1);
+      clients.assign(2, {.model = "googlenet",
+                         .batch = 4,
+                         .num_batches = 10,
+                         .mean_interarrival = sim::Duration::Millis(150),
+                         .deadline = sim::Duration::Millis(300)});
+      break;
+  }
+  serving::Experiment exp(opts);
+  core::Profiler profiler;
+  std::vector<core::ModelProfile> profiles;
+  std::vector<std::unique_ptr<core::Scheduler>> scheds;
+  if (olympian) {
+    profiles = {profiler.ProfileModel("resnet-152", 20),
+                profiler.ProfileModel("googlenet", 20)};
+    for (std::size_t g = 0; g < exp.num_gpus(); ++g) {
+      scheds.push_back(std::make_unique<core::Scheduler>(
+          exp.env(), exp.gpu(g), std::make_unique<core::FairPolicy>()));
+      for (const auto& p : profiles) {
+        scheds.back()->SetProfile(
+            p.key, &p.cost,
+            core::Profiler::ThresholdFor(p, sim::Duration::Micros(500)));
+      }
+      exp.SetGpuHooks(g, scheds.back().get());
+    }
+  }
+  const auto results = exp.Run(clients);
+  GoldenServerRun out;
+  out.requests = kFnvOffset;
+  for (const auto& r : results) {
+    out.finish_ns.push_back(r.finish_time.nanos());
+    out.gpu_ns.push_back(r.gpu_duration.nanos());
+    for (std::size_t i = 0; i < r.request_latency_ms.size(); ++i) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &r.request_latency_ms[i], sizeof(bits));
+      out.requests = Fnv1a(out.requests, bits);
+      out.requests = Fnv1a(out.requests,
+                           static_cast<std::uint64_t>(r.request_status[i]));
+    }
+  }
+  out.events = exp.env().events_executed();
+  std::ostringstream c, b, t;
+  exp.counters().Print(c);
+  phases.WriteBlameJson(b);
+  tracer.WriteChromeTrace(t);
+  out.counters = Fnv1a(c.str());
+  out.blame = Fnv1a(b.str());
+  out.trace = Fnv1a(t.str());
+  if (counters != nullptr) *counters = exp.counters();
+  return out;
+}
+
+void PrintGoldenServer(const char* name, const GoldenServerRun& g) {
+  std::printf("const GoldenServerRun %s{\n    {", name);
+  for (auto v : g.finish_ns) std::printf("%lldLL, ", static_cast<long long>(v));
+  std::printf("},\n    {");
+  for (auto v : g.gpu_ns) std::printf("%lldLL, ", static_cast<long long>(v));
+  std::printf("},\n    0x%016llxULL, %lluULL, 0x%016llxULL, 0x%016llxULL, "
+              "0x%016llxULL};\n",
+              static_cast<unsigned long long>(g.requests),
+              static_cast<unsigned long long>(g.events),
+              static_cast<unsigned long long>(g.counters),
+              static_cast<unsigned long long>(g.blame),
+              static_cast<unsigned long long>(g.trace));
+}
+
+// Recorded before the request loop was folded into one attempt tail.
+const GoldenServerRun kGoldenServerFailover{
+    {2729512200LL, 2191265637LL},
+    {2583685398LL, 2114670809LL},
+    0x9d6f0be80db0158cULL, 1480104ULL, 0xd97a983bc7a25618ULL,
+    0xe21c62a1d7133832ULL, 0xaee3064ac2e070deULL};
+const GoldenServerRun kGoldenServerHedgeWin{
+    {2879599891LL, 1956914072LL},
+    {2715126375LL, 1920272116LL},
+    0x103b4020e661d843ULL, 1409904ULL, 0x1408c453b19d8d31ULL,
+    0xc8664c91bc69d053ULL, 0x99aee29fbea12a1dULL};
+const GoldenServerRun kGoldenServerDegradation{
+    {246696317LL, 1200466429LL, 245244957LL, 510479948LL},
+    {724428LL, 828427696LL, 39218992LL, 167279863LL},
+    0xa5b22d3cab966da1ULL, 481025ULL, 0xcaa5341403dacb35ULL,
+    0xcd2f23c651ceea63ULL, 0x4ac02cb341d5a320ULL};
+const GoldenServerRun kGoldenServerGrayHedge{
+    {2041853795LL, 1005017150LL},
+    {850821108LL, 1063524990LL},
+    0xe0b066a21b282fd2ULL, 894301ULL, 0x652fee7330d5be58ULL,
+    0x49b368a3aec64ba5ULL, 0x319674d649dfb49bULL};
+
+TEST(GoldenDeterminismTest, ServerFaultPathsMatchGolden) {
+  const std::tuple<ServerStaging, const char*, const GoldenServerRun*>
+      stagings[] = {
+          {ServerStaging::kFailover, "kGoldenServerFailover",
+           &kGoldenServerFailover},
+          {ServerStaging::kHedgeWin, "kGoldenServerHedgeWin",
+           &kGoldenServerHedgeWin},
+          {ServerStaging::kDegradation, "kGoldenServerDegradation",
+           &kGoldenServerDegradation},
+          {ServerStaging::kGrayHedge, "kGoldenServerGrayHedge",
+           &kGoldenServerGrayHedge},
+      };
+  metrics::ServingCounters sum;
+  for (const auto& [staging, name, golden] : stagings) {
+    metrics::ServingCounters c;
+    const GoldenServerRun run = RunServerStaging(staging, &c);
+    if (PrintRequested()) {
+      PrintGoldenServer(name, run);
+    } else {
+      EXPECT_EQ(run, *golden) << name << " diverged from golden values";
+    }
+    for (const auto& f : metrics::ServingCounters::Fields()) {
+      sum.*f.member += c.*f.member;
+    }
+  }
+  // The pins are only worth something if the branches they guard fired.
+  // Some timeouts must come from a deadline checked before a (re)admission
+  // or a retry, not only from a watchdog cancelling a run.
+  EXPECT_GT(sum.requests_timed_out, sum.deadline_cancellations);
+  EXPECT_GT(sum.deadline_cancellations, 0u);
+  EXPECT_GT(sum.requests_failed, 0u);
+  EXPECT_GT(sum.retries, 0u);
+  EXPECT_GT(sum.requests_shed, 0u);
+  EXPECT_GT(sum.breaker_rejections, 0u);
+  EXPECT_GT(sum.requests_rejected_no_device, 0u);
+  EXPECT_GT(sum.requests_failed_over, 0u);
+  EXPECT_GT(sum.replica_instantiations, 0u);
+  EXPECT_GT(sum.transient_alloc_failures, 0u);
+  EXPECT_GT(sum.hedges_launched, 0u);
+  EXPECT_GT(sum.hedge_wins, 0u);
 }
 
 // ---------------------------------------------------------------------------
