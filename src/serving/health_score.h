@@ -1,6 +1,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "sim/time.h"
 
@@ -108,5 +110,63 @@ class HealthScore {
 // Throws std::invalid_argument on out-of-range knobs (alphas outside
 // (0, 1], weight outside [0, 1], thresholds outside (0, 1) or inverted).
 void Validate(const HealthScoreOptions& options);
+
+// One routing target (a device or a server) as StickySelect sees it.
+struct RouteCandidate {
+  bool usable = false;   // may take traffic at all
+  bool healthy = false;  // top health state (not degraded)
+  bool ready = true;     // already holds the replica (nothing to load)
+  std::uint64_t outstanding = 0;
+  double score = 1.0;  // continuous health score (scored mode)
+};
+
+// The sticky selector shared by the device Placer and the cluster Router.
+// `home` wins while usable and, in scored mode, healthy: the hysteresis
+// state, not the raw score, so routing inherits the anti-flap margin.
+// Otherwise binary mode ranks healthy over degraded, then ready replicas,
+// then fewer outstanding, then the lowest index; scored mode takes the
+// maximum of score / (1 + outstanding), strict > so ties keep the lowest
+// index, except that a ready replica beats one that must load at equal
+// weight. `view(i)` describes candidate i of `n`; `exclude` is never
+// picked. Returns size_t(-1) (Placer::kNoDevice, Router::kNoServer) when
+// no candidate is usable.
+template <typename View>
+std::size_t StickySelect(std::size_t n, std::size_t home, std::size_t exclude,
+                         bool scored, const View& view) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  if (home != exclude && home < n) {
+    const RouteCandidate h = view(home);
+    if (h.usable && (!scored || h.healthy)) return home;
+  }
+  std::size_t best = kNone;
+  RouteCandidate b;
+  double best_weight = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == exclude) continue;
+    const RouteCandidate c = view(i);
+    if (!c.usable) continue;
+    const double weight =
+        c.score / (1.0 + static_cast<double>(c.outstanding));
+    bool better = true;  // the first usable candidate wins outright
+    if (best != kNone) {
+      if (scored) {
+        better = weight > best_weight ||
+                 (weight == best_weight && c.ready && !b.ready);
+      } else if (c.healthy != b.healthy) {
+        better = c.healthy;
+      } else if (c.ready != b.ready) {
+        better = c.ready;
+      } else {
+        better = c.outstanding < b.outstanding;
+      }
+    }
+    if (better) {
+      best = i;
+      b = c;
+      best_weight = weight;
+    }
+  }
+  return best;
+}
 
 }  // namespace olympian::serving

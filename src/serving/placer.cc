@@ -15,72 +15,16 @@ Placer::Placer(sim::Environment& env, const HealthMonitor& health,
 
 std::size_t Placer::Route(const std::string& model, std::size_t primary,
                           std::size_t exclude) const {
-  if (health_.scoring()) return RouteScored(model, primary, exclude);
-  // Sticky primary: while the home device serves, nothing moves.
-  if (primary != exclude && primary < outstanding_.size() &&
-      health_.Usable(primary)) {
-    return primary;
-  }
-  std::size_t best = kNoDevice;
-  bool best_healthy = false;
-  bool best_ready = false;
-  std::uint64_t best_load = 0;
-  for (std::size_t i = 0; i < outstanding_.size(); ++i) {
-    if (i == exclude || !health_.Usable(i)) continue;
-    const bool healthy = health_.health(i) == DeviceHealth::kHealthy;
-    const bool ready = replica_state(i, model) == ReplicaState::kReady;
-    const std::uint64_t load = outstanding_[i];
-    // Lexicographic preference: healthy > degraded, replica already present
-    // > must instantiate, fewer outstanding, lower index (iteration order).
-    bool better;
-    if (best == kNoDevice) {
-      better = true;
-    } else if (healthy != best_healthy) {
-      better = healthy;
-    } else if (ready != best_ready) {
-      better = ready;
-    } else {
-      better = load < best_load;
-    }
-    if (better) {
-      best = i;
-      best_healthy = healthy;
-      best_ready = ready;
-      best_load = load;
-    }
-  }
-  return best;
-}
-
-std::size_t Placer::RouteScored(const std::string& model, std::size_t primary,
-                                std::size_t exclude) const {
-  // The primary stays sticky only while score-healthy: a measurably slow
-  // home no longer pins its clients (this is the score-weighted analogue of
-  // the binary healthy-before-degraded rank).
-  if (primary != exclude && primary < outstanding_.size() &&
-      health_.Usable(primary) &&
-      health_.health(primary) == DeviceHealth::kHealthy) {
-    return primary;
-  }
-  std::size_t best = kNoDevice;
-  double best_weight = -1.0;
-  bool best_ready = false;
-  for (std::size_t i = 0; i < outstanding_.size(); ++i) {
-    if (i == exclude || !health_.Usable(i)) continue;
-    const double weight = health_.score(i) /
-                          (1.0 + static_cast<double>(outstanding_[i]));
-    const bool ready = replica_state(i, model) == ReplicaState::kReady;
-    // Strict > keeps ties on the lowest index; at equal weight a device
-    // that already holds the replica beats one that must instantiate.
-    const bool better =
-        weight > best_weight || (weight == best_weight && ready && !best_ready);
-    if (better) {
-      best = i;
-      best_weight = weight;
-      best_ready = ready;
-    }
-  }
-  return best;
+  return StickySelect(
+      outstanding_.size(), primary, exclude, health_.scoring(),
+      [&](std::size_t i) {
+        return RouteCandidate{
+            .usable = health_.Usable(i),
+            .healthy = health_.health(i) == DeviceHealth::kHealthy,
+            .ready = replica_state(i, model) == ReplicaState::kReady,
+            .outstanding = outstanding_[i],
+            .score = health_.score(i)};
+      });
 }
 
 Placer::Replica& Placer::Slot(std::size_t gpu, const std::string& model) {

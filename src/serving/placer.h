@@ -20,9 +20,8 @@ namespace olympian::serving {
 // replica was instantiated for free at setup). Route prefers the primary
 // while it is usable — sticky placement keeps the no-fault path identical
 // to the legacy behaviour and avoids paying replica instantiation for
-// nothing — and otherwise picks the least-loaded usable device (healthy
-// preferred over degraded, then fewest outstanding requests, then lowest
-// index: a deterministic total order).
+// nothing — and otherwise picks the least-loaded usable device. The policy
+// is StickySelect (serving/health_score.h), shared with the cluster Router.
 //
 // The replica registry coordinates lazy model instantiation on failover
 // targets: the first request routed to a device without the model marks it
@@ -40,15 +39,13 @@ class Placer {
   Placer(const Placer&) = delete;
   Placer& operator=(const Placer&) = delete;
 
-  // Pick a device for one request of `model` whose home is `primary`.
-  // `exclude` (optional) removes one device from consideration — used by
-  // hedged requests, which must land somewhere other than the primary
-  // attempt. Returns kNoDevice when no usable device remains (every device
-  // down: the caller rejects promptly instead of stalling). When the
-  // monitor scores devices, the binary rank becomes weighted selection:
-  // the primary stays sticky only while score-healthy, and fallback
-  // maximizes score / (1 + outstanding) (ties -> replica-ready, then
-  // lower index).
+  // Pick a device for one request of `model` whose home is `primary`, by
+  // StickySelect (scored when the monitor scores devices; a device holding
+  // the replica is "ready"). `exclude` (optional) removes one device from
+  // consideration — used by hedged requests, which must land somewhere
+  // other than the primary attempt. Returns kNoDevice when no usable device
+  // remains (every device down: the caller rejects promptly instead of
+  // stalling).
   std::size_t Route(const std::string& model, std::size_t primary,
                     std::size_t exclude = kNoDevice) const;
 
@@ -84,8 +81,6 @@ class Placer {
     std::unique_ptr<sim::CondVar> cv;  // created on first waiter
   };
 
-  std::size_t RouteScored(const std::string& model, std::size_t primary,
-                          std::size_t exclude) const;
   Replica& Slot(std::size_t gpu, const std::string& model);
   const Replica* FindSlot(std::size_t gpu, const std::string& model) const;
 

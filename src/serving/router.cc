@@ -68,50 +68,17 @@ void Router::Stop() { stopped_ = true; }
 
 std::size_t Router::Route(std::size_t home) {
   if (!options_.failover) return home;  // static pin baseline
-  if (scoring()) return RouteScored(home);
-  if (Routable(home)) return home;
-  // Least-loaded over routable servers: healthy beats degraded, then fewest
-  // outstanding, then lowest index — a deterministic total order.
-  std::size_t best = kNoServer;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (!Routable(s)) continue;
-    if (best == kNoServer) {
-      best = s;
-      continue;
-    }
-    const ServerState& a = servers_[s];
-    const ServerState& b = servers_[best];
-    const int rank_a = a.health == ServerHealth::kHealthy ? 0 : 1;
-    const int rank_b = b.health == ServerHealth::kHealthy ? 0 : 1;
-    if (rank_a != rank_b ? rank_a < rank_b : a.outstanding < b.outstanding) {
-      best = s;
-    }
-  }
-  return best;
-}
-
-std::size_t Router::RouteScored(std::size_t home) const {
-  // Sticky home while it is routable AND score-healthy (the hysteresis
-  // state, not the raw score, so routing inherits the anti-flap margin).
-  // Otherwise weighted selection: maximize score / (1 + outstanding) over
-  // routable servers. Strict > keeps ties on the lowest index — the same
-  // deterministic total order the binary rank used.
-  if (home < servers_.size() && Routable(home) &&
-      servers_[home].health == ServerHealth::kHealthy) {
-    return home;
-  }
-  std::size_t best = kNoServer;
-  double best_w = -1.0;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (!Routable(s)) continue;
-    const double w = scores_[s].score() /
-                     (1.0 + static_cast<double>(servers_[s].outstanding));
-    if (w > best_w) {
-      best_w = w;
-      best = s;
-    }
-  }
-  return best;
+  // Every routable server holds the tenant or instantiates it on arrival,
+  // so all candidates are "ready" and the home is never excluded.
+  return StickySelect(servers_.size(), home, kNoServer, scoring(),
+                      [&](std::size_t s) {
+                        return RouteCandidate{
+                            .usable = Routable(s),
+                            .healthy =
+                                servers_[s].health == ServerHealth::kHealthy,
+                            .outstanding = servers_[s].outstanding,
+                            .score = score(s)};
+                      });
 }
 
 void Router::OnRequestStart(std::size_t server) {

@@ -114,13 +114,11 @@ class Router {
   // Stop the probe loops so the shared event queue can drain.
   void Stop();
 
-  // Pick a server for one request whose home is `home`. Sticky: the home
-  // wins while routable. Otherwise least-loaded among routable servers
-  // (healthy before degraded, then fewest outstanding, then lowest index).
-  // With scoring enabled the binary rank becomes weighted selection: the
-  // home stays sticky only while score-healthy, and fallback maximizes
-  // score / (1 + outstanding) over routable servers (ties -> lower index).
-  // With failover off, always the home. kNoServer when nothing is routable.
+  // Pick a server for one request whose home is `home`, by StickySelect
+  // (serving/health_score.h; the selector the device Placer uses, scored
+  // when scoring is enabled): sticky home while routable, else least-loaded
+  // among routable servers. With failover off, always the home. kNoServer
+  // when nothing is routable.
   std::size_t Route(std::size_t home);
 
   // Outstanding accounting + health feedback from the request path.
@@ -183,7 +181,6 @@ class Router {
   sim::Task ProbeLoop(std::size_t server);
   void OnResult(std::size_t server, bool ok);
   void Transition(std::size_t server, ServerHealth to);
-  std::size_t RouteScored(std::size_t home) const;
   void UpdateScoreHealth(std::size_t server);
   void UpdateBrownout();
 

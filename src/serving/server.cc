@@ -25,6 +25,19 @@ Experiment::Experiment(ServerOptions options, sim::Environment* env)
   if (options_.num_gpus < 1) {
     throw std::invalid_argument("num_gpus must be >= 1");
   }
+  const FailoverOptions& fo = options_.failover;
+  if (!fo.enabled && (fo.hedge_when_degraded || fo.hedge_below_score > 0.0)) {
+    throw std::invalid_argument(
+        std::string("failover.") +
+        (fo.hedge_when_degraded ? "hedge_when_degraded" : "hedge_below_score") +
+        " races a duplicate on another replica, which needs the failover "
+        "placer: set failover.enabled = true");
+  }
+  if (fo.hedge_below_score > 0.0 && !fo.health.score.enabled) {
+    throw std::invalid_argument(
+        "failover.hedge_below_score compares the device health score, which "
+        "is off: set failover.health.score.enabled = true");
+  }
   // Derive decorrelated seeds for each device and executor.
   sim::Rng master(options_.seed);
   for (int i = 0; i < options_.num_gpus; ++i) {
@@ -80,19 +93,29 @@ graph::JobContext& Experiment::CreateJob(const std::string& model,
                                          int max_batch,
                                          std::size_t gpu_index) {
   LoadModel(model, gpu_index);
-  const models::ModelSpec& mspec = models::GetModel(model);
+  return NewContext(ClientSpec{.model = model, .batch = max_batch}, gpu_index,
+                    model + "#" + std::to_string(next_job_id_));
+}
+
+graph::JobContext& Experiment::NewContext(const ClientSpec& spec,
+                                          std::size_t gpu, std::string name) {
   auto ctx = std::make_unique<graph::JobContext>();
   ctx->job = next_job_id_++;
-  ctx->client_name = model + "#" + std::to_string(ctx->job);
-  ctx->model_key = models::ModelKey(model, max_batch);
-  ctx->batch = max_batch;
-  ctx->gpu_index = static_cast<int>(gpu_index);
+  ctx->client_name = std::move(name);
+  ctx->model_key = models::ModelKey(spec.model, spec.batch);
+  ctx->batch = spec.batch;
+  ctx->weight = spec.weight;
+  ctx->priority = spec.priority;
+  ctx->min_share = spec.min_share;
+  ctx->gpu_index = static_cast<int>(gpu);
   for (int s = 0; s < options_.streams_per_job; ++s) {
-    ctx->streams.push_back(gpus_.at(gpu_index)->CreateStream());
+    ctx->streams.push_back(gpus_[gpu]->CreateStream());
   }
-  gpus_.at(gpu_index)->AllocateMemory(ctx->job, mspec.ClientMemoryMb(max_batch));
-  contexts_.push_back(std::move(ctx));
-  return *contexts_.back();
+  graph::JobContext& out = *contexts_.emplace_back(std::move(ctx));
+  // Activation memory for the job's in-flight batches (§4.3).
+  gpus_[gpu]->AllocateMemory(
+      out.job, models::GetModel(spec.model).ClientMemoryMb(spec.batch));
+  return out;
 }
 
 void Experiment::FinishManualRun() {
@@ -102,10 +125,9 @@ void Experiment::FinishManualRun() {
   env_.Run();
 }
 
-sim::Task Experiment::ClientProc(std::size_t client_index,
-                                 graph::JobContext& ctx, const graph::Graph& g,
-                                 ClientSpec spec, std::uint64_t seed,
+sim::Task Experiment::ClientProc(std::size_t tenant, std::uint64_t seed,
                                  ClientResult& out) {
+  const ClientSpec& spec = tenants_[tenant]->spec;
   sim::Rng rng(seed);
   const bool open_loop = spec.mean_interarrival > sim::Duration::Zero();
   // Handle resolved once per client; Observe on the request path is then
@@ -141,8 +163,7 @@ sim::Task Experiment::ClientProc(std::size_t client_index,
       // flight queued at the client; that wait is pre-admission time.
       pa->Charge(metrics::Phase::kAdmission, env_.Now());
     }
-    co_await RunRequest(client_index, ctx, g, spec, rng, arrival,
-                        out.gpu_index, status, pa);
+    co_await ServeTenantRequest(tenant, rng, arrival, status, pa);
     out.request_latency_ms.push_back((env_.Now() - arrival).millis());
     out.request_status.push_back(status);
     if (phases != nullptr) {
@@ -159,24 +180,10 @@ sim::Task Experiment::ClientProc(std::size_t client_index,
     }
   }
   out.finish_time = env_.Now() - sim::TimePoint();
-  if (health_ != nullptr) {
-    // Under failover the client's work may have spanned devices: sum the
-    // GPU duration of every context it ran on.
-    out.gpu_duration = sim::Duration::Zero();
-    for (const auto& [key, c] : client_gpu_ctx_) {
-      if (key.first == client_index) {
-        out.gpu_duration += gpus_[key.second]->JobGpuDuration(c->job);
-        // The client is done: fold its meter into the retired table so live
-        // meter count stays bounded no matter how many jobs a run admits.
-        gpus_[key.second]->RetireJob(c->job);
-      }
-    }
-    if (--remaining_clients_ == 0) health_->Stop();
-  } else {
-    out.gpu_duration = gpus_[out.gpu_index]->JobGpuDuration(ctx.job);
-    gpus_[out.gpu_index]->RetireJob(ctx.job);
-  }
-  if (clients_running_ > 0) --clients_running_;  // sampler stop condition
+  out.gpu_duration = RetireTenant(tenant);
+  // The last client out stops the probe loops (so the event queue can
+  // drain) and the sampler.
+  if (--clients_running_ == 0) StopServing();
 }
 
 CircuitBreaker* Experiment::BreakerFor(const std::string& model) {
@@ -188,14 +195,35 @@ CircuitBreaker* Experiment::BreakerFor(const std::string& model) {
   return slot.get();
 }
 
-sim::Task Experiment::RunRequest(std::size_t client_index,
-                                 graph::JobContext& primary_ctx,
-                                 const graph::Graph& g, const ClientSpec& spec,
-                                 sim::Rng& rng, sim::TimePoint arrival,
-                                 std::size_t primary_gpu,
-                                 RequestStatus& status,
-                                 metrics::PhaseAccount* pa) {
+namespace {
+
+// What each terminal status does at the request loop's one exit: the
+// counter it bumps and the reason that ends its trace flow. Indexed by
+// RequestStatus.
+struct Outcome {
+  std::uint64_t metrics::ServingCounters::* counter;
+  const char* flow_end;
+};
+constexpr Outcome kOutcomes[] = {
+    {&metrics::ServingCounters::requests_ok, "ok"},
+    {&metrics::ServingCounters::requests_timed_out, "deadline"},
+    {&metrics::ServingCounters::requests_rejected, "rejected"},
+    {&metrics::ServingCounters::requests_retried_ok, "ok-retried"},
+    {&metrics::ServingCounters::requests_failed, "failed"},
+};
+
+}  // namespace
+
+sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
+                                         sim::TimePoint arrival,
+                                         RequestStatus& status,
+                                         metrics::PhaseAccount* pa) {
+  // Tenants are boxed, so `t` stays valid while a cluster failover adds
+  // tenants under this suspended request.
+  const Tenant& t = *tenants_.at(tenant);
+  const ClientSpec& spec = t.spec;
   const DegradationOptions& deg = options_.degradation;
+  const FailoverOptions& fo = options_.failover;
   const bool has_deadline = spec.deadline > sim::Duration::Zero();
   const sim::TimePoint deadline = arrival + spec.deadline;
   CircuitBreaker* breaker = BreakerFor(spec.model);
@@ -208,169 +236,128 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
   metrics::Tracer* const tracer = options_.executor.tracer;
   const std::uint64_t rid = ++next_request_id_;
   int flow_hops = 0;                              // executed admissions so far
-  std::int64_t flow_track = primary_ctx.job;      // track of the winning leg
+  std::int64_t flow_track = t.ctx->job;           // track of the winning leg
   // Why the *next* admission hop happens (failover / retry / reroute);
   // rendered as the kStep's args.reason so a trace shows why a leg ended
   // and another began instead of a bare arrow.
   const char* hop_detail = nullptr;
-  const auto end_flow = [&](const char* why) {
-    if (tracer != nullptr && flow_hops > 0) {
-      tracer->AddFlow(metrics::Tracer::FlowPhase::kEnd, "request", "req-", rid,
-                      flow_track, env_.Now(), why);
-    }
-  };
+  bool hedge_won = false;
 
   // Latency anatomy: when `pa` is set, every interval between awaits below
   // is charged to exactly one phase, so the account's cursor equals the
   // current instant at every co_return — the phase sum matches end-to-end
-  // latency bit-exactly by construction. All charges are `if (pa)`-guarded;
-  // a null account costs one predictable branch per site.
+  // latency bit-exactly by construction. The caller charges up to the
+  // first admission and every round ends on a charge, so the admission
+  // checks themselves take no time. All charges are `if (pa)`-guarded; a
+  // null account costs one predictable branch per site.
   bool failing_over = false;  // last attempt ended in failover re-admission
   for (int attempt = 1;;) {
+    // Admission: a request past its deadline, shed because the pool is
+    // already saturated (the paper's §4.3 failure mode becomes a 503, not a
+    // hang), refused by the breaker, or left with no usable device ends in
+    // the one exit below.
     if (has_deadline && env_.Now() >= deadline) {
       status = RequestStatus::kTimedOut;
-      ++counters_.requests_timed_out;
-      end_flow("deadline");
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-      co_return;
+      break;
     }
-    // Admission control: shed instead of stalling when the pool is already
-    // saturated (the paper's §4.3 failure mode becomes a 503, not a hang).
     if (deg.admission_watermark > 0.0) {
       const double occupancy =
           static_cast<double>(pool_->busy_workers() + pool_->queued()) /
           static_cast<double>(pool_->num_threads());
       if (occupancy >= deg.admission_watermark) {
         ++counters_.requests_shed;
-        ++counters_.requests_rejected;
         status = RequestStatus::kRejected;
-        end_flow("rejected");
-        if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-        co_return;
+        break;
       }
     }
     if (breaker != nullptr && !breaker->AllowRequest(env_.Now())) {
       ++counters_.breaker_rejections;
-      ++counters_.requests_rejected;
       status = RequestStatus::kRejected;
-      end_flow("rejected");
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-      co_await env_.Delay(deg.reject_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      co_return;
+      break;
     }
 
     // Route this attempt. Legacy: the static round-robin pin. Failover:
-    // per-request placement over usable replicas.
-    std::size_t gpu_index = primary_gpu;
-    graph::JobContext* ctx = &primary_ctx;
+    // per-request placement over usable replicas. A round that does not
+    // finish the request ends in the tail below, `reason` saying why;
+    // `load_failed` marks a replica that could not be instantiated, so the
+    // device never saw the request.
+    std::size_t gpu = t.primary_gpu;
+    graph::JobContext* ctx = t.ctx;
+    graph::CancelReason reason = graph::CancelReason::kNone;
+    bool load_failed = false;
     if (failover) {
-      gpu_index = placer_->Route(spec.model, primary_gpu);
-      if (gpu_index == Placer::kNoDevice) {
+      gpu = placer_->Route(spec.model, t.primary_gpu);
+      if (gpu == Placer::kNoDevice) {
         // Every device is down: terminate promptly as a rejection instead
         // of stalling until deadlines (or ServerStalled) fire.
         ++counters_.requests_rejected_no_device;
-        ++counters_.requests_rejected;
         status = RequestStatus::kRejected;
-        end_flow("rejected");
-        if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-        co_return;
+        break;
       }
       bool replica_ok = true;
       if (pa != nullptr) {
         pa->Charge(metrics::Phase::kPlacerDecision, env_.Now());
       }
-      co_await EnsureReplica(client_index, spec, gpu_index, replica_ok);
+      co_await EnsureReplica(tenant, gpu, replica_ok);
       if (pa != nullptr) {
         // Reload/warm-up wait, unless this admission is a failover re-entry
         // — then the whole leg is blamed on the failover.
         pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
                                 : metrics::Phase::kReload,
                    env_.Now());
-        failing_over = false;
       }
-      if (!replica_ok) {
-        ++counters_.transient_alloc_failures;
-        // Fall through to the failure path below as a retryable transient.
-        if (breaker != nullptr && breaker->OnFailure(env_.Now())) {
-          ++counters_.breaker_opens;
+      failing_over = false;
+      load_failed = !replica_ok;
+      if (replica_ok) {
+        ctx = ClientContext(tenant, gpu);
+        if (!health_->Usable(gpu)) {
+          hop_detail = "reroute";
+          continue;  // went down while loading
         }
-        if (attempt > deg.retry.max_retries) {
-          status = RequestStatus::kFailed;
-          ++counters_.requests_failed;
-          end_flow("failed");
-          co_return;
+        if (ctx->cancel != nullptr) {
+          // Another request still owns this tenant's context: a draining
+          // hedge of a previous request (cancelled, so it drains fast), or,
+          // on the cluster's stream path, where one tenant per (server,
+          // stream) carries every request of the stream on that server, a
+          // concurrent request of the same stream. Poll until it is free;
+          // the wait is charged to kBackoff.
+          hop_detail = "reroute";
+          co_await env_.Delay(deg.reject_backoff);
+          if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+          continue;
         }
-        ++counters_.retries;
-        ++attempt;
-        hop_detail = "retry";
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-        continue;
-      }
-      ctx = ClientContext(client_index, gpu_index);
-      if (!health_->Usable(gpu_index)) {
-        hop_detail = "reroute";
-        continue;  // went down while loading
-      }
-      if (ctx->cancel != nullptr) {
-        // Another request still owns this tenant's context: a draining hedge
-        // of a previous request (cancelled, so it drains fast), or, on the
-        // cluster's stream path, where one tenant per (server, stream)
-        // carries every request of the stream on that server, a concurrent
-        // request of the same stream. Poll until it is free; the wait is
-        // charged to kBackoff.
-        hop_detail = "reroute";
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-        continue;
       }
     }
 
-    bool failed = false;
-    bool hedge_won = false;
-    graph::CancelReason reason = graph::CancelReason::kNone;
-    if (gpus_[gpu_index]->alloc_fault_active()) {
-      // Workspace allocation fails up front during an alloc-fault window — a
-      // retryable transient, like a failed cudaMalloc before launch.
+    if (load_failed || gpus_[gpu]->alloc_fault_active()) {
+      // The replica load, or the workspace allocation up front, failed in
+      // an alloc-fault window — a retryable transient, like a failed
+      // cudaMalloc before launch.
       ++counters_.transient_alloc_failures;
-      failed = true;
     } else {
-      // Hedge: the routed device is impaired but not down — race a
-      // duplicate on another usable replica for tail tolerance.
+      // Hedge (both triggers require failover): the routed device is
+      // impaired but not down — race a duplicate on another usable replica
+      // for tail tolerance.
       std::shared_ptr<HedgeState> hedge;
-      const bool hedge_on_bit = options_.failover.hedge_when_degraded &&
-                                health_->health(gpu_index) ==
-                                    DeviceHealth::kDegraded;
-      const bool hedge_on_score =
-          options_.failover.hedge_below_score > 0.0 && health_->scoring() &&
-          health_->score(static_cast<std::size_t>(gpu_index)) <
-              options_.failover.hedge_below_score;
-      if (failover && (hedge_on_bit || hedge_on_score)) {
-        const std::size_t alt =
-            placer_->Route(spec.model, primary_gpu, gpu_index);
-        if (alt != Placer::kNoDevice && alt != gpu_index) {
+      if ((fo.hedge_when_degraded &&
+           health_->health(gpu) == DeviceHealth::kDegraded) ||
+          (fo.hedge_below_score > 0.0 &&
+           health_->score(gpu) < fo.hedge_below_score)) {
+        const std::size_t alt = placer_->Route(spec.model, t.primary_gpu, gpu);
+        if (alt != Placer::kNoDevice && alt != gpu) {
           hedge = std::make_shared<HedgeState>(env_);
-          hedge->request_id = rid;
-          hedge->attempt = attempt;
+          hedge->trace = metrics::TraceContext{rid, attempt, true};
           ++counters_.hedges_launched;
-          env_.Spawn(HedgeProc(client_index, spec, g, alt, hedge),
+          env_.Spawn(HedgeProc(tenant, alt, hedge),
                      ctx->client_name + "/hedge");
         }
       }
-      // Stamp the causal identity for this admission; the executor renders
-      // it as an attempt span, and the flow hop below (same instant as the
-      // span start) binds to it in Perfetto.
-      ctx->trace = metrics::TraceContext{rid, attempt, false};
-      ctx->gpu_index = static_cast<int>(gpu_index);
+      // The flow hop lands at the same instant as the attempt span the
+      // executor opens for this admission, and binds to it in Perfetto.
       if (tracer != nullptr) {
         tracer->AddInstantNumbered("placer", "route-gpu-",
-                                   static_cast<std::int64_t>(gpu_index),
-                                   ctx->job, env_.Now());
+                                   static_cast<std::int64_t>(gpu), ctx->job,
+                                   env_.Now());
         tracer->AddFlow(flow_hops == 0 ? metrics::Tracer::FlowPhase::kBegin
                                        : metrics::Tracer::FlowPhase::kStep,
                         "request", "req-", rid, ctx->job, env_.Now(),
@@ -380,48 +367,30 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
       hop_detail = nullptr;
       flow_track = ctx->job;
       auto token = std::make_shared<graph::CancelToken>();
-      ctx->cancel = token.get();
       if (has_deadline) {
-        env_.Spawn(DeadlineWatchdog(token, ctx, gpu_index, deadline),
+        env_.Spawn(DeadlineWatchdog(token, ctx, gpu, deadline),
                    ctx->client_name + "/watchdog");
       }
-      if (failover) {
-        placer_->OnRequestStart(gpu_index);
-        RegisterInFlight(gpu_index, token.get(), ctx);
-      }
       const sim::Duration gpu_before =
-          pa != nullptr ? gpus_[gpu_index]->JobGpuDuration(ctx->job)
+          pa != nullptr ? gpus_[gpu]->JobGpuDuration(ctx->job)
                         : sim::Duration::Zero();
-      co_await executor(gpu_index).RunOnce(*ctx, g);
+      co_await RunLeg(*ctx, *t.graph, gpu,
+                      metrics::TraceContext{rid, attempt, false}, *token);
       if (pa != nullptr) {
         // Split the run interval into measured GPU residency (compute) and
         // everything else — pool queueing, scheduler token waits (queue).
         pa->SplitCharge(metrics::Phase::kGpuCompute,
-                        gpus_[gpu_index]->JobGpuDuration(ctx->job) - gpu_before,
+                        gpus_[gpu]->JobGpuDuration(ctx->job) - gpu_before,
                         metrics::Phase::kGpuQueue, env_.Now());
       }
-      token->finished = true;
-      ctx->cancel = nullptr;
-      if (failover) {
-        placer_->OnRequestEnd(gpu_index);
-        DeregisterInFlight(gpu_index, token.get());
-      }
-      if (token->cancelled) {
-        failed = true;
-        reason = token->reason;
-      }
+      reason = token->reason;
       if (hedge) {
         hedge->primary_done = true;
-        if (!failed) {
+        if (!token->cancelled) {
           // Primary won; reel the hedge in (it drains as a no-op).
           if (!hedge->done && hedge->token != nullptr) {
-            hedge->token->Cancel(graph::CancelReason::kFailover);
-            if (!hedge->token->hooks_notified) {
-              hedge->token->hooks_notified = true;
-              if (hooks_[hedge->gpu] != nullptr) {
-                hooks_[hedge->gpu]->CancelRun(*hedge->ctx);
-              }
-            }
+            CancelLeg(*hedge->token, *hedge->ctx, hedge->gpu,
+                      graph::CancelReason::kFailover);
           }
         } else {
           // Primary failed: the hedge verdict decides the request.
@@ -431,39 +400,33 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
           }
           if (hedge->won) {
             ++counters_.hedge_wins;
-            failed = false;
             hedge_won = true;
-            reason = graph::CancelReason::kNone;
             // The hedge's leg is the one that produced the response; the
             // flow terminates on its track.
             if (hedge->ctx != nullptr) flow_track = hedge->ctx->job;
           }
         }
       }
+      if (!token->cancelled || hedge_won) {
+        if (breaker != nullptr) breaker->OnSuccess();
+        status = attempt == 1 ? RequestStatus::kOk
+                              : RequestStatus::kFailedRetried;
+        break;
+      }
     }
 
-    if (!failed) {
-      if (breaker != nullptr) breaker->OnSuccess();
-      if (attempt == 1) {
-        status = RequestStatus::kOk;
-        ++counters_.requests_ok;
-      } else {
-        status = RequestStatus::kFailedRetried;
-        ++counters_.requests_retried_ok;
-      }
-      end_flow(hedge_won ? "hedge-win" : attempt == 1 ? "ok" : "ok-retried");
-      co_return;
-    }
+    // Every failed round ends here: a deadline that elapsed mid-run ends
+    // the request, a device that died under the attempt is a free failover,
+    // and anything else is a budgeted retry until the budget is spent.
     if (reason == graph::CancelReason::kDeadline) {
       // The deadline already elapsed mid-run; no retry can meet it.
-      status = RequestStatus::kTimedOut;
-      ++counters_.requests_timed_out;
       ++counters_.deadline_cancellations;
-      end_flow("deadline");
-      co_return;
+      status = RequestStatus::kTimedOut;
+      break;
     }
-    if (failover && (reason == graph::CancelReason::kFailover ||
-                     !health_->Usable(gpu_index))) {
+    if (failover && !load_failed &&
+        (reason == graph::CancelReason::kFailover ||
+         !health_->Usable(gpu))) {
       // The device died under this attempt. Re-admit on a surviving
       // replica WITHOUT consuming the retry budget — the failure belongs
       // to the device, not the request. (The Usable check also catches a
@@ -481,21 +444,22 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
     }
     if (attempt > deg.retry.max_retries) {
       status = RequestStatus::kFailed;
-      ++counters_.requests_failed;
-      end_flow("failed");
-      co_return;
+      break;
     }
     ++counters_.retries;
-    sim::Duration backoff = deg.retry.BackoffFor(attempt);
-    if (deg.retry.jitter > 0.0) {
-      backoff = rng.Jitter(backoff, deg.retry.jitter);
-    }
-    if (has_deadline && env_.Now() + backoff >= deadline) {
-      // The backoff alone would blow the deadline; give up now.
-      status = RequestStatus::kTimedOut;
-      ++counters_.requests_timed_out;
-      end_flow("deadline");
-      co_return;
+    // A failed replica load polls again after the reject backoff; a failed
+    // run backs off exponentially, with jitter.
+    sim::Duration backoff = deg.reject_backoff;
+    if (!load_failed) {
+      backoff = deg.retry.BackoffFor(attempt);
+      if (deg.retry.jitter > 0.0) {
+        backoff = rng.Jitter(backoff, deg.retry.jitter);
+      }
+      if (has_deadline && env_.Now() + backoff >= deadline) {
+        // The backoff alone would blow the deadline; give up now.
+        status = RequestStatus::kTimedOut;
+        break;
+      }
     }
     ++attempt;
     hop_detail = reason == graph::CancelReason::kKernelFailed
@@ -503,6 +467,53 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
                      : "retry";
     co_await env_.Delay(backoff);
     if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+  }
+
+  // The one exit: the terminal status bumps its counter and ends the
+  // request's flow; a rejection answers only after the reject backoff.
+  const Outcome& outcome = kOutcomes[static_cast<int>(status)];
+  ++(counters_.*outcome.counter);
+  if (tracer != nullptr && flow_hops > 0) {
+    tracer->AddFlow(metrics::Tracer::FlowPhase::kEnd, "request", "req-", rid,
+                    flow_track, env_.Now(),
+                    hedge_won ? "hedge-win" : outcome.flow_end);
+  }
+  if (status == RequestStatus::kRejected) {
+    co_await env_.Delay(deg.reject_backoff);
+    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+  }
+}
+
+sim::Task Experiment::RunLeg(graph::JobContext& ctx, const graph::Graph& g,
+                             std::size_t gpu, metrics::TraceContext trace,
+                             graph::CancelToken& token) {
+  // The executor renders `trace` as this leg's attempt span.
+  ctx.trace = trace;
+  ctx.gpu_index = static_cast<int>(gpu);
+  ctx.cancel = &token;
+  if (placer_ != nullptr) {
+    placer_->OnRequestStart(gpu);
+    inflight_[gpu].push_back(InFlight{&token, &ctx});
+  }
+  co_await executor(gpu).RunOnce(ctx, g);
+  token.finished = true;
+  ctx.cancel = nullptr;
+  if (placer_ != nullptr) {
+    placer_->OnRequestEnd(gpu);
+    std::erase_if(inflight_[gpu],
+                  [&](const InFlight& f) { return f.token == &token; });
+  }
+}
+
+void Experiment::CancelLeg(graph::CancelToken& token, graph::JobContext& ctx,
+                           std::size_t gpu, graph::CancelReason reason) {
+  token.Cancel(reason);
+  // The run may be suspended waiting for the scheduler token with no node
+  // boundary coming up; notify the hooks directly so the gang is woken,
+  // deregistered, and its pool threads released.
+  if (!token.hooks_notified) {
+    token.hooks_notified = true;
+    if (hooks_[gpu] != nullptr) hooks_[gpu]->CancelRun(ctx);
   }
 }
 
@@ -513,15 +524,7 @@ sim::Task Experiment::DeadlineWatchdog(
   // `finished` is set by the issuer the moment RunOnce returns, so a stale
   // watchdog (its request long done, the context reused) is a no-op.
   if (token->finished || token->cancelled) co_return;
-  token->Cancel(graph::CancelReason::kDeadline);
-  // The run may be suspended waiting for the scheduler token with no node
-  // boundary coming up; notify the hooks directly so the gang is woken,
-  // deregistered, and its pool threads released.
-  if (!token->hooks_notified) {
-    token->hooks_notified = true;
-    graph::SchedulingHooks* hooks = hooks_.at(gpu_index);
-    if (hooks != nullptr) hooks->CancelRun(*ctx);
-  }
+  CancelLeg(*token, *ctx, gpu_index, graph::CancelReason::kDeadline);
 }
 
 void Experiment::OnDeviceDown(std::size_t gpu) {
@@ -531,11 +534,7 @@ void Experiment::OnDeviceDown(std::size_t gpu) {
   // each victim re-admits to a surviving replica without touching its
   // retry budget.
   for (const InFlight& f : inflight_[gpu]) {
-    f.token->Cancel(graph::CancelReason::kFailover);
-    if (!f.token->hooks_notified) {
-      f.token->hooks_notified = true;
-      if (hooks_[gpu] != nullptr) hooks_[gpu]->CancelRun(*f.ctx);
-    }
+    CancelLeg(*f.token, *f.ctx, gpu, graph::CancelReason::kFailover);
     ++counters_.failover_cancellations;
     // Release gang threads stuck in uninterruptible kernel awaits (queued
     // behind a wedged channel): abort the job's streams so the waits
@@ -561,9 +560,9 @@ sim::Duration Experiment::ParamsReloadCost(std::size_t gpu) const {
   return sim::Duration::Seconds(mb / 1024.0 / gbps);
 }
 
-sim::Task Experiment::EnsureReplica(std::size_t client_index,
-                                    const ClientSpec& spec, std::size_t gpu,
+sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
                                     bool& ok) {
+  const ClientSpec& spec = tenants_[tenant]->spec;
   ok = true;
   while (placer_->replica_state(gpu, spec.model) !=
          Placer::ReplicaState::kReady) {
@@ -596,140 +595,62 @@ sim::Task Experiment::EnsureReplica(std::size_t client_index,
       co_await placer_->AwaitReady(gpu, spec.model);
     }
   }
-  if (ClientContext(client_index, gpu) == nullptr) {
-    const models::ModelSpec& mspec = models::GetModel(spec.model);
-    auto ctx = std::make_unique<graph::JobContext>();
-    ctx->job = next_job_id_++;
-    ctx->client_name = spec.model + "#" + std::to_string(client_index) +
-                       "@gpu" + std::to_string(gpu);
-    ctx->model_key = models::ModelKey(spec.model, spec.batch);
-    ctx->batch = spec.batch;
-    ctx->weight = spec.weight;
-    ctx->priority = spec.priority;
-    ctx->min_share = spec.min_share;
-    ctx->gpu_index = static_cast<int>(gpu);
-    for (int s = 0; s < options_.streams_per_job; ++s) {
-      ctx->streams.push_back(gpus_[gpu]->CreateStream());
-    }
+  if (ClientContext(tenant, gpu) == nullptr) {
     try {
-      gpus_[gpu]->AllocateMemory(ctx->job, mspec.ClientMemoryMb(spec.batch));
+      graph::JobContext& ctx =
+          NewContext(spec, gpu,
+                     spec.model + "#" + std::to_string(tenant) + "@gpu" +
+                         std::to_string(gpu));
+      client_gpu_ctx_[{tenant, gpu}] = &ctx;
     } catch (const gpusim::TransientAllocFailure&) {
-      // Streams are cheap to leave behind; report a retryable transient.
+      // The context and its streams are cheap to leave behind; report a
+      // retryable transient.
       ok = false;
-      contexts_.push_back(std::move(ctx));
-      co_return;
     }
-    client_gpu_ctx_[{client_index, gpu}] = ctx.get();
-    contexts_.push_back(std::move(ctx));
   }
 }
 
-sim::Task Experiment::HedgeProc(std::size_t client_index,
-                                const ClientSpec& spec, const graph::Graph& g,
-                                std::size_t gpu,
+sim::Task Experiment::HedgeProc(std::size_t tenant, std::size_t gpu,
                                 std::shared_ptr<HedgeState> st) {
-  auto skip = [&] {
-    st->skipped = true;
-    st->done = true;
-    st->cv.NotifyAll();
-  };
   if (options_.failover.hedge_delay > sim::Duration::Zero()) {
     co_await env_.Delay(options_.failover.hedge_delay);
   }
-  if (st->primary_done || !health_->Usable(gpu)) {
-    skip();
-    co_return;
+  // The hedge runs only if the primary is still in flight and the replica
+  // is usable and idle once loaded; otherwise it reports a loss at once.
+  graph::JobContext* ctx = nullptr;
+  if (!st->primary_done && health_->Usable(gpu)) {
+    bool replica_ok = true;
+    co_await EnsureReplica(tenant, gpu, replica_ok);
+    ctx = ClientContext(tenant, gpu);
+    if (!replica_ok || ctx == nullptr || ctx->cancel != nullptr ||
+        st->primary_done || !health_->Usable(gpu)) {
+      ctx = nullptr;
+    }
   }
-  bool replica_ok = true;
-  co_await EnsureReplica(client_index, spec, gpu, replica_ok);
-  graph::JobContext* ctx = ClientContext(client_index, gpu);
-  if (!replica_ok || ctx == nullptr || ctx->cancel != nullptr ||
-      st->primary_done || !health_->Usable(gpu)) {
-    skip();
-    co_return;
+  if (ctx != nullptr) {
+    // The hedge is one more admission of the same request: same flow id,
+    // `hedge` flagged so the attempt span is labeled as the speculative leg.
+    if (metrics::Tracer* const tracer = options_.executor.tracer;
+        tracer != nullptr) {
+      tracer->AddFlow(metrics::Tracer::FlowPhase::kStep, "request", "req-",
+                      st->trace.request, ctx->job, env_.Now(), "hedge");
+    }
+    graph::CancelToken token;
+    st->token = &token;
+    st->ctx = ctx;
+    st->gpu = gpu;
+    co_await RunLeg(*ctx, *tenants_[tenant]->graph, gpu, st->trace, token);
+    st->token = nullptr;
+    st->won = !token.cancelled;
   }
-  // The hedge is one more admission of the same request: same flow id,
-  // `hedge` flagged so the attempt span is labeled as the speculative leg.
-  ctx->trace = metrics::TraceContext{st->request_id, st->attempt, true};
-  ctx->gpu_index = static_cast<int>(gpu);
-  if (metrics::Tracer* const tracer = options_.executor.tracer;
-      tracer != nullptr && st->request_id != 0) {
-    tracer->AddFlow(metrics::Tracer::FlowPhase::kStep, "request", "req-",
-                    st->request_id, ctx->job, env_.Now(), "hedge");
-  }
-  auto token = std::make_shared<graph::CancelToken>();
-  ctx->cancel = token.get();
-  st->token = token.get();
-  st->ctx = ctx;
-  st->gpu = gpu;
-  placer_->OnRequestStart(gpu);
-  RegisterInFlight(gpu, token.get(), ctx);
-  co_await executor(gpu).RunOnce(*ctx, g);
-  token->finished = true;
-  ctx->cancel = nullptr;
-  placer_->OnRequestEnd(gpu);
-  DeregisterInFlight(gpu, token.get());
-  st->token = nullptr;
-  st->won = !token->cancelled;
   st->done = true;
   st->cv.NotifyAll();
 }
 
-graph::JobContext* Experiment::ClientContext(std::size_t client_index,
+graph::JobContext* Experiment::ClientContext(std::size_t tenant,
                                              std::size_t gpu) {
-  const auto it = client_gpu_ctx_.find({client_index, gpu});
+  const auto it = client_gpu_ctx_.find({tenant, gpu});
   return it == client_gpu_ctx_.end() ? nullptr : it->second;
-}
-
-void Experiment::RegisterInFlight(std::size_t gpu, graph::CancelToken* token,
-                                  graph::JobContext* ctx) {
-  inflight_[gpu].push_back(InFlight{token, ctx});
-}
-
-void Experiment::DeregisterInFlight(std::size_t gpu,
-                                    const graph::CancelToken* token) {
-  auto& v = inflight_[gpu];
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i].token == token) {
-      v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-void Experiment::BindExecutors() {
-  for (std::size_t i = 0; i < gpus_.size(); ++i) executor(i);  // bind hooks
-}
-
-void Experiment::SetupFailover(std::size_t expected_clients) {
-  // Stand up the failover subsystem before traffic or faults: listeners
-  // must be attached when the first device signal fires.
-  std::vector<gpusim::Gpu*> gpu_ptrs;
-  gpu_ptrs.reserve(gpus_.size());
-  for (const auto& g : gpus_) gpu_ptrs.push_back(g.get());
-  HealthObserver* observer = this;  // private base: convert in-class
-  health_ = std::make_unique<HealthMonitor>(
-      env_, std::move(gpu_ptrs), options_.failover.health,
-      options_.failover.recovery, observer, &counters_,
-      options_.executor.tracer);
-  placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
-  inflight_.resize(gpus_.size());
-  health_->Start();
-  remaining_clients_ = expected_clients;
-}
-
-void Experiment::ArmFaults() {
-  // Arm the fault schedule before any client starts, so an event at t=0
-  // still lands. All faults fire on the virtual clock: a run with the same
-  // seed and plan is bit-for-bit reproducible.
-  if (options_.faults.events().empty()) return;
-  std::vector<gpusim::Gpu*> gpu_ptrs;
-  gpu_ptrs.reserve(gpus_.size());
-  for (const auto& g : gpus_) gpu_ptrs.push_back(g.get());
-  injector_ = std::make_unique<fault::FaultInjector>(
-      env_, std::move(gpu_ptrs), options_.faults, &counters_,
-      options_.executor.tracer);
-  injector_->Arm();
 }
 
 void Experiment::StartServing() {
@@ -739,64 +660,59 @@ void Experiment::StartServing() {
         "exclusive)");
   }
   ran_ = true;
-  serving_ = true;
-  BindExecutors();
-  // Tenants arrive one at a time, so the last-client-out bookkeeping that
-  // stops the probe loops does not apply; the cluster calls StopServing.
-  if (options_.failover.enabled) SetupFailover(0);
-  ArmFaults();
+  for (std::size_t i = 0; i < gpus_.size(); ++i) executor(i);  // bind hooks
+  std::vector<gpusim::Gpu*> gpu_ptrs;
+  gpu_ptrs.reserve(gpus_.size());
+  for (const auto& g : gpus_) gpu_ptrs.push_back(g.get());
+  if (options_.failover.enabled) {
+    // Stand up the failover subsystem before traffic or faults: listeners
+    // must be attached when the first device signal fires.
+    HealthObserver* observer = this;  // private base: convert in-class
+    health_ = std::make_unique<HealthMonitor>(
+        env_, gpu_ptrs, options_.failover.health, options_.failover.recovery,
+        observer, &counters_, options_.executor.tracer);
+    placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
+    inflight_.resize(gpus_.size());
+    health_->Start();
+  }
+  // Arm the fault schedule before any client starts, so an event at t=0
+  // still lands. All faults fire on the virtual clock: a run with the same
+  // seed and plan is bit-for-bit reproducible.
+  if (!options_.faults.events().empty()) {
+    injector_ = std::make_unique<fault::FaultInjector>(
+        env_, std::move(gpu_ptrs), options_.faults, &counters_,
+        options_.executor.tracer);
+    injector_->Arm();
+  }
 }
 
 std::size_t Experiment::AddTenant(const ClientSpec& spec) {
-  if (!serving_) throw std::logic_error("AddTenant before StartServing");
+  if (!ran_) throw std::logic_error("AddTenant before StartServing");
   const std::size_t index = tenants_.size();
-  const std::size_t gpu_index = index % gpus_.size();  // round-robin placement
-  const graph::Graph& g = LoadModel(spec.model, gpu_index);
-  const models::ModelSpec& mspec = models::GetModel(spec.model);
-
-  auto ctx = std::make_unique<graph::JobContext>();
-  ctx->job = next_job_id_++;
-  ctx->client_name = spec.model + "#" + std::to_string(index);
-  ctx->model_key = models::ModelKey(spec.model, spec.batch);
-  ctx->batch = spec.batch;
-  ctx->weight = spec.weight;
-  ctx->priority = spec.priority;
-  ctx->min_share = spec.min_share;
-  ctx->gpu_index = static_cast<int>(gpu_index);
-  for (int s = 0; s < options_.streams_per_job; ++s) {
-    ctx->streams.push_back(gpus_[gpu_index]->CreateStream());
-  }
-  gpus_[gpu_index]->AllocateMemory(ctx->job, mspec.ClientMemoryMb(spec.batch));
-
-  if (placer_ != nullptr) {
-    placer_->MarkReady(gpu_index, spec.model);
-    client_gpu_ctx_[{index, gpu_index}] = ctx.get();
-  }
-  tenants_.push_back(Tenant{spec, ctx.get(), &g, gpu_index});
-  contexts_.push_back(std::move(ctx));
+  const std::size_t gpu = index % gpus_.size();  // round-robin placement
+  const graph::Graph& g = LoadModel(spec.model, gpu);
+  graph::JobContext& ctx =
+      NewContext(spec, gpu, spec.model + "#" + std::to_string(index));
+  // The home replica exists from setup: record it so Route prefers devices
+  // that already hold the model. The context index covers per-device
+  // cancellation, failover routing, and retirement.
+  if (placer_ != nullptr) placer_->MarkReady(gpu, spec.model);
+  client_gpu_ctx_[{index, gpu}] = &ctx;
+  tenants_.push_back(std::make_unique<Tenant>(Tenant{spec, &ctx, &g, gpu}));
   return index;
 }
 
-sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
-                                         sim::TimePoint arrival,
-                                         RequestStatus& status,
-                                         metrics::PhaseAccount* phases) {
-  Tenant& t = tenants_.at(tenant);
-  // The tenant index doubles as the client index for client_gpu_ctx_ keys,
-  // so failover replicas are shared across all of the tenant's requests.
-  co_await RunRequest(tenant, *t.ctx, *t.graph, t.spec, rng, arrival,
-                      t.primary_gpu, status, phases);
-}
-
-void Experiment::RetireTenant(std::size_t tenant) {
-  Tenant& t = tenants_.at(tenant);
-  if (health_ != nullptr) {
-    for (const auto& [key, c] : client_gpu_ctx_) {
-      if (key.first == tenant) gpus_[key.second]->RetireJob(c->job);
-    }
-  } else {
-    gpus_[t.primary_gpu]->RetireJob(t.ctx->job);
+sim::Duration Experiment::RetireTenant(std::size_t tenant) {
+  // Under failover the tenant's work may have spanned devices: every
+  // context it ran on is folded in, in device order.
+  sim::Duration gpu_time;
+  for (auto it = client_gpu_ctx_.lower_bound({tenant, 0});
+       it != client_gpu_ctx_.end() && it->first.first == tenant; ++it) {
+    gpusim::Gpu& gpu = *gpus_[it->first.second];
+    gpu_time += gpu.JobGpuDuration(it->second->job);
+    gpu.RetireJob(it->second->job);
   }
+  return gpu_time;
 }
 
 void Experiment::StopServing() {
@@ -817,54 +733,21 @@ bool Experiment::AnyUsableDevice() const {
 std::vector<ClientResult> Experiment::Run(
     const std::vector<ClientSpec>& clients) {
   if (ran_) throw std::logic_error("Experiment::Run may only be called once");
-  ran_ = true;
-  BindExecutors();
-  if (options_.failover.enabled) SetupFailover(clients.size());
-  ArmFaults();
+  StartServing();
 
   std::vector<ClientResult> results(clients.size());
   std::vector<sim::Process> procs;
   procs.reserve(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    const ClientSpec& spec = clients[i];
-    const std::size_t gpu_index = i % gpus_.size();  // round-robin placement
-    const graph::Graph& g = LoadModel(spec.model, gpu_index);
-    const models::ModelSpec& mspec = models::GetModel(spec.model);
-
-    auto ctx = std::make_unique<graph::JobContext>();
-    ctx->job = next_job_id_++;
-    ctx->client_name = spec.model + "#" + std::to_string(i);
-    ctx->model_key = models::ModelKey(spec.model, spec.batch);
-    ctx->batch = spec.batch;
-    ctx->weight = spec.weight;
-    ctx->priority = spec.priority;
-    ctx->min_share = spec.min_share;
-    ctx->gpu_index = static_cast<int>(gpu_index);
-    for (int s = 0; s < options_.streams_per_job; ++s) {
-      ctx->streams.push_back(gpus_[gpu_index]->CreateStream());
-    }
-    // Per-client activation memory for in-flight batches (§4.3).
-    gpus_[gpu_index]->AllocateMemory(ctx->job, mspec.ClientMemoryMb(spec.batch));
-
+    const Tenant& t = *tenants_[AddTenant(clients[i])];
     ClientResult& out = results[i];
-    out.name = ctx->client_name;
-    out.job = ctx->job;
-    out.model = spec.model;
-    out.batch = spec.batch;
-    out.gpu_index = gpu_index;
-
-    if (options_.failover.enabled) {
-      // The home replica exists from setup: record it so Route prefers
-      // devices that already hold the model, and index the context for
-      // per-device cancellation and failover routing.
-      placer_->MarkReady(gpu_index, spec.model);
-      client_gpu_ctx_[{i, gpu_index}] = ctx.get();
-    }
-
-    procs.push_back(env_.Spawn(
-        ClientProc(i, *ctx, g, spec, options_.seed * 7919 + i, out),
-        ctx->client_name));
-    contexts_.push_back(std::move(ctx));
+    out.name = t.ctx->client_name;
+    out.job = t.ctx->job;
+    out.model = t.spec.model;
+    out.batch = t.spec.batch;
+    out.gpu_index = t.primary_gpu;
+    procs.push_back(env_.Spawn(ClientProc(i, options_.seed * 7919 + i, out),
+                               t.ctx->client_name));
   }
 
   clients_running_ = clients.size();

@@ -47,12 +47,15 @@ struct FailoverOptions {
   fault::RecoveryOptions recovery;
   // Launch a duplicate attempt on another replica when the routed device is
   // merely degraded (tail tolerance during hangs / alloc-fault windows).
+  // Hedging needs the failover placer: with `enabled` clear, either hedge
+  // knob makes the Experiment constructor throw.
   bool hedge_when_degraded = false;
   sim::Duration hedge_delay = sim::Duration::Millis(5);
-  // Slowdown-triggered hedging (requires health.score.enabled): also hedge
-  // when the routed device's score drops below this, even before the
-  // hysteresis marks it degraded — the response acts on the measured
-  // slowdown, not the binary bit. 0 disables (the default).
+  // Slowdown-triggered hedging (requires health.score.enabled, else the
+  // constructor throws): also hedge when the routed device's score drops
+  // below this, even before the hysteresis marks it degraded — the response
+  // acts on the measured slowdown, not the binary bit. 0 disables (the
+  // default).
   double hedge_below_score = 0.0;
 };
 
@@ -218,28 +221,34 @@ class Experiment : private HealthObserver {
   // A Cluster drives N Experiments on one shared Environment through this
   // surface instead of Run(): stand the server up once, register tenants
   // (the cluster's clients, one slot per client that ever lands here), and
-  // issue individual requests through the full RunRequest pipeline
-  // (admission, breaker, health-aware placement, retries, device failover).
+  // issue individual requests through the request loop (admission, breaker,
+  // health-aware placement, retries, device failover). Run() is built on
+  // the same calls: one tenant per client.
   //
   // StartServing = the setup Run() performs before spawning clients (bind
   // executors, stand up failover, arm the device-fault schedule); it marks
   // the experiment as running, so Run() and StartServing are exclusive.
   void StartServing();
   // Register one tenant: loads the model, creates its JobContext on the
-  // next round-robin home device, and allocates activation memory — exactly
-  // the per-client setup Run() performs. Returns the tenant index.
+  // next round-robin home device, and allocates activation memory. Returns
+  // the tenant index. Existing tenants never move, so requests in flight
+  // stay valid while tenants are added.
   std::size_t AddTenant(const ClientSpec& spec);
-  // One request of tenant `tenant` through the RunRequest pipeline.
-  // `arrival` anchors the deadline; `status` receives the terminal outcome.
-  // `phases` (optional) continues the request's latency-anatomy account —
-  // the cluster charges the router-side phases, this call charges the
-  // server-side ones.
+  // The request loop: one request of tenant `tenant`. Each round passes
+  // admission (deadline, shedding, breaker, a usable device), is routed,
+  // and runs one leg (racing a hedge when the device is impaired); a round
+  // that fails ends in one tail: free failover when the device died, else
+  // a budgeted retry, else exhaustion. `arrival` anchors the deadline;
+  // `status` receives the terminal outcome. `phases` (optional) continues
+  // the request's latency-anatomy account — the cluster charges the
+  // router-side phases, this call charges the server-side ones.
   sim::Task ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                                sim::TimePoint arrival, RequestStatus& status,
                                metrics::PhaseAccount* phases = nullptr);
-  // Fold a tenant's meters into the retired table (call when its client
-  // finishes, mirroring ClientProc's retirement).
-  void RetireTenant(std::size_t tenant);
+  // Fold a tenant's meters into the retired table, so the live meter count
+  // stays bounded however many jobs a run admits (call when its client
+  // finishes), and return the GPU time of every context it ran on.
+  sim::Duration RetireTenant(std::size_t tenant);
   // Stop the health monitor's probe loops so the shared event queue can
   // drain once traffic ends.
   void StopServing();
@@ -273,36 +282,35 @@ class Experiment : private HealthObserver {
   struct HedgeState {
     explicit HedgeState(sim::Environment& env) : cv(env) {}
     bool primary_done = false;
-    bool done = false;     // hedge attempt finished (or skipped)
-    bool skipped = false;  // hedge never ran (primary won the race)
-    bool won = false;      // hedge completed without cancellation
+    bool done = false;  // hedge attempt finished (or skipped)
+    bool won = false;   // hedge completed without cancellation
     graph::CancelToken* token = nullptr;  // hedge's in-flight token
     graph::JobContext* ctx = nullptr;
     std::size_t gpu = 0;
-    // Causal identity of the request this hedge shadows, for tracing.
-    std::uint64_t request_id = 0;
-    std::int32_t attempt = 0;
+    // Causal identity of the admission this hedge shadows, for tracing.
+    metrics::TraceContext trace;
     sim::CondVar cv;
   };
 
   Experiment(ServerOptions options, sim::Environment* env);
 
-  // Run() setup stages, also used piecewise by the cluster API (pure code
-  // motion out of Run so the single-server event sequence is unchanged).
-  void BindExecutors();
-  void SetupFailover(std::size_t expected_clients);
-  void ArmFaults();
-
-  sim::Task ClientProc(std::size_t client_index, graph::JobContext& ctx,
-                       const graph::Graph& g, ClientSpec spec,
-                       std::uint64_t seed, ClientResult& out);
-  // One request attempt chain: admission -> breaker -> route -> run ->
-  // retry loop. Writes the terminal status into `status`.
-  sim::Task RunRequest(std::size_t client_index, graph::JobContext& primary_ctx,
-                       const graph::Graph& g, const ClientSpec& spec,
-                       sim::Rng& rng, sim::TimePoint arrival,
-                       std::size_t primary_gpu, RequestStatus& status,
-                       metrics::PhaseAccount* pa = nullptr);
+  // The one JobContext builder: a fresh job on `gpu` with streams and
+  // activation memory for `spec`, kept for the life of the experiment.
+  // Throws what AllocateMemory throws (the context stays behind).
+  graph::JobContext& NewContext(const ClientSpec& spec, std::size_t gpu,
+                                std::string name);
+  // One Run() client: tenant `tenant`'s requests, back to back or open-loop.
+  sim::Task ClientProc(std::size_t tenant, std::uint64_t seed,
+                       ClientResult& out);
+  // One leg of a request on `gpu`, for the primary attempt and the hedge
+  // alike: arm `token` on the context, register it with the placer and the
+  // device's in-flight list (failover only), run the graph, deregister.
+  sim::Task RunLeg(graph::JobContext& ctx, const graph::Graph& g,
+                   std::size_t gpu, metrics::TraceContext trace,
+                   graph::CancelToken& token);
+  // Cancel a leg and, once per token, tell the device's scheduler.
+  void CancelLeg(graph::CancelToken& token, graph::JobContext& ctx,
+                 std::size_t gpu, graph::CancelReason reason);
   // Fires at `deadline`; cancels the run if it is still in flight. Holds a
   // shared_ptr so a watchdog outliving its request cannot dangle.
   sim::Task DeadlineWatchdog(std::shared_ptr<graph::CancelToken> token,
@@ -315,23 +323,18 @@ class Experiment : private HealthObserver {
   void OnDeviceDown(std::size_t gpu) override;
   void OnDeviceReadmitted(std::size_t gpu) override;
   sim::Duration ParamsReloadCost(std::size_t gpu) const override;
-  // Bring `spec.model` (and this client's JobContext) up on `gpu`, charging
+  // Bring the tenant's model (and its JobContext) up on `gpu`, charging
   // reload + warm-up on the virtual clock for the first arrival; concurrent
   // arrivals await the load. `ok` is false on a transient alloc failure.
-  sim::Task EnsureReplica(std::size_t client_index, const ClientSpec& spec,
-                          std::size_t gpu, bool& ok);
+  sim::Task EnsureReplica(std::size_t tenant, std::size_t gpu, bool& ok);
   // Duplicate attempt on `gpu` while the primary runs on a degraded device.
-  sim::Task HedgeProc(std::size_t client_index, const ClientSpec& spec,
-                      const graph::Graph& g, std::size_t gpu,
+  sim::Task HedgeProc(std::size_t tenant, std::size_t gpu,
                       std::shared_ptr<HedgeState> st);
-  graph::JobContext* ClientContext(std::size_t client_index, std::size_t gpu);
+  graph::JobContext* ClientContext(std::size_t tenant, std::size_t gpu);
   // Virtual-clock sampler: snapshots device/pool/health/scheduler state
   // into the observability registry every `sample_interval` until the last
   // client finishes. Read-only; never perturbs the simulation.
   sim::Task SamplerProc();
-  void RegisterInFlight(std::size_t gpu, graph::CancelToken* token,
-                        graph::JobContext* ctx);
-  void DeregisterInFlight(std::size_t gpu, const graph::CancelToken* token);
 
   ServerOptions options_;
   // Owned in the standalone case, absent in the cluster case; env_ is the
@@ -359,8 +362,9 @@ class Experiment : private HealthObserver {
   // --- failover state (allocated only when options_.failover.enabled) ----
   std::unique_ptr<HealthMonitor> health_;
   std::unique_ptr<Placer> placer_;
-  // One JobContext per (client, device) the client has ever run on; the
-  // primary is created eagerly at setup, replicas lazily on first route.
+  // One JobContext per (tenant, device) the tenant has ever run on; the
+  // home context is created with the tenant, replicas lazily on first route
+  // (failover only).
   std::map<std::pair<std::size_t, std::size_t>, graph::JobContext*>
       client_gpu_ctx_;
   struct InFlight {
@@ -368,28 +372,25 @@ class Experiment : private HealthObserver {
     graph::JobContext* ctx = nullptr;
   };
   std::vector<std::vector<InFlight>> inflight_;  // per device
-  // Clients still running; the last one out stops the health monitor's
-  // probe loops so the event queue can drain.
-  std::size_t remaining_clients_ = 0;
 
-  // --- cluster serving state ---------------------------------------------
+  // --- tenants (Run's clients, or the cluster's) ---------------------------
   struct Tenant {
     ClientSpec spec;
     graph::JobContext* ctx = nullptr;  // home-device context
     const graph::Graph* graph = nullptr;
     std::size_t primary_gpu = 0;
   };
-  std::vector<Tenant> tenants_;
-  bool serving_ = false;  // StartServing ran (cluster mode)
+  // Boxed: requests hold a Tenant& across awaits while AddTenant appends.
+  std::vector<std::unique_ptr<Tenant>> tenants_;
+  // Run()'s clients still inside ClientProc; the last one out stops the
+  // health monitor's probe loops so the event queue can drain, and ends the
+  // sampler loop.
+  std::size_t clients_running_ = 0;
 
   // --- observability state ------------------------------------------------
   // Monotonic request-id source; every admission (retry, failover, hedge)
   // of one request reuses its id as the Chrome-trace flow id.
   std::uint64_t next_request_id_ = 0;
-  // Clients still inside ClientProc; the sampler loop's stop condition
-  // (kept distinct from remaining_clients_, which only exists under
-  // failover).
-  std::size_t clients_running_ = 0;
 };
 
 }  // namespace olympian::serving

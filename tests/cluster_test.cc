@@ -412,6 +412,29 @@ TEST(ClusterTest, CrossShardFailoverSpendsNoRetryBudget) {
   EXPECT_GT(cluster.engine().boundary_events(), 0u);
 }
 
+TEST(ClusterTest, FailoverTenantAddedUnderInFlightRequests) {
+  // Server 0 crashes, so each of its clients' first arrival on server 1
+  // adds a tenant there while server 1's own requests are suspended in
+  // their retry loops (a kernel-failure storm keeps them retrying). Those
+  // requests read their tenant again after every await, so adding tenants
+  // must never move existing ones.
+  serving::ClusterOptions opts = SmallCluster(2);
+  opts.faults.Crash(At(100), Duration::Millis(400), /*server=*/0);
+  opts.server.degradation.retry.max_retries = 50;
+  for (double t = 90; t < 400; t += 2) {
+    for (gpusim::StreamId s = 1; s <= 4; ++s) {
+      opts.server.faults.KernelFailure(At(t), s);
+    }
+  }
+  serving::Cluster cluster(opts);
+  const auto results = cluster.Run(std::vector<serving::ClusterClientSpec>(
+      4, PoissonClient("googlenet", 100.0, 8)));
+  EXPECT_EQ(TotalAll(results), 32);
+  EXPECT_GT(cluster.counters().tenant_instantiations, 0u);
+  EXPECT_GT(cluster.server(1).counters().retries, 0u);
+  EXPECT_EQ(cluster.server(1).num_tenants(), 4u);
+}
+
 // Returns the invalid_argument message `f` throws ("" if none).
 template <typename F>
 std::string InvalidArgumentMessage(F f) {

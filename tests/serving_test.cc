@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/profiler.h"
 #include "core/scheduler.h"
@@ -273,6 +275,32 @@ TEST(MultiGpuTest, InvalidGpuCountRejected) {
   ServerOptions opts;
   opts.num_gpus = 0;
   EXPECT_THROW(Experiment exp(opts), std::invalid_argument);
+
+  // Hedging races a duplicate on another replica, so it needs the failover
+  // placer; a score threshold also needs the device health score. The error
+  // names the option and the fix.
+  const auto message = [](const ServerOptions& o) -> std::string {
+    try {
+      Experiment exp(o);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  ServerOptions bit;
+  bit.num_gpus = 2;
+  bit.failover.hedge_when_degraded = true;
+  EXPECT_NE(message(bit).find("hedge_when_degraded"), std::string::npos);
+  EXPECT_NE(message(bit).find("failover.enabled"), std::string::npos);
+  ServerOptions score;
+  score.num_gpus = 2;
+  score.failover.hedge_below_score = 0.9;
+  EXPECT_NE(message(score).find("hedge_below_score"), std::string::npos);
+  EXPECT_NE(message(score).find("failover.enabled"), std::string::npos);
+  ServerOptions unscored = score;
+  unscored.failover.enabled = true;
+  EXPECT_NE(message(unscored).find("hedge_below_score"), std::string::npos);
+  EXPECT_NE(message(unscored).find("health.score.enabled"), std::string::npos);
 }
 
 // --- Profiler -------------------------------------------------------------
