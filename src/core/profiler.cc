@@ -21,8 +21,7 @@ Profiler::Profiler(ProfilerOptions options) : options_(std::move(options)) {
 
 ModelProfile Profiler::ProfileModel(const std::string& model,
                                     int batch) const {
-  const models::ModelSpec& spec = models::GetModel(model);
-  const graph::Graph g = models::BuildModel(spec);
+  const graph::Graph& g = models::SharedModel(model);
 
   // A private offline simulation: one job, idle GPU (paper §3.2 — profiles
   // are computed "when the GPU is idle" and reused, adding no serving-time

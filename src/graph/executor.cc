@@ -14,30 +14,30 @@ Executor::Executor(sim::Environment& env, gpusim::Gpu& gpu, ThreadPool& pool,
       rng_(seed),
       hooks_(hooks) {}
 
-void Executor::RunState::Reset(const Graph& g, CostProfile* prof) {
+void Executor::RunState::Reset(JobContext& c, const Graph& g,
+                               CostProfile* prof) {
+  ctx = &c;
   graph = &g;
   profile = prof;
   remaining = g.size();
-  pending.clear();
-  for (const Node& n : g.nodes()) {
-    pending.push_back(static_cast<std::int32_t>(n.inputs.size()));
-  }
+  pending.assign(g.in_degrees().begin(), g.in_degrees().end());
   if (profile != nullptr && profile->size() != g.size()) {
     profile->Resize(g.size());
   }
 }
 
-Executor::RunState* Executor::AcquireRunState(const Graph& graph,
+Executor::RunState* Executor::AcquireRunState(JobContext& ctx,
+                                              const Graph& graph,
                                               CostProfile* profile) {
   RunState* st;
   if (!runstate_free_.empty()) {
     st = runstate_free_.back();
     runstate_free_.pop_back();
   } else {
-    runstate_store_.push_back(std::make_unique<RunState>(env_));
+    runstate_store_.push_back(std::make_unique<RunState>(*this));
     st = runstate_store_.back().get();
   }
-  st->Reset(graph, profile);
+  st->Reset(ctx, graph, profile);
   return st;
 }
 
@@ -73,12 +73,12 @@ sim::Task Executor::RunOnce(JobContext& ctx, const Graph& graph,
 
 sim::Task Executor::RunOnceImpl(JobContext& ctx, const Graph& graph,
                                 CostProfile* profile) {
-  RunState& st = *AcquireRunState(graph, profile);
+  RunState& st = *AcquireRunState(ctx, graph, profile);
   const sim::TimePoint attempt_start = env_.Now();
   // Algorithm 2, lines 4-5: register and reset the gang-shared cost.
   ctx.cumulated_cost = 0.0;
   if (hooks_ != nullptr) hooks_->RegisterRun(ctx);
-  co_await Process(ctx, st, graph.root());
+  co_await Process(st, graph.root());
   // The root traversal has returned, but asynchronous subtrees may still be
   // executing on pool threads; Session::Run returns only when the whole
   // graph has been evaluated.
@@ -106,7 +106,13 @@ void Executor::NotifyCancel(JobContext& ctx) {
   }
 }
 
-sim::Task Executor::Process(JobContext& ctx, RunState& st, NodeId start) {
+sim::Task Executor::ProcessItem(void* st, std::uint64_t node) {
+  RunState& run = *static_cast<RunState*>(st);
+  return run.exec->Process(run, static_cast<NodeId>(node));
+}
+
+sim::Task Executor::Process(RunState& st, NodeId start) {
+  JobContext& ctx = *st.ctx;
   BfsQueue& bfs_queue = *AcquireBfs();
   bfs_queue.push(start);
   while (!bfs_queue.empty()) {
@@ -146,10 +152,10 @@ sim::Task Executor::Process(JobContext& ctx, RunState& st, NodeId start) {
           bfs_queue.push(child);
         } else {
           // Asynchronous: fetch a pool thread to continue from this node
-          // (Algorithm 1, lines 13-15). &ctx and &st outlive the item: the
+          // (Algorithm 1, lines 13-15). &st outlives the item: the
           // enclosing RunOnce returns only after every node has executed.
-          pool_.Schedule(
-              [this, &ctx, &st, child]() { return Process(ctx, st, child); });
+          pool_.Schedule({&Executor::ProcessItem, &st,
+                          static_cast<std::uint64_t>(child)});
         }
       }
     }

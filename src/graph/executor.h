@@ -81,10 +81,14 @@ class Executor {
  private:
   // Per-run bookkeeping. Instances are pooled on the executor and recycled
   // across runs (Acquire/Release below): `pending` keeps its heap buffer,
-  // so steady-state request admission allocates nothing.
+  // so steady-state request admission allocates nothing. A run's pool items
+  // point here (ProcessItem), so it carries everything a worker needs to
+  // continue the traversal.
   struct RunState {
-    explicit RunState(sim::Environment& env) : all_done(env) {}
-    void Reset(const Graph& g, CostProfile* prof);
+    explicit RunState(Executor& ex) : exec(&ex), all_done(ex.env_) {}
+    void Reset(JobContext& c, const Graph& g, CostProfile* prof);
+    Executor* exec;
+    JobContext* ctx = nullptr;
     const Graph* graph = nullptr;
     CostProfile* profile = nullptr;
     std::vector<std::int32_t> pending;
@@ -107,14 +111,17 @@ class Executor {
     }
   };
 
-  RunState* AcquireRunState(const Graph& graph, CostProfile* profile);
+  RunState* AcquireRunState(JobContext& ctx, const Graph& graph,
+                            CostProfile* profile);
   void ReleaseRunState(RunState* st);
   BfsQueue* AcquireBfs();
   void ReleaseBfs(BfsQueue* q);
 
   sim::Task RunOnceImpl(JobContext& ctx, const Graph& graph,
                         CostProfile* profile);
-  sim::Task Process(JobContext& ctx, RunState& st, NodeId start);
+  sim::Task Process(RunState& st, NodeId start);
+  // ThreadPool::WorkItem entry: continue `st`'s traversal from node `node`.
+  static sim::Task ProcessItem(void* st, std::uint64_t node);
   sim::Task Compute(JobContext& ctx, RunState& st, const Node& node);
 
   static bool IsCancelled(const JobContext& ctx) {

@@ -37,6 +37,7 @@ NodeId Graph::AddNode(Node node) {
     nodes_[static_cast<size_t>(in)].outputs.push_back(id);
   }
   if (node.is_gpu()) ++gpu_nodes_;
+  in_degrees_.push_back(static_cast<std::int32_t>(node.inputs.size()));
   nodes_.push_back(std::move(node));
   return id;
 }

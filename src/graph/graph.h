@@ -75,9 +75,13 @@ class Graph {
 
   const std::string& name() const { return name_; }
   const Node& node(NodeId id) const { return nodes_[static_cast<size_t>(id)]; }
-  // Mutable access for builders (e.g. work-calibration passes).
+  // Mutable access for builders (e.g. work-calibration passes). Edges are
+  // fixed by AddNode; builders must not edit `inputs` or `outputs`.
   Node& MutableNode(NodeId id) { return nodes_[static_cast<size_t>(id)]; }
   const std::vector<Node>& nodes() const { return nodes_; }
+  // Input count of every node, by id: the executor's per-run pending
+  // counters start from a copy of this.
+  const std::vector<std::int32_t>& in_degrees() const { return in_degrees_; }
   std::size_t size() const { return nodes_.size(); }
   NodeId root() const { return 0; }
 
@@ -96,6 +100,7 @@ class Graph {
  private:
   std::string name_;
   std::vector<Node> nodes_;
+  std::vector<std::int32_t> in_degrees_;
   std::size_t gpu_nodes_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "graph/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <optional>
 
 namespace olympian::graph {
 
@@ -12,7 +12,7 @@ ThreadPool::ThreadPool(sim::Environment& env, std::size_t num_threads)
   }
 }
 
-void ThreadPool::Schedule(WorkItem item) { queue_.Push(std::move(item)); }
+void ThreadPool::Schedule(WorkItem item) { queue_.Push(item); }
 
 void ThreadPool::Shutdown() { queue_.Close(); }
 
@@ -23,9 +23,7 @@ sim::Task ThreadPool::Worker() {
     if (!item) co_return;  // pool shut down
     ++busy_;
     peak_busy_ = std::max(peak_busy_, busy_);
-    // Keep the factory alive while its coroutine runs (it owns captures).
-    WorkItem fn = std::move(*item);
-    co_await fn();
+    co_await item->fn(item->ctx, item->arg);
     ++executed_;
     --busy_;
   }

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <optional>
-#include <vector>
+#include <cstdint>
+#include <type_traits>
 
 #include "sim/environment.h"
 #include "sim/sync.h"
@@ -23,7 +21,18 @@ namespace olympian::graph {
 // scheduler token.
 class ThreadPool {
  public:
-  using WorkItem = std::function<sim::Task()>;
+  // A coroutine factory as three words (the Environment::ScheduleCallbackAt
+  // idiom): the worker calls `fn(ctx, arg)` when it starts the item, so
+  // queueing one allocates nothing and a queued item holds no coroutine
+  // frame, however long it waits for a free worker. `ctx` must outlive the
+  // item's completion.
+  struct WorkItem {
+    sim::Task (*fn)(void* ctx, std::uint64_t arg) = nullptr;
+    void* ctx = nullptr;
+    std::uint64_t arg = 0;
+  };
+  static_assert(sizeof(WorkItem) == 24 &&
+                std::is_trivially_copyable_v<WorkItem>);
 
   ThreadPool(sim::Environment& env, std::size_t num_threads);
 

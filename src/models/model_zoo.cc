@@ -1,6 +1,9 @@
 #include "models/model_zoo.h"
 
 #include <cmath>
+#include <cstddef>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "gpusim/gpu_spec.h"
@@ -282,6 +285,18 @@ Graph BuildModel(const ModelSpec& spec) {
 
   g.Validate();
   return g;
+}
+
+const graph::Graph& SharedModel(const std::string& name) {
+  struct Slot {
+    std::once_flag built;
+    std::optional<Graph> graph;
+  };
+  const ModelSpec& spec = GetModel(name);  // throws for unknown names
+  static std::vector<Slot> slots(AllModels().size());
+  Slot& slot = slots[static_cast<std::size_t>(&spec - AllModels().data())];
+  std::call_once(slot.built, [&] { slot.graph.emplace(BuildModel(spec)); });
+  return *slot.graph;
 }
 
 }  // namespace olympian::models

@@ -63,4 +63,11 @@ std::string ModelKey(const std::string& model, int batch);
 // workload GPU-bound as on the real testbed.
 graph::Graph BuildModel(const ModelSpec& spec);
 
+// The process-wide graph of zoo model `name`: built by BuildModel on the
+// first call for that name and shared, immutable, by every caller after it
+// (every Experiment and Profiler in the process, on any thread). The first
+// call is thread-safe; concurrent first callers get one instance. Throws
+// std::out_of_range for unknown names, like GetModel.
+const graph::Graph& SharedModel(const std::string& name);
+
 }  // namespace olympian::models

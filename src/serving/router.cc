@@ -118,6 +118,9 @@ std::uint64_t Router::outstanding(std::size_t server) const {
 }
 
 sim::Task Router::ProbeLoop(std::size_t server) {
+  // This server's probe-RTT series, looked up at its first successful probe
+  // (a server that never answers exports no series) and reused after.
+  metrics::MetricRegistry::TimeSeries* rtt_series = nullptr;
   for (;;) {
     co_await env_.Delay(options_.probe_interval);
     if (stopped_) co_return;
@@ -130,10 +133,11 @@ sim::Task Router::ProbeLoop(std::size_t server) {
     if (!ok && counters_ != nullptr) ++counters_->probe_failures;
     if (registry_ != nullptr && ok) {
       // The gray-degradation signal as the router saw it, per server.
-      registry_
-          ->GetSeries("olympian_router_probe_rtt_ms",
-                      {{"server", std::to_string(server)}})
-          .Sample(env_.Now(), rtt.millis());
+      if (rtt_series == nullptr) {
+        rtt_series = &registry_->GetSeries("olympian_router_probe_rtt_ms",
+                                           {{"server", std::to_string(server)}});
+      }
+      rtt_series->Sample(env_.Now(), rtt.millis());
     }
     if (scoring()) scores_[server].OnProbe(ok, rtt);
     OnResult(server, ok);

@@ -73,20 +73,13 @@ graph::Executor& Experiment::executor(std::size_t gpu_index) {
 
 const graph::Graph& Experiment::LoadModel(const std::string& name,
                                           std::size_t gpu_index) {
-  auto it = loaded_.find(name);
-  if (it == loaded_.end()) {
-    const models::ModelSpec& spec = models::GetModel(name);
-    it = loaded_
-             .emplace(name, std::make_unique<graph::Graph>(
-                                models::BuildModel(spec)))
-             .first;
-  }
+  const graph::Graph& graph = models::SharedModel(name);
   // Model parameters are loaded once per device and shared by its clients.
   if (params_resident_.emplace(gpu_index, name).second) {
     gpus_.at(gpu_index)->AllocateMemory(gpusim::kNoJob,
                                         models::GetModel(name).params_mb);
   }
-  return *it->second;
+  return graph;
 }
 
 graph::JobContext& Experiment::CreateJob(const std::string& model,

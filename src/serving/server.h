@@ -195,7 +195,8 @@ class Experiment : private HealthObserver {
   graph::Executor& executor(std::size_t gpu_index);
 
   // Loads a model onto a device (allocating its parameter memory there
-  // once) and returns its graph. Called implicitly by Run.
+  // once) and returns its graph, the process-wide models::SharedModel.
+  // Called implicitly by Run.
   const graph::Graph& LoadModel(const std::string& name,
                                 std::size_t gpu_index = 0);
 
@@ -347,7 +348,6 @@ class Experiment : private HealthObserver {
   std::vector<std::unique_ptr<graph::Executor>> executors_;
   std::vector<graph::SchedulingHooks*> hooks_;
   std::vector<std::uint64_t> executor_seeds_;
-  std::unordered_map<std::string, std::unique_ptr<graph::Graph>> loaded_;
   // (gpu_index, model) pairs whose parameters are already resident.
   std::set<std::pair<std::size_t, std::string>> params_resident_;
   std::vector<std::unique_ptr<graph::JobContext>> contexts_;

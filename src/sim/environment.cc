@@ -42,17 +42,6 @@ const std::string& Process::name() const {
 
 // --- event containers -------------------------------------------------------
 
-void Environment::EventRing::Grow() {
-  const std::size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
-  std::vector<Event> grown(cap);
-  for (std::size_t i = 0; i < size_; ++i) {
-    grown[i] = buf_[(head_ + i) & mask_];
-  }
-  buf_ = std::move(grown);
-  head_ = 0;
-  mask_ = cap - 1;
-}
-
 void Environment::TimerHeap::SiftDownFromTop() {
   const Event last = v_.back();
   v_.pop_back();

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/ring.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -246,32 +247,6 @@ class Environment {
     return a.seq < b.seq;
   }
 
-  // Power-of-two circular buffer holding same-instant events in FIFO order.
-  class EventRing {
-   public:
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-    const Event& front() const { return buf_[head_]; }
-    void push(const Event& e) {
-      if (size_ == buf_.size()) Grow();
-      buf_[(head_ + size_) & mask_] = e;
-      ++size_;
-    }
-    Event pop() {
-      Event e = buf_[head_];
-      head_ = (head_ + 1) & mask_;
-      --size_;
-      return e;
-    }
-
-   private:
-    void Grow();
-    std::vector<Event> buf_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-    std::size_t mask_ = 0;
-  };
-
   // 4-ary min-heap on (time, seq). Shallower than a binary heap and sifts
   // through adjacent cache lines, which measures faster for the deep timer
   // queues the GPU model produces. Sifts move a hole instead of swapping:
@@ -329,8 +304,8 @@ class Environment {
   std::size_t live_ = 0;
   bool tearing_down_ = false;
   bool running_ = false;  // reentrancy guard for Run/RunUntil
-  EventRing ring_;   // events at the current instant, FIFO
-  TimerHeap heap_;   // future events, min (time, seq)
+  Ring<Event> ring_;  // events at the current instant, FIFO
+  TimerHeap heap_;    // future events, min (time, seq)
   std::vector<std::shared_ptr<detail::ProcessState>> processes_;
   std::exception_ptr first_error_;
 };

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "sim/environment.h"
+#include "sim/ring.h"
 
 namespace olympian::sim {
 
@@ -28,7 +28,7 @@ class CondVar {
       CondVar* cv;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        cv->waiters_.push_back(h);
+        cv->waiters_.push(h);
       }
       void await_resume() const noexcept {}
     };
@@ -38,21 +38,18 @@ class CondVar {
   // Wake the longest-waiting process (if any). The wakeup is scheduled at
   // the current virtual time; it runs after the caller next suspends.
   void NotifyOne() {
-    if (waiters_.empty()) return;
-    env_->ScheduleNow(waiters_.front());
-    waiters_.pop_front();
+    if (!waiters_.empty()) env_->ScheduleNow(waiters_.pop());
   }
 
   void NotifyAll() {
-    for (auto h : waiters_) env_->ScheduleNow(h);
-    waiters_.clear();
+    while (!waiters_.empty()) env_->ScheduleNow(waiters_.pop());
   }
 
   std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
   Environment* env_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Ring<std::coroutine_handle<>> waiters_;
 };
 
 // FIFO mutex for critical sections that span suspension points. Not needed
@@ -138,7 +135,7 @@ class Channel {
   explicit Channel(Environment& env) : cv_(env) {}
 
   void Push(T value) {
-    items_.push_back(std::move(value));
+    items_.push(std::move(value));
     cv_.NotifyOne();
   }
 
@@ -149,8 +146,7 @@ class Channel {
       out = std::nullopt;
       co_return;
     }
-    out = std::move(items_.front());
-    items_.pop_front();
+    out = items_.pop();
   }
 
   void Close() {
@@ -162,7 +158,7 @@ class Channel {
   std::size_t size() const { return items_.size(); }
 
  private:
-  std::deque<T> items_;
+  Ring<T> items_;
   bool closed_ = false;
   CondVar cv_;
 };

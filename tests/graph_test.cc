@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -99,16 +100,28 @@ TEST(GraphTest, TotalGpuWorkSumsBlocksTimesWork) {
   EXPECT_EQ(g.TotalGpuWork(7), Duration::Micros(70));
 }
 
+// Adapts a capturing coroutine lambda to a pool item; `f` must outlive the
+// item's completion, as ThreadPool::WorkItem requires of its ctx.
+template <typename F>
+ThreadPool::WorkItem Item(F& f) {
+  return {[](void* ctx, std::uint64_t) { return (*static_cast<F*>(ctx))(); },
+          &f, 0};
+}
+
+Task AppendArg(void* out, std::uint64_t arg) {
+  static_cast<std::vector<std::uint64_t>*>(out)->push_back(arg);
+  co_return;
+}
+
 TEST(ThreadPoolTest, ExecutesAllItems) {
   Environment env;
   ThreadPool pool(env, 4);
   int done = 0;
-  for (int i = 0; i < 20; ++i) {
-    pool.Schedule([&env, &done]() -> Task {
-      co_await env.Delay(Duration::Micros(10));
-      ++done;
-    });
-  }
+  auto body = [&env, &done]() -> Task {
+    co_await env.Delay(Duration::Micros(10));
+    ++done;
+  };
+  for (int i = 0; i < 20; ++i) pool.Schedule(Item(body));
   pool.Shutdown();
   env.Run();
   EXPECT_EQ(done, 20);
@@ -119,14 +132,13 @@ TEST(ThreadPoolTest, ConcurrencyBoundedByPoolSize) {
   Environment env;
   ThreadPool pool(env, 3);
   int inside = 0, peak = 0;
-  for (int i = 0; i < 12; ++i) {
-    pool.Schedule([&env, &inside, &peak]() -> Task {
-      ++inside;
-      peak = std::max(peak, inside);
-      co_await env.Delay(Duration::Micros(10));
-      --inside;
-    });
-  }
+  auto body = [&env, &inside, &peak]() -> Task {
+    ++inside;
+    peak = std::max(peak, inside);
+    co_await env.Delay(Duration::Micros(10));
+    --inside;
+  };
+  for (int i = 0; i < 12; ++i) pool.Schedule(Item(body));
   pool.Shutdown();
   env.Run();
   EXPECT_EQ(peak, 3);
@@ -140,15 +152,17 @@ TEST(ThreadPoolTest, ItemsHoldingWorkersStallOthers) {
   ThreadPool pool(env, 1);
   sim::CondVar cv(env);
   std::vector<int> order;
-  pool.Schedule([&cv, &order]() -> Task {
+  auto holder = [&cv, &order]() -> Task {
     order.push_back(1);
     co_await cv.Wait();  // hold the only worker
     order.push_back(3);
-  });
-  pool.Schedule([&order]() -> Task {
+  };
+  auto waiter = [&order]() -> Task {
     order.push_back(2);
     co_return;
-  });
+  };
+  pool.Schedule(Item(holder));
+  pool.Schedule(Item(waiter));
   env.Spawn([](Environment& e, sim::CondVar& c) -> Task {
     co_await e.Delay(Duration::Millis(1));
     c.NotifyAll();
@@ -156,6 +170,21 @@ TEST(ThreadPoolTest, ItemsHoldingWorkersStallOthers) {
   pool.Shutdown();
   env.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsItemsInSubmissionOrder) {
+  // 40 items queue behind one worker, past the queue's first two growths;
+  // each item's argument reaches its factory and FIFO order holds.
+  Environment env;
+  ThreadPool pool(env, 1);
+  std::vector<std::uint64_t> order;
+  for (std::uint64_t i = 0; i < 40; ++i) pool.Schedule({&AppendArg, &order, i});
+  pool.Shutdown();
+  env.Run();
+  std::vector<std::uint64_t> want(40);
+  std::iota(want.begin(), want.end(), 0u);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(pool.items_executed(), 40u);
 }
 
 // --- Executor fixture ---------------------------------------------------

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "gpusim/gpu_spec.h"
 #include "metrics/stats.h"
 #include "models/model_zoo.h"
+#include "serving/server.h"
 
 namespace olympian::models {
 namespace {
@@ -46,6 +51,62 @@ TEST(ModelZooTest, BuildIsDeterministic) {
     EXPECT_EQ(na.cpu_time, nb.cpu_time);
     EXPECT_EQ(na.inputs, nb.inputs);
   }
+}
+
+TEST(SharedModelTest, OneInstancePerNameAcrossCallsAndExperiments) {
+  const graph::Graph& g = SharedModel("googlenet");
+  EXPECT_EQ(&SharedModel("googlenet"), &g);
+  EXPECT_NE(&SharedModel("alexnet"), &g);
+  serving::Experiment a(serving::ServerOptions{});
+  serving::Experiment b(serving::ServerOptions{});
+  EXPECT_EQ(&a.LoadModel("googlenet"), &g);
+  EXPECT_EQ(&b.LoadModel("googlenet"), &g);
+  EXPECT_EQ(&b.LoadModel("alexnet"), &SharedModel("alexnet"));
+}
+
+TEST(SharedModelTest, MatchesBuildModelNodeForNode) {
+  for (const char* name : {"googlenet", "resnet-152"}) {
+    const graph::Graph& shared = SharedModel(name);
+    const graph::Graph built = BuildModel(GetModel(name));
+    ASSERT_EQ(shared.size(), built.size()) << name;
+    EXPECT_EQ(shared.name(), built.name());
+    EXPECT_EQ(shared.in_degrees(), built.in_degrees());
+    for (std::size_t i = 0; i < built.size(); ++i) {
+      const auto& s = shared.node(static_cast<graph::NodeId>(i));
+      const auto& b = built.node(static_cast<graph::NodeId>(i));
+      EXPECT_EQ(s.device, b.device);
+      EXPECT_EQ(s.cpu_time, b.cpu_time);
+      EXPECT_EQ(s.cpu_time_per_item, b.cpu_time_per_item);
+      EXPECT_EQ(s.blocks_base, b.blocks_base);
+      EXPECT_EQ(s.blocks_per_item, b.blocks_per_item);
+      EXPECT_EQ(s.block_work, b.block_work);
+      EXPECT_EQ(s.inputs, b.inputs);
+      EXPECT_EQ(s.outputs, b.outputs);
+    }
+  }
+}
+
+TEST(SharedModelTest, UnknownModelThrows) {
+  EXPECT_THROW(SharedModel("mobilenet"), std::out_of_range);
+}
+
+TEST(SharedModelTest, RacingFirstCallsGetOneInstance) {
+  // No other test here asks for vgg16's shared graph, so this is the first
+  // call even when the whole binary runs in one process.
+  constexpr int kThreads = 8;
+  std::vector<const graph::Graph*> seen(kThreads, nullptr);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&seen, &start, t] {
+      start.arrive_and_wait();
+      seen[static_cast<std::size_t>(t)] = &SharedModel("vgg16");
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const graph::Graph* g : seen) EXPECT_EQ(g, seen[0]);
+  EXPECT_EQ(seen[0]->size(),
+            static_cast<std::size_t>(GetModel("vgg16").total_nodes));
 }
 
 // Parameterized over all seven models: the structural Table-2 numbers must

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -376,6 +378,34 @@ TEST(CondVarTest, NotifyAllWakesEveryone) {
   EXPECT_EQ(woke, 10);
 }
 
+Task RecordWake(CondVar& cv, std::vector<int>& woke, int id) {
+  co_await cv.Wait();
+  woke.push_back(id);
+}
+
+TEST(CondVarTest, FifoAcrossGrowthWithWrappedHead) {
+  // 12 waiters, 9 woken, then 40 more: the wakes move the waiter queue's
+  // head off its first slot, so the new waiters wrap around the buffer and
+  // then grow it while the head is wrapped. Wake order stays FIFO.
+  Environment env;
+  CondVar cv(env);
+  std::vector<int> woke;
+  for (int i = 0; i < 12; ++i) env.Spawn(RecordWake(cv, woke, i));
+  env.Spawn([](Environment& e, CondVar& c, std::vector<int>& w) -> Task {
+    co_await e.Delay(Duration::Millis(1));
+    for (int i = 0; i < 9; ++i) c.NotifyOne();
+    for (int i = 12; i < 52; ++i) e.Spawn(RecordWake(c, w, i));
+    co_await e.Delay(Duration::Millis(1));
+    EXPECT_EQ(c.waiter_count(), 43u);
+    for (int i = 0; i < 43; ++i) c.NotifyOne();
+  }(env, cv, woke));
+  env.Run();
+  std::vector<int> want(52);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(woke, want);
+  EXPECT_EQ(cv.waiter_count(), 0u);
+}
+
 TEST(CondVarTest, NotifyWithNoWaitersIsNoop) {
   Environment env;
   CondVar cv(env);
@@ -478,6 +508,36 @@ TEST(ChannelTest, CloseDrainsBeforeNullopt) {
   env.Run();
   EXPECT_EQ(got, (std::vector<int>{1, 2}));
   EXPECT_TRUE(saw_end);
+}
+
+TEST(ChannelTest, FifoAcrossGrowthWithWrappedHead) {
+  // Push 12, pop 9, push 40: the pops move the item queue's head off its
+  // first slot, so the second batch wraps around the buffer and then grows
+  // it while the head is wrapped. Items still come out in push order.
+  Environment env;
+  Channel<int> ch(env);
+  for (int i = 0; i < 12; ++i) ch.Push(i);
+  std::vector<int> got;
+  env.Spawn([](Channel<int>& c, std::vector<int>& g) -> Task {
+    for (int i = 0; i < 9; ++i) {
+      std::optional<int> v;
+      co_await c.Pop(v);
+      g.push_back(*v);
+    }
+    for (int i = 12; i < 52; ++i) c.Push(i);
+    EXPECT_EQ(c.size(), 43u);
+    c.Close();
+    for (;;) {
+      std::optional<int> v;
+      co_await c.Pop(v);
+      if (!v) break;
+      g.push_back(*v);
+    }
+  }(ch, got));
+  env.Run();
+  std::vector<int> want(52);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(got, want);
 }
 
 TEST(ChannelTest, MultipleConsumersShareWork) {
