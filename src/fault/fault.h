@@ -55,13 +55,22 @@ struct FaultEvent {
 // parameter reload over PCIe, then a warm-up before traffic resumes.
 struct RecoveryOptions {
   sim::Duration driver_reinit = sim::Duration::Millis(20);
-  // Host-to-device bandwidth used to charge parameter reload time
-  // (resident_mb / 1024 / pcie_gbps seconds).
+  // Host-to-device bandwidth used to charge parameter reload time (see
+  // ParamsTransferTime).
   double pcie_gbps = 12.0;
   // Fixed warm-up pause after reload before the device serves traffic again.
   sim::Duration warmup = sim::Duration::Millis(5);
   // Heartbeat probes that must succeed during warm-up before readmission.
   int warmup_probes = 2;
+
+  // Time to stream `params_mb` of parameters over PCIe: params_mb / 1024 /
+  // pcie_gbps seconds, zero when either is not positive. Every parameter
+  // load is priced here: a post-outage reload, a lazy device replica, and a
+  // cluster tenant's first arrival on a non-home server.
+  sim::Duration ParamsTransferTime(double params_mb) const {
+    if (params_mb <= 0.0 || pcie_gbps <= 0.0) return sim::Duration::Zero();
+    return sim::Duration::Seconds(params_mb / 1024.0 / pcie_gbps);
+  }
 };
 
 // A declarative schedule of faults on the virtual clock. Build one with the

@@ -55,16 +55,38 @@ std::vector<std::size_t> LaneMap(std::size_t servers, std::size_t shards) {
   return lanes;
 }
 
+// Handing the cluster an incident log is the opt-in: enable it for binding.
+metrics::IncidentLog& Enabled(metrics::IncidentLog& log) {
+  log.Enable();
+  return log;
+}
+
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
+      incidents_(options_.incidents != nullptr ? Enabled(*options_.incidents)
+                                               : disabled_incidents_),
       engine_(ValidatedShards(options_), options_.router.net_delay,
               LaneMap(options_.num_servers, ValidatedShards(options_))),
       env_(engine_.hub()),
       tracer_(options_.server.executor.tracer) {
   if (options_.num_servers < 1) {
     throw std::invalid_argument("num_servers must be >= 1");
+  }
+  // Cluster servers serve through ServeTenantRequest, never Run, so two
+  // per-server observability options would be silently ignored.
+  if (options_.server.observability.phases != nullptr) {
+    throw std::invalid_argument(
+        "ClusterOptions::server.observability.phases is not read by a "
+        "cluster, whose requests are charged end to end across router and "
+        "servers: set ClusterOptions::phases instead");
+  }
+  if (options_.server.observability.sample_interval != sim::Duration::Zero()) {
+    throw std::invalid_argument(
+        "ClusterOptions::server.observability.sample_interval is not read by "
+        "a cluster, which runs no per-server sampler: set the interval to "
+        "zero");
   }
   // Per-server private observability accumulators. Each server records into
   // its own buffer on its own shard (no cross-thread writes); FinishRun
@@ -108,10 +130,9 @@ Cluster::Cluster(ClusterOptions options)
   router_ = std::make_unique<Router>(env_, transport, servers_.size(),
                                      options_.router, &counters_,
                                      options_.registry);
-  router_->set_incident_log(options_.incidents);
-  // Handing the cluster an incident log is the opt-in; feeding calls are
-  // no-ops on a disabled log, so this keeps call sites unconditional.
-  if (options_.incidents != nullptr) options_.incidents->Enable();
+  // Feeding calls are no-ops on a disabled log, so every feed site stays
+  // unconditional.
+  router_->set_incident_log(&incidents_);
   crashed_until_.resize(servers_.size());
   hung_until_.resize(servers_.size());
   part_to_until_.resize(servers_.size());
@@ -190,10 +211,8 @@ void Cluster::ApplyServerFault(const fault::ServerFaultEvent& e) {
   const sim::TimePoint now = env_.Now();
   const sim::TimePoint until = now + e.duration;
   Experiment& srv = *servers_.at(e.server);
-  if (options_.incidents != nullptr) {
-    options_.incidents->Inject(static_cast<int>(e.server),
-                               fault::ToString(e.kind), now, e.duration);
-  }
+  incidents_.Inject(static_cast<int>(e.server), fault::ToString(e.kind), now,
+                    e.duration);
   switch (e.kind) {
     case fault::ServerFaultKind::kCrash:
       // Process crash: every device resets at once and submissions fail
@@ -279,13 +298,10 @@ sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
   // First arrival of this client on a non-home server: parameters stream
   // over PCIe and the tenant warms up before taking traffic — the same
   // pricing as in-server lazy replica instantiation.
-  const models::ModelSpec& mspec = models::GetModel(spec.model);
   const fault::RecoveryOptions& rec = options_.server.failover.recovery;
-  sim::Duration cost = rec.warmup;
-  if (rec.pcie_gbps > 0.0) {
-    cost += sim::Duration::Seconds(static_cast<double>(mspec.params_mb) /
-                                   1024.0 / rec.pcie_gbps);
-  }
+  const sim::Duration cost =
+      rec.warmup + rec.ParamsTransferTime(static_cast<double>(
+                       models::GetModel(spec.model).params_mb));
   if (cost > sim::Duration::Zero()) co_await senv.Delay(cost);
   // A concurrent leg of the same client may have finished the setup while
   // we streamed; re-check before instantiating.
@@ -317,16 +333,11 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
   // frame-local, so charging from the server's shard is race-free), keeping
   // the blame table byte-identical across shard counts.
   const RouterOptions& ro = options_.router;
-  metrics::IncidentLog* const ilog = options_.incidents;
   metrics::PhaseAccount account;
-  metrics::PhaseAccount* const pa =
-      options_.phases != nullptr ? &account : nullptr;
-  if (pa != nullptr) {
-    pa->Start(arrival);
-    // An arrival that found its predecessor still in flight queued at the
-    // front end; that wait is pre-routing time.
-    pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
-  }
+  account.Start(arrival);
+  // An arrival that found its predecessor still in flight queued at the
+  // front end; that wait is pre-routing time.
+  account.Charge(metrics::Phase::kRouterQueue, env_.Now());
   std::size_t served = home;
   // Brownout admission control: a shed class is rejected at the front door
   // before any routing or network cost (load it cannot carry is exactly
@@ -363,11 +374,9 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       co_await env_.Delay(forward);
     }
     sim::Environment& senv = servers_[s]->env();
-    if (pa != nullptr) {
-      pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                              : metrics::Phase::kRouterHop,
-                 (lost_to ? env_ : senv).Now());
-    }
+    account.Charge(failing_over ? metrics::Phase::kFailoverReadmit
+                                : metrics::Phase::kRouterHop,
+                   (lost_to ? env_ : senv).Now());
     failing_over = false;
 
     // A round that does not finish the request ends in the one tail below.
@@ -383,7 +392,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       ++counters_.requests_lost_to_server;
       co_await env_.Delay(ro.probe_timeout);
       // Waiting out the missing ack is network blame, like the hop itself.
-      if (pa != nullptr) pa->Charge(metrics::Phase::kRouterHop, env_.Now());
+      account.Charge(metrics::Phase::kRouterHop, env_.Now());
       router_->OnRequestEnd(s);
       free_failover = true;
     } else {
@@ -401,10 +410,10 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       std::exception_ptr err;
       try {
         co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kReload, senv.Now());
+        account.Charge(metrics::Phase::kReload, senv.Now());
         if (tenant_ok) {
           co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg,
-                                                   pa);
+                                                   account);
           lost_from = senv.Now() < part_from_until_[s];
         } else {
           // Tenant instantiation failed (an alloc-fault window on the
@@ -425,7 +434,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       // Response leg: back onto the hub.
       co_await engine_.HopToHub(s, ro.net_delay * jitter_back);
       if (err != nullptr) std::rethrow_exception(err);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
+      account.Charge(metrics::Phase::kResponseHop, env_.Now());
       router_->OnRequestEnd(s);
       if (lost_from) {
         // At-least-once: the work happened but the answer is gone, so the
@@ -457,9 +466,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     if (free_failover && ro.failover) {
       ++counters_.requests_failed_over;
       failing_over = true;
-      if (ilog != nullptr) {
-        ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-      }
+      incidents_.Mitigation(static_cast<int>(s), "failover", env_.Now());
       continue;
     }
     if (attempt > ro.max_retries) {
@@ -470,24 +477,22 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     ++counters_.retries;
     ++attempt;
     co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+    account.Charge(metrics::Phase::kBackoff, env_.Now());
   }
   if (rejected) {
     status = RequestStatus::kRejected;
-    if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
+    account.Charge(metrics::Phase::kAdmission, env_.Now());
     co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+    account.Charge(metrics::Phase::kBackoff, env_.Now());
   }
   latency_ms = (env_.Now() - arrival).millis();
   const bool ok =
       status == RequestStatus::kOk || status == RequestStatus::kFailedRetried;
-  if (pa != nullptr) {
+  if (options_.phases != nullptr) {
     options_.phases->Record(static_cast<int>(served), spec.model, account, ok,
                             env_.Now() - arrival);
   }
-  if (ilog != nullptr) {
-    ilog->RequestOutcome(static_cast<int>(served), env_.Now(), ok);
-  }
+  incidents_.RequestOutcome(static_cast<int>(served), env_.Now(), ok);
   if (ok) ++completed;
 }
 
@@ -714,7 +719,7 @@ void Cluster::FinishRun() {
   for (const std::uint64_t n : tenant_instantiations_) {
     counters_.tenant_instantiations += n;
   }
-  if (options_.incidents != nullptr) options_.incidents->Finalize();
+  incidents_.Finalize();
   if (options_.engine_registry != nullptr) {
     ExportEngineIntrospection(*options_.engine_registry);
   }

@@ -56,10 +56,11 @@ struct ClusterOptions {
   fault::ServerFaultPlan faults;
   // Router counters + per-server health series land here (may be null).
   metrics::MetricRegistry* registry = nullptr;
-  // Latency anatomy. Both may be null (the default): every charge site is
-  // pointer-guarded, so a disabled run pays nothing on the hot path. The
-  // collector and the incident log are fed hub-side only, in virtual-time
-  // order, so their exports are byte-identical at any shard count.
+  // Latency anatomy: a set collector receives each finished request's
+  // PhaseAccount. A set incident log is enabled and fed by the cluster and
+  // its router; null feeds a private log that is never enabled. Both are
+  // fed hub-side only, in virtual-time order, so their exports are
+  // byte-identical at any shard count.
   metrics::PhaseCollector* phases = nullptr;
   metrics::IncidentLog* incidents = nullptr;
   // Sharded-engine introspection (per-shard busy/barrier-wait wall time,
@@ -203,6 +204,10 @@ class Cluster : private RouterTransport {
   double ServerCapacity(std::size_t server);
 
   ClusterOptions options_;
+  // The log every incident feed goes to: options_.incidents, or
+  // disabled_incidents_ when the caller gave none.
+  metrics::IncidentLog disabled_incidents_;
+  metrics::IncidentLog& incidents_;
   // Declared before env_: env_ aliases the engine's hub environment, which
   // is the one and only environment when shards == 1 (the unsharded path).
   sim::ShardedEngine engine_;

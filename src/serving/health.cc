@@ -38,13 +38,13 @@ HealthMonitor::HealthMonitor(sim::Environment& env,
                              std::vector<gpusim::Gpu*> gpus,
                              HealthMonitorOptions options,
                              fault::RecoveryOptions recovery,
-                             HealthObserver* observer,
+                             HealthObserver& observer,
                              metrics::ServingCounters* counters,
                              metrics::Tracer* tracer)
     : env_(env),
       options_(options),
       recovery_(recovery),
-      observer_(observer != nullptr ? observer : this),
+      observer_(observer),
       counters_(counters),
       tracer_(tracer) {
   if (gpus.empty()) throw std::invalid_argument("HealthMonitor needs >= 1 gpu");
@@ -175,7 +175,7 @@ void HealthMonitor::GoDown(std::size_t gpu, bool from_hang) {
   Transition(gpu, DeviceHealth::kDown);
   // After the bookkeeping, so the observer sees a consistent kDown state
   // while it cancels the device's in-flight runs.
-  observer_->OnDeviceDown(gpu);
+  observer_.OnDeviceDown(gpu);
 }
 
 void HealthMonitor::Readmit(std::size_t gpu) {
@@ -199,7 +199,7 @@ void HealthMonitor::Readmit(std::size_t gpu) {
                      metrics::Tracer::kHealthTrack, d.down_since, now);
   }
   Transition(gpu, DeviceHealth::kHealthy);
-  observer_->OnDeviceReadmitted(gpu);
+  observer_.OnDeviceReadmitted(gpu);
 }
 
 sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
@@ -211,7 +211,7 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
       co_await env_.Delay(recovery_.driver_reinit);
       if (d.generation != generation) co_return;  // failed again meanwhile
     }
-    const sim::Duration reload = observer_->ParamsReloadCost(gpu);
+    const sim::Duration reload = observer_.ParamsReloadCost(gpu);
     if (reload > sim::Duration::Zero()) {
       co_await env_.Delay(reload);
       if (d.generation != generation) co_return;

@@ -81,7 +81,7 @@ struct HealthMonitorOptions {
 // re-init delay -> parameter reload -> warm-up probes) gates readmission.
 // All state changes land in a transition log, the serving counters, and the
 // tracer's health track, so failover behaviour is observable and testable.
-class HealthMonitor : public HealthObserver {
+class HealthMonitor {
  public:
   struct DeviceStats {
     std::uint64_t down_events = 0;
@@ -98,10 +98,10 @@ class HealthMonitor : public HealthObserver {
 
   HealthMonitor(sim::Environment& env, std::vector<gpusim::Gpu*> gpus,
                 HealthMonitorOptions options, fault::RecoveryOptions recovery,
-                HealthObserver* observer,
+                HealthObserver& observer,
                 metrics::ServingCounters* counters = nullptr,
                 metrics::Tracer* tracer = nullptr);
-  ~HealthMonitor() override;
+  ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
@@ -131,15 +131,6 @@ class HealthMonitor : public HealthObserver {
   double score(std::size_t gpu) const;
   // Measured probe slowdown vs. the learned baseline (1.0 = nominal).
   double slowdown(std::size_t gpu) const;
-
-  // HealthObserver default self-wiring (used when no external observer is
-  // installed; the serving layer normally passes itself instead).
-  void OnDeviceDown(std::size_t gpu) override { (void)gpu; }
-  void OnDeviceReadmitted(std::size_t gpu) override { (void)gpu; }
-  sim::Duration ParamsReloadCost(std::size_t gpu) const override {
-    (void)gpu;
-    return sim::Duration::Zero();
-  }
 
  private:
   // Fans one device's GpuHealthListener callbacks into the monitor.
@@ -205,7 +196,7 @@ class HealthMonitor : public HealthObserver {
   sim::Environment& env_;
   HealthMonitorOptions options_;
   fault::RecoveryOptions recovery_;
-  HealthObserver* observer_;  // never null (defaults to this)
+  HealthObserver& observer_;
   metrics::ServingCounters* counters_;
   metrics::Tracer* tracer_;
   std::vector<std::unique_ptr<Device>> devices_;

@@ -148,29 +148,22 @@ sim::Task Experiment::ClientProc(std::size_t tenant, std::uint64_t seed,
       arrival = env_.Now();
     }
     RequestStatus status = RequestStatus::kOk;
-    metrics::PhaseAccount* pa = nullptr;
-    if (phases != nullptr) {
-      pa = &account;
-      pa->Start(arrival);
-      // An open-loop request that arrived while its predecessor was in
-      // flight queued at the client; that wait is pre-admission time.
-      pa->Charge(metrics::Phase::kAdmission, env_.Now());
-    }
-    co_await ServeTenantRequest(tenant, rng, arrival, status, pa);
+    account.Start(arrival);
+    // An open-loop request that arrived while its predecessor was in flight
+    // queued at the client; that wait is pre-admission time.
+    account.Charge(metrics::Phase::kAdmission, env_.Now());
+    co_await ServeTenantRequest(tenant, rng, arrival, status, account);
     out.request_latency_ms.push_back((env_.Now() - arrival).millis());
     out.request_status.push_back(status);
+    const bool ok =
+        status == RequestStatus::kOk || status == RequestStatus::kFailedRetried;
     if (phases != nullptr) {
-      const bool ok = status == RequestStatus::kOk ||
-                      status == RequestStatus::kFailedRetried;
       phases->Record(-1, spec.model, account, ok, env_.Now() - arrival);
     }
     if (latency_hist != nullptr) {
       latency_hist->Observe(out.request_latency_ms.back());
     }
-    if (status == RequestStatus::kOk ||
-        status == RequestStatus::kFailedRetried) {
-      ++out.batches_completed;
-    }
+    if (ok) ++out.batches_completed;
   }
   out.finish_time = env_.Now() - sim::TimePoint();
   out.gpu_duration = RetireTenant(tenant);
@@ -210,7 +203,7 @@ constexpr Outcome kOutcomes[] = {
 sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                                          sim::TimePoint arrival,
                                          RequestStatus& status,
-                                         metrics::PhaseAccount* pa) {
+                                         metrics::PhaseAccount& account) {
   // Tenants are boxed, so `t` stays valid while a cluster failover adds
   // tenants under this suspended request.
   const Tenant& t = *tenants_.at(tenant);
@@ -236,13 +229,12 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
   const char* hop_detail = nullptr;
   bool hedge_won = false;
 
-  // Latency anatomy: when `pa` is set, every interval between awaits below
-  // is charged to exactly one phase, so the account's cursor equals the
-  // current instant at every co_return — the phase sum matches end-to-end
-  // latency bit-exactly by construction. The caller charges up to the
-  // first admission and every round ends on a charge, so the admission
-  // checks themselves take no time. All charges are `if (pa)`-guarded; a
-  // null account costs one predictable branch per site.
+  // Latency anatomy: every interval between awaits below is charged to
+  // exactly one phase of `account`, so its cursor equals the current instant
+  // at every co_return — the phase sum matches end-to-end latency
+  // bit-exactly by construction. The caller charges up to the first
+  // admission and every round ends on a charge, so the admission checks
+  // themselves take no time.
   bool failing_over = false;  // last attempt ended in failover re-admission
   for (int attempt = 1;;) {
     // Admission: a request past its deadline, shed because the pool is
@@ -288,17 +280,13 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         break;
       }
       bool replica_ok = true;
-      if (pa != nullptr) {
-        pa->Charge(metrics::Phase::kPlacerDecision, env_.Now());
-      }
+      account.Charge(metrics::Phase::kPlacerDecision, env_.Now());
       co_await EnsureReplica(tenant, gpu, replica_ok);
-      if (pa != nullptr) {
-        // Reload/warm-up wait, unless this admission is a failover re-entry
-        // — then the whole leg is blamed on the failover.
-        pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                                : metrics::Phase::kReload,
-                   env_.Now());
-      }
+      // Reload/warm-up wait, unless this admission is a failover re-entry —
+      // then the whole leg is blamed on the failover.
+      account.Charge(failing_over ? metrics::Phase::kFailoverReadmit
+                                  : metrics::Phase::kReload,
+                     env_.Now());
       failing_over = false;
       load_failed = !replica_ok;
       if (replica_ok) {
@@ -316,7 +304,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
           // the wait is charged to kBackoff.
           hop_detail = "reroute";
           co_await env_.Delay(deg.reject_backoff);
-          if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+          account.Charge(metrics::Phase::kBackoff, env_.Now());
           continue;
         }
       }
@@ -364,18 +352,14 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         env_.Spawn(DeadlineWatchdog(token, ctx, gpu, deadline),
                    ctx->client_name + "/watchdog");
       }
-      const sim::Duration gpu_before =
-          pa != nullptr ? gpus_[gpu]->JobGpuDuration(ctx->job)
-                        : sim::Duration::Zero();
+      const sim::Duration gpu_before = gpus_[gpu]->JobGpuDuration(ctx->job);
       co_await RunLeg(*ctx, *t.graph, gpu,
                       metrics::TraceContext{rid, attempt, false}, *token);
-      if (pa != nullptr) {
-        // Split the run interval into measured GPU residency (compute) and
-        // everything else — pool queueing, scheduler token waits (queue).
-        pa->SplitCharge(metrics::Phase::kGpuCompute,
-                        gpus_[gpu]->JobGpuDuration(ctx->job) - gpu_before,
-                        metrics::Phase::kGpuQueue, env_.Now());
-      }
+      // Split the run interval into measured GPU residency (compute) and
+      // everything else — pool queueing, scheduler token waits (queue).
+      account.SplitCharge(metrics::Phase::kGpuCompute,
+                          gpus_[gpu]->JobGpuDuration(ctx->job) - gpu_before,
+                          metrics::Phase::kGpuQueue, env_.Now());
       reason = token->reason;
       if (hedge) {
         hedge->primary_done = true;
@@ -388,9 +372,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         } else {
           // Primary failed: the hedge verdict decides the request.
           while (!hedge->done) co_await hedge->cv.Wait();
-          if (pa != nullptr) {
-            pa->Charge(metrics::Phase::kHedgeOverhead, env_.Now());
-          }
+          account.Charge(metrics::Phase::kHedgeOverhead, env_.Now());
           if (hedge->won) {
             ++counters_.hedge_wins;
             hedge_won = true;
@@ -459,7 +441,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                      ? graph::ToString(reason)
                      : "retry";
     co_await env_.Delay(backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+    account.Charge(metrics::Phase::kBackoff, env_.Now());
   }
 
   // The one exit: the terminal status bumps its counter and ends the
@@ -473,7 +455,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
   }
   if (status == RequestStatus::kRejected) {
     co_await env_.Delay(deg.reject_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+    account.Charge(metrics::Phase::kBackoff, env_.Now());
   }
 }
 
@@ -548,9 +530,7 @@ sim::Duration Experiment::ParamsReloadCost(std::size_t gpu) const {
   for (const auto& [dev, model] : params_resident_) {
     if (dev == gpu) mb += static_cast<double>(models::GetModel(model).params_mb);
   }
-  const double gbps = options_.failover.recovery.pcie_gbps;
-  if (mb <= 0.0 || gbps <= 0.0) return sim::Duration::Zero();
-  return sim::Duration::Seconds(mb / 1024.0 / gbps);
+  return options_.failover.recovery.ParamsTransferTime(mb);
 }
 
 sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
@@ -562,13 +542,10 @@ sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
     if (placer_->BeginLoad(gpu, spec.model)) {
       // First arrival instantiates the replica: parameters stream over
       // PCIe and the fresh replica warms up before taking traffic.
-      const models::ModelSpec& mspec = models::GetModel(spec.model);
       const fault::RecoveryOptions& rec = options_.failover.recovery;
-      sim::Duration cost = rec.warmup;
-      if (rec.pcie_gbps > 0.0) {
-        cost += sim::Duration::Seconds(
-            static_cast<double>(mspec.params_mb) / 1024.0 / rec.pcie_gbps);
-      }
+      const sim::Duration cost =
+          rec.warmup + rec.ParamsTransferTime(static_cast<double>(
+                           models::GetModel(spec.model).params_mb));
       if (cost > sim::Duration::Zero()) co_await env_.Delay(cost);
       try {
         LoadModel(spec.model, gpu);
@@ -660,7 +637,7 @@ void Experiment::StartServing() {
   if (options_.failover.enabled) {
     // Stand up the failover subsystem before traffic or faults: listeners
     // must be attached when the first device signal fires.
-    HealthObserver* observer = this;  // private base: convert in-class
+    HealthObserver& observer = *this;  // private base: convert in-class
     health_ = std::make_unique<HealthMonitor>(
         env_, gpu_ptrs, options_.failover.health, options_.failover.recovery,
         observer, &counters_, options_.executor.tracer);

@@ -70,14 +70,15 @@ struct ObservabilityOptions {
   // Virtual-clock cadence of the sampler process that snapshots per-device
   // utilization, queue depth, health, placer load, pool occupancy, breaker
   // state, and scheduler token occupancy (via SchedulingHooks::OnSample).
-  // Zero disables the sampler; counters and histograms still flow.
+  // Zero disables the sampler; counters and histograms still flow. Only
+  // Run spawns the sampler, so a Cluster rejects a nonzero interval.
   sim::Duration sample_interval = sim::Duration::Zero();
-  // Latency anatomy: when set, every request carries a PhaseAccount that
-  // charges its whole lifetime to the closed Phase taxonomy (phase sum ==
-  // end-to-end latency bit-exactly in virtual time), folded per
-  // (server, model) into this collector after each request. Owned by the
-  // caller; must outlive Run. Null (the default) skips all charging — the
-  // request path stays branch-plus-nothing.
+  // Latency anatomy. Every request keeps a PhaseAccount that charges its
+  // whole lifetime to the closed Phase taxonomy (phase sum == end-to-end
+  // latency bit-exactly in virtual time) at a few integer adds per request,
+  // with no allocation and no event. When set, each finished request's
+  // account is folded per (server, model) into this collector. Owned by the
+  // caller; must outlive Run. A Cluster rejects it: set ClusterOptions::phases.
   metrics::PhaseCollector* phases = nullptr;
 };
 
@@ -240,12 +241,12 @@ class Experiment : private HealthObserver {
   // and runs one leg (racing a hedge when the device is impaired); a round
   // that fails ends in one tail: free failover when the device died, else
   // a budgeted retry, else exhaustion. `arrival` anchors the deadline;
-  // `status` receives the terminal outcome. `phases` (optional) continues
-  // the request's latency-anatomy account — the cluster charges the
-  // router-side phases, this call charges the server-side ones.
+  // `status` receives the terminal outcome. `account` continues the
+  // request's latency-anatomy account, started by the caller — the cluster
+  // charges the router-side phases, this call charges the server-side ones.
   sim::Task ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                                sim::TimePoint arrival, RequestStatus& status,
-                               metrics::PhaseAccount* phases = nullptr);
+                               metrics::PhaseAccount& account);
   // Fold a tenant's meters into the retired table, so the live meter count
   // stays bounded however many jobs a run admits (call when its client
   // finishes), and return the GPU time of every context it ran on.

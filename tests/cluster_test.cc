@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "metrics/phase_account.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "serving/arrivals.h"
@@ -484,6 +485,30 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
   metrics::MetricRegistry registry;
   lifted.server.observability.registry = &registry;
   EXPECT_NO_THROW(serving::Cluster{lifted});
+  // Cluster servers never run Experiment::Run, so its per-server phase
+  // collector and sampler would be silently ignored: the constructor names
+  // each field and its fix.
+  serving::ClusterOptions server_phases = SmallCluster(2);
+  metrics::PhaseCollector phases;
+  server_phases.server.observability.phases = &phases;
+  {
+    const std::string msg = InvalidArgumentMessage(
+        [&] { serving::Cluster cluster(server_phases); });
+    EXPECT_NE(msg.find("server.observability.phases"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("set ClusterOptions::phases"), std::string::npos)
+        << msg;
+  }
+  serving::ClusterOptions sampled = SmallCluster(2);
+  sampled.server.observability.sample_interval = Duration::Millis(10);
+  {
+    const std::string msg =
+        InvalidArgumentMessage([&] { serving::Cluster cluster(sampled); });
+    EXPECT_NE(msg.find("server.observability.sample_interval"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("set the interval to zero"), std::string::npos) << msg;
+  }
   // The single-server legacy open loop would silently run closed-loop in a
   // cluster, so Run rejects it and names the arrival generator as the fix.
   serving::ClusterClientSpec legacy;

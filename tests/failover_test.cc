@@ -164,7 +164,16 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   serving::HealthMonitorOptions hopts;
   hopts.probe_interval = Duration::Millis(1);
   const fault::RecoveryOptions rec;  // 20ms re-init, 2 warm-up probes, 5ms
-  serving::HealthMonitor mon(env, {&gpu}, hopts, rec, /*observer=*/nullptr);
+  // No serving layer above the monitor: nothing in flight to cancel and no
+  // parameters resident, so recovery charges no reload.
+  struct NoServingLayer final : serving::HealthObserver {
+    void OnDeviceDown(std::size_t) override {}
+    void OnDeviceReadmitted(std::size_t) override {}
+    Duration ParamsReloadCost(std::size_t) const override {
+      return Duration::Zero();
+    }
+  } observer;
+  serving::HealthMonitor mon(env, {&gpu}, hopts, rec, observer);
   mon.Start();
 
   env.RunUntil(At(2.5));

@@ -30,6 +30,7 @@
 #include "core/scheduler.h"
 #include "fault/fault.h"
 #include "metrics/counters.h"
+#include "metrics/incident.h"
 #include "metrics/phase_account.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
@@ -244,15 +245,19 @@ sim::TimePoint AtMs(double ms) {
   return sim::TimePoint() + sim::Duration::Millis(ms);
 }
 
-GoldenServerRun RunServerStaging(ServerStaging staging,
+// `sinks` installs the tracer and the phase collector; without them `blame`
+// and `trace` hash empty exports.
+GoldenServerRun RunServerStaging(ServerStaging staging, bool sinks,
                                  metrics::ServingCounters* counters) {
   metrics::Tracer tracer(2000000);
   metrics::PhaseCollector phases(
       metrics::PhaseCollector::Options{.slo_ms = 50.0});
   serving::ServerOptions opts;
   opts.num_gpus = 2;
-  opts.executor.tracer = &tracer;
-  opts.observability.phases = &phases;
+  if (sinks) {
+    opts.executor.tracer = &tracer;
+    opts.observability.phases = &phases;
+  }
   opts.failover.enabled = true;
   std::vector<serving::ClientSpec> clients;
   bool olympian = false;
@@ -422,11 +427,20 @@ TEST(GoldenDeterminismTest, ServerFaultPathsMatchGolden) {
   metrics::ServingCounters sum;
   for (const auto& [staging, name, golden] : stagings) {
     metrics::ServingCounters c;
-    const GoldenServerRun run = RunServerStaging(staging, &c);
+    const GoldenServerRun run = RunServerStaging(staging, /*sinks=*/true, &c);
     if (PrintRequested()) {
       PrintGoldenServer(name, run);
     } else {
       EXPECT_EQ(run, *golden) << name << " diverged from golden values";
+      // The sinks only observe: without them every branch of the request
+      // loop replays the same trajectory.
+      const GoldenServerRun bare =
+          RunServerStaging(staging, /*sinks=*/false, nullptr);
+      EXPECT_EQ(bare.finish_ns, golden->finish_ns) << name << " without sinks";
+      EXPECT_EQ(bare.gpu_ns, golden->gpu_ns) << name << " without sinks";
+      EXPECT_EQ(bare.requests, golden->requests) << name << " without sinks";
+      EXPECT_EQ(bare.events, golden->events) << name << " without sinks";
+      EXPECT_EQ(bare.counters, golden->counters) << name << " without sinks";
     }
     for (const auto& f : metrics::ServingCounters::Fields()) {
       sum.*f.member += c.*f.member;
@@ -549,6 +563,9 @@ struct ClusterVariant {
   bool lost_responses = false;
   bool failover = true;         // RouterOptions::failover
   bool zero_net_delay = false;  // RouterOptions::net_delay = 0 (shards=1)
+  // Installs a PhaseCollector and an IncidentLog, and checks that every
+  // request's phase sum matched its latency and that an incident opened.
+  bool sinks = false;
 };
 
 GoldenClusterRun RunShardedClusterWorkload(
@@ -574,6 +591,12 @@ GoldenClusterRun RunShardedClusterWorkload(
   }
   opts.router.failover = variant.failover;
   if (variant.zero_net_delay) opts.router.net_delay = sim::Duration::Zero();
+  metrics::PhaseCollector phases;
+  metrics::IncidentLog incidents;
+  if (variant.sinks) {
+    opts.phases = &phases;
+    opts.incidents = &incidents;
+  }
   serving::Cluster cluster(opts);
   serving::ClusterClientSpec c;
   c.request.model = "googlenet";
@@ -594,6 +617,11 @@ GoldenClusterRun RunShardedClusterWorkload(
   out.failed_over = cluster.counters().requests_failed_over;
   out.transitions = cluster.counters().server_transitions;
   if (counters != nullptr) *counters = cluster.counters();
+  if (variant.sinks) {
+    EXPECT_EQ(phases.requests(), 40u);  // 8 clients x 5 requests
+    EXPECT_EQ(phases.mismatches(), 0u);
+    EXPECT_FALSE(incidents.incidents().empty());
+  }
   return out;
 }
 
@@ -656,6 +684,9 @@ TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
   const ClusterVariant no_failover{.lost_responses = true, .failover = false};
   const ClusterVariant zero_delay{.lost_responses = true,
                                   .zero_net_delay = true};
+  const ClusterVariant lossy_sinks{.lost_responses = true, .sinks = true};
+  const ClusterVariant no_failover_sinks{
+      .lost_responses = true, .failover = false, .sinks = true};
   metrics::RouterCounters lossy_counters, no_failover_counters;
   const GoldenClusterRun a =
       RunShardedClusterWorkload(1, lossy, &lossy_counters);
@@ -674,6 +705,16 @@ TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
   EXPECT_EQ(RunShardedClusterWorkload(4, lossy), kGoldenLostResponses);
   EXPECT_EQ(RunShardedClusterWorkload(4, no_failover),
             kGoldenLostResponsesNoFailover);
+  // The collector and the incident log only observe: installed, they leave
+  // both lossy trajectories on their pins at either shard count.
+  for (const std::size_t shards : {1, 4}) {
+    EXPECT_EQ(RunShardedClusterWorkload(shards, lossy_sinks),
+              kGoldenLostResponses)
+        << "shards=" << shards;
+    EXPECT_EQ(RunShardedClusterWorkload(shards, no_failover_sinks),
+              kGoldenLostResponsesNoFailover)
+        << "shards=" << shards;
+  }
   // The pins are only worth something if the branches they guard fired.
   // With failover on, crash victims and lost legs re-admit for free, so
   // budgeted retries certify that the alloc-fault window failed tenant
