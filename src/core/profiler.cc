@@ -1,6 +1,7 @@
 #include "core/profiler.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "core/scheduler.h"
@@ -9,13 +10,21 @@
 #include "models/model_zoo.h"
 
 namespace olympian::core {
+namespace {
+// Quantum sweep of the Overhead-Q curves (paper §3.2, Figure 8), ascending.
+constexpr std::array kQSweep = {
+    sim::Duration::Micros(300),  sim::Duration::Micros(500),
+    sim::Duration::Micros(800),  sim::Duration::Micros(1200),
+    sim::Duration::Micros(1600), sim::Duration::Micros(2400),
+    sim::Duration::Micros(3600), sim::Duration::Micros(5000)};
+static_assert(!kQSweep.empty());  // SelectQ falls back to the largest Q
+// Batches per client in the two-instance overhead measurements.
+constexpr int kCurveNumBatches = 3;
+}  // namespace
 
 Profiler::Profiler(ProfilerOptions options) : options_(std::move(options)) {
   if (options_.profile_runs < 1) {
     throw std::invalid_argument("profile_runs must be >= 1");
-  }
-  if (options_.q_sweep.empty()) {
-    throw std::invalid_argument("q_sweep must not be empty");
   }
 }
 
@@ -38,7 +47,7 @@ ModelProfile Profiler::ProfileModel(const std::string& model,
   ctx.job = 0;
   ctx.model_key = models::ModelKey(model, batch);
   ctx.batch = batch;
-  for (int s = 0; s < options_.server.streams_per_job; ++s) {
+  for (int s = 0; s < serving::kStreamsPerJob; ++s) {
     ctx.streams.push_back(gpu.CreateStream());
   }
 
@@ -84,7 +93,7 @@ double Profiler::MeasureOverheadAt(const ModelProfile& profile,
                                    sim::Duration q) const {
   const serving::ClientSpec client{.model = profile.model,
                                    .batch = profile.batch,
-                                   .num_batches = options_.curve_num_batches};
+                                   .num_batches = kCurveNumBatches};
   const std::vector<serving::ClientSpec> clients(2, client);
 
   serving::ServerOptions opts = options_.server;
@@ -113,7 +122,7 @@ double Profiler::MeasureOverheadAt(const ModelProfile& profile,
 
 void Profiler::ComputeOverheadQCurve(ModelProfile& profile) const {
   profile.overhead_q.clear();
-  for (const sim::Duration q : options_.q_sweep) {
+  for (const sim::Duration q : kQSweep) {
     profile.overhead_q.emplace_back(q, MeasureOverheadAt(profile, q));
   }
 }

@@ -31,14 +31,6 @@ struct ProfilerOptions {
   // Solo runs averaged into one profile (DNN execution is predictable, so a
   // few suffice — paper §4.4 measures ~2% run-to-run stddev).
   int profile_runs = 3;
-  // Quantum sweep for the Overhead-Q curves.
-  std::vector<sim::Duration> q_sweep = {
-      sim::Duration::Micros(300),  sim::Duration::Micros(500),
-      sim::Duration::Micros(800),  sim::Duration::Micros(1200),
-      sim::Duration::Micros(1600), sim::Duration::Micros(2400),
-      sim::Duration::Micros(3600), sim::Duration::Micros(5000)};
-  // Batches per client in the two-instance overhead measurements.
-  int curve_num_batches = 3;
   std::uint64_t seed = 7;
   // Server configuration profiles are taken under. Profiling runs offline —
   // in their own private simulation with an idle GPU — mirroring the paper.
@@ -61,8 +53,8 @@ class Profiler {
   // Solo profiling of (model, batch). Deterministic given options.seed.
   ModelProfile ProfileModel(const std::string& model, int batch) const;
 
-  // Fills `profile.overhead_q` by measurement (one pair of experiments per
-  // sweep point).
+  // Fills `profile.overhead_q` by measurement: one pair of two-instance
+  // experiments per point of the fixed Q sweep (300us .. 5ms).
   void ComputeOverheadQCurve(ModelProfile& profile) const;
 
   // The operator-facing knob (paper §3.2 "Determining Q"): smallest Q whose

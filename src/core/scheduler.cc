@@ -5,6 +5,10 @@
 #include "metrics/registry.h"
 
 namespace olympian::core {
+namespace {
+// Multiplicative jitter on Options::resume_latency (OS wake-up noise).
+constexpr double kResumeJitter = 0.3;
+}  // namespace
 
 Scheduler::Scheduler(sim::Environment& env, gpusim::Gpu& gpu,
                      std::unique_ptr<SchedulingPolicy> policy, Options options)
@@ -87,7 +91,7 @@ sim::Task Scheduler::Yield(graph::JobContext& ctx) {
     if (!suspended) co_return;
     if (options_.resume_latency > sim::Duration::Zero()) {
       co_await env_.Delay(
-          rng_.Jitter(options_.resume_latency, options_.resume_jitter));
+          rng_.Jitter(options_.resume_latency, kResumeJitter));
     }
     if (ctx.cancel != nullptr && ctx.cancel->cancelled) co_return;
     if (token_ == ctx.job) co_return;  // else: lost the token while waking
@@ -177,7 +181,7 @@ void Scheduler::OnNodeComputed(graph::JobContext& ctx,
 }
 
 void Scheduler::Rotate(gpusim::JobId leaving) {
-  if (token_ != gpusim::kNoJob && options_.record_quanta) {
+  if (token_ != gpusim::kNoJob) {
     quantum_log_.push_back(QuantumRecord{
         .job = token_,
         .start = tenure_start_,

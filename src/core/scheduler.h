@@ -41,14 +41,12 @@ class Scheduler : public graph::SchedulingHooks {
   struct Options {
     bool use_wall_clock = false;
     sim::Duration wall_quantum = sim::Duration::Millis(2);
-    // Keep a full per-quantum log (Figures 12/14/16). Cheap; on by default.
-    bool record_quanta = true;
     // OS wake-up latency paid by a gang's threads when their job regains
     // the token (futex wake + run-queue delay). This is the dominant
     // per-switch cost and gives the Overhead-Q curve its shape (Figure 8):
-    // smaller quanta amortize it over less GPU time.
+    // smaller quanta amortize it over less GPU time. Jittered by
+    // scheduler.cc's kResumeJitter.
     sim::Duration resume_latency = sim::Duration::Micros(40);
-    double resume_jitter = 0.3;
     // Charge the cost of nodes that finish after their job lost the token
     // to that job (the paper's Figure 15 design). Disabling this is an
     // ablation (bench_ablation_overflow): uncharged overflow systematically
@@ -117,6 +115,7 @@ class Scheduler : public graph::SchedulingHooks {
   std::uint64_t detaches() const { return detaches_; }
   std::uint64_t attaches() const { return attaches_; }
   std::uint64_t quanta_completed() const { return quanta_completed_; }
+  // Every token tenure, in order (Figures 12/14/16).
   const std::vector<QuantumRecord>& quantum_log() const { return quantum_log_; }
   const SchedulingPolicy& policy() const { return *policy_; }
 

@@ -6,6 +6,16 @@
 #include <utility>
 
 namespace olympian::fault {
+namespace {
+// Host-to-device bandwidth that prices parameter loads, GB/s.
+constexpr double kPcieGbps = 12.0;
+static_assert(kPcieGbps > 0.0);
+}  // namespace
+
+sim::Duration ParamsTransferTime(double params_mb) {
+  if (params_mb <= 0.0) return sim::Duration::Zero();
+  return sim::Duration::Seconds(params_mb / 1024.0 / kPcieGbps);
+}
 
 const char* ToString(FaultKind kind) {
   switch (kind) {

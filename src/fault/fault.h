@@ -50,28 +50,20 @@ struct FaultEvent {
   double capacity = 1.0;
 };
 
-// How long recovery takes once a reset outage ends. Consumed by the serving
-// layer's health monitor when it orchestrates readmission: driver re-init,
-// parameter reload over PCIe, then a warm-up before traffic resumes.
-struct RecoveryOptions {
-  sim::Duration driver_reinit = sim::Duration::Millis(20);
-  // Host-to-device bandwidth used to charge parameter reload time (see
-  // ParamsTransferTime).
-  double pcie_gbps = 12.0;
-  // Fixed warm-up pause after reload before the device serves traffic again.
-  sim::Duration warmup = sim::Duration::Millis(5);
-  // Heartbeat probes that must succeed during warm-up before readmission.
-  int warmup_probes = 2;
+// Recovery pricing. Once a reset outage ends, the serving layer's health
+// monitor orchestrates readmission: driver re-init, parameter reload over
+// PCIe, then warm-up before traffic resumes (the re-init delay and the
+// warm-up probe count are constants in serving/health.cc).
+//
+// Fixed warm-up pause after a parameter load before the device — or a
+// lazily loaded replica or cluster tenant — serves traffic.
+inline constexpr sim::Duration kWarmup = sim::Duration::Millis(5);
 
-  // Time to stream `params_mb` of parameters over PCIe: params_mb / 1024 /
-  // pcie_gbps seconds, zero when either is not positive. Every parameter
-  // load is priced here: a post-outage reload, a lazy device replica, and a
-  // cluster tenant's first arrival on a non-home server.
-  sim::Duration ParamsTransferTime(double params_mb) const {
-    if (params_mb <= 0.0 || pcie_gbps <= 0.0) return sim::Duration::Zero();
-    return sim::Duration::Seconds(params_mb / 1024.0 / pcie_gbps);
-  }
-};
+// Time to stream `params_mb` of parameters over PCIe: params_mb / 1024 /
+// kPcieGbps seconds (fault.cc), zero when `params_mb` is not positive.
+// Every parameter load is priced here: a post-outage reload, a lazy device
+// replica, and a cluster tenant's first arrival on a non-home server.
+sim::Duration ParamsTransferTime(double params_mb);
 
 // A declarative schedule of faults on the virtual clock. Build one with the
 // fluent adders (chainable) or generate one stochastically — but

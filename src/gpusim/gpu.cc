@@ -8,6 +8,9 @@
 namespace olympian::gpusim {
 namespace {
 constexpr std::size_t kKernelChunk = 64;
+// Mean kernels the driver launches from one stream before re-arbitrating.
+constexpr double kMeanBurst = 4.0;
+static_assert(kMeanBurst >= 1.0);
 
 std::uint64_t WaveArg(std::uint64_t slot, std::uint32_t gen) {
   return slot | (static_cast<std::uint64_t>(gen) << 32);
@@ -21,9 +24,6 @@ Gpu::Gpu(sim::Environment& env, Options options)
       free_slots_(options_.spec.total_block_slots()) {
   if (options_.spec.total_block_slots() <= 0) {
     throw std::invalid_argument("GpuSpec must expose at least one block slot");
-  }
-  if (options_.mean_burst < 1.0) {
-    throw std::invalid_argument("mean_burst must be >= 1");
   }
   if (options_.clock_noise_sigma > 0.0) {
     options_.spec.clock_scale *=
@@ -236,7 +236,7 @@ void Gpu::Dispatch() {
         const double u = rng_.NextDouble();
         burst_left_ = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(
-                   std::llround(-std::log(1.0 - u) * options_.mean_burst)));
+                   std::llround(-std::log(1.0 - u) * kMeanBurst)));
         cur = streams_[static_cast<std::size_t>(current_)].get();
       }
       if (cur->active == nullptr) {

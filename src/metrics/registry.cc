@@ -4,19 +4,26 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <stdexcept>
 
 namespace olympian::metrics {
 
 // ---------------------------------------------------------------------------
 // Histogram
 
-MetricRegistry::Histogram::Histogram(const Options& opts) {
-  bounds_.reserve(static_cast<std::size_t>(opts.num_buckets));
-  double bound = opts.first_bound;
-  for (int i = 0; i < opts.num_buckets; ++i) {
+namespace {
+// Bucket layout: upper bounds grow from kFirstBound by kGrowth per bucket,
+// covering 1us .. ~18 minutes when observing milliseconds.
+constexpr double kFirstBound = 0.001;
+constexpr double kGrowth = 1.6;
+constexpr int kNumBuckets = 44;
+}  // namespace
+
+MetricRegistry::Histogram::Histogram() {
+  bounds_.reserve(static_cast<std::size_t>(kNumBuckets));
+  double bound = kFirstBound;
+  for (int i = 0; i < kNumBuckets; ++i) {
     bounds_.push_back(bound);
-    bound *= opts.growth;
+    bound *= kGrowth;
   }
   counts_.assign(bounds_.size() + 1, 0);
 }
@@ -35,11 +42,6 @@ void MetricRegistry::Histogram::Observe(double v) {
 }
 
 void MetricRegistry::Histogram::MergeFrom(const Histogram& src) {
-  if (bounds_ != src.bounds_) {
-    throw std::invalid_argument(
-        "Histogram::MergeFrom: bucket layouts differ; merging histograms "
-        "with different bounds would smear counts");
-  }
   if (src.count_ == 0) return;
   min_ = count_ == 0 ? src.min_ : std::min(min_, src.min_);
   max_ = count_ == 0 ? src.max_ : std::max(max_, src.max_);
@@ -173,13 +175,8 @@ void MetricRegistry::MergeFrom(const MetricRegistry& src, const Labels& extra) {
     Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
     auto it = histograms_.find(merged);
     if (it == histograms_.end()) {
-      // Clone the source's bucket layout so the merge below can't throw on
-      // a fresh destination. Histogram's public ctor rebuilds from Options;
-      // copy-construct instead to take the exact bounds.
-      it = histograms_
-               .emplace(std::move(merged), std::make_unique<Histogram>(*h))
-               .first;
-      // The copy already holds src's counts; nothing left to fold in.
+      // A fresh destination is a copy of the source, counts included.
+      histograms_.emplace(std::move(merged), std::make_unique<Histogram>(*h));
       continue;
     }
     it->second->MergeFrom(*h);
@@ -195,17 +192,13 @@ void MetricRegistry::MergeFrom(const MetricRegistry& src, const Labels& extra) {
   }
 }
 
-template <typename T, typename... Args>
+template <typename T>
 T& MetricRegistry::GetOrCreate(std::map<Key, std::unique_ptr<T>>& family,
-                               std::string_view name, const Labels& labels,
-                               Args&&... args) {
+                               std::string_view name, const Labels& labels) {
   Key key{std::string(name), RenderLabels(labels)};
   auto it = family.find(key);
   if (it == family.end()) {
-    it = family
-             .emplace(std::move(key),
-                      std::make_unique<T>(std::forward<Args>(args)...))
-             .first;
+    it = family.emplace(std::move(key), std::make_unique<T>()).first;
   }
   return *it->second;
 }
@@ -228,10 +221,9 @@ MetricRegistry::Gauge& MetricRegistry::GetGauge(std::string_view name,
   return GetOrCreate(gauges_, name, labels);
 }
 
-MetricRegistry::Histogram& MetricRegistry::GetHistogram(
-    std::string_view name, const Labels& labels,
-    const Histogram::Options& opts) {
-  return GetOrCreate(histograms_, name, labels, opts);
+MetricRegistry::Histogram& MetricRegistry::GetHistogram(std::string_view name,
+                                                        const Labels& labels) {
+  return GetOrCreate(histograms_, name, labels);
 }
 
 MetricRegistry::TimeSeries& MetricRegistry::GetSeries(std::string_view name,

@@ -20,18 +20,6 @@ namespace olympian::metrics {
 using Label = std::pair<std::string, std::string>;
 using Labels = std::vector<Label>;
 
-// Bucket layout for MetricRegistry::Histogram: upper bounds grow
-// geometrically from `first_bound` by `growth` per bucket, giving constant
-// relative error across many orders of magnitude with a few dozen buckets.
-// The defaults cover 1us .. ~18 minutes when observing milliseconds.
-// (Namespace-scope rather than nested so its defaults are complete before
-// MetricRegistry's inline default arguments need them.)
-struct HistogramOptions {
-  double first_bound = 0.001;
-  double growth = 1.6;
-  int num_buckets = 44;
-};
-
 // Labeled metric registry: counters, gauges, log-bucketed histograms, and
 // windowed time series keyed by (name, labels).
 //
@@ -75,11 +63,12 @@ class MetricRegistry {
     double value_ = 0.0;
   };
 
-  // Log-bucketed histogram over HistogramOptions' geometric bucket layout.
+  // Log-bucketed histogram. Every histogram shares one bucket layout
+  // (registry.cc): upper bounds grow geometrically, giving constant relative
+  // error across many orders of magnitude with a few dozen buckets.
   class Histogram {
    public:
-    using Options = HistogramOptions;
-    explicit Histogram(const Options& opts = Options());
+    Histogram();
 
     void Observe(double v);
 
@@ -96,9 +85,7 @@ class MetricRegistry {
     // containing bucket, clamped to the observed min/max.
     double Quantile(double q) const;
 
-    // Folds `src`'s observations into this histogram bucket-wise. Both
-    // histograms must share a bucket layout (throws std::invalid_argument
-    // otherwise — merging across layouts would smear counts).
+    // Folds `src`'s observations into this histogram bucket-wise.
     void MergeFrom(const Histogram& src);
 
    private:
@@ -138,16 +125,14 @@ class MetricRegistry {
   // Lookup-or-create. References are stable for the registry's lifetime.
   Counter& GetCounter(std::string_view name, const Labels& labels = {});
   Gauge& GetGauge(std::string_view name, const Labels& labels = {});
-  Histogram& GetHistogram(
-      std::string_view name, const Labels& labels = {},
-      const Histogram::Options& opts = Histogram::Options());
+  Histogram& GetHistogram(std::string_view name, const Labels& labels = {});
   TimeSeries& GetSeries(std::string_view name, const Labels& labels = {});
 
   // Folds every instrument of `src` into this registry, splicing `extra`
   // labels into each key (e.g. {{"server","3"}} qualifies per-server deltas
   // before they land in a shared export). Counters add, gauges overwrite,
-  // histograms merge bucket-wise (layouts must match), and time series
-  // append their samples. Deterministic: `src` iterates in key order.
+  // histograms merge bucket-wise, and time series append their samples.
+  // Deterministic: `src` iterates in key order.
   void MergeFrom(const MetricRegistry& src, const Labels& extra = {});
 
   // Lookup-only (nullptr when absent); for tests and report builders.
@@ -187,9 +172,9 @@ class MetricRegistry {
   };
   static std::string RenderLabels(const Labels& labels);
 
-  template <typename T, typename... Args>
+  template <typename T>
   T& GetOrCreate(std::map<Key, std::unique_ptr<T>>& family,
-                 std::string_view name, const Labels& labels, Args&&... args);
+                 std::string_view name, const Labels& labels);
   template <typename T>
   const T* Find(const std::map<Key, std::unique_ptr<T>>& family,
                 std::string_view name, const Labels& labels) const;

@@ -41,11 +41,9 @@ std::uint64_t SloAccumulator::total() const {
   return n;
 }
 
-SloReport SloAccumulator::Report(double window_seconds,
-                                 const SloOptions& opts) const {
+SloReport SloAccumulator::Report(double window_seconds) const {
   SloReport r;
   r.window_seconds = window_seconds;
-  r.availability_target = opts.availability_target;
 
   Series all_latency;
   for (const PerModel& m : models_) {
@@ -86,8 +84,7 @@ SloReport SloAccumulator::Report(double window_seconds,
   r.availability = r.total == 0 ? 1.0
                                 : static_cast<double>(r.succeeded) /
                                       static_cast<double>(r.total);
-  const double budget = 1.0 - opts.availability_target;
-  r.error_budget_burn = budget > 0.0 ? (1.0 - r.availability) / budget : 0.0;
+  r.error_budget_burn = (1.0 - r.availability) / (1.0 - kAvailabilityTarget);
   if (!all_latency.empty()) {
     r.mean_ms = all_latency.Mean();
     r.p50_ms = all_latency.Percentile(50);

@@ -19,11 +19,10 @@ enum class RequestOutcome : std::uint8_t {
   kFailed,             // retry budget exhausted on hard failures
 };
 
-struct SloOptions {
-  // Availability objective used for error-budget burn; 0.999 = "three
-  // nines", i.e. a 0.1% error budget.
-  double availability_target = 0.999;
-};
+// Availability objective used for error-budget burn; 0.999 = "three
+// nines", i.e. a 0.1% error budget.
+inline constexpr double kAvailabilityTarget = 0.999;
+static_assert(kAvailabilityTarget < 1.0);  // a nonempty error budget
 
 // Folded service-level view of a run: availability, latency quantiles,
 // error-budget burn, and goodput — overall and per model.
@@ -38,7 +37,7 @@ struct SloReport {
   std::uint64_t failed = 0;
 
   double availability = 1.0;       // succeeded / total; 1.0 with no traffic
-  double availability_target = 0.999;
+  double availability_target = kAvailabilityTarget;
   // Fraction of the error budget consumed: (1 - availability) /
   // (1 - target). 1.0 means the budget is exactly spent; >1 means the SLO
   // is violated.
@@ -85,7 +84,7 @@ class SloAccumulator {
   bool empty() const { return models_.empty(); }
   std::uint64_t total() const;
 
-  SloReport Report(double window_seconds, const SloOptions& opts = {}) const;
+  SloReport Report(double window_seconds) const;
 
  private:
   struct PerModel {

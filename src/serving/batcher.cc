@@ -6,17 +6,21 @@
 #include "models/model_zoo.h"
 
 namespace olympian::serving {
+namespace {
+// The device Experiment::CreateJob places the batcher's job on.
+constexpr std::size_t kGpu = 0;
+}  // namespace
 
 Batcher::Batcher(Experiment& experiment, std::string model, Options options)
     : exp_(experiment),
       env_(experiment.env()),
       model_(std::move(model)),
       options_(std::move(options)),
-      ctx_(experiment.CreateJob(model_, options_.allowed_batch_sizes.empty()
-                                            ? 1
-                                            : options_.allowed_batch_sizes.back(),
-                                options_.gpu_index)),
-      graph_(experiment.LoadModel(model_, options_.gpu_index)),
+      ctx_(experiment.CreateJob(model_,
+                                options_.allowed_batch_sizes.empty()
+                                    ? 1
+                                    : options_.allowed_batch_sizes.back())),
+      graph_(experiment.LoadModel(model_, kGpu)),
       wake_(env_),
       done_cv_(env_) {
   if (options_.allowed_batch_sizes.empty()) {
@@ -96,12 +100,12 @@ sim::Task Batcher::Dispatcher() {
     }
     const sim::Duration gpu_before =
         any_accounted
-            ? exp_.gpu(options_.gpu_index).JobGpuDuration(ctx_.job)
+            ? exp_.gpu(kGpu).JobGpuDuration(ctx_.job)
             : sim::Duration::Zero();
-    co_await exp_.executor(options_.gpu_index).RunOnce(ctx_, graph_);
+    co_await exp_.executor(kGpu).RunOnce(ctx_, graph_);
     if (any_accounted) {
       const sim::Duration compute =
-          exp_.gpu(options_.gpu_index).JobGpuDuration(ctx_.job) - gpu_before;
+          exp_.gpu(kGpu).JobGpuDuration(ctx_.job) - gpu_before;
       for (Request* r : batch) {
         if (r->pa != nullptr) {
           r->pa->SplitCharge(metrics::Phase::kGpuCompute, compute,

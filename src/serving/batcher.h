@@ -22,7 +22,8 @@ namespace olympian::serving {
 // intermediate sizes can come from the paper's Figure-20 linear regression.
 //
 // All requests of a batch complete together when its graph run finishes.
-// The batcher is one job (one gang, one token) from the scheduler's view.
+// The batcher is one job (one gang, one token) from the scheduler's view,
+// on device 0.
 //
 // Usage (manual-workload mode):
 //   Batcher batcher(exp, "resnet-152", {});
@@ -37,7 +38,6 @@ class Batcher {
   struct Options {
     std::vector<int> allowed_batch_sizes = {8, 16, 32, 64};  // ascending
     sim::Duration batch_timeout = sim::Duration::Millis(10);
-    std::size_t gpu_index = 0;
   };
 
   Batcher(Experiment& experiment, std::string model, Options options);

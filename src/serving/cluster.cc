@@ -16,6 +16,17 @@ int ClusterClientResult::CountStatus(RequestStatus s) const {
 
 namespace {
 
+// How long the router waits on an unanswered probe, or on a request lost to
+// a partition, before declaring the attempt failed.
+constexpr sim::Duration kProbeTimeout = sim::Duration::Millis(10);
+// Router-side delay before a budgeted retry, and before answering a rejected
+// request (brownout shed, or no routable server).
+constexpr sim::Duration kRetryBackoff = sim::Duration::Millis(5);
+// Service time of one probe on a fully healthy server, charged only under
+// health scoring and divided by the server's current capacity: this is what
+// makes a fractional-capacity fault visible in the probe RTT.
+constexpr sim::Duration kProbeService = sim::Duration::Millis(1);
+
 // Validates a sharded configuration and returns the effective shard count
 // (clamped to the server count; 0 means 1). Throws std::invalid_argument
 // for the two remaining unpartitionable options; every other cluster
@@ -46,15 +57,6 @@ std::size_t ValidatedShards(const ClusterOptions& o) {
   return shards;
 }
 
-// Server -> shard lane map (one lane per server): server s lives on shard
-// s % shards. The engine merges boundary traffic in (time, lane, seq) order,
-// so how lanes are packed onto shards never touches the trajectory.
-std::vector<std::size_t> LaneMap(std::size_t servers, std::size_t shards) {
-  std::vector<std::size_t> lanes(servers);
-  for (std::size_t s = 0; s < servers; ++s) lanes[s] = s % shards;
-  return lanes;
-}
-
 // Handing the cluster an incident log is the opt-in: enable it for binding.
 metrics::IncidentLog& Enabled(metrics::IncidentLog& log) {
   log.Enable();
@@ -68,7 +70,7 @@ Cluster::Cluster(ClusterOptions options)
       incidents_(options_.incidents != nullptr ? Enabled(*options_.incidents)
                                                : disabled_incidents_),
       engine_(ValidatedShards(options_), options_.router.net_delay,
-              LaneMap(options_.num_servers, ValidatedShards(options_))),
+              options_.num_servers),
       env_(engine_.hub()),
       tracer_(options_.server.executor.tracer) {
   if (options_.num_servers < 1) {
@@ -154,7 +156,7 @@ sim::Task Cluster::Probe(std::size_t server, bool& ok) {
   const bool unresponsive =
       sent < crashed_until_[server] || sent < hung_until_[server];
   if (dropped || unresponsive) {
-    co_await env_.Delay(options_.router.probe_timeout);
+    co_await env_.Delay(kProbeTimeout);
     ok = false;
   } else {
     if (options_.router.net_delay > sim::Duration::Zero()) {
@@ -168,8 +170,7 @@ sim::Task Cluster::Probe(std::size_t server, bool& ok) {
       // the device's current speed: a fractional-capacity fault inflates
       // the measured RTT, which is the only way the router can see it.
       // Only charged under scoring — legacy probes are network-only.
-      co_await env_.Delay(options_.router.probe_service *
-                          (1.0 / ServerCapacity(server)));
+      co_await env_.Delay(kProbeService * (1.0 / ServerCapacity(server)));
     }
     ok = true;
   }
@@ -298,11 +299,9 @@ sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
   // First arrival of this client on a non-home server: parameters stream
   // over PCIe and the tenant warms up before taking traffic — the same
   // pricing as in-server lazy replica instantiation.
-  const fault::RecoveryOptions& rec = options_.server.failover.recovery;
-  const sim::Duration cost =
-      rec.warmup + rec.ParamsTransferTime(static_cast<double>(
-                       models::GetModel(spec.model).params_mb));
-  if (cost > sim::Duration::Zero()) co_await senv.Delay(cost);
+  co_await senv.Delay(fault::kWarmup +
+                      fault::ParamsTransferTime(static_cast<double>(
+                          models::GetModel(spec.model).params_mb)));
   // A concurrent leg of the same client may have finished the setup while
   // we streamed; re-check before instantiating.
   if (const auto it = tenants.find(client); it != tenants.end()) {
@@ -390,7 +389,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     RequestStatus failure = RequestStatus::kFailed;
     if (lost_to) {
       ++counters_.requests_lost_to_server;
-      co_await env_.Delay(ro.probe_timeout);
+      co_await env_.Delay(kProbeTimeout);
       // Waiting out the missing ack is network blame, like the hop itself.
       account.Charge(metrics::Phase::kRouterHop, env_.Now());
       router_->OnRequestEnd(s);
@@ -476,13 +475,13 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     }
     ++counters_.retries;
     ++attempt;
-    co_await env_.Delay(ro.retry_backoff);
+    co_await env_.Delay(kRetryBackoff);
     account.Charge(metrics::Phase::kBackoff, env_.Now());
   }
   if (rejected) {
     status = RequestStatus::kRejected;
     account.Charge(metrics::Phase::kAdmission, env_.Now());
-    co_await env_.Delay(ro.retry_backoff);
+    co_await env_.Delay(kRetryBackoff);
     account.Charge(metrics::Phase::kBackoff, env_.Now());
   }
   latency_ms = (env_.Now() - arrival).millis();
@@ -583,6 +582,7 @@ std::vector<ClusterClientResult> Cluster::Run(
         "cluster/" + out.name));
   }
   clients_running_ = clients.size();
+  if (clients.empty()) StopAll();  // no last client to stop the probes
 
   engine_.Run();
 
@@ -687,6 +687,7 @@ std::vector<ClusterStreamResult> Cluster::RunStreams(
   }
   streams_running_ = streams.size();
   outstanding_requests_ = 0;
+  if (streams.empty()) StopAll();  // no last stream to stop the probes
 
   engine_.Run();
 

@@ -18,13 +18,12 @@ enum class RequestStatus : std::uint8_t {
 
 const char* ToString(RequestStatus status);
 
-// Exponential backoff with deterministic multiplicative jitter (drawn from
-// the client's seeded Rng, so retry timing is reproducible).
+// Exponential backoff; the serving loop jitters each backoff by
+// server.cc's kRetryJitter.
 struct RetryPolicy {
   int max_retries = 2;
   sim::Duration base_backoff = sim::Duration::Millis(2);
   double multiplier = 2.0;
-  double jitter = 0.2;
 
   sim::Duration BackoffFor(int attempt) const;  // attempt is 1-based
 };
@@ -74,11 +73,9 @@ struct DegradationOptions {
   CircuitBreakerOptions breaker;
   // Admission-control watermark as a fraction of the thread pool
   // (busy + queued over pool size). A new request arriving at or above the
-  // watermark is rejected instead of stalling the server; 0 disables.
+  // watermark is rejected instead of stalling the server (which answers
+  // after server.cc's kRejectBackoff); 0 disables.
   double admission_watermark = 0.0;
-  // Client-side delay after a rejected request before it issues its next
-  // one (prevents a zero-virtual-time reject spin).
-  sim::Duration reject_backoff = sim::Duration::Millis(5);
 };
 
 }  // namespace olympian::serving

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "fault/fault.h"
+
 namespace olympian::serving {
 
 namespace {
@@ -17,6 +19,15 @@ std::size_t UnpackGpu(std::uint64_t arg) {
   return static_cast<std::size_t>(arg >> 32);
 }
 std::uint64_t UnpackGeneration(std::uint64_t arg) { return arg & 0xffffffffu; }
+
+// Recovery pipeline after a reset outage: driver re-init, then (after the
+// observer's parameter reload) heartbeat probes that must complete before
+// the fault::kWarmup pause and readmission.
+constexpr sim::Duration kDriverReinit = sim::Duration::Millis(20);
+constexpr int kWarmupProbes = 2;
+// Shape of the heartbeat kernel: one block, microseconds of work.
+constexpr std::int64_t kProbeBlocks = 1;
+constexpr sim::Duration kProbeWork = sim::Duration::Micros(20);
 
 }  // namespace
 
@@ -37,13 +48,11 @@ const char* ToString(DeviceHealth h) {
 HealthMonitor::HealthMonitor(sim::Environment& env,
                              std::vector<gpusim::Gpu*> gpus,
                              HealthMonitorOptions options,
-                             fault::RecoveryOptions recovery,
                              HealthObserver& observer,
                              metrics::ServingCounters* counters,
                              metrics::Tracer* tracer)
     : env_(env),
       options_(options),
-      recovery_(recovery),
       observer_(observer),
       counters_(counters),
       tracer_(tracer) {
@@ -207,10 +216,8 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
                                       bool full_reinit) {
   Device& d = *devices_[gpu];
   if (full_reinit) {
-    if (recovery_.driver_reinit > sim::Duration::Zero()) {
-      co_await env_.Delay(recovery_.driver_reinit);
-      if (d.generation != generation) co_return;  // failed again meanwhile
-    }
+    co_await env_.Delay(kDriverReinit);
+    if (d.generation != generation) co_return;  // failed again meanwhile
     const sim::Duration reload = observer_.ParamsReloadCost(gpu);
     if (reload > sim::Duration::Zero()) {
       co_await env_.Delay(reload);
@@ -218,15 +225,15 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
     }
   }
   Transition(gpu, DeviceHealth::kRecovering);
-  for (int p = 0; p < recovery_.warmup_probes; ++p) {
+  for (int p = 0; p < kWarmupProbes; ++p) {
     bool ok = true;
     try {
       co_await d.gpu->Submit(
           d.probe_stream,
           gpusim::KernelDesc{.job = gpusim::kNoJob,
                              .node_id = -1,
-                             .thread_blocks = options_.probe_blocks,
-                             .block_work = options_.probe_work});
+                             .thread_blocks = kProbeBlocks,
+                             .block_work = kProbeWork});
     } catch (const gpusim::KernelFailed&) {
       ok = false;
     }
@@ -236,10 +243,8 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
       if (counters_ != nullptr) ++counters_->probe_failures;
     }
   }
-  if (recovery_.warmup > sim::Duration::Zero()) {
-    co_await env_.Delay(recovery_.warmup);
-    if (d.generation != generation) co_return;
-  }
+  co_await env_.Delay(fault::kWarmup);
+  if (d.generation != generation) co_return;
   Readmit(gpu);
 }
 
@@ -258,8 +263,8 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
           d.probe_stream,
           gpusim::KernelDesc{.job = gpusim::kNoJob,
                              .node_id = -1,
-                             .thread_blocks = options_.probe_blocks,
-                             .block_work = options_.probe_work});
+                             .thread_blocks = kProbeBlocks,
+                             .block_work = kProbeWork});
     } catch (const gpusim::KernelFailed&) {
       ok = false;
     }

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "fault/fault.h"
 #include "gpusim/gpu.h"
 #include "metrics/counters.h"
 #include "metrics/trace.h"
@@ -55,9 +54,6 @@ struct HealthMonitorOptions {
   // listener signals alone still classify, but warm-up probes and liveness
   // checks stop).
   sim::Duration probe_interval = sim::Duration::Millis(5);
-  // Shape of the heartbeat kernel (tiny: one block, microseconds of work).
-  std::int64_t probe_blocks = 1;
-  sim::Duration probe_work = sim::Duration::Micros(20);
   // A hang outliving this budget escalates kDegraded -> kDown, triggering
   // failover even though the driver will eventually un-wedge. Zero keeps
   // hung devices merely degraded.
@@ -78,7 +74,8 @@ struct HealthMonitorOptions {
 // Wired to each gpusim::Gpu as its GpuHealthListener: hang/reset/alloc
 // signals drive transitions push-style, a per-device heartbeat loop probes
 // liveness pull-style, and after an outage a recovery pipeline (driver
-// re-init delay -> parameter reload -> warm-up probes) gates readmission.
+// re-init delay -> parameter reload -> warm-up probes -> fault::kWarmup)
+// gates readmission; health.cc holds its constants.
 // All state changes land in a transition log, the serving counters, and the
 // tracer's health track, so failover behaviour is observable and testable.
 class HealthMonitor {
@@ -97,8 +94,7 @@ class HealthMonitor {
   };
 
   HealthMonitor(sim::Environment& env, std::vector<gpusim::Gpu*> gpus,
-                HealthMonitorOptions options, fault::RecoveryOptions recovery,
-                HealthObserver& observer,
+                HealthMonitorOptions options, HealthObserver& observer,
                 metrics::ServingCounters* counters = nullptr,
                 metrics::Tracer* tracer = nullptr);
   ~HealthMonitor();
@@ -195,7 +191,6 @@ class HealthMonitor {
 
   sim::Environment& env_;
   HealthMonitorOptions options_;
-  fault::RecoveryOptions recovery_;
   HealthObserver& observer_;
   metrics::ServingCounters* counters_;
   metrics::Tracer* tracer_;

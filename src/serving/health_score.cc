@@ -6,15 +6,8 @@ namespace olympian::serving {
 
 void Validate(const HealthScoreOptions& options) {
   if (!options.enabled) return;
-  if (options.baseline_probes < 1) {
-    throw std::invalid_argument("health score needs >= 1 baseline probe");
-  }
-  if (!(options.rtt_alpha > 0.0) || options.rtt_alpha > 1.0 ||
-      !(options.error_alpha > 0.0) || options.error_alpha > 1.0) {
-    throw std::invalid_argument("health score EWMA alphas must be in (0, 1]");
-  }
-  if (options.rtt_weight < 0.0 || options.rtt_weight > 1.0) {
-    throw std::invalid_argument("health score rtt_weight must be in [0, 1]");
+  if (!(options.rtt_alpha > 0.0) || options.rtt_alpha > 1.0) {
+    throw std::invalid_argument("health score rtt_alpha must be in (0, 1]");
   }
   if (!(options.degrade_below > 0.0) || options.degrade_below >= 1.0 ||
       !(options.recover_above > 0.0) || options.recover_above >= 1.0) {

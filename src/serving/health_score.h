@@ -8,20 +8,25 @@
 
 namespace olympian::serving {
 
+// Successful probe RTTs averaged into the learned baseline before the RTT
+// term starts contributing (score is err-term-only until then).
+inline constexpr int kBaselineProbes = 3;
+static_assert(kBaselineProbes >= 1);
+// EWMA smoothing factor (weight of the newest sample) of the error term.
+inline constexpr double kErrorAlpha = 0.3;
+static_assert(kErrorAlpha > 0.0 && kErrorAlpha <= 1.0);
+// Blend between the RTT term and the error-rate term.
+inline constexpr double kRttWeight = 0.7;
+static_assert(kRttWeight >= 0.0 && kRttWeight <= 1.0);
+
 // Knobs for the continuous gray-failure health score shared by the device
 // HealthMonitor and the cluster Router. Off by default: with
 // `enabled == false` no score is maintained and the binary health state
 // machines behave exactly as before, so existing goldens stay byte-identical.
 struct HealthScoreOptions {
   bool enabled = false;
-  // Successful probe RTTs averaged into the learned baseline before the
-  // RTT term starts contributing (score is err-term-only until then).
-  int baseline_probes = 3;
-  // EWMA smoothing factors (weight of the newest sample).
+  // EWMA smoothing factor (weight of the newest sample) of the RTT term.
   double rtt_alpha = 0.3;
-  double error_alpha = 0.3;
-  // Blend between the RTT term and the error-rate term.
-  double rtt_weight = 0.7;
   // Hysteresis thresholds driving healthy <-> degraded transitions:
   // degrade when score < degrade_below, recover when score >= recover_above.
   // The gap between them is what prevents flapping at the boundary.
@@ -32,10 +37,10 @@ struct HealthScoreOptions {
 // Continuous health score in [0, 1] for one probed target (a device or a
 // server), fed by probe outcomes and round-trip times:
 //
-//   score = rtt_weight  * min(1, baseline / ewma_rtt)
-//         + (1 - rtt_weight) * (1 - err_ewma)
+//   score = kRttWeight  * min(1, baseline / ewma_rtt)
+//         + (1 - kRttWeight) * (1 - err_ewma)
 //
-// where `baseline` is the mean of the first `baseline_probes` successful
+// where `baseline` is the mean of the first kBaselineProbes successful
 // RTTs (a learned notion of "normal" for this target), `ewma_rtt` smooths
 // successful RTTs, and `err_ewma` smooths the 0/1 failure indicator of
 // every outcome. A fractional-capacity fault or jitter window inflates
@@ -52,15 +57,15 @@ class HealthScore {
 
   // Record one probe outcome; `rtt` is meaningful only when `ok`.
   void OnProbe(bool ok, sim::Duration rtt) {
-    err_ewma_ = options_.error_alpha * (ok ? 0.0 : 1.0) +
-                (1.0 - options_.error_alpha) * err_ewma_;
+    err_ewma_ =
+        kErrorAlpha * (ok ? 0.0 : 1.0) + (1.0 - kErrorAlpha) * err_ewma_;
     if (!ok) return;
     const double r = static_cast<double>(rtt.nanos());
-    if (baseline_count_ < options_.baseline_probes) {
+    if (baseline_count_ < kBaselineProbes) {
       baseline_sum_ += r;
       ++baseline_count_;
       ewma_rtt_ = r;  // seed the EWMA while the baseline is learning
-      if (baseline_count_ == options_.baseline_probes) {
+      if (baseline_count_ == kBaselineProbes) {
         baseline_ = baseline_sum_ / static_cast<double>(baseline_count_);
       }
       return;
@@ -83,11 +88,10 @@ class HealthScore {
     const double err_term = 1.0 - err_ewma_;
     if (baseline_ <= 0.0 || ewma_rtt_ <= 0.0) {
       // RTT term not learned yet: treat it as nominal.
-      return options_.rtt_weight + (1.0 - options_.rtt_weight) * err_term;
+      return kRttWeight + (1.0 - kRttWeight) * err_term;
     }
     const double rtt_term = std::min(1.0, baseline_ / ewma_rtt_);
-    return options_.rtt_weight * rtt_term +
-           (1.0 - options_.rtt_weight) * err_term;
+    return kRttWeight * rtt_term + (1.0 - kRttWeight) * err_term;
   }
 
   // Measured slowdown vs. the learned baseline (1.0 until learned). This
@@ -107,8 +111,8 @@ class HealthScore {
   double err_ewma_ = 0.0;      // EWMA of the 0/1 failure indicator
 };
 
-// Throws std::invalid_argument on out-of-range knobs (alphas outside
-// (0, 1], weight outside [0, 1], thresholds outside (0, 1) or inverted).
+// Throws std::invalid_argument on out-of-range knobs (rtt_alpha outside
+// (0, 1], thresholds outside (0, 1) or inverted).
 void Validate(const HealthScoreOptions& options);
 
 // One routing target (a device or a server) as StickySelect sees it.

@@ -6,6 +6,10 @@
 #include <utility>
 
 namespace olympian::serving {
+namespace {
+// Minimum virtual time between brownout shed-level moves (anti-flap dwell).
+constexpr sim::Duration kBrownoutMinDwell = sim::Duration::Millis(50);
+}  // namespace
 
 const char* ToString(ServerHealth h) {
   switch (h) {
@@ -294,7 +298,7 @@ void Router::UpdateBrownout() {
   if (!options_.brownout.enabled || priority_classes_.empty()) return;
   const sim::TimePoint now = env_.Now();
   if (brownout_level_ != 0 || last_brownout_move_ > sim::TimePoint()) {
-    if (now - last_brownout_move_ < options_.brownout.min_dwell) return;
+    if (now - last_brownout_move_ < kBrownoutMinDwell) return;
   }
   // Aggregate capacity: mean score over routable servers, with unroutable
   // servers contributing zero — a down server is lost capacity too.

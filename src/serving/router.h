@@ -38,37 +38,27 @@ struct RouterOptions {
   // Consecutive probe successes a down server must string together before
   // it is routed again (the recovering warm-up window).
   int recovery_successes = 2;
-  // One-way router <-> server network latency.
+  // One-way router <-> server network latency. (The probe timeout, retry
+  // backoff and scored probe service time are constants in cluster.cc.)
   sim::Duration net_delay = sim::Duration::Micros(200);
-  // How long the router waits on an unanswered probe or a request lost to a
-  // partition before declaring the attempt failed.
-  sim::Duration probe_timeout = sim::Duration::Millis(10);
   // Client retry budget for genuine failures (failover re-admissions are
   // free, mirroring the device-failover contract).
   int max_retries = 2;
-  sim::Duration retry_backoff = sim::Duration::Millis(5);
   // Gray-failure detection: continuous health scoring from probe RTTs.
   // When enabled, hysteresis thresholds own the healthy <-> degraded
   // transitions (the legacy one-error degrade and success-clears edges are
   // skipped; down/recovering semantics are unchanged) and Route() switches
   // to score-weighted selection. Off by default: zero behavior change.
   HealthScoreOptions score;
-  // Service time of one probe on a fully-healthy server. Charged by the
-  // cluster transport ONLY when scoring is enabled, divided by the
-  // server's current capacity — this is what makes a fractional-capacity
-  // fault visible in the probe RTT the score is learned from.
-  sim::Duration probe_service = sim::Duration::Millis(1);
   // Brownout admission control: when the mean routable-server score drops
   // below `enter_below`, the router sheds the lowest remaining priority
-  // class (one level per move, hysteresis + dwell between moves) and
-  // restores classes in reverse order once capacity is back above
-  // `exit_above`. The top class is never shed. Requires scoring.
+  // class (one level per move, hysteresis + router.cc's kBrownoutMinDwell
+  // between moves) and restores classes in reverse order once capacity is
+  // back above `exit_above`. The top class is never shed. Requires scoring.
   struct BrownoutOptions {
     bool enabled = false;
     double enter_below = 0.60;
     double exit_above = 0.80;
-    // Minimum virtual time between shed-level moves (anti-flap dwell).
-    sim::Duration min_dwell = sim::Duration::Millis(50);
   };
   BrownoutOptions brownout;
 };

@@ -4,6 +4,15 @@
 #include <utility>
 
 namespace olympian::serving {
+namespace {
+// Delay after a rejected request, and the poll step while another request
+// holds the tenant's context or after a failed replica load: each prevents
+// a zero-virtual-time spin.
+constexpr sim::Duration kRejectBackoff = sim::Duration::Millis(5);
+// Multiplicative jitter on each retry's exponential backoff, drawn from the
+// request's seeded Rng so retry timing is reproducible.
+constexpr double kRetryJitter = 0.2;
+}  // namespace
 
 int ClientResult::CountStatus(RequestStatus s) const {
   int n = 0;
@@ -83,10 +92,9 @@ const graph::Graph& Experiment::LoadModel(const std::string& name,
 }
 
 graph::JobContext& Experiment::CreateJob(const std::string& model,
-                                         int max_batch,
-                                         std::size_t gpu_index) {
-  LoadModel(model, gpu_index);
-  return NewContext(ClientSpec{.model = model, .batch = max_batch}, gpu_index,
+                                         int max_batch) {
+  LoadModel(model);
+  return NewContext(ClientSpec{.model = model, .batch = max_batch}, 0,
                     model + "#" + std::to_string(next_job_id_));
 }
 
@@ -101,7 +109,7 @@ graph::JobContext& Experiment::NewContext(const ClientSpec& spec,
   ctx->priority = spec.priority;
   ctx->min_share = spec.min_share;
   ctx->gpu_index = static_cast<int>(gpu);
-  for (int s = 0; s < options_.streams_per_job; ++s) {
+  for (int s = 0; s < kStreamsPerJob; ++s) {
     ctx->streams.push_back(gpus_[gpu]->CreateStream());
   }
   graph::JobContext& out = *contexts_.emplace_back(std::move(ctx));
@@ -303,7 +311,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
           // concurrent request of the same stream. Poll until it is free;
           // the wait is charged to kBackoff.
           hop_detail = "reroute";
-          co_await env_.Delay(deg.reject_backoff);
+          co_await env_.Delay(kRejectBackoff);
           account.Charge(metrics::Phase::kBackoff, env_.Now());
           continue;
         }
@@ -424,12 +432,9 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
     ++counters_.retries;
     // A failed replica load polls again after the reject backoff; a failed
     // run backs off exponentially, with jitter.
-    sim::Duration backoff = deg.reject_backoff;
+    sim::Duration backoff = kRejectBackoff;
     if (!load_failed) {
-      backoff = deg.retry.BackoffFor(attempt);
-      if (deg.retry.jitter > 0.0) {
-        backoff = rng.Jitter(backoff, deg.retry.jitter);
-      }
+      backoff = rng.Jitter(deg.retry.BackoffFor(attempt), kRetryJitter);
       if (has_deadline && env_.Now() + backoff >= deadline) {
         // The backoff alone would blow the deadline; give up now.
         status = RequestStatus::kTimedOut;
@@ -454,7 +459,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                     hedge_won ? "hedge-win" : outcome.flow_end);
   }
   if (status == RequestStatus::kRejected) {
-    co_await env_.Delay(deg.reject_backoff);
+    co_await env_.Delay(kRejectBackoff);
     account.Charge(metrics::Phase::kBackoff, env_.Now());
   }
 }
@@ -530,7 +535,7 @@ sim::Duration Experiment::ParamsReloadCost(std::size_t gpu) const {
   for (const auto& [dev, model] : params_resident_) {
     if (dev == gpu) mb += static_cast<double>(models::GetModel(model).params_mb);
   }
-  return options_.failover.recovery.ParamsTransferTime(mb);
+  return fault::ParamsTransferTime(mb);
 }
 
 sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
@@ -542,11 +547,9 @@ sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
     if (placer_->BeginLoad(gpu, spec.model)) {
       // First arrival instantiates the replica: parameters stream over
       // PCIe and the fresh replica warms up before taking traffic.
-      const fault::RecoveryOptions& rec = options_.failover.recovery;
-      const sim::Duration cost =
-          rec.warmup + rec.ParamsTransferTime(static_cast<double>(
-                           models::GetModel(spec.model).params_mb));
-      if (cost > sim::Duration::Zero()) co_await env_.Delay(cost);
+      co_await env_.Delay(fault::kWarmup +
+                          fault::ParamsTransferTime(static_cast<double>(
+                              models::GetModel(spec.model).params_mb)));
       try {
         LoadModel(spec.model, gpu);
       } catch (const gpusim::TransientAllocFailure&) {
@@ -639,8 +642,8 @@ void Experiment::StartServing() {
     // must be attached when the first device signal fires.
     HealthObserver& observer = *this;  // private base: convert in-class
     health_ = std::make_unique<HealthMonitor>(
-        env_, gpu_ptrs, options_.failover.health, options_.failover.recovery,
-        observer, &counters_, options_.executor.tracer);
+        env_, gpu_ptrs, options_.failover.health, observer, &counters_,
+        options_.executor.tracer);
     placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
     inflight_.resize(gpus_.size());
     health_->Start();
@@ -721,6 +724,7 @@ std::vector<ClientResult> Experiment::Run(
   }
 
   clients_running_ = clients.size();
+  if (clients.empty()) StopServing();  // no last client to stop the probes
   if (options_.observability.registry != nullptr &&
       options_.observability.sample_interval > sim::Duration::Zero() &&
       !clients.empty()) {

@@ -42,9 +42,6 @@ struct ServerStalled : std::runtime_error {
 struct FailoverOptions {
   bool enabled = false;
   HealthMonitorOptions health;
-  // Recovery pipeline after an outage (driver re-init, parameter reload
-  // over PCIe, warm-up) — also prices lazy replica instantiation.
-  fault::RecoveryOptions recovery;
   // Launch a duplicate attempt on another replica when the routed device is
   // merely degraded (tail tolerance during hangs / alloc-fault windows).
   // Hedging needs the failover placer: with `enabled` clear, either hedge
@@ -82,6 +79,9 @@ struct ObservabilityOptions {
   metrics::PhaseCollector* phases = nullptr;
 };
 
+// GPU streams per job; bounds a job's intra-request kernel concurrency.
+inline constexpr int kStreamsPerJob = 2;
+
 // Configuration of one model-server instance.
 struct ServerOptions {
   gpusim::Gpu::Options gpu;  // device spec + driver arbitration
@@ -95,8 +95,6 @@ struct ServerOptions {
   // pool — not GPU memory — caps how many concurrent clients some models
   // can sustain (paper §4.3).
   std::size_t pool_threads = 300;
-  // GPU streams per job; bounds a job's intra-request kernel concurrency.
-  int streams_per_job = 2;
   graph::ExecutorOptions executor;
   // Deterministic fault schedule applied during Run (empty = no faults).
   fault::FaultPlan faults;
@@ -201,11 +199,10 @@ class Experiment : private HealthObserver {
   const graph::Graph& LoadModel(const std::string& name,
                                 std::size_t gpu_index = 0);
 
-  // Manual-workload API (used by the Batcher and custom drivers instead of
-  // Run): create a job with streams and activation memory for up to
-  // `max_batch` items. The context lives as long as the experiment.
-  graph::JobContext& CreateJob(const std::string& model, int max_batch,
-                               std::size_t gpu_index = 0);
+  // Manual-workload API (used by the Batcher instead of Run): create a job
+  // on device 0 with streams and activation memory for up to `max_batch`
+  // items. The context lives as long as the experiment.
+  graph::JobContext& CreateJob(const std::string& model, int max_batch);
 
   // Manual-workload API: drain the pool and run the simulation to
   // completion after the caller's own processes have been spawned. Note:

@@ -169,27 +169,7 @@ void Environment::Run() {
 }
 
 bool Environment::RunUntil(TimePoint deadline) {
-  RunningScope scope(running_);
-  for (;;) {
-    const Event* next = PeekNext();
-    if (next == nullptr) {
-      // Drained early: still consume the whole window, so Now() lands on
-      // `deadline` exactly as in the non-drained branch below.
-      if (now_ < deadline) now_ = deadline;
-      if (first_error_) {
-        std::rethrow_exception(std::exchange(first_error_, nullptr));
-      }
-      return true;
-    }
-    if (next->t > deadline) {
-      now_ = deadline;
-      if (first_error_) {
-        std::rethrow_exception(std::exchange(first_error_, nullptr));
-      }
-      return false;
-    }
-    Step();
-  }
+  return RunUntilDynamic(&deadline);
 }
 
 bool Environment::RunUntilDynamic(const TimePoint* cap) {

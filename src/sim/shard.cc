@@ -8,10 +8,8 @@
 namespace olympian::sim {
 
 ShardedEngine::ShardedEngine(std::size_t shards, Duration lookahead,
-                             std::vector<std::size_t> lane_to_shard)
-    : shards_(shards == 0 ? 1 : shards),
-      lookahead_(lookahead),
-      lane_to_shard_(std::move(lane_to_shard)) {
+                             std::size_t lanes)
+    : shards_(shards == 0 ? 1 : shards), lookahead_(lookahead) {
   if (sharded() && lookahead_ <= Duration::Zero()) {
     throw std::logic_error(
         "ShardedEngine: shards=" + std::to_string(shards_) +
@@ -19,33 +17,16 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration lookahead,
         "latency (e.g. the cluster's router<->server net_delay) as the "
         "lookahead argument, or construct with shards=1");
   }
-  if (lane_to_shard_.empty()) {
-    // Identity map: one lane per shard, the pre-lane API shape.
-    lane_to_shard_.resize(shards_);
-    for (std::size_t k = 0; k < shards_; ++k) lane_to_shard_[k] = k;
-  }
-  for (std::size_t l = 0; l < lane_to_shard_.size(); ++l) {
-    if (lane_to_shard_[l] >= shards_) {
-      throw std::logic_error(
-          "ShardedEngine: lane_to_shard[" + std::to_string(l) + "] = " +
-          std::to_string(lane_to_shard_[l]) + " names a shard >= shards (" +
-          std::to_string(shards_) +
-          "); every lane must map to a worker shard in [0, shards)");
-    }
-  }
+  if (lanes == 0) lanes = shards_;
   const std::size_t envs = sharded() ? shards_ + 1 : 1;
   envs_.reserve(envs);
   for (std::size_t i = 0; i < envs; ++i) {
     envs_.push_back(std::make_unique<Environment>());
   }
-  lane_boundary_events_.resize(lane_to_shard_.size());
+  lane_boundary_events_.resize(lanes);
   if (sharded()) {
-    shard_lanes_.resize(shards_);
-    for (std::size_t l = 0; l < lane_to_shard_.size(); ++l) {
-      shard_lanes_[lane_to_shard_[l]].push_back(l);  // ascending lane order
-    }
-    to_shard_.resize(lane_to_shard_.size());
-    to_hub_.resize(lane_to_shard_.size());
+    to_shard_.resize(lanes);
+    to_hub_.resize(lanes);
     worker_errors_.resize(shards_);
     slots_.reserve(shards_);
     for (std::size_t k = 0; k < shards_; ++k) {
@@ -72,7 +53,7 @@ void ShardedEngine::Send(std::size_t lane, bool to_hub, Duration latency,
         "ShardedEngine: cross-shard hop latency below the engine lookahead "
         "would violate the conservative horizon");
   }
-  const std::size_t shard = lane_to_shard_[lane];
+  const std::size_t shard = lane % shards_;
   if (to_hub) {
     Environment& src = *envs_[shard + 1];
     const TimePoint at = src.Now() + latency;
@@ -92,15 +73,15 @@ void ShardedEngine::Send(std::size_t lane, bool to_hub, Duration latency,
 
 void ShardedEngine::Deliver() {
   const std::uint64_t before = boundary_events_;
-  // Hub -> workers: concatenate each shard's lanes in ascending lane order
-  // (each channel already in send/seq order), then stable-sort by arrival
-  // time: ties keep lane-then-seq order. The (time, lane, seq) total order
-  // is independent of the lane->shard assignment.
+  // Hub -> workers: concatenate shard k's lanes k, k + shards, ... in
+  // ascending order (each channel already in send/seq order), then
+  // stable-sort by arrival time: ties keep lane-then-seq order. The (time,
+  // lane, seq) total order is independent of how lanes pack onto shards.
   if (pending_to_shard_ != 0) {
     pending_to_shard_ = 0;
     for (std::size_t k = 0; k < shards_; ++k) {
       merge_scratch_.clear();
-      for (const std::size_t l : shard_lanes_[k]) {
+      for (std::size_t l = k; l < to_shard_.size(); l += shards_) {
         Channel& ch = to_shard_[l];
         if (ch.msgs.empty()) continue;
         merge_scratch_.insert(merge_scratch_.end(), ch.msgs.begin(),

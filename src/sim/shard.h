@@ -35,15 +35,14 @@
 //     hub instants and barrier rounds entirely.
 //
 // Boundary events cross shards through per-LANE FIFO channels. A lane is a
-// stable endpoint identity (the cluster uses one lane per server); the
-// constructor's lane_to_shard map assigns lanes to shards, defaulting to
-// the identity (lane k on shard k). Channels are drained between phases by
-// the engine thread and merged into the destination queue in (time, lane,
+// stable endpoint identity (the cluster uses one lane per server); lane l
+// lives on shard l % shards. Channels are drained between phases by the
+// engine thread and merged into the destination queue in (time, lane,
 // channel seq) order — a fixed total order that does NOT depend on how
 // lanes are packed onto shards, so the trajectory is independent of both
-// thread scheduling and the shard-assignment policy. With shards == 1 the
-// engine owns a single Environment and Run() is literally Environment::Run:
-// byte-identical to the unsharded engine, which keeps golden tests pinned.
+// thread scheduling and the shard count. With shards == 1 the engine owns a
+// single Environment and Run() is literally Environment::Run: byte-identical
+// to the unsharded engine, which keeps golden tests pinned.
 //
 // The halo-exchange shape (advance to horizon, exchange boundary events,
 // repeat) follows the classic conservative-window decomposition; the star
@@ -71,14 +70,13 @@ class ShardedEngine {
   // router<->server network delay); it must be > 0 when shards > 1, and every
   // hop's latency must be >= it. With shards <= 1 it is ignored.
   //
-  // `lane_to_shard` maps boundary-lane identities onto worker shards (entry
-  // l is the shard that hosts lane l); empty means the identity map (one
-  // lane per shard). The cluster passes one lane per SERVER here, so the
-  // boundary merge order — (time, lane, seq) — is a property of the
-  // workload, not of the assignment policy.
+  // `lanes` is the number of boundary-lane identities, lane l on shard
+  // l % shards; 0 means one lane per shard. The cluster passes one lane per
+  // SERVER here, so the boundary merge order — (time, lane, seq) — is a
+  // property of the workload, not of the shard count.
   explicit ShardedEngine(std::size_t shards,
                          Duration lookahead = Duration::Zero(),
-                         std::vector<std::size_t> lane_to_shard = {});
+                         std::size_t lanes = 0);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -86,9 +84,6 @@ class ShardedEngine {
 
   std::size_t shards() const { return shards_; }
   bool sharded() const { return shards_ > 1; }
-  std::size_t lanes() const { return lane_to_shard_.size(); }
-  // The shard hosting lane l (identity when constructed without a map).
-  std::size_t lane_shard(std::size_t lane) const { return lane_to_shard_[lane]; }
 
   // The hub environment (shard 0: router, clients, cluster bookkeeping).
   Environment& hub() { return *envs_.front(); }
@@ -100,11 +95,11 @@ class ShardedEngine {
     return sharded() ? *envs_[k + 1] : *envs_.front();
   }
 
-  // The environment hosting lane l — shard_env(lane_shard(l)), or the hub
+  // The environment hosting lane l — shard_env(l % shards), or the hub
   // when unsharded. This is what lane-owning objects (cluster servers)
   // should live on.
   Environment& lane_env(std::size_t lane) {
-    return sharded() ? *envs_[lane_to_shard_[lane] + 1] : *envs_.front();
+    return shard_env(lane % shards_);
   }
 
   // Awaitable: move the running coroutine from the hub onto lane `l`'s
@@ -249,8 +244,6 @@ class ShardedEngine {
 
   std::size_t shards_;
   Duration lookahead_;
-  std::vector<std::size_t> lane_to_shard_;
-  std::vector<std::vector<std::size_t>> shard_lanes_;  // inverse, lane-sorted
   std::vector<std::unique_ptr<Environment>> envs_;  // [hub, worker 0..N-1]
   std::vector<Channel> to_shard_;  // hub -> lane l, written by engine thread
   std::vector<Channel> to_hub_;    // lane l -> hub, written by l's worker

@@ -52,81 +52,6 @@ class CondVar {
   Ring<std::coroutine_handle<>> waiters_;
 };
 
-// FIFO mutex for critical sections that span suspension points. Not needed
-// for plain shared data (the simulation is cooperative); use it when a
-// process must hold exclusivity across a Delay or kernel wait.
-class Mutex {
- public:
-  explicit Mutex(Environment& env) : cv_(env) {}
-
-  // Awaitable lock acquisition (FIFO).
-  Task Lock() {
-    while (locked_) co_await cv_.Wait();
-    locked_ = true;
-  }
-
-  void Unlock() {
-    locked_ = false;
-    cv_.NotifyOne();
-  }
-
-  bool locked() const { return locked_; }
-
- private:
-  bool locked_ = false;
-  CondVar cv_;
-};
-
-// RAII guard for Mutex. Acquire with `co_await guard.Acquire()`.
-class LockGuard {
- public:
-  explicit LockGuard(Mutex& m) : mutex_(&m) {}
-  LockGuard(const LockGuard&) = delete;
-  LockGuard& operator=(const LockGuard&) = delete;
-  ~LockGuard() {
-    if (held_) mutex_->Unlock();
-  }
-
-  Task Acquire() {
-    co_await mutex_->Lock();
-    held_ = true;
-  }
-
- private:
-  Mutex* mutex_;
-  bool held_ = false;
-};
-
-// Counting semaphore; models bounded resources (e.g. OS thread-pool slots).
-class Semaphore {
- public:
-  Semaphore(Environment& env, std::int64_t initial)
-      : count_(initial), cv_(env) {}
-
-  Task Acquire() {
-    while (count_ == 0) co_await cv_.Wait();
-    --count_;
-  }
-
-  // Non-blocking acquire; true on success.
-  bool TryAcquire() {
-    if (count_ == 0) return false;
-    --count_;
-    return true;
-  }
-
-  void Release() {
-    ++count_;
-    cv_.NotifyOne();
-  }
-
-  std::int64_t count() const { return count_; }
-
- private:
-  std::int64_t count_;
-  CondVar cv_;
-};
-
 // Unbounded multi-producer multi-consumer queue. Pop suspends while empty;
 // after Close(), Pop drains remaining items then returns nullopt.
 template <typename T>

@@ -603,6 +603,15 @@ TEST(ClusterTest, StreamRunServesAggregateTraffic) {
   EXPECT_EQ(cluster.counters().requests_ok, 40u);
 }
 
+// With no clients or streams there is no last one to stop the router's and
+// the servers' probe loops, so both entry points must stop them up front.
+TEST(ClusterTest, EmptyWorkloadsReturn) {
+  serving::Cluster clients_cluster(SmallCluster(2));
+  EXPECT_TRUE(clients_cluster.Run({}).empty());
+  serving::Cluster streams_cluster(SmallCluster(2));
+  EXPECT_TRUE(streams_cluster.RunStreams({}).empty());
+}
+
 TEST(ClusterTest, StreamRunIsBitIdenticalAcrossShardCounts) {
   const auto run = [](std::size_t shards) {
     serving::ClusterOptions opts = SmallCluster(2);

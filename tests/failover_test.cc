@@ -163,7 +163,7 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   gpusim::Gpu gpu(env, gpusim::Gpu::Options{});
   serving::HealthMonitorOptions hopts;
   hopts.probe_interval = Duration::Millis(1);
-  const fault::RecoveryOptions rec;  // 20ms re-init, 2 warm-up probes, 5ms
+  // Recovery runs on the fixed pipeline: 20ms re-init, 2 warm-up probes, 5ms.
   // No serving layer above the monitor: nothing in flight to cancel and no
   // parameters resident, so recovery charges no reload.
   struct NoServingLayer final : serving::HealthObserver {
@@ -173,7 +173,7 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
       return Duration::Zero();
     }
   } observer;
-  serving::HealthMonitor mon(env, {&gpu}, hopts, rec, observer);
+  serving::HealthMonitor mon(env, {&gpu}, hopts, observer);
   mon.Start();
 
   env.RunUntil(At(2.5));

@@ -112,7 +112,7 @@ TEST(HealthScoreTest, ScoreTracksRttInflationAndRecovers) {
   o.enabled = true;
   serving::HealthScore score(o);
   // Learn a 1ms baseline.
-  for (int i = 0; i < o.baseline_probes; ++i) {
+  for (int i = 0; i < serving::kBaselineProbes; ++i) {
     score.OnProbe(true, Duration::Millis(1));
   }
   ASSERT_TRUE(score.baseline_learned());
@@ -134,9 +134,9 @@ TEST(HealthScoreTest, FailuresDriveErrorTermWithoutRtt) {
   o.enabled = true;
   serving::HealthScore score(o);
   for (int i = 0; i < 20; ++i) score.OnProbe(false, Duration::Zero());
-  // err term ~0: score collapses to roughly rtt_weight (RTT treated nominal
+  // err term ~0: score collapses to roughly kRttWeight (RTT treated nominal
   // while unlearned).
-  EXPECT_LT(score.score(), o.rtt_weight + 0.01);
+  EXPECT_LT(score.score(), serving::kRttWeight + 0.01);
 }
 
 TEST(HealthScoreTest, ValidateRejectsBadKnobs) {

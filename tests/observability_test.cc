@@ -53,6 +53,15 @@ std::vector<std::pair<std::string, double>> PromSamples(
   return out;
 }
 
+std::uint64_t Fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 TEST(RegistryTest, PrometheusExpositionShape) {
   MetricRegistry reg;
   reg.GetCounter("olympian_requests_total", {{"model", "resnet"}}).Inc(3);
@@ -94,8 +103,10 @@ TEST(RegistryTest, PrometheusHistogramBucketsAreCumulativeAndEndAtInf) {
 
   double prev = 0.0;
   double inf_count = -1.0, total_count = -1.0, sum = -1.0;
+  std::vector<std::string> buckets;
   for (const auto& [name, value] : samples) {
     if (name.find("_bucket{") != std::string::npos) {
+      buckets.push_back(name);
       EXPECT_GE(value, prev) << "bucket counts must be cumulative: " << name;
       prev = value;
       if (name.find("le=\"+Inf\"") != std::string::npos) inf_count = value;
@@ -110,6 +121,13 @@ TEST(RegistryTest, PrometheusHistogramBucketsAreCumulativeAndEndAtInf) {
   EXPECT_DOUBLE_EQ(inf_count, 6.0);
   EXPECT_DOUBLE_EQ(total_count, 6.0);
   EXPECT_NEAR(sum, 0.5 + 2.0 + 8.0 + 40.0 + 40.0 + 1e9, 1e-6);
+  // The bucket layout is fixed and no golden covers it: 44 finite bounds
+  // starting at 0.001 (growing x1.6), then +Inf, and the whole export text.
+  ASSERT_EQ(buckets.size(), 45u);
+  EXPECT_NE(buckets.front().find("le=\"0.001\""), std::string::npos)
+      << buckets.front();
+  EXPECT_NE(buckets.back().find("le=\"+Inf\""), std::string::npos);
+  EXPECT_EQ(Fnv1a(os.str()), 0xc23b0e245cef1f38ull);
 }
 
 TEST(RegistryTest, HistogramQuantilesBracketObservations) {
@@ -226,9 +244,9 @@ TEST(SloTest, ReportFoldsOutcomesAndLatencies) {
   EXPECT_EQ(r.rejected, 1u);
   EXPECT_EQ(r.failed, 1u);
   EXPECT_NEAR(r.availability, 98.0 / 101.0, 1e-12);
-  // Burn against the default three-nines target.
-  EXPECT_NEAR(r.error_budget_burn,
-              (1.0 - 98.0 / 101.0) / (1.0 - r.availability_target), 1e-9);
+  // Burn against the three-nines target.
+  EXPECT_EQ(r.availability_target, 0.999);
+  EXPECT_NEAR(r.error_budget_burn, (1.0 - 98.0 / 101.0) / (1.0 - 0.999), 1e-9);
   EXPECT_NEAR(r.goodput_rps, 98.0 / 10.0, 1e-12);
   // Latency statistics cover successes only: the retried request's 50ms is
   // in-population, the failures' 0ms placeholders are not.

@@ -55,6 +55,15 @@ TEST(ExperimentTest, RunTwiceRejected) {
   EXPECT_THROW(exp.Run({SmallClient()}), std::logic_error);
 }
 
+// With no clients there is no last client to stop the failover health
+// monitor's probe loops, so Run must stop them itself or never return.
+TEST(ExperimentTest, EmptyWorkloadWithFailoverReturns) {
+  ServerOptions opts;
+  opts.failover.enabled = true;
+  Experiment exp(opts);
+  EXPECT_TRUE(exp.Run({}).empty());
+}
+
 TEST(ExperimentTest, ConcurrentClientsAllComplete) {
   Experiment exp(ServerOptions{});
   std::vector<ClientSpec> clients(4, SmallClient());

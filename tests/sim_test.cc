@@ -415,54 +415,6 @@ TEST(CondVarTest, NotifyWithNoWaitersIsNoop) {
   EXPECT_EQ(cv.waiter_count(), 0u);
 }
 
-TEST(MutexTest, MutualExclusionAcrossSuspension) {
-  Environment env;
-  Mutex m(env);
-  int inside = 0;
-  int max_inside = 0;
-  for (int i = 0; i < 5; ++i) {
-    env.Spawn([](Environment& e, Mutex& mu, int& in, int& mx) -> Task {
-      co_await mu.Lock();
-      ++in;
-      mx = std::max(mx, in);
-      co_await e.Delay(Duration::Millis(1));  // hold across suspension
-      --in;
-      mu.Unlock();
-    }(env, m, inside, max_inside));
-  }
-  env.Run();
-  EXPECT_EQ(max_inside, 1);
-  EXPECT_FALSE(m.locked());
-}
-
-TEST(SemaphoreTest, BoundsConcurrency) {
-  Environment env;
-  Semaphore sem(env, 3);
-  int inside = 0, max_inside = 0;
-  for (int i = 0; i < 10; ++i) {
-    env.Spawn([](Environment& e, Semaphore& s, int& in, int& mx) -> Task {
-      co_await s.Acquire();
-      ++in;
-      mx = std::max(mx, in);
-      co_await e.Delay(Duration::Millis(1));
-      --in;
-      s.Release();
-    }(env, sem, inside, max_inside));
-  }
-  env.Run();
-  EXPECT_EQ(max_inside, 3);
-  EXPECT_EQ(sem.count(), 3);
-}
-
-TEST(SemaphoreTest, TryAcquire) {
-  Environment env;
-  Semaphore sem(env, 1);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-}
-
 TEST(ChannelTest, PushPopOrdering) {
   Environment env;
   Channel<int> ch(env);
