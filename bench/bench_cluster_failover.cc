@@ -42,7 +42,7 @@ constexpr int kRequests = 15;
 struct ClusterRun {
   std::vector<serving::ClusterClientResult> clients;
   metrics::RouterCounters counters;
-  std::vector<sim::Duration> mttr_incidents;
+  std::vector<serving::Outage> outages;
   sim::Duration makespan;
 };
 
@@ -78,7 +78,7 @@ ClusterRun RunCluster(bool failover, bool crash, bool partition,
   run.clients =
       cluster.Run(std::vector<serving::ClusterClientSpec>(kClients, c));
   run.counters = cluster.counters();
-  run.mttr_incidents = cluster.router().mttr_incidents();
+  run.outages = cluster.router().outages();
   run.makespan = cluster.makespan();
   if (record_engine != nullptr) record_engine->RecordEngine(cluster.engine());
   return run;
@@ -102,7 +102,7 @@ bool SameRun(const ClusterRun& a, const ClusterRun& b) {
       return false;
     }
   }
-  if (a.mttr_incidents != b.mttr_incidents) return false;
+  if (a.outages != b.outages) return false;
   if (a.makespan != b.makespan) return false;
   for (const auto& f : metrics::RouterCounters::Fields()) {
     if (a.counters.*(f.member) != b.counters.*(f.member)) return false;
@@ -174,8 +174,8 @@ int main() {
       // Router-side per-incident MTTR (down-mark to readmission, detection
       // latency included) as a distribution.
       metrics::MetricRegistry::Histogram mttr_hist;
-      for (const sim::Duration d : run.mttr_incidents) {
-        mttr_hist.Observe(d.millis());
+      for (const serving::Outage& o : run.outages) {
+        mttr_hist.Observe(o.mttr().millis());
       }
       out.Set("mttr_p95_ms",
               mttr_hist.count() > 0 ? mttr_hist.Quantile(0.95) : 0.0);

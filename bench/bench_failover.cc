@@ -108,13 +108,15 @@ int main() {
           sim::Duration mttr;
           int downed = 0;
           for (std::size_t g = 0; g < exp.num_gpus(); ++g) {
-            const auto& stats = exp.health()->stats(g);
-            if (stats.readmissions > 0) {
+            bool readmitted = false;
+            for (const serving::Outage& o : exp.health()->outages()) {
+              if (o.target != g) continue;
+              readmitted = true;
+              mttr_hist.Observe(o.mttr().millis());
+            }
+            if (readmitted) {
               mttr += exp.health()->Mttr(g);
               ++downed;
-            }
-            for (const sim::Duration d : stats.mttr_incidents) {
-              mttr_hist.Observe(d.millis());
             }
           }
           if (downed > 0) mttr_ms = (mttr / downed).millis();

@@ -112,17 +112,15 @@ int main() {
       // Per-incident repair times (down -> readmitted) from the device
       // health monitor, as a distribution rather than one mean.
       metrics::MetricRegistry::Histogram mttr;
-      std::uint64_t down_events = 0;
       if (exp.health() != nullptr) {  // nullptr unless failover.enabled
         for (std::size_t g = 0; g < exp.num_gpus(); ++g) {
-          const auto& stats = exp.health()->stats(g);
-          down_events += stats.down_events;
-          for (const sim::Duration d : stats.mttr_incidents) {
-            mttr.Observe(d.millis());
+          for (const serving::Outage& o : exp.health()->outages()) {
+            if (o.target == g) mttr.Observe(o.mttr().millis());
           }
         }
       }
-      out.Set("down_events", static_cast<double>(down_events));
+      out.Set("down_events",
+              static_cast<double>(exp.counters().device_down_events));
       out.Set("mttr_p95_ms", mttr.count() > 0 ? mttr.Quantile(0.95) : 0.0);
       out.histograms = std::make_shared<bench::Json>(
           bench::Json::Object().Set("device_mttr_ms",

@@ -70,12 +70,12 @@ int main() {
   std::printf("\nrouter health transitions:\n");
   for (const auto& t : cluster.router().transitions()) {
     std::printf("  %8.3f s  srv%zu  %-10s -> %s\n", (t.at - t0).seconds(),
-                t.server, serving::ToString(t.from), serving::ToString(t.to));
+                t.target, serving::ToString(t.from), serving::ToString(t.to));
   }
 
   std::printf("\nrouter MTTR incidents (down-mark to readmission):\n");
-  for (const sim::Duration d : cluster.router().mttr_incidents()) {
-    std::printf("  %.3f s\n", d.seconds());
+  for (const serving::Outage& o : cluster.router().outages()) {
+    std::printf("  %.3f s\n", o.mttr().seconds());
   }
 
   std::printf("\nmakespan %.3f s\n", cluster.makespan().seconds());

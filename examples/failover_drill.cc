@@ -65,7 +65,7 @@ int main() {
   std::printf("\nhealth transitions:\n");
   for (const auto& t : exp.health()->transitions()) {
     std::printf("  %8.3f s  gpu%zu  %-10s -> %s\n",
-                (t.at - t0).seconds(), t.gpu, serving::ToString(t.from),
+                (t.at - t0).seconds(), t.target, serving::ToString(t.from),
                 serving::ToString(t.to));
   }
   std::printf("\nmakespan %.3f s, MTTR(gpu0) %.3f s, replicas loaded %llu\n",

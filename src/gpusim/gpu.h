@@ -216,21 +216,6 @@ class Gpu {
   // outlive the device or be detached first.
   void SetHealthListener(GpuHealthListener* listener) { listener_ = listener; }
 
-  // Point-in-time device health, for pollers (the listener callbacks are
-  // the push-style equivalent).
-  struct HealthSnapshot {
-    bool hung = false;
-    bool down = false;  // inside a reset outage window
-    bool alloc_fault = false;
-    std::uint64_t resets = 0;
-    std::uint64_t kernels_failed = 0;
-    double capacity = 1.0;  // < 1 inside a fractional-capacity window
-  };
-  HealthSnapshot Health() const {
-    return HealthSnapshot{hung_, down_, alloc_fault_active(), resets_,
-                          kernels_failed_, CapacityAt(env_.Now())};
-  }
-
   bool hung() const { return hung_; }
   bool down() const { return down_; }
   bool alloc_fault_active() const;

@@ -28,8 +28,8 @@ bool IncidentLog::Open(const Incident& inc, sim::TimePoint at) {
          inc.detected_ns >= 0;
 }
 
-void IncidentLog::HealthTransition(int server, bool was_healthy,
-                                   bool now_healthy, sim::TimePoint at) {
+void IncidentLog::HealthChange(int server, bool was_healthy,
+                               bool now_healthy, sim::TimePoint at) {
   if (!enabled_ || was_healthy == now_healthy) return;
   const std::int64_t t = at.nanos();
   if (!now_healthy) {

@@ -65,8 +65,8 @@ class IncidentLog {
               sim::Duration window);
   // A health-view transition for `server` (any granularity of "healthy":
   // the router reports routable vs not).
-  void HealthTransition(int server, bool was_healthy, bool now_healthy,
-                        sim::TimePoint at);
+  void HealthChange(int server, bool was_healthy, bool now_healthy,
+                    sim::TimePoint at);
   // A traffic-shifting mitigation. `server` is the victim being shifted
   // away from, or -1 for a global action (brownout), which attaches to
   // every open, detected, unmitigated incident.

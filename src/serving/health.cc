@@ -31,40 +31,25 @@ constexpr sim::Duration kProbeWork = sim::Duration::Micros(20);
 
 }  // namespace
 
-const char* ToString(DeviceHealth h) {
-  switch (h) {
-    case DeviceHealth::kHealthy:
-      return "healthy";
-    case DeviceHealth::kDegraded:
-      return "degraded";
-    case DeviceHealth::kDown:
-      return "down";
-    case DeviceHealth::kRecovering:
-      return "recovering";
-  }
-  return "unknown";
-}
-
 HealthMonitor::HealthMonitor(sim::Environment& env,
                              std::vector<gpusim::Gpu*> gpus,
                              HealthMonitorOptions options,
                              HealthObserver& observer,
                              metrics::ServingCounters* counters,
                              metrics::Tracer* tracer)
-    : env_(env),
+    : HealthFsm(gpus.size(), options.score),
+      env_(env),
       options_(options),
       observer_(observer),
       counters_(counters),
       tracer_(tracer) {
   if (gpus.empty()) throw std::invalid_argument("HealthMonitor needs >= 1 gpu");
-  Validate(options_.score);
   devices_.reserve(gpus.size());
   for (std::size_t i = 0; i < gpus.size(); ++i) {
     auto d = std::make_unique<Device>();
     d->gpu = gpus[i];
     d->listener.monitor = this;
     d->listener.index = i;
-    if (options_.score.enabled) d->score = HealthScore(options_.score);
     devices_.push_back(std::move(d));
   }
 }
@@ -81,7 +66,6 @@ void HealthMonitor::Start() {
     Device& d = *devices_[i];
     d.probe_stream = d.gpu->CreateStream();
     d.gpu->SetHealthListener(&d.listener);
-    d.state_since = env_.Now();
     if (options_.probe_interval > sim::Duration::Zero()) {
       env_.Spawn(ProbeLoop(i), "health/probe-gpu" + std::to_string(i));
     }
@@ -90,71 +74,22 @@ void HealthMonitor::Start() {
 
 void HealthMonitor::Stop() { stopped_ = true; }
 
-DeviceHealth HealthMonitor::health(std::size_t gpu) const {
-  return devices_.at(gpu)->health;
-}
-
-bool HealthMonitor::Usable(std::size_t gpu) const {
-  const DeviceHealth h = devices_.at(gpu)->health;
-  return h == DeviceHealth::kHealthy || h == DeviceHealth::kDegraded;
-}
-
-const HealthMonitor::DeviceStats& HealthMonitor::stats(std::size_t gpu) const {
-  return devices_.at(gpu)->stats;
-}
-
-sim::Duration HealthMonitor::Mttr(std::size_t gpu) const {
-  const DeviceStats& s = devices_.at(gpu)->stats;
-  if (s.readmissions == 0) return sim::Duration::Zero();
-  return s.mttr_total / static_cast<std::int64_t>(s.readmissions);
-}
-
-double HealthMonitor::score(std::size_t gpu) const {
-  return scoring() ? devices_.at(gpu)->score.score() : 1.0;
-}
-
-double HealthMonitor::slowdown(std::size_t gpu) const {
-  return scoring() ? devices_.at(gpu)->score.slowdown() : 1.0;
-}
-
 void HealthMonitor::UpdateScoreHealth(std::size_t gpu) {
-  Device& d = *devices_[gpu];
-  const double sc = d.score.score();
-  if (!d.score_degraded) {
-    if (sc < options_.score.degrade_below) {
-      d.score_degraded = true;
-      if (d.health == DeviceHealth::kHealthy) {
-        Transition(gpu, DeviceHealth::kDegraded);
-      }
-    }
-    return;
-  }
-  if (sc >= options_.score.recover_above) {
-    d.score_degraded = false;
-    // Only clear if nothing else holds the device impaired (a concurrent
+  const Step step = Hysteresis(gpu);
+  const gpusim::Gpu& g = *devices_[gpu]->gpu;
+  if (step == Step::kDegrade && health(gpu) == Health::kHealthy) {
+    Transition(gpu, Health::kDegraded);
+  } else if (step == Step::kRecover && health(gpu) == Health::kDegraded &&
+             !g.hung() && !g.alloc_fault_active()) {
+    // Cleared only if nothing else holds the device impaired (a concurrent
     // hang or alloc-fault window keeps its own degraded claim).
-    if (d.health == DeviceHealth::kDegraded && !d.gpu->hung() &&
-        !d.gpu->alloc_fault_active()) {
-      Transition(gpu, DeviceHealth::kHealthy);
-    }
+    Transition(gpu, Health::kHealthy);
   }
 }
 
-void HealthMonitor::Transition(std::size_t gpu, DeviceHealth to) {
-  Device& d = *devices_[gpu];
-  if (d.health == to) return;
+void HealthMonitor::Transition(std::size_t gpu, Health to) {
   const sim::TimePoint now = env_.Now();
-  const sim::Duration in_state = now - d.state_since;
-  if (d.health == DeviceHealth::kDegraded) {
-    d.stats.time_degraded += in_state;
-  } else if (d.health == DeviceHealth::kDown ||
-             d.health == DeviceHealth::kRecovering) {
-    d.stats.time_down += in_state;
-  }
-  transitions_.push_back(
-      HealthTransition{.gpu = gpu, .from = d.health, .to = to, .at = now});
-  d.health = to;
-  d.state_since = now;
+  if (!Move(gpu, to, now)) return;
   if (counters_ != nullptr) ++counters_->health_transitions;
   if (tracer_ != nullptr && !tracer_->full()) {
     tracer_->AddInstant(
@@ -166,48 +101,37 @@ void HealthMonitor::Transition(std::size_t gpu, DeviceHealth to) {
 
 void HealthMonitor::GoDown(std::size_t gpu, bool from_hang) {
   Device& d = *devices_[gpu];
-  if (d.health == DeviceHealth::kDown ||
-      d.health == DeviceHealth::kRecovering) {
+  if (!Usable(gpu)) {
     // Failed again before readmission: same outage episode, but a reset
     // forces the full recovery pipeline even if the episode began as a hang.
     ++d.generation;
     d.down_from_hang = d.down_from_hang && from_hang;
-    Transition(gpu, DeviceHealth::kDown);
+    Transition(gpu, Health::kDown);
     return;
   }
   ++d.generation;
   ++d.hang_epoch;
   d.down_from_hang = from_hang;
-  d.down_since = env_.Now();
-  ++d.stats.down_events;
+  MarkDown(gpu, env_.Now());
   if (counters_ != nullptr) ++counters_->device_down_events;
-  Transition(gpu, DeviceHealth::kDown);
+  Transition(gpu, Health::kDown);
   // After the bookkeeping, so the observer sees a consistent kDown state
   // while it cancels the device's in-flight runs.
   observer_.OnDeviceDown(gpu);
 }
 
 void HealthMonitor::Readmit(std::size_t gpu) {
-  Device& d = *devices_[gpu];
   const sim::TimePoint now = env_.Now();
-  d.stats.mttr_total += now - d.down_since;
-  d.stats.mttr_incidents.push_back(now - d.down_since);
-  ++d.stats.readmissions;
-  ++d.generation;  // invalidate leftover escalation timers from the episode
-  if (options_.score.enabled) {
-    // Re-learn the baseline: the error EWMA accumulated through the outage
-    // (and a possibly different post-recovery "normal") must not be allowed
-    // to instantly re-degrade a freshly readmitted device.
-    d.score.Reset();
-    d.score_degraded = false;
-  }
+  EndOutage(gpu, now);
+  // Invalidate leftover escalation timers from the episode.
+  ++devices_[gpu]->generation;
   if (counters_ != nullptr) ++counters_->device_readmissions;
   if (tracer_ != nullptr && !tracer_->full()) {
     tracer_->AddSpan("health",
                      tracer_->Intern("gpu" + std::to_string(gpu) + " outage"),
-                     metrics::Tracer::kHealthTrack, d.down_since, now);
+                     metrics::Tracer::kHealthTrack, down_since(gpu), now);
   }
-  Transition(gpu, DeviceHealth::kHealthy);
+  Transition(gpu, Health::kHealthy);
   observer_.OnDeviceReadmitted(gpu);
 }
 
@@ -224,7 +148,7 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
       if (d.generation != generation) co_return;
     }
   }
-  Transition(gpu, DeviceHealth::kRecovering);
+  Transition(gpu, Health::kRecovering);
   for (int p = 0; p < kWarmupProbes; ++p) {
     bool ok = true;
     try {
@@ -238,10 +162,7 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
       ok = false;
     }
     if (d.generation != generation) co_return;
-    if (!ok) {
-      ++d.stats.probe_failures;
-      if (counters_ != nullptr) ++counters_->probe_failures;
-    }
+    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
   }
   co_await env_.Delay(fault::kWarmup);
   if (d.generation != generation) co_return;
@@ -269,15 +190,12 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
       ok = false;
     }
     if (stopped_) co_return;
-    if (!ok) {
-      ++d.stats.probe_failures;
-      if (counters_ != nullptr) ++counters_->probe_failures;
-    }
-    if (options_.score.enabled) {
+    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
+    if (scoring()) {
       // The heartbeat kernel runs through the same capacity-scaled device
       // clock as real work, so a fractional-capacity fault shows up here as
       // a stretched RTT — the only signal a gray fault gives off.
-      d.score.OnProbe(ok, env_.Now() - sent);
+      Probe(gpu, ok, env_.Now() - sent);
       UpdateScoreHealth(gpu);
     }
   }
@@ -285,30 +203,27 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
 
 void HealthMonitor::HandleHangBegin(std::size_t gpu, sim::TimePoint until) {
   (void)until;
-  Device& d = *devices_[gpu];
-  if (d.health == DeviceHealth::kHealthy) {
-    Transition(gpu, DeviceHealth::kDegraded);
-  }
-  if (d.health == DeviceHealth::kDegraded &&
+  if (health(gpu) == Health::kHealthy) Transition(gpu, Health::kDegraded);
+  if (health(gpu) == Health::kDegraded &&
       options_.hang_down_after > sim::Duration::Zero()) {
     env_.ScheduleCallbackAt(env_.Now() + options_.hang_down_after,
                             &HealthMonitor::HangEscalateTrampoline, this,
-                            Pack(gpu, d.hang_epoch));
+                            Pack(gpu, devices_[gpu]->hang_epoch));
   }
 }
 
 void HealthMonitor::HandleHangEnd(std::size_t gpu) {
   Device& d = *devices_[gpu];
   ++d.hang_epoch;  // disarm any pending escalation for the ended hang
-  if (d.health == DeviceHealth::kDegraded) {
+  if (health(gpu) == Health::kDegraded) {
     // The score's hysteresis latch outranks the listener clear: a device
     // still measurably slow stays degraded until the score recovers.
-    if (!d.gpu->alloc_fault_active() && !d.score_degraded) {
-      Transition(gpu, DeviceHealth::kHealthy);
+    if (!d.gpu->alloc_fault_active() && !score_degraded(gpu)) {
+      Transition(gpu, Health::kHealthy);
     }
     return;
   }
-  if (d.health == DeviceHealth::kDown && d.down_from_hang) {
+  if (health(gpu) == Health::kDown && d.down_from_hang) {
     // The wedged channel finally cleared: the driver was never reset, so
     // recovery skips re-init and reload and goes straight to warm-up.
     env_.Spawn(RecoveryProc(gpu, d.generation, /*full_reinit=*/false),
@@ -322,19 +237,15 @@ void HealthMonitor::HandleResetBegin(std::size_t gpu, sim::Duration outage) {
 }
 
 void HealthMonitor::HandleResetComplete(std::size_t gpu) {
-  Device& d = *devices_[gpu];
-  if (d.health != DeviceHealth::kDown) return;
-  env_.Spawn(RecoveryProc(gpu, d.generation, /*full_reinit=*/true),
+  if (health(gpu) != Health::kDown) return;
+  env_.Spawn(RecoveryProc(gpu, devices_[gpu]->generation, /*full_reinit=*/true),
              "health/recover-gpu" + std::to_string(gpu));
 }
 
 void HealthMonitor::HandleAllocFaultWindow(std::size_t gpu,
                                            sim::TimePoint until) {
-  Device& d = *devices_[gpu];
-  if (d.health == DeviceHealth::kHealthy) {
-    Transition(gpu, DeviceHealth::kDegraded);
-  }
-  if (d.health == DeviceHealth::kDegraded) {
+  if (health(gpu) == Health::kHealthy) Transition(gpu, Health::kDegraded);
+  if (health(gpu) == Health::kDegraded) {
     env_.ScheduleCallbackAt(until, &HealthMonitor::AllocClearTrampoline, this,
                             Pack(gpu, 0));
   }
@@ -345,7 +256,7 @@ void HealthMonitor::HangEscalateTrampoline(void* ctx, std::uint64_t arg) {
   const std::size_t gpu = UnpackGpu(arg);
   Device& d = *self->devices_[gpu];
   if ((d.hang_epoch & 0xffffffffu) != UnpackGeneration(arg)) return;
-  if (d.health != DeviceHealth::kDegraded) return;
+  if (self->health(gpu) != Health::kDegraded) return;
   if (!d.gpu->hung()) return;  // cleared at this exact instant
   self->GoDown(gpu, /*from_hang=*/true);
 }
@@ -355,11 +266,11 @@ void HealthMonitor::AllocClearTrampoline(void* ctx, std::uint64_t arg) {
   // extended) or the device in some other state, and is a no-op either way.
   auto* self = static_cast<HealthMonitor*>(ctx);
   const std::size_t gpu = UnpackGpu(arg);
-  Device& d = *self->devices_[gpu];
-  if (d.health != DeviceHealth::kDegraded) return;
-  if (d.gpu->hung() || d.gpu->alloc_fault_active()) return;  // still impaired
-  if (d.score_degraded) return;  // score hysteresis still holds it degraded
-  self->Transition(gpu, DeviceHealth::kHealthy);
+  const gpusim::Gpu& g = *self->devices_[gpu]->gpu;
+  if (self->health(gpu) != Health::kDegraded) return;
+  if (g.hung() || g.alloc_fault_active()) return;  // still impaired
+  if (self->score_degraded(gpu)) return;  // score hysteresis still holds it
+  self->Transition(gpu, Health::kHealthy);
 }
 
 }  // namespace olympian::serving

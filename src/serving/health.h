@@ -13,27 +13,6 @@
 
 namespace olympian::serving {
 
-// Placement-facing classification of one device.
-enum class DeviceHealth : std::uint8_t {
-  kHealthy = 0,  // serving normally
-  kDegraded,     // serving, but impaired (hang in progress, alloc faults)
-  kDown,         // not serving: reset outage, or a hang that outlived the
-                 // escalation budget and was failed over
-  kRecovering,   // driver back up; reloading / warming before readmission
-};
-
-const char* ToString(DeviceHealth h);
-
-// One observed health-state edge, in transition order across all devices.
-// The failover test asserts on this log (down observed, readmission
-// observed); it is also mirrored to the tracer's health track.
-struct HealthTransition {
-  std::size_t gpu = 0;
-  DeviceHealth from = DeviceHealth::kHealthy;
-  DeviceHealth to = DeviceHealth::kHealthy;
-  sim::TimePoint at;
-};
-
 // Callbacks the monitor raises towards the serving layer. `OnDeviceDown`
 // fires synchronously inside the device signal that killed it — before any
 // failed kernel's waiter resumes — so the observer can cancel in-flight
@@ -69,30 +48,20 @@ struct HealthMonitorOptions {
   HealthScoreOptions score;
 };
 
-// Per-device health state machine on the virtual clock.
+// Per-device health on the virtual clock, one HealthFsm target per device.
 //
 // Wired to each gpusim::Gpu as its GpuHealthListener: hang/reset/alloc
 // signals drive transitions push-style, a per-device heartbeat loop probes
 // liveness pull-style, and after an outage a recovery pipeline (driver
 // re-init delay -> parameter reload -> warm-up probes -> fault::kWarmup)
-// gates readmission; health.cc holds its constants.
-// All state changes land in a transition log, the serving counters, and the
-// tracer's health track, so failover behaviour is observable and testable.
-class HealthMonitor {
+// gates readmission; health.cc holds its constants. A device is kDegraded
+// while a hang or alloc-fault window is open or its score is latched low,
+// kDown in a reset outage or after a hang outlived the escalation budget,
+// and kRecovering from the end of driver re-init until readmission.
+// Every edge also lands in the serving counters and on the tracer's health
+// track, so failover behaviour is observable and testable.
+class HealthMonitor : public HealthFsm {
  public:
-  struct DeviceStats {
-    std::uint64_t down_events = 0;
-    std::uint64_t readmissions = 0;
-    std::uint64_t probe_failures = 0;
-    sim::Duration time_down;      // kDown + kRecovering, completed episodes
-    sim::Duration time_degraded;  // completed kDegraded episodes
-    sim::Duration mttr_total;     // sum of down -> readmitted intervals
-    // One entry per completed recovery (down -> readmitted), in episode
-    // order: the per-incident repair times behind mttr_total, so consumers
-    // can build a distribution (histogram / p95) instead of one average.
-    std::vector<sim::Duration> mttr_incidents;
-  };
-
   HealthMonitor(sim::Environment& env, std::vector<gpusim::Gpu*> gpus,
                 HealthMonitorOptions options, HealthObserver& observer,
                 metrics::ServingCounters* counters = nullptr,
@@ -110,23 +79,6 @@ class HealthMonitor {
   void Stop();
 
   std::size_t num_devices() const { return devices_.size(); }
-  DeviceHealth health(std::size_t gpu) const;
-  // Routable: healthy or degraded (down/recovering devices take no traffic).
-  bool Usable(std::size_t gpu) const;
-  const DeviceStats& stats(std::size_t gpu) const;
-  const std::vector<HealthTransition>& transitions() const {
-    return transitions_;
-  }
-  // Mean time to repair: down -> readmitted, averaged over completed
-  // recoveries of `gpu`. Zero when the device never went down.
-  sim::Duration Mttr(std::size_t gpu) const;
-
-  // Gray-failure scoring (all trivial when scoring is disabled).
-  bool scoring() const { return options_.score.enabled; }
-  // Continuous health score of `gpu` (1.0 when scoring is disabled).
-  double score(std::size_t gpu) const;
-  // Measured probe slowdown vs. the learned baseline (1.0 = nominal).
-  double slowdown(std::size_t gpu) const;
 
  private:
   // Fans one device's GpuHealthListener callbacks into the monitor.
@@ -148,9 +100,6 @@ class HealthMonitor {
 
   struct Device {
     gpusim::Gpu* gpu = nullptr;
-    DeviceHealth health = DeviceHealth::kHealthy;
-    sim::TimePoint state_since;
-    sim::TimePoint down_since;
     gpusim::StreamId probe_stream = -1;
     // Bumped on every down / readmission edge; stale timers and recovery
     // pipelines from an earlier episode check it and bail.
@@ -161,17 +110,10 @@ class HealthMonitor {
     // True when the current kDown came from hang escalation (no reset): the
     // recovery pipeline then skips driver re-init and parameter reload.
     bool down_from_hang = false;
-    // Probe-RTT health score (only consulted when scoring is enabled).
-    // `score_degraded` is the hysteresis latch: true from the degrade edge
-    // until the score climbs back above recover_above; while set, listener
-    // clear edges may not transition the device back to healthy.
-    HealthScore score;
-    bool score_degraded = false;
-    DeviceStats stats;
     Listener listener;
   };
 
-  void Transition(std::size_t gpu, DeviceHealth to);
+  void Transition(std::size_t gpu, Health to);
   void UpdateScoreHealth(std::size_t gpu);
   void GoDown(std::size_t gpu, bool from_hang);
   void Readmit(std::size_t gpu);
@@ -195,7 +137,6 @@ class HealthMonitor {
   metrics::ServingCounters* counters_;
   metrics::Tracer* tracer_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<HealthTransition> transitions_;
   bool started_ = false;
   bool stopped_ = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -21,8 +22,8 @@ static_assert(kRttWeight >= 0.0 && kRttWeight <= 1.0);
 
 // Knobs for the continuous gray-failure health score shared by the device
 // HealthMonitor and the cluster Router. Off by default: with
-// `enabled == false` no score is maintained and the binary health state
-// machines behave exactly as before, so existing goldens stay byte-identical.
+// `enabled == false` no score is fed and only the owners' binary signals
+// move the health state machine, so existing goldens stay byte-identical.
 struct HealthScoreOptions {
   bool enabled = false;
   // EWMA smoothing factor (weight of the newest sample) of the RTT term.
@@ -94,8 +95,7 @@ class HealthScore {
     return kRttWeight * rtt_term + (1.0 - kRttWeight) * err_term;
   }
 
-  // Measured slowdown vs. the learned baseline (1.0 until learned). This
-  // is what slowdown-triggered hedging keys on.
+  // Measured slowdown vs. the learned baseline (1.0 until learned).
   double slowdown() const {
     return baseline_ > 0.0 && ewma_rtt_ > 0.0 ? ewma_rtt_ / baseline_ : 1.0;
   }
@@ -114,6 +114,102 @@ class HealthScore {
 // Throws std::invalid_argument on out-of-range knobs (rtt_alpha outside
 // (0, 1], thresholds outside (0, 1) or inverted).
 void Validate(const HealthScoreOptions& options);
+
+// Health of one target (a device or a server) as placement and routing see
+// it. What moves a target between states is up to its owner.
+enum class Health : std::uint8_t {
+  kHealthy = 0,  // serving normally
+  kDegraded,     // serving, but impaired
+  kDown,         // not serving
+  kRecovering,   // back up, warming before readmission; takes no traffic
+};
+
+const char* ToString(Health h);
+
+// One observed health edge, in transition order across all targets.
+struct HealthEdge {
+  std::size_t target = 0;
+  Health from = Health::kHealthy;
+  Health to = Health::kHealthy;
+  sim::TimePoint at;
+};
+
+// One completed outage: from the first down mark to readmission. A relapse
+// before readmission stays in the same episode.
+struct Outage {
+  std::size_t target = 0;
+  sim::TimePoint down;
+  sim::TimePoint readmitted;
+
+  sim::Duration mttr() const { return readmitted - down; }
+  bool operator==(const Outage&) const = default;
+};
+
+// The four-state health machine under the device HealthMonitor and the
+// cluster Router. It holds each target's state, its HealthScore and the
+// score's hysteresis latch, the edge log, and the completed outages. The
+// owners decide what moves a target (device signals and the recovery
+// pipeline; probe and request streaks) and what each edge feeds.
+class HealthFsm {
+ public:
+  HealthFsm(std::size_t targets, const HealthScoreOptions& score);
+
+  Health health(std::size_t i) const { return targets_.at(i).health; }
+  // Routable: healthy or degraded (down/recovering targets take no traffic).
+  bool Usable(std::size_t i) const;
+  bool scoring() const { return score_options_.enabled; }
+  // Continuous health score of target i (1.0 when scoring is disabled).
+  double score(std::size_t i) const;
+  const std::vector<HealthEdge>& transitions() const { return transitions_; }
+  // In readmission order.
+  const std::vector<Outage>& outages() const { return outages_; }
+  // Mean time to repair of target i over its completed outages; zero when
+  // it has none.
+  sim::Duration Mttr(std::size_t i) const;
+
+ protected:
+  enum class Step { kNone, kDegrade, kRecover };
+
+  // Logs the edge health(i) -> `to`; false when i is already in `to`.
+  bool Move(std::size_t i, Health to, sim::TimePoint now);
+  // Opens an outage episode of target i at `now`.
+  void MarkDown(std::size_t i, sim::TimePoint now) {
+    targets_[i].down_since = now;
+  }
+  sim::TimePoint down_since(std::size_t i) const {
+    return targets_[i].down_since;
+  }
+  // Closes target i's outage episode at readmission: records the Outage,
+  // then forgets the score and clears the latch, so the error EWMA built
+  // up through the outage (and a possibly different post-recovery normal)
+  // cannot re-degrade the readmitted target.
+  void EndOutage(std::size_t i, sim::TimePoint now);
+  void Probe(std::size_t i, bool ok, sim::Duration rtt) {
+    targets_[i].score.OnProbe(ok, rtt);
+  }
+  // Steps target i's hysteresis latch on its current score: kDegrade when
+  // the score falls below degrade_below, kRecover when it climbs back to
+  // recover_above. The owner decides which edge, if any, the step causes.
+  Step Hysteresis(std::size_t i);
+  // The latch: set from a kDegrade step until the next kRecover step or
+  // EndOutage.
+  bool score_degraded(std::size_t i) const {
+    return targets_[i].score_degraded;
+  }
+
+ private:
+  struct Target {
+    Health health = Health::kHealthy;
+    sim::TimePoint down_since;
+    HealthScore score;
+    bool score_degraded = false;
+  };
+
+  HealthScoreOptions score_options_;
+  std::vector<Target> targets_;
+  std::vector<HealthEdge> transitions_;
+  std::vector<Outage> outages_;
+};
 
 // One routing target (a device or a server) as StickySelect sees it.
 struct RouteCandidate {

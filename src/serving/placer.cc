@@ -20,7 +20,7 @@ std::size_t Placer::Route(const std::string& model, std::size_t primary,
       [&](std::size_t i) {
         return RouteCandidate{
             .usable = health_.Usable(i),
-            .healthy = health_.health(i) == DeviceHealth::kHealthy,
+            .healthy = health_.health(i) == Health::kHealthy,
             .ready = replica_state(i, model) == ReplicaState::kReady,
             .outstanding = outstanding_[i],
             .score = health_.score(i)};

@@ -11,25 +11,12 @@ namespace {
 constexpr sim::Duration kBrownoutMinDwell = sim::Duration::Millis(50);
 }  // namespace
 
-const char* ToString(ServerHealth h) {
-  switch (h) {
-    case ServerHealth::kHealthy:
-      return "healthy";
-    case ServerHealth::kDegraded:
-      return "degraded";
-    case ServerHealth::kDown:
-      return "down";
-    case ServerHealth::kRecovering:
-      return "recovering";
-  }
-  return "unknown";
-}
-
 Router::Router(sim::Environment& env, RouterTransport& transport,
                std::size_t num_servers, RouterOptions options,
                metrics::RouterCounters* counters,
                metrics::MetricRegistry* registry)
-    : env_(env),
+    : HealthFsm(num_servers, options.score),
+      env_(env),
       transport_(transport),
       options_(options),
       counters_(counters),
@@ -39,7 +26,6 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
     throw std::invalid_argument(
         "down_after_errors and recovery_successes must be >= 1");
   }
-  Validate(options_.score);
   if (options_.brownout.enabled) {
     if (!options_.score.enabled) {
       throw std::invalid_argument("brownout requires health scoring");
@@ -53,7 +39,6 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
   }
   servers_.resize(num_servers);
   if (options_.score.enabled) {
-    scores_.assign(num_servers, HealthScore(options_.score));
     fault_onset_.resize(num_servers);
     onset_armed_.assign(num_servers, false);
   }
@@ -78,8 +63,7 @@ std::size_t Router::Route(std::size_t home) {
                       [&](std::size_t s) {
                         return RouteCandidate{
                             .usable = Routable(s),
-                            .healthy =
-                                servers_[s].health == ServerHealth::kHealthy,
+                            .healthy = health(s) == Health::kHealthy,
                             .outstanding = servers_[s].outstanding,
                             .score = score(s)};
                       });
@@ -100,21 +84,15 @@ void Router::OnRequestSuccess(std::size_t server) {
   // With scoring on, the hysteresis thresholds own the degraded->healthy
   // edge — one fast request must not clear a measured slowdown.
   servers_.at(server).errors = 0;
-  if (!scoring() && servers_[server].health == ServerHealth::kDegraded) {
-    Transition(server, ServerHealth::kHealthy);
+  if (!scoring() && health(server) == Health::kDegraded) {
+    Transition(server, Health::kHealthy);
   }
 }
 
 void Router::OnRequestError(std::size_t server) { OnResult(server, false); }
 
 bool Router::Routable(std::size_t server) const {
-  const ServerHealth h = servers_.at(server).health;
-  return (h == ServerHealth::kHealthy || h == ServerHealth::kDegraded) &&
-         transport_.HasUsableDevice(server);
-}
-
-ServerHealth Router::health(std::size_t server) const {
-  return servers_.at(server).health;
+  return Usable(server) && transport_.HasUsableDevice(server);
 }
 
 std::uint64_t Router::outstanding(std::size_t server) const {
@@ -143,7 +121,7 @@ sim::Task Router::ProbeLoop(std::size_t server) {
       }
       rtt_series->Sample(env_.Now(), rtt.millis());
     }
-    if (scoring()) scores_[server].OnProbe(ok, rtt);
+    if (scoring()) Probe(server, ok, rtt);
     OnResult(server, ok);
     if (scoring()) {
       UpdateScoreHealth(server);
@@ -156,29 +134,25 @@ void Router::OnResult(std::size_t server, bool ok) {
   ServerState& st = servers_.at(server);
   if (ok) {
     st.errors = 0;
-    switch (st.health) {
-      case ServerHealth::kHealthy:
+    switch (health(server)) {
+      case Health::kHealthy:
         break;
-      case ServerHealth::kDegraded:
+      case Health::kDegraded:
         // Under scoring the hysteresis owns this edge: one fast probe must
         // not clear a measured slowdown (UpdateScoreHealth recovers it).
-        if (!scoring()) Transition(server, ServerHealth::kHealthy);
+        if (!scoring()) Transition(server, Health::kHealthy);
         break;
-      case ServerHealth::kDown:
+      case Health::kDown:
         st.successes = 1;
-        Transition(server, ServerHealth::kRecovering);
+        Transition(server, Health::kRecovering);
         break;
-      case ServerHealth::kRecovering:
+      case Health::kRecovering:
         // Not routed until the warm-up hand-shake completes: the server must
         // answer `recovery_successes` consecutive probes before traffic.
         if (++st.successes >= options_.recovery_successes) {
-          mttr_incidents_.push_back(env_.Now() - st.down_since);
+          EndOutage(server, env_.Now());
           if (counters_ != nullptr) ++counters_->server_readmissions;
-          // Re-learn the baseline: post-recovery "normal" may differ, and
-          // the error EWMA accumulated through the outage must not
-          // instantly re-degrade the readmitted server.
-          if (scoring()) scores_[server].Reset();
-          Transition(server, ServerHealth::kHealthy);
+          Transition(server, Health::kHealthy);
         }
         break;
     }
@@ -186,76 +160,70 @@ void Router::OnResult(std::size_t server, bool ok) {
   }
   st.successes = 0;
   ++st.errors;
-  switch (st.health) {
-    case ServerHealth::kDown:
+  switch (health(server)) {
+    case Health::kDown:
       break;
-    case ServerHealth::kRecovering:
+    case Health::kRecovering:
       // Relapse: same outage episode, so down_since is preserved and the
       // eventual MTTR covers the whole incident.
-      Transition(server, ServerHealth::kDown);
+      Transition(server, Health::kDown);
       break;
-    case ServerHealth::kHealthy:
-    case ServerHealth::kDegraded:
+    case Health::kHealthy:
+    case Health::kDegraded:
       if (st.errors >= options_.down_after_errors) {
-        st.down_since = env_.Now();
+        MarkDown(server, env_.Now());
         if (counters_ != nullptr) ++counters_->server_down_events;
-        Transition(server, ServerHealth::kDown);
-      } else if (!scoring() && st.health == ServerHealth::kHealthy) {
+        Transition(server, Health::kDown);
+      } else if (!scoring() && health(server) == Health::kHealthy) {
         // With scoring on, a single error only feeds the error EWMA; the
         // hysteresis check owns the healthy->degraded edge.
-        Transition(server, ServerHealth::kDegraded);
+        Transition(server, Health::kDegraded);
       }
       break;
   }
 }
 
-void Router::Transition(std::size_t server, ServerHealth to) {
-  ServerState& st = servers_[server];
-  if (st.health == to) return;
+void Router::Transition(std::size_t server, Health to) {
+  const Health from = health(server);
+  const sim::TimePoint now = env_.Now();
+  if (!Move(server, to, now)) return;
   // Detection latency: an armed gray-fault onset is consumed by the first
   // away-from-healthy edge; going back to healthy discards a stale onset
   // (the window closed before the router ever noticed).
   if (scoring() && !onset_armed_.empty() && onset_armed_[server]) {
-    if (to == ServerHealth::kDegraded || to == ServerHealth::kDown) {
-      const sim::Duration lat = env_.Now() - fault_onset_[server];
+    if (to == Health::kDegraded || to == Health::kDown) {
+      const sim::Duration lat = now - fault_onset_[server];
       detection_latencies_.push_back(lat);
       onset_armed_[server] = false;
       if (registry_ != nullptr) {
         registry_->GetHistogram("olympian_router_detection_latency_ms")
             .Observe(lat.millis());
       }
-    } else if (to == ServerHealth::kHealthy) {
+    } else if (to == Health::kHealthy) {
       onset_armed_[server] = false;
     }
   }
   if (incident_log_ != nullptr) {
     // The incident log's notion of "healthy" is the router's top state; any
     // away-edge is a detection, the return edge is the recovery.
-    incident_log_->HealthTransition(static_cast<int>(server),
-                                    st.health == ServerHealth::kHealthy,
-                                    to == ServerHealth::kHealthy, env_.Now());
+    incident_log_->HealthChange(static_cast<int>(server),
+                                from == Health::kHealthy,
+                                to == Health::kHealthy, now);
   }
-  transitions_.push_back(ServerTransition{server, st.health, to, env_.Now()});
-  st.health = to;
   if (counters_ != nullptr) ++counters_->server_transitions;
   if (registry_ != nullptr) {
     registry_
         ->GetSeries("olympian_server_health",
                     {{"server", std::to_string(server)}})
-        .Sample(env_.Now(), static_cast<double>(static_cast<int>(to)));
+        .Sample(now, static_cast<double>(static_cast<int>(to)));
   }
-}
-
-double Router::score(std::size_t server) const {
-  if (!scoring()) return 1.0;
-  return scores_.at(server).score();
 }
 
 void Router::NoteFaultOnset(std::size_t server) {
   if (!scoring()) return;
   // Only arm from the healthy state: a fault landing on an already
   // degraded/down server has no healthy->degraded edge to measure.
-  if (servers_.at(server).health != ServerHealth::kHealthy) return;
+  if (health(server) != Health::kHealthy) return;
   if (onset_armed_[server]) return;  // overlapping windows: first onset wins
   onset_armed_[server] = true;
   fault_onset_[server] = env_.Now();
@@ -281,16 +249,13 @@ bool Router::BrownoutSheds(int priority) const {
 }
 
 void Router::UpdateScoreHealth(std::size_t server) {
-  ServerState& st = servers_[server];
-  const double sc = scores_[server].score();
-  if (st.health == ServerHealth::kHealthy &&
-      sc < options_.score.degrade_below) {
+  const Step step = Hysteresis(server);
+  if (step == Step::kDegrade && health(server) == Health::kHealthy) {
     if (counters_ != nullptr) ++counters_->score_degrade_events;
-    Transition(server, ServerHealth::kDegraded);
-  } else if (st.health == ServerHealth::kDegraded &&
-             sc >= options_.score.recover_above) {
+    Transition(server, Health::kDegraded);
+  } else if (step == Step::kRecover && health(server) == Health::kDegraded) {
     if (counters_ != nullptr) ++counters_->score_recover_events;
-    Transition(server, ServerHealth::kHealthy);
+    Transition(server, Health::kHealthy);
   }
 }
 
@@ -304,7 +269,7 @@ void Router::UpdateBrownout() {
   // servers contributing zero — a down server is lost capacity too.
   double total = 0.0;
   for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (Routable(s)) total += scores_[s].score();
+    if (Routable(s)) total += score(s);
   }
   const double cap = total / static_cast<double>(servers_.size());
   // The highest class is never shed: brownout degrades, it never blacks out.

@@ -13,18 +13,6 @@
 
 namespace olympian::serving {
 
-// The router's view of one server. Mirrors DeviceHealth one level up: the
-// router cannot see inside a server, so its states are inferred from probe
-// heartbeats and per-request outcomes rather than device signals.
-enum class ServerHealth : std::uint8_t {
-  kHealthy = 0,
-  kDegraded,    // >= 1 consecutive error, below the down threshold
-  kDown,        // consecutive errors reached the threshold
-  kRecovering,  // probes succeeding again after kDown; not yet routed
-};
-
-const char* ToString(ServerHealth h);
-
 struct RouterOptions {
   // Health-aware routing with cross-server failover. Off = static pin: every
   // request of a client goes to its home server no matter what (the
@@ -63,14 +51,6 @@ struct RouterOptions {
   BrownoutOptions brownout;
 };
 
-// One edge of the router's per-server health state machine.
-struct ServerTransition {
-  std::size_t server = 0;
-  ServerHealth from = ServerHealth::kHealthy;
-  ServerHealth to = ServerHealth::kHealthy;
-  sim::TimePoint at;
-};
-
 // How the router reaches servers. Implemented by the Cluster, which knows
 // about partitions, crashes, and hangs; the Router only sees outcomes.
 class RouterTransport {
@@ -85,9 +65,16 @@ class RouterTransport {
 };
 
 // Front-end request router: sticky-then-least-loaded placement over N
-// servers with a probe-driven health view. Single-writer state on the
-// deterministic event loop — no locking, fully reproducible.
-class Router {
+// servers with a probe-driven health view, one HealthFsm target per server.
+// The router cannot see inside a server, so its states come from probe
+// heartbeats and per-request outcomes rather than device signals: kDegraded
+// after an error below the down threshold (under scoring, while the score
+// is latched low), kDown once consecutive errors reach the threshold, and
+// kRecovering while a down server strings probe successes together, not yet
+// routed. An outage runs from the down mark to readmission, so router-side
+// MTTR includes detection latency. Single-writer state on the deterministic
+// event loop — no locking, fully reproducible.
+class Router : public HealthFsm {
  public:
   static constexpr std::size_t kNoServer = static_cast<std::size_t>(-1);
 
@@ -118,15 +105,10 @@ class Router {
   void OnRequestError(std::size_t server);
 
   bool Routable(std::size_t server) const;
-  ServerHealth health(std::size_t server) const;
   std::uint64_t outstanding(std::size_t server) const;
   std::size_t num_servers() const { return servers_.size(); }
 
   // --- gray-failure detection & response --------------------------------
-
-  bool scoring() const { return options_.score.enabled; }
-  // Continuous health score of `server` (1.0 when scoring is disabled).
-  double score(std::size_t server) const;
 
   // Called by the fault applier when a gray fault opens on `server`; the
   // virtual time from here to the next healthy->degraded/down edge is the
@@ -148,29 +130,16 @@ class Router {
   // brownout level increases become global mitigations. May be null.
   void set_incident_log(metrics::IncidentLog* log) { incident_log_ = log; }
 
-  // Every health edge, in order. The recovering->healthy edge count is the
-  // number of completed router-visible recoveries.
-  const std::vector<ServerTransition>& transitions() const {
-    return transitions_;
-  }
-  // One entry per completed recovery: down-mark to readmission (the
-  // router-side MTTR, which includes detection latency).
-  const std::vector<sim::Duration>& mttr_incidents() const {
-    return mttr_incidents_;
-  }
-
  private:
   struct ServerState {
-    ServerHealth health = ServerHealth::kHealthy;
     int errors = 0;     // consecutive
     int successes = 0;  // consecutive probe successes while recovering
     std::uint64_t outstanding = 0;
-    sim::TimePoint down_since;
   };
 
   sim::Task ProbeLoop(std::size_t server);
   void OnResult(std::size_t server, bool ok);
-  void Transition(std::size_t server, ServerHealth to);
+  void Transition(std::size_t server, Health to);
   void UpdateScoreHealth(std::size_t server);
   void UpdateBrownout();
 
@@ -181,10 +150,7 @@ class Router {
   metrics::MetricRegistry* registry_;
   metrics::IncidentLog* incident_log_ = nullptr;
   std::vector<ServerState> servers_;
-  std::vector<ServerTransition> transitions_;
-  std::vector<sim::Duration> mttr_incidents_;
   // Gray-failure state (all empty/zero when scoring is disabled).
-  std::vector<HealthScore> scores_;           // per server
   std::vector<sim::TimePoint> fault_onset_;   // valid iff onset_armed_[s]
   std::vector<bool> onset_armed_;
   std::vector<sim::Duration> detection_latencies_;

@@ -329,7 +329,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
       // for tail tolerance.
       std::shared_ptr<HedgeState> hedge;
       if ((fo.hedge_when_degraded &&
-           health_->health(gpu) == DeviceHealth::kDegraded) ||
+           health_->health(gpu) == Health::kDegraded) ||
           (fo.hedge_below_score > 0.0 &&
            health_->score(gpu) < fo.hedge_below_score)) {
         const std::size_t alt = placer_->Route(spec.model, t.primary_gpu, gpu);

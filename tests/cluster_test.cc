@@ -7,9 +7,11 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
+#include "metrics/counters.h"
 #include "metrics/phase_account.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
@@ -73,7 +75,7 @@ struct FakeTransport final : serving::RouterTransport {
   explicit FakeTransport(sim::Environment& e) : env(e) {}
   sim::Task Probe(std::size_t server, bool& ok) override {
     (void)server;
-    co_await env.Delay(Duration::Micros(100));
+    co_await env.Delay(rtt);
     ok = probe_ok;
   }
   bool HasUsableDevice(std::size_t server) const override {
@@ -83,6 +85,7 @@ struct FakeTransport final : serving::RouterTransport {
   sim::Environment& env;
   bool probe_ok = true;
   bool usable = true;
+  Duration rtt = Duration::Micros(100);
 };
 
 TEST(RouterTest, ConsecutiveProbeFailuresMarkServerDown) {
@@ -96,8 +99,8 @@ TEST(RouterTest, ConsecutiveProbeFailuresMarkServerDown) {
 
   transport.probe_ok = false;
   env.RunUntil(At(2.5));  // two failed probes per server
-  EXPECT_EQ(router.health(0), serving::ServerHealth::kDown);
-  EXPECT_EQ(router.health(1), serving::ServerHealth::kDown);
+  EXPECT_EQ(router.health(0), serving::Health::kDown);
+  EXPECT_EQ(router.health(1), serving::Health::kDown);
   EXPECT_EQ(router.Route(0), serving::Router::kNoServer);
   router.Stop();
   env.Run();
@@ -119,35 +122,35 @@ TEST(RouterTest, ProbeDuringRecoveringDoesNotReadmitEarly) {
 
   transport.probe_ok = false;
   env.RunUntil(At(2.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
 
   transport.probe_ok = true;
   env.RunUntil(At(3.5));  // first success: down -> recovering
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kRecovering);
+  ASSERT_EQ(router.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(router.Routable(0));
   EXPECT_EQ(router.Route(0), serving::Router::kNoServer);
 
   env.RunUntil(At(4.5));  // second success lands during recovering
-  EXPECT_EQ(router.health(0), serving::ServerHealth::kRecovering)
+  EXPECT_EQ(router.health(0), serving::Health::kRecovering)
       << "a probe success during recovering must not readmit before the "
          "warm-up hand-shake completes";
   EXPECT_FALSE(router.Routable(0));
 
   env.RunUntil(At(6.0));  // third success completes the hand-shake
-  EXPECT_EQ(router.health(0), serving::ServerHealth::kHealthy);
+  EXPECT_EQ(router.health(0), serving::Health::kHealthy);
   EXPECT_TRUE(router.Routable(0));
 
   int recovering_to_healthy = 0;
   for (const auto& t : router.transitions()) {
-    if (t.server == 0 && t.from == serving::ServerHealth::kRecovering &&
-        t.to == serving::ServerHealth::kHealthy) {
+    if (t.target == 0 && t.from == serving::Health::kRecovering &&
+        t.to == serving::Health::kHealthy) {
       ++recovering_to_healthy;
     }
   }
   EXPECT_EQ(recovering_to_healthy, 1);
   // Router-side MTTR covers the whole incident: down-mark to readmission.
-  ASSERT_GE(router.mttr_incidents().size(), 1u);
-  EXPECT_GT(router.mttr_incidents()[0], Duration::Millis(2));
+  ASSERT_GE(router.outages().size(), 1u);
+  EXPECT_GT(router.outages()[0].mttr(), Duration::Millis(2));
   router.Stop();
   env.Run();
 }
@@ -164,21 +167,62 @@ TEST(RouterTest, RelapseDuringRecoveryKeepsOneIncident) {
 
   transport.probe_ok = false;
   env.RunUntil(At(1.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
   transport.probe_ok = true;
   env.RunUntil(At(2.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kRecovering);
+  ASSERT_EQ(router.health(0), serving::Health::kRecovering);
   transport.probe_ok = false;  // relapse before the hand-shake completes
   env.RunUntil(At(3.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
   transport.probe_ok = true;
   env.RunUntil(At(6.0));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kHealthy);
+  ASSERT_EQ(router.health(0), serving::Health::kHealthy);
   // One outage episode, one MTTR incident, spanning the relapse.
-  EXPECT_EQ(router.mttr_incidents().size(), 1u);
-  EXPECT_GT(router.mttr_incidents()[0], Duration::Millis(3));
+  ASSERT_EQ(router.outages().size(), 1u);
+  EXPECT_GT(router.outages()[0].mttr(), Duration::Millis(3));
   router.Stop();
   env.Run();
+}
+
+// Readmission resets the score. Without the reset, the error and RTT EWMAs
+// carried through a scored outage would degrade the readmitted server again
+// on its next probe, although every probe since readmission was fast.
+TEST(RouterTest, ScoredOutageReadmitsWithoutReDegrading) {
+  sim::Environment env;
+  FakeTransport transport(env);
+  serving::RouterOptions ro;
+  ro.probe_interval = Duration::Millis(1);
+  ro.down_after_errors = 2;
+  ro.recovery_successes = 2;
+  ro.score.enabled = true;
+  metrics::RouterCounters counters;
+  serving::Router router(env, transport, 1, ro, &counters);
+  router.Start();
+
+  env.RunUntil(At(5));  // learn the 100us baseline
+  transport.rtt = Duration::Micros(400);
+  env.RunUntil(At(10));
+  ASSERT_EQ(router.health(0), serving::Health::kDegraded);
+  transport.probe_ok = false;
+  env.RunUntil(At(15));
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
+  transport.probe_ok = true;
+  transport.rtt = Duration::Micros(100);
+  env.RunUntil(At(80));
+  router.Stop();
+  env.Run();
+
+  using H = serving::Health;
+  std::vector<std::pair<H, H>> edges;
+  for (const auto& t : router.transitions()) edges.emplace_back(t.from, t.to);
+  const std::vector<std::pair<H, H>> want = {{H::kHealthy, H::kDegraded},
+                                             {H::kDegraded, H::kDown},
+                                             {H::kDown, H::kRecovering},
+                                             {H::kRecovering, H::kHealthy}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(counters.score_degrade_events, 1u);
+  EXPECT_EQ(counters.score_recover_events, 0u);
+  EXPECT_EQ(router.outages().size(), 1u);
 }
 
 TEST(RouterTest, StickyThenLeastLoadedRouting) {
@@ -195,7 +239,7 @@ TEST(RouterTest, StickyThenLeastLoadedRouting) {
   EXPECT_EQ(router.Route(0), 0u);
   // Home down: least-loaded routable server wins; ties break on index.
   for (int i = 0; i < 3; ++i) router.OnRequestError(0);
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
   router.OnRequestStart(1);
   EXPECT_EQ(router.Route(0), 2u);  // server 2 has 0 outstanding, 1 has 1
   router.OnRequestStart(2);

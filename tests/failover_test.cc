@@ -91,8 +91,9 @@ TEST(FailoverTest, DeviceLossFailsOverToSurvivingReplica) {
   // workload: every client finished long before the 100s recovery (which
   // the final event-queue drain still runs to completion).
   ASSERT_NE(exp.health(), nullptr);
-  EXPECT_EQ(exp.health()->stats(0).down_events, 1u);
-  EXPECT_EQ(exp.health()->health(1), serving::DeviceHealth::kHealthy);
+  ASSERT_EQ(exp.health()->outages().size(), 1u);
+  EXPECT_EQ(exp.health()->outages()[0].target, 0u);
+  EXPECT_EQ(exp.health()->health(1), serving::Health::kHealthy);
   for (const auto& r : results) {
     EXPECT_LT(r.finish_time, Duration::Seconds(100)) << r.name;
   }
@@ -127,26 +128,26 @@ TEST(FailoverTest, RecoveryReadmitsDeviceAfterOutage) {
     EXPECT_EQ(r.CountStatus(serving::RequestStatus::kFailed), 0) << r.name;
   }
   ASSERT_NE(exp.health(), nullptr);
-  const auto& stats = exp.health()->stats(0);
-  EXPECT_EQ(stats.down_events, 1u);
-  EXPECT_EQ(stats.readmissions, 1u);
+  EXPECT_EQ(exp.counters().device_down_events, 1u);
+  ASSERT_EQ(exp.health()->outages().size(), 1u);
+  EXPECT_EQ(exp.health()->outages()[0].target, 0u);
   EXPECT_EQ(exp.counters().device_readmissions, 1u);
   // MTTR covers the outage plus the recovery pipeline (driver re-init,
   // parameter reload, warm-up): strictly more than the raw outage.
   EXPECT_GT(exp.health()->Mttr(0), Duration::Millis(250));
-  EXPECT_EQ(exp.health()->health(0), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(exp.health()->health(0), serving::Health::kHealthy);
 
   // Readmission is observable in the transition log: kDown -> kRecovering
   // followed by kRecovering -> kHealthy for GPU 0.
   bool recovering = false, readmitted = false;
   for (const auto& t : exp.health()->transitions()) {
-    if (t.gpu != 0) continue;
-    if (t.from == serving::DeviceHealth::kDown &&
-        t.to == serving::DeviceHealth::kRecovering) {
+    if (t.target != 0) continue;
+    if (t.from == serving::Health::kDown &&
+        t.to == serving::Health::kRecovering) {
       recovering = true;
     }
-    if (recovering && t.from == serving::DeviceHealth::kRecovering &&
-        t.to == serving::DeviceHealth::kHealthy) {
+    if (recovering && t.from == serving::Health::kRecovering &&
+        t.to == serving::Health::kHealthy) {
       readmitted = true;
     }
   }
@@ -177,40 +178,39 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   mon.Start();
 
   env.RunUntil(At(2.5));
-  ASSERT_EQ(mon.health(0), serving::DeviceHealth::kHealthy);
+  ASSERT_EQ(mon.health(0), serving::Health::kHealthy);
   gpu.Reset(Duration::Millis(20));  // outage [2.5, 22.5)
-  ASSERT_EQ(mon.health(0), serving::DeviceHealth::kDown);
+  ASSERT_EQ(mon.health(0), serving::Health::kDown);
 
   // Outage ends at 22.5 but the driver re-init runs until 42.5: probes in
   // between succeed at the device yet the monitor must stay kDown.
   env.RunUntil(At(30));
-  EXPECT_EQ(mon.health(0), serving::DeviceHealth::kDown);
+  EXPECT_EQ(mon.health(0), serving::Health::kDown);
   EXPECT_FALSE(mon.Usable(0));
 
   env.RunUntil(At(43));
-  ASSERT_EQ(mon.health(0), serving::DeviceHealth::kRecovering);
+  ASSERT_EQ(mon.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(mon.Usable(0));
   env.RunUntil(At(44.5));
   // Heartbeats landed every 1ms during recovery; readmission waits for the
   // pipeline (warm-up probes + 5ms warm-up), not the first probe success.
-  EXPECT_EQ(mon.health(0), serving::DeviceHealth::kRecovering);
+  EXPECT_EQ(mon.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(mon.Usable(0));
 
   env.RunUntil(At(60));
-  EXPECT_EQ(mon.health(0), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(mon.health(0), serving::Health::kHealthy);
   EXPECT_TRUE(mon.Usable(0));
   int recovering_to_healthy = 0;
   for (const auto& t : mon.transitions()) {
-    if (t.gpu == 0 && t.from == serving::DeviceHealth::kRecovering &&
-        t.to == serving::DeviceHealth::kHealthy) {
+    if (t.target == 0 && t.from == serving::Health::kRecovering &&
+        t.to == serving::Health::kHealthy) {
       ++recovering_to_healthy;
     }
   }
   EXPECT_EQ(recovering_to_healthy, 1);
-  EXPECT_EQ(mon.stats(0).readmissions, 1u);
-  ASSERT_EQ(mon.stats(0).mttr_incidents.size(), 1u);
+  ASSERT_EQ(mon.outages().size(), 1u);
   // The incident covers outage + re-init + warm-up, not just the outage.
-  EXPECT_GT(mon.stats(0).mttr_incidents[0], Duration::Millis(20));
+  EXPECT_GT(mon.outages()[0].mttr(), Duration::Millis(20));
   mon.Stop();
   env.Run();
 }
@@ -231,8 +231,9 @@ TEST(FailoverTest, HangEscalationFailsOverAndRecoversAtHangEnd) {
   const auto& c = exp.counters();
   EXPECT_EQ(c.device_down_events, 1u);
   EXPECT_GE(c.requests_failed_over, 1u);
-  EXPECT_EQ(exp.health()->stats(0).readmissions, 1u);
-  EXPECT_EQ(exp.health()->health(0), serving::DeviceHealth::kHealthy);
+  ASSERT_EQ(exp.health()->outages().size(), 1u);
+  EXPECT_EQ(exp.health()->outages()[0].target, 0u);
+  EXPECT_EQ(exp.health()->health(0), serving::Health::kHealthy);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "serving/cluster.h"
+#include "serving/router.h"
 #include "serving/server.h"
 
 namespace olympian {
@@ -469,6 +470,34 @@ TEST(GoldenDeterminismTest, ServerFaultPathsMatchGolden) {
 // single-server goldens above run with the cluster disabled and must stay
 // untouched by cluster work; this one pins the cluster trajectory itself.
 
+// The router's health log as a pin: the edge count, the number of MTTR
+// incidents, and an FNV-1a over every edge (server, from, to, instant) and
+// then every incident's repair time. The cluster goldens pin only the edge
+// count and the sum of detection latencies; this pins the edges themselves.
+struct RouterLog {
+  std::uint64_t edges = 0;
+  std::uint64_t incidents = 0;
+  std::uint64_t hash = kFnvOffset;
+
+  bool operator==(const RouterLog&) const = default;
+};
+
+RouterLog HashRouterLog(const serving::Router& router) {
+  RouterLog out;
+  for (const auto& t : router.transitions()) {
+    ++out.edges;
+    out.hash = Fnv1a(out.hash, t.target);
+    out.hash = Fnv1a(out.hash, static_cast<std::uint64_t>(t.from));
+    out.hash = Fnv1a(out.hash, static_cast<std::uint64_t>(t.to));
+    out.hash = Fnv1a(out.hash, static_cast<std::uint64_t>(t.at.nanos()));
+  }
+  for (const serving::Outage& o : router.outages()) {
+    ++out.incidents;
+    out.hash = Fnv1a(out.hash, static_cast<std::uint64_t>(o.mttr().nanos()));
+  }
+  return out;
+}
+
 struct GoldenClusterRun {
   std::vector<std::int64_t> finish_ns;  // per-client
   std::vector<int> completed;           // per-client served requests
@@ -481,7 +510,7 @@ struct GoldenClusterRun {
   bool operator==(const GoldenClusterRun&) const = default;
 };
 
-GoldenClusterRun RunClusterWorkload() {
+GoldenClusterRun RunClusterWorkload(RouterLog* log = nullptr) {
   serving::ClusterOptions opts;
   opts.num_servers = 2;
   opts.server.num_gpus = 1;
@@ -508,6 +537,7 @@ GoldenClusterRun RunClusterWorkload() {
   out.ok = cluster.counters().requests_ok;
   out.failed_over = cluster.counters().requests_failed_over;
   out.transitions = cluster.counters().server_transitions;
+  if (log != nullptr) *log = HashRouterLog(cluster.router());
   return out;
 }
 
@@ -570,7 +600,7 @@ struct ClusterVariant {
 
 GoldenClusterRun RunShardedClusterWorkload(
     std::size_t shards, ClusterVariant variant = {},
-    metrics::RouterCounters* counters = nullptr) {
+    metrics::RouterCounters* counters = nullptr, RouterLog* log = nullptr) {
   serving::ClusterOptions opts;
   opts.num_servers = 4;
   opts.server.num_gpus = 1;
@@ -617,6 +647,7 @@ GoldenClusterRun RunShardedClusterWorkload(
   out.failed_over = cluster.counters().requests_failed_over;
   out.transitions = cluster.counters().server_transitions;
   if (counters != nullptr) *counters = cluster.counters();
+  if (log != nullptr) *log = HashRouterLog(cluster.router());
   if (variant.sinks) {
     EXPECT_EQ(phases.requests(), 40u);  // 8 clients x 5 requests
     EXPECT_EQ(phases.mismatches(), 0u);
@@ -1009,7 +1040,8 @@ struct GoldenGrayRun {
   bool operator==(const GoldenGrayRun&) const = default;
 };
 
-GoldenGrayRun RunGrayClusterWorkload(std::size_t shards) {
+GoldenGrayRun RunGrayClusterWorkload(std::size_t shards,
+                                     RouterLog* log = nullptr) {
   serving::ClusterOptions opts;
   opts.num_servers = 4;
   opts.server.num_gpus = 1;
@@ -1053,6 +1085,7 @@ GoldenGrayRun RunGrayClusterWorkload(std::size_t shards) {
   for (const sim::Duration d : cluster.router().detection_latencies()) {
     out.detection_ns += d.nanos();
   }
+  if (log != nullptr) *log = HashRouterLog(cluster.router());
   return out;
 }
 
@@ -1102,6 +1135,44 @@ TEST(GoldenDeterminismTest, GrayClusterShardedBitIdenticalToUnsharded) {
          "into the trajectory";
   EXPECT_EQ(par, seq)
       << "4-shard gray run diverged from the single-queue run (same seed)";
+}
+
+// ---------------------------------------------------------------------------
+// Router health logs, edge by edge: the crash golden, the lossy fault-path
+// variant at shards 1 and 4, and the scored brownout run.
+
+void PrintRouterLog(const char* name, const RouterLog& g) {
+  std::printf("const RouterLog %s{%lluULL, %lluULL, 0x%016llxULL};\n", name,
+              static_cast<unsigned long long>(g.edges),
+              static_cast<unsigned long long>(g.incidents),
+              static_cast<unsigned long long>(g.hash));
+}
+
+const RouterLog kGoldenCrashRouterLog{4ULL, 1ULL, 0x99b4c78785bdd5b3ULL};
+const RouterLog kGoldenLossyRouterLog{18ULL, 3ULL, 0xb5a8137d985494b1ULL};
+const RouterLog kGoldenGrayRouterLog{6ULL, 0ULL, 0x09cab94b6a5a8a9bULL};
+
+TEST(GoldenDeterminismTest, RouterHealthLogsMatchGolden) {
+  const ClusterVariant lossy{.lost_responses = true};
+  RouterLog crash, lossy1, lossy4, gray;
+  RunClusterWorkload(&crash);
+  RunShardedClusterWorkload(1, lossy, nullptr, &lossy1);
+  RunShardedClusterWorkload(4, lossy, nullptr, &lossy4);
+  RunGrayClusterWorkload(1, &gray);
+  if (PrintRequested()) {
+    PrintRouterLog("kGoldenCrashRouterLog", crash);
+    PrintRouterLog("kGoldenLossyRouterLog", lossy1);
+    PrintRouterLog("kGoldenLossyRouterLog(shards=4)", lossy4);
+    PrintRouterLog("kGoldenGrayRouterLog", gray);
+    return;
+  }
+  EXPECT_EQ(crash, kGoldenCrashRouterLog);
+  EXPECT_EQ(lossy1, kGoldenLossyRouterLog);
+  EXPECT_EQ(lossy4, kGoldenLossyRouterLog) << "shards=4";
+  EXPECT_EQ(gray, kGoldenGrayRouterLog);
+  // The edge counts agree with the server_transitions pins above.
+  EXPECT_EQ(crash.edges, kGoldenCluster.transitions);
+  EXPECT_EQ(lossy1.edges, kGoldenLostResponses.transitions);
 }
 
 }  // namespace

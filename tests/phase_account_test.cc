@@ -340,10 +340,10 @@ TEST(IncidentLogTest, BrownoutMitigatesEveryOpenDetectedIncident) {
   log.Enable();
   log.Inject(0, "crash", At(100), Duration::Millis(500));
   log.Inject(1, "hang", At(120), Duration::Millis(500));
-  log.HealthTransition(0, true, false, At(110));
-  log.HealthTransition(1, true, false, At(130));
+  log.HealthChange(0, true, false, At(110));
+  log.HealthChange(1, true, false, At(130));
   log.Mitigation(-1, "brownout", At(140));  // global: attaches to both
-  log.HealthTransition(0, false, true, At(700));
+  log.HealthChange(0, false, true, At(700));
   log.Finalize();
   ASSERT_EQ(log.incidents().size(), 2u);
   EXPECT_EQ(log.incidents()[0].mitigation, "brownout");
