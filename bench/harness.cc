@@ -146,31 +146,10 @@ void SweepCase::RecordStatuses(
       slo_window_seconds = c.finish_time.seconds();
     }
     for (std::size_t i = 0; i < c.request_status.size(); ++i) {
-      metrics::RequestOutcome outcome;
-      switch (c.request_status[i]) {
-        case serving::RequestStatus::kOk:
-          outcome = metrics::RequestOutcome::kSuccess;
-          break;
-        case serving::RequestStatus::kFailedRetried:
-          outcome = metrics::RequestOutcome::kRetriedSuccess;
-          break;
-        case serving::RequestStatus::kTimedOut:
-          outcome = metrics::RequestOutcome::kTimedOut;
-          break;
-        case serving::RequestStatus::kRejected:
-          outcome = metrics::RequestOutcome::kRejected;
-          break;
-        case serving::RequestStatus::kFailed:
-          outcome = metrics::RequestOutcome::kFailed;
-          break;
-        default:
-          outcome = metrics::RequestOutcome::kFailed;
-          break;
-      }
       const double latency = i < c.request_latency_ms.size()
                                  ? c.request_latency_ms[i]
                                  : 0.0;
-      slo.Add(c.model, latency, outcome);
+      slo.Add(c.model, latency, c.request_status[i]);
     }
   }
 }

@@ -16,8 +16,9 @@
 //   * the IncidentLog correlates each injected fault with the router's
 //     detection, the mitigation that shifted traffic (failover/brownout),
 //     and recovery, with per-incident request impact and goodput dip;
-//   * the engine introspection registry shows, for sharded runs, where the
-//     physical threads spent their wall time (busy vs barrier wait).
+//   * the engine's wall-clock accessors show, for sharded runs, where the
+//     physical threads spent their wall time (busy vs barrier wait); the
+//     table goes to stderr.
 //
 // Artifacts (written to the working directory):
 //   <prefix>_blame.json      tail-blame table (integer-ns, byte-stable)
@@ -55,7 +56,6 @@ int main(int argc, char** argv) {
 
   metrics::Tracer tracer(300000);
   metrics::MetricRegistry registry;
-  metrics::MetricRegistry engine_registry;  // wall-clock; kept separate
   metrics::PhaseCollector phases(
       metrics::PhaseCollector::Options{.slo_ms = 250.0, .registry = &registry});
   metrics::IncidentLog incidents;
@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   opts.registry = &registry;
   opts.phases = &phases;
   opts.incidents = &incidents;
-  opts.engine_registry = &engine_registry;
 
   // The staged drill. Server 2 goes gray first — still up, answering
   // probes, but at 40% speed — then server 0 crashes outright, and server 1

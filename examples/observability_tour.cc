@@ -102,24 +102,7 @@ int main() {
   for (const auto& r : results) {
     window_s = std::max(window_s, r.finish_time.seconds());
     for (std::size_t i = 0; i < r.request_status.size(); ++i) {
-      metrics::RequestOutcome outcome;
-      switch (r.request_status[i]) {
-        case serving::RequestStatus::kOk:
-          outcome = metrics::RequestOutcome::kSuccess;
-          break;
-        case serving::RequestStatus::kFailedRetried:
-          outcome = metrics::RequestOutcome::kRetriedSuccess;
-          break;
-        case serving::RequestStatus::kTimedOut:
-          outcome = metrics::RequestOutcome::kTimedOut;
-          break;
-        case serving::RequestStatus::kRejected:
-          outcome = metrics::RequestOutcome::kRejected;
-          break;
-        default:
-          outcome = metrics::RequestOutcome::kFailed;
-      }
-      slo.Add(r.model, r.request_latency_ms[i], outcome);
+      slo.Add(r.model, r.request_latency_ms[i], r.request_status[i]);
     }
   }
 

@@ -223,12 +223,13 @@ class ServerFaultPlan {
 
 // Applies a FaultPlan to live devices at the scheduled virtual times.
 // Construct it after the Environment and Gpus, then call Arm() before (or
-// during) the run; events before the current time are dropped. Counters and
-// tracer spans (on metrics::Tracer::kFaultTrack) are optional.
+// during) the run; events before the current time are dropped. Every applied
+// event counts into `counters`; tracer spans (on metrics::Tracer::kFaultTrack)
+// are optional.
 class FaultInjector {
  public:
   FaultInjector(sim::Environment& env, std::vector<gpusim::Gpu*> gpus,
-                FaultPlan plan, metrics::ServingCounters* counters = nullptr,
+                FaultPlan plan, metrics::ServingCounters& counters,
                 metrics::Tracer* tracer = nullptr);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -247,7 +248,7 @@ class FaultInjector {
   sim::Environment& env_;
   std::vector<gpusim::Gpu*> gpus_;
   FaultPlan plan_;
-  metrics::ServingCounters* counters_;
+  metrics::ServingCounters& counters_;
   metrics::Tracer* tracer_;
   bool armed_ = false;
   std::uint64_t events_applied_ = 0;

@@ -3,8 +3,6 @@
 #include <ostream>
 #include <string>
 
-#include "metrics/registry.h"
-
 namespace olympian::metrics {
 
 std::span<const ServingCounters::Field> ServingCounters::Fields() {
@@ -48,13 +46,14 @@ void ServingCounters::Print(std::ostream& os) const {
   }
 }
 
-void ServingCounters::ExportTo(MetricRegistry& registry) const {
+void ServingCounters::ExportTo(MetricRegistry& registry,
+                               const Labels& labels) const {
   std::string name;
   for (const Field& f : Fields()) {
     name.assign("olympian_");
     name.append(f.name);
     name.append("_total");
-    registry.GetCounter(name).Set(this->*f.member);
+    registry.GetCounter(name, labels).Set(this->*f.member);
   }
 }
 

@@ -4,9 +4,9 @@
 #include <iosfwd>
 #include <span>
 
-namespace olympian::metrics {
+#include "metrics/registry.h"
 
-class MetricRegistry;
+namespace olympian::metrics {
 
 // Monotonic event counters for the serving stack's failure model: injected
 // faults, request-level degradation outcomes, and the load-shedding /
@@ -70,10 +70,11 @@ struct ServingCounters {
   void Print(std::ostream& os) const;
 
   // Mirrors every field into `registry` as a counter named
-  // "olympian_<field>_total" via Counter::Set — idempotent, so repeated
-  // bridging (Experiment::Run calls this at finish; callers may re-export
-  // at any time) never double-counts.
-  void ExportTo(MetricRegistry& registry) const;
+  // "olympian_<field>_total" with `labels` via Counter::Set — idempotent, so
+  // repeated bridging (Experiment::Run calls this at finish; callers may
+  // re-export at any time) never double-counts. A cluster labels each
+  // server's counters {server="s"}.
+  void ExportTo(MetricRegistry& registry, const Labels& labels = {}) const;
 };
 
 // Monotonic event counters for the cluster front-end: routing decisions,

@@ -41,15 +41,6 @@ void MetricRegistry::Histogram::Observe(double v) {
   ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
 }
 
-void MetricRegistry::Histogram::MergeFrom(const Histogram& src) {
-  if (src.count_ == 0) return;
-  min_ = count_ == 0 ? src.min_ : std::min(min_, src.min_);
-  max_ = count_ == 0 ? src.max_ : std::max(max_, src.max_);
-  count_ += src.count_;
-  sum_ += src.sum_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += src.counts_[i];
-}
-
 double MetricRegistry::Histogram::Quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -101,97 +92,6 @@ std::string MetricRegistry::RenderLabels(const Labels& labels) {
   return out;
 }
 
-namespace {
-
-// Splits a rendered label block `{k="v",...}` into its `k="v"` items.
-// Values can contain commas and escaped quotes, so the scan is quote-aware.
-std::vector<std::string> SplitLabelItems(const std::string& rendered) {
-  std::vector<std::string> items;
-  if (rendered.size() < 2) return items;  // "" or "{}"
-  std::size_t start = 1;  // past '{'
-  bool in_quotes = false;
-  for (std::size_t i = 1; i + 1 < rendered.size(); ++i) {
-    const char c = rendered[i];
-    if (in_quotes) {
-      if (c == '\\') {
-        ++i;  // skip the escaped character
-      } else if (c == '"') {
-        in_quotes = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      items.push_back(rendered.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  items.push_back(rendered.substr(start, rendered.size() - 1 - start));
-  return items;
-}
-
-// Merges two rendered label blocks into one, keeping items sorted (label
-// keys are [a-zA-Z0-9_]* and '=' sorts below all of them, so comparing
-// whole `k="v"` items orders by key exactly as RenderLabels does).
-std::string SpliceLabels(const std::string& a, const std::string& b) {
-  if (a.empty() || a == "{}") return b;
-  if (b.empty() || b == "{}") return a;
-  std::vector<std::string> items = SplitLabelItems(a);
-  const std::vector<std::string> extra = SplitLabelItems(b);
-  items.insert(items.end(), extra.begin(), extra.end());
-  std::sort(items.begin(), items.end());
-  std::string out = "{";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ',';
-    out += items[i];
-  }
-  out += '}';
-  return out;
-}
-
-}  // namespace
-
-void MetricRegistry::MergeFrom(const MetricRegistry& src, const Labels& extra) {
-  const std::string extra_rendered = RenderLabels(extra);
-  for (const auto& [key, c] : src.counters_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = counters_.find(merged);
-    if (it == counters_.end()) {
-      it = counters_.emplace(std::move(merged), std::make_unique<Counter>())
-               .first;
-    }
-    it->second->Inc(c->value());
-  }
-  for (const auto& [key, g] : src.gauges_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = gauges_.find(merged);
-    if (it == gauges_.end()) {
-      it = gauges_.emplace(std::move(merged), std::make_unique<Gauge>()).first;
-    }
-    it->second->Set(g->value());
-  }
-  for (const auto& [key, h] : src.histograms_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = histograms_.find(merged);
-    if (it == histograms_.end()) {
-      // A fresh destination is a copy of the source, counts included.
-      histograms_.emplace(std::move(merged), std::make_unique<Histogram>(*h));
-      continue;
-    }
-    it->second->MergeFrom(*h);
-  }
-  for (const auto& [key, s] : src.series_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = series_.find(merged);
-    if (it == series_.end()) {
-      it = series_.emplace(std::move(merged), std::make_unique<TimeSeries>())
-               .first;
-    }
-    it->second->MergeFrom(*s);
-  }
-}
-
 template <typename T>
 T& MetricRegistry::GetOrCreate(std::map<Key, std::unique_ptr<T>>& family,
                                std::string_view name, const Labels& labels) {
@@ -216,11 +116,6 @@ MetricRegistry::Counter& MetricRegistry::GetCounter(std::string_view name,
   return GetOrCreate(counters_, name, labels);
 }
 
-MetricRegistry::Gauge& MetricRegistry::GetGauge(std::string_view name,
-                                                const Labels& labels) {
-  return GetOrCreate(gauges_, name, labels);
-}
-
 MetricRegistry::Histogram& MetricRegistry::GetHistogram(std::string_view name,
                                                         const Labels& labels) {
   return GetOrCreate(histograms_, name, labels);
@@ -234,11 +129,6 @@ MetricRegistry::TimeSeries& MetricRegistry::GetSeries(std::string_view name,
 const MetricRegistry::Counter* MetricRegistry::FindCounter(
     std::string_view name, const Labels& labels) const {
   return Find(counters_, name, labels);
-}
-
-const MetricRegistry::Gauge* MetricRegistry::FindGauge(
-    std::string_view name, const Labels& labels) const {
-  return Find(gauges_, name, labels);
 }
 
 const MetricRegistry::Histogram* MetricRegistry::FindHistogram(
@@ -305,13 +195,6 @@ void MetricRegistry::WritePrometheus(std::ostream& os) const {
   for (const auto& [key, c] : counters_) {
     TypeHeader(os, last, key.name, "counter");
     os << key.name << key.labels << ' ' << c->value() << '\n';
-  }
-  last.clear();
-  for (const auto& [key, g] : gauges_) {
-    TypeHeader(os, last, key.name, "gauge");
-    os << key.name << key.labels << ' ';
-    WriteDouble(os, g->value());
-    os << '\n';
   }
   last.clear();
   for (const auto& [key, h] : histograms_) {

@@ -20,8 +20,8 @@ namespace olympian::metrics {
 using Label = std::pair<std::string, std::string>;
 using Labels = std::vector<Label>;
 
-// Labeled metric registry: counters, gauges, log-bucketed histograms, and
-// windowed time series keyed by (name, labels).
+// Labeled metric registry: counters, log-bucketed histograms, and windowed
+// time series keyed by (name, labels).
 //
 // Usage pattern: look a handle up once (Get* allocates on first use and
 // returns a reference that is stable for the registry's lifetime), then
@@ -52,17 +52,6 @@ class MetricRegistry {
     std::uint64_t value_ = 0;
   };
 
-  // Instantaneous value.
-  class Gauge {
-   public:
-    void Set(double v) { value_ = v; }
-    void Add(double d) { value_ += d; }
-    double value() const { return value_; }
-
-   private:
-    double value_ = 0.0;
-  };
-
   // Log-bucketed histogram. Every histogram shares one bucket layout
   // (registry.cc): upper bounds grow geometrically, giving constant relative
   // error across many orders of magnitude with a few dozen buckets.
@@ -84,9 +73,6 @@ class MetricRegistry {
     // Quantile estimate (q in [0,1]) by linear interpolation inside the
     // containing bucket, clamped to the observed min/max.
     double Quantile(double q) const;
-
-    // Folds `src`'s observations into this histogram bucket-wise.
-    void MergeFrom(const Histogram& src);
 
    private:
     std::vector<double> bounds_;
@@ -110,12 +96,6 @@ class MetricRegistry {
     }
     bool empty() const { return points_.empty(); }
     double last() const { return points_.empty() ? 0.0 : points_.back().second; }
-    // Appends `src`'s samples after this series' own (no re-sorting: merged
-    // series are expected to come from disjoint label sets or consecutive
-    // time ranges).
-    void MergeFrom(const TimeSeries& src) {
-      points_.insert(points_.end(), src.points_.begin(), src.points_.end());
-    }
 
    private:
     static constexpr std::size_t kReserve = 1024;
@@ -124,22 +104,12 @@ class MetricRegistry {
 
   // Lookup-or-create. References are stable for the registry's lifetime.
   Counter& GetCounter(std::string_view name, const Labels& labels = {});
-  Gauge& GetGauge(std::string_view name, const Labels& labels = {});
   Histogram& GetHistogram(std::string_view name, const Labels& labels = {});
   TimeSeries& GetSeries(std::string_view name, const Labels& labels = {});
-
-  // Folds every instrument of `src` into this registry, splicing `extra`
-  // labels into each key (e.g. {{"server","3"}} qualifies per-server deltas
-  // before they land in a shared export). Counters add, gauges overwrite,
-  // histograms merge bucket-wise, and time series append their samples.
-  // Deterministic: `src` iterates in key order.
-  void MergeFrom(const MetricRegistry& src, const Labels& extra = {});
 
   // Lookup-only (nullptr when absent); for tests and report builders.
   const Counter* FindCounter(std::string_view name,
                              const Labels& labels = {}) const;
-  const Gauge* FindGauge(std::string_view name,
-                         const Labels& labels = {}) const;
   const Histogram* FindHistogram(std::string_view name,
                                  const Labels& labels = {}) const;
   const TimeSeries* FindSeries(std::string_view name,
@@ -153,7 +123,7 @@ class MetricRegistry {
   Series() const;
 
   // Prometheus text exposition format 0.0.4: counters as `_total`-style
-  // monotonic values, gauges, histograms with cumulative `_bucket{le=...}`
+  // monotonic values, histograms with cumulative `_bucket{le=...}`
   // rows ending in `+Inf` plus `_sum`/`_count`, and each time series'
   // latest sample as a gauge.
   void WritePrometheus(std::ostream& os) const;
@@ -180,7 +150,6 @@ class MetricRegistry {
                 std::string_view name, const Labels& labels) const;
 
   std::map<Key, std::unique_ptr<Counter>> counters_;
-  std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
   std::map<Key, std::unique_ptr<TimeSeries>> series_;
 };

@@ -14,11 +14,11 @@ SloAccumulator::PerModel& SloAccumulator::ModelSlot(std::string_view model) {
 }
 
 void SloAccumulator::Add(std::string_view model, double latency_ms,
-                         RequestOutcome outcome) {
+                         RequestStatus status) {
   PerModel& slot = ModelSlot(model);
-  ++slot.counts[static_cast<std::size_t>(outcome)];
-  if (outcome == RequestOutcome::kSuccess ||
-      outcome == RequestOutcome::kRetriedSuccess) {
+  ++slot.counts[static_cast<std::size_t>(status)];
+  if (status == RequestStatus::kOk ||
+      status == RequestStatus::kFailedRetried) {
     slot.success_latency_ms.Add(latency_ms);
   }
 }
@@ -50,8 +50,8 @@ SloReport SloAccumulator::Report(double window_seconds) const {
     SloReport::ModelRow row;
     row.model = m.model;
     const std::uint64_t ok =
-        m.counts[static_cast<std::size_t>(RequestOutcome::kSuccess)] +
-        m.counts[static_cast<std::size_t>(RequestOutcome::kRetriedSuccess)];
+        m.counts[static_cast<std::size_t>(RequestStatus::kOk)] +
+        m.counts[static_cast<std::size_t>(RequestStatus::kFailedRetried)];
     for (const std::uint64_t c : m.counts) row.total += c;
     row.succeeded = ok;
     row.availability =
@@ -71,10 +71,10 @@ SloReport SloAccumulator::Report(double window_seconds) const {
     r.per_model.push_back(std::move(row));
 
     r.retried_ok +=
-        m.counts[static_cast<std::size_t>(RequestOutcome::kRetriedSuccess)];
-    r.timed_out += m.counts[static_cast<std::size_t>(RequestOutcome::kTimedOut)];
-    r.rejected += m.counts[static_cast<std::size_t>(RequestOutcome::kRejected)];
-    r.failed += m.counts[static_cast<std::size_t>(RequestOutcome::kFailed)];
+        m.counts[static_cast<std::size_t>(RequestStatus::kFailedRetried)];
+    r.timed_out += m.counts[static_cast<std::size_t>(RequestStatus::kTimedOut)];
+    r.rejected += m.counts[static_cast<std::size_t>(RequestStatus::kRejected)];
+    r.failed += m.counts[static_cast<std::size_t>(RequestStatus::kFailed)];
     for (const double v : m.success_latency_ms.values()) all_latency.Add(v);
   }
   for (const SloReport::ModelRow& row : r.per_model) {

@@ -10,13 +10,15 @@
 
 namespace olympian::metrics {
 
-// Terminal disposition of one client request, as seen by the SLO layer.
-enum class RequestOutcome : std::uint8_t {
-  kSuccess = 0,        // completed within deadline, first admission
-  kRetriedSuccess,     // completed, but only after retry/failover/hedge
-  kTimedOut,           // deadline exceeded
-  kRejected,           // shed by admission control or circuit breaker
-  kFailed,             // retry budget exhausted on hard failures
+// Terminal outcome of one inference request (one batch run), shared by the
+// serving layer (re-exported as serving::RequestStatus) and the SLO fold.
+// The values are stable: fingerprints hash them.
+enum class RequestStatus : std::uint8_t {
+  kOk = 0,           // succeeded on the first attempt
+  kTimedOut,         // cancelled by its deadline (possibly mid-retry)
+  kRejected,         // shed by admission control or an open circuit breaker
+  kFailedRetried,    // succeeded, but only after >= 1 retry
+  kFailed,           // exhausted the retry budget
 };
 
 // Availability objective used for error-budget burn; 0.999 = "three
@@ -30,8 +32,8 @@ struct SloReport {
   double window_seconds = 0.0;
 
   std::uint64_t total = 0;
-  std::uint64_t succeeded = 0;   // kSuccess + kRetriedSuccess
-  std::uint64_t retried_ok = 0;  // kRetriedSuccess only
+  std::uint64_t succeeded = 0;   // kOk + kFailedRetried
+  std::uint64_t retried_ok = 0;  // kFailedRetried only
   std::uint64_t timed_out = 0;
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
@@ -76,7 +78,7 @@ struct SloReport {
 // are exact (metrics::Series keeps every value).
 class SloAccumulator {
  public:
-  void Add(std::string_view model, double latency_ms, RequestOutcome outcome);
+  void Add(std::string_view model, double latency_ms, RequestStatus status);
   // Pools another accumulator's observations into this one (bench sweeps
   // merge per-case accumulators into the artifact-level report).
   void Merge(const SloAccumulator& other);
@@ -90,7 +92,7 @@ class SloAccumulator {
   struct PerModel {
     std::string model;
     Series success_latency_ms;
-    std::uint64_t counts[5] = {};  // indexed by RequestOutcome
+    std::uint64_t counts[5] = {};  // indexed by RequestStatus
   };
   PerModel& ModelSlot(std::string_view model);
   std::vector<PerModel> models_;  // sorted by name, small N

@@ -117,7 +117,6 @@ sim::Task Batcher::Dispatcher() {
     ++batches_executed_;
     items_served_ += static_cast<std::uint64_t>(take);
     occupancy_sum_ += static_cast<double>(take) / padded;
-    batch_sizes_.Add(take);
     for (Request* r : batch) r->done = true;
     done_cv_.NotifyAll();
   }

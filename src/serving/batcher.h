@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/stats.h"
 #include "serving/server.h"
 #include "sim/sync.h"
 
@@ -61,7 +60,6 @@ class Batcher {
   std::uint64_t batches_executed() const { return batches_executed_; }
   std::uint64_t items_served() const { return items_served_; }
   double MeanBatchOccupancy() const;  // items / padded size, averaged
-  const metrics::Series& batch_sizes() const { return batch_sizes_; }
 
  private:
   struct Request {
@@ -90,7 +88,6 @@ class Batcher {
   std::uint64_t batches_executed_ = 0;
   std::uint64_t items_served_ = 0;
   double occupancy_sum_ = 0.0;
-  metrics::Series batch_sizes_;
 };
 
 }  // namespace olympian::serving

@@ -31,7 +31,7 @@ constexpr sim::Duration kProbeService = sim::Duration::Millis(1);
 // (clamped to the server count; 0 means 1). Throws std::invalid_argument
 // for the two remaining unpartitionable options; every other cluster
 // configuration — alloc faults, server-side tracer, server-side registry —
-// now shards (per-server private accumulators, merged hub-side).
+// shards (see ClusterOptions::shards).
 std::size_t ValidatedShards(const ClusterOptions& o) {
   std::size_t shards = o.shards == 0 ? 1 : o.shards;
   shards = std::min(shards, o.num_servers);
@@ -90,23 +90,16 @@ Cluster::Cluster(ClusterOptions options)
         "a cluster, which runs no per-server sampler: set the interval to "
         "zero");
   }
-  // Per-server private observability accumulators. Each server records into
-  // its own buffer on its own shard (no cross-thread writes); FinishRun
-  // merges them into the user-provided destinations in canonical order at
-  // every shard count, so exports are byte-identical across shard counts.
+  // Per-server private trace buffers. Each server records into its own
+  // buffer on its own shard (no cross-thread writes); FinishRun merges them
+  // into the user's tracer in canonical order at every shard count, so the
+  // trace is byte-identical across shard counts.
   if (tracer_ != nullptr) {
     hub_tracer_ = std::make_unique<metrics::Tracer>(tracer_->max_events());
     server_tracers_.reserve(options_.num_servers);
     for (std::size_t s = 0; s < options_.num_servers; ++s) {
       server_tracers_.push_back(
           std::make_unique<metrics::Tracer>(tracer_->max_events()));
-    }
-  }
-  if (options_.server.observability.registry != nullptr) {
-    server_registries_.reserve(options_.num_servers);
-    for (std::size_t s = 0; s < options_.num_servers; ++s) {
-      server_registries_.push_back(
-          std::make_unique<metrics::MetricRegistry>());
     }
   }
   // Derive decorrelated per-server seeds from the master seed; the
@@ -122,19 +115,19 @@ Cluster::Cluster(ClusterOptions options)
     // device), which is the signal the router converts into failover.
     so.failover.enabled = true;
     if (tracer_ != nullptr) so.executor.tracer = server_tracers_[s].get();
-    if (!server_registries_.empty()) {
-      so.observability.registry = server_registries_[s].get();
-    }
+    // No server writes its registry during a cluster run (the histogram,
+    // sampler and counter bridge all belong to Experiment::Run); FinishRun
+    // exports each server's counters instead.
+    so.observability.registry = nullptr;
     servers_.push_back(std::make_unique<Experiment>(
         std::move(so), engine_.lane_env(s)));
   }
   RouterTransport& transport = *this;  // private base: convert in-class
-  router_ = std::make_unique<Router>(env_, transport, servers_.size(),
-                                     options_.router, &counters_,
-                                     options_.registry);
   // Feeding calls are no-ops on a disabled log, so every feed site stays
   // unconditional.
-  router_->set_incident_log(&incidents_);
+  router_ = std::make_unique<Router>(env_, transport, servers_.size(),
+                                     options_.router, counters_, incidents_,
+                                     options_.registry);
   crashed_until_.resize(servers_.size());
   hung_until_.resize(servers_.size());
   part_to_until_.resize(servers_.size());
@@ -721,9 +714,6 @@ void Cluster::FinishRun() {
     counters_.tenant_instantiations += n;
   }
   incidents_.Finalize();
-  if (options_.engine_registry != nullptr) {
-    ExportEngineIntrospection(*options_.engine_registry);
-  }
   if (options_.registry != nullptr) {
     counters_.ExportTo(*options_.registry);
   }
@@ -739,60 +729,9 @@ void Cluster::FinishRun() {
           options_.server.observability.registry;
       user_registry != nullptr) {
     for (std::size_t s = 0; s < servers_.size(); ++s) {
-      // The server's ServingCounters struct is its shard-private metrics
-      // delta; bridge it into the private registry, then label every
-      // instrument with its server before it lands in the shared export.
-      servers_[s]->counters().ExportTo(*server_registries_[s]);
-      user_registry->MergeFrom(*server_registries_[s],
-                               {{"server", std::to_string(s)}});
+      servers_[s]->counters().ExportTo(*user_registry,
+                                       {{"server", std::to_string(s)}});
     }
-  }
-}
-
-void Cluster::ExportEngineIntrospection(metrics::MetricRegistry& reg) const {
-  reg.GetCounter("olympian_engine_sync_windows").Set(engine_.sync_windows());
-  reg.GetCounter("olympian_engine_hub_instants").Set(engine_.hub_instants());
-  reg.GetCounter("olympian_engine_boundary_events")
-      .Set(engine_.boundary_events());
-  reg.GetCounter("olympian_engine_worker_wakeups")
-      .Set(engine_.worker_wakeups());
-  reg.GetCounter("olympian_engine_introspection_samples_dropped")
-      .Set(engine_.introspection_samples_dropped());
-  for (std::size_t k = 0; k < engine_.shards(); ++k) {
-    const metrics::Labels labels = {{"shard", std::to_string(k)}};
-    reg.GetCounter("olympian_engine_shard_events", labels)
-        .Set(engine_.shard_events(k));
-    reg.GetCounter("olympian_engine_shard_busy_wall_ns", labels)
-        .Set(static_cast<std::uint64_t>(engine_.shard_busy_wall_ns(k)));
-    reg.GetCounter("olympian_engine_shard_barrier_wait_wall_ns", labels)
-        .Set(static_cast<std::uint64_t>(
-            engine_.shard_barrier_wait_wall_ns(k)));
-    reg.GetCounter("olympian_engine_shard_windows_run", labels)
-        .Set(engine_.shard_windows_run(k));
-  }
-  for (std::size_t l = 0; l < engine_.lane_boundary_events().size(); ++l) {
-    reg.GetCounter("olympian_engine_lane_boundary_events",
-                   {{"lane", std::to_string(l)}})
-        .Set(engine_.lane_boundary_events()[l]);
-  }
-  // Window-length and boundary-traffic time series, indexed by virtual
-  // time. An unbounded lone-worker window exports as -1.
-  metrics::MetricRegistry::TimeSeries& window_len =
-      reg.GetSeries("olympian_engine_window_len_ns");
-  metrics::MetricRegistry::TimeSeries& window_width =
-      reg.GetSeries("olympian_engine_window_participants");
-  for (const sim::ShardedEngine::WindowSample& w : engine_.window_samples()) {
-    const sim::TimePoint at =
-        sim::TimePoint() + sim::Duration::Nanos(w.at_ns);
-    window_len.Sample(at, static_cast<double>(w.len_ns));
-    window_width.Sample(at, static_cast<double>(w.participants));
-  }
-  metrics::MetricRegistry::TimeSeries& boundary_batch =
-      reg.GetSeries("olympian_engine_boundary_batch_events");
-  for (const sim::ShardedEngine::BoundarySample& b :
-       engine_.boundary_samples()) {
-    boundary_batch.Sample(sim::TimePoint() + sim::Duration::Nanos(b.at_ns),
-                          static_cast<double>(b.events));
   }
 }
 

@@ -63,12 +63,6 @@ struct ClusterOptions {
   // byte-identical at any shard count.
   metrics::PhaseCollector* phases = nullptr;
   metrics::IncidentLog* incidents = nullptr;
-  // Sharded-engine introspection (per-shard busy/barrier-wait wall time,
-  // window-length and boundary-traffic series) lands HERE, not in
-  // `registry`: wall-clock numbers depend on the physical shard count, so a
-  // separate registry preserves the byte-identical-across-shard-counts
-  // contract for every export above.
-  metrics::MetricRegistry* engine_registry = nullptr;
   // Master seed for server seeds and per-client request streams.
   std::uint64_t seed = 1;
   // Simulation shards. 1 (the default) keeps everything on one event queue —
@@ -81,8 +75,9 @@ struct ClusterOptions {
   // Every cluster configuration shards: per-request kAllocFault device
   // faults, a server-side tracer, and a server-side observability registry
   // all run at any shard count and export byte-identically to shards=1
-  // (each server writes a private accumulator on its own shard; the cluster
-  // merges them hub-side in a canonical order after the run). The two
+  // (each server traces into a private buffer on its own shard, and the
+  // cluster merges the buffers and exports each server's counters hub-side
+  // in a canonical order after the run). The two
   // remaining requirements are router.net_delay > 0 (it is the engine
   // lookahead) and no device-level kCapacityFault events (the router probe
   // reads device capacity hub-side; use ServerFaultPlan::CapacityLoss,
@@ -182,13 +177,9 @@ class Cluster : private RouterTransport {
                               std::size_t home, sim::Rng rng,
                               sim::TimePoint arrival, int index,
                               ClusterStreamResult& out);
-  // Merge per-server private accumulators (tenant counters, trace buffers,
-  // observability registries) hub-side in canonical order, then export.
+  // Merge per-server private accumulators (tenant counters, trace buffers)
+  // hub-side in canonical order, then export.
   void FinishRun();
-  // Engine introspection -> ClusterOptions::engine_registry (wall-clock
-  // numbers: deliberately a separate registry from every byte-compared
-  // artifact).
-  void ExportEngineIntrospection(metrics::MetricRegistry& reg) const;
 
   void ArmServerFaults();
   void ApplyServerFault(const fault::ServerFaultEvent& e);
@@ -224,12 +215,6 @@ class Cluster : private RouterTransport {
   metrics::Tracer* tracer_;
   std::unique_ptr<metrics::Tracer> hub_tracer_;
   std::vector<std::unique_ptr<metrics::Tracer>> server_tracers_;
-  // Same scheme for the server-side observability registry: each server
-  // gets a private registry (nothing writes it during a cluster run today,
-  // but the wiring keeps future server-side sampling partition-safe);
-  // FinishRun exports each server's ServingCounters into its private
-  // registry and merges them into the user registry labeled {server="s"}.
-  std::vector<std::unique_ptr<metrics::MetricRegistry>> server_registries_;
 
   // Server fault state (virtual-time windows; a past deadline means clear).
   // Written only by hub-resident code (fault callbacks on the hub queue);

@@ -3,18 +3,12 @@
 #include <cstdint>
 #include <string>
 
+#include "metrics/slo.h"
 #include "sim/time.h"
 
 namespace olympian::serving {
 
-// Terminal outcome of one inference request (one batch run).
-enum class RequestStatus : std::uint8_t {
-  kOk = 0,           // succeeded on the first attempt
-  kTimedOut,         // cancelled by its deadline (possibly mid-retry)
-  kRejected,         // shed by admission control or an open circuit breaker
-  kFailedRetried,    // succeeded, but only after >= 1 retry
-  kFailed,           // exhausted the retry budget
-};
+using metrics::RequestStatus;
 
 const char* ToString(RequestStatus status);
 

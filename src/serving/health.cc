@@ -35,7 +35,7 @@ HealthMonitor::HealthMonitor(sim::Environment& env,
                              std::vector<gpusim::Gpu*> gpus,
                              HealthMonitorOptions options,
                              HealthObserver& observer,
-                             metrics::ServingCounters* counters,
+                             metrics::ServingCounters& counters,
                              metrics::Tracer* tracer)
     : HealthFsm(gpus.size(), options.score),
       env_(env),
@@ -90,7 +90,7 @@ void HealthMonitor::UpdateScoreHealth(std::size_t gpu) {
 void HealthMonitor::Transition(std::size_t gpu, Health to) {
   const sim::TimePoint now = env_.Now();
   if (!Move(gpu, to, now)) return;
-  if (counters_ != nullptr) ++counters_->health_transitions;
+  ++counters_.health_transitions;
   if (tracer_ != nullptr && !tracer_->full()) {
     tracer_->AddInstant(
         "health",
@@ -113,7 +113,7 @@ void HealthMonitor::GoDown(std::size_t gpu, bool from_hang) {
   ++d.hang_epoch;
   d.down_from_hang = from_hang;
   MarkDown(gpu, env_.Now());
-  if (counters_ != nullptr) ++counters_->device_down_events;
+  ++counters_.device_down_events;
   Transition(gpu, Health::kDown);
   // After the bookkeeping, so the observer sees a consistent kDown state
   // while it cancels the device's in-flight runs.
@@ -125,7 +125,7 @@ void HealthMonitor::Readmit(std::size_t gpu) {
   EndOutage(gpu, now);
   // Invalidate leftover escalation timers from the episode.
   ++devices_[gpu]->generation;
-  if (counters_ != nullptr) ++counters_->device_readmissions;
+  ++counters_.device_readmissions;
   if (tracer_ != nullptr && !tracer_->full()) {
     tracer_->AddSpan("health",
                      tracer_->Intern("gpu" + std::to_string(gpu) + " outage"),
@@ -162,7 +162,7 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
       ok = false;
     }
     if (d.generation != generation) co_return;
-    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
+    if (!ok) ++counters_.probe_failures;
   }
   co_await env_.Delay(fault::kWarmup);
   if (d.generation != generation) co_return;
@@ -190,7 +190,7 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
       ok = false;
     }
     if (stopped_) co_return;
-    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
+    if (!ok) ++counters_.probe_failures;
     if (scoring()) {
       // The heartbeat kernel runs through the same capacity-scaled device
       // clock as real work, so a fractional-capacity fault shows up here as

@@ -64,7 +64,7 @@ class HealthMonitor : public HealthFsm {
  public:
   HealthMonitor(sim::Environment& env, std::vector<gpusim::Gpu*> gpus,
                 HealthMonitorOptions options, HealthObserver& observer,
-                metrics::ServingCounters* counters = nullptr,
+                metrics::ServingCounters& counters,
                 metrics::Tracer* tracer = nullptr);
   ~HealthMonitor();
 
@@ -134,7 +134,7 @@ class HealthMonitor : public HealthFsm {
   sim::Environment& env_;
   HealthMonitorOptions options_;
   HealthObserver& observer_;
-  metrics::ServingCounters* counters_;
+  metrics::ServingCounters& counters_;
   metrics::Tracer* tracer_;
   std::vector<std::unique_ptr<Device>> devices_;
   bool started_ = false;

@@ -13,13 +13,15 @@ constexpr sim::Duration kBrownoutMinDwell = sim::Duration::Millis(50);
 
 Router::Router(sim::Environment& env, RouterTransport& transport,
                std::size_t num_servers, RouterOptions options,
-               metrics::RouterCounters* counters,
+               metrics::RouterCounters& counters,
+               metrics::IncidentLog& incidents,
                metrics::MetricRegistry* registry)
     : HealthFsm(num_servers, options.score),
       env_(env),
       transport_(transport),
       options_(options),
       counters_(counters),
+      incidents_(incidents),
       registry_(registry) {
   if (num_servers < 1) throw std::invalid_argument("Router needs >= 1 server");
   if (options_.down_after_errors < 1 || options_.recovery_successes < 1) {
@@ -71,7 +73,7 @@ std::size_t Router::Route(std::size_t home) {
 
 void Router::OnRequestStart(std::size_t server) {
   ++servers_.at(server).outstanding;
-  if (counters_ != nullptr) ++counters_->requests_routed;
+  ++counters_.requests_routed;
 }
 
 void Router::OnRequestEnd(std::size_t server) {
@@ -106,13 +108,13 @@ sim::Task Router::ProbeLoop(std::size_t server) {
   for (;;) {
     co_await env_.Delay(options_.probe_interval);
     if (stopped_) co_return;
-    if (counters_ != nullptr) ++counters_->probes_sent;
+    ++counters_.probes_sent;
     bool ok = false;
     const sim::TimePoint sent = env_.Now();
     co_await transport_.Probe(server, ok);
     if (stopped_) co_return;
     const sim::Duration rtt = env_.Now() - sent;
-    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
+    if (!ok) ++counters_.probe_failures;
     if (registry_ != nullptr && ok) {
       // The gray-degradation signal as the router saw it, per server.
       if (rtt_series == nullptr) {
@@ -151,7 +153,7 @@ void Router::OnResult(std::size_t server, bool ok) {
         // answer `recovery_successes` consecutive probes before traffic.
         if (++st.successes >= options_.recovery_successes) {
           EndOutage(server, env_.Now());
-          if (counters_ != nullptr) ++counters_->server_readmissions;
+          ++counters_.server_readmissions;
           Transition(server, Health::kHealthy);
         }
         break;
@@ -172,7 +174,7 @@ void Router::OnResult(std::size_t server, bool ok) {
     case Health::kDegraded:
       if (st.errors >= options_.down_after_errors) {
         MarkDown(server, env_.Now());
-        if (counters_ != nullptr) ++counters_->server_down_events;
+        ++counters_.server_down_events;
         Transition(server, Health::kDown);
       } else if (!scoring() && health(server) == Health::kHealthy) {
         // With scoring on, a single error only feeds the error EWMA; the
@@ -203,14 +205,11 @@ void Router::Transition(std::size_t server, Health to) {
       onset_armed_[server] = false;
     }
   }
-  if (incident_log_ != nullptr) {
-    // The incident log's notion of "healthy" is the router's top state; any
-    // away-edge is a detection, the return edge is the recovery.
-    incident_log_->HealthChange(static_cast<int>(server),
-                                from == Health::kHealthy,
-                                to == Health::kHealthy, now);
-  }
-  if (counters_ != nullptr) ++counters_->server_transitions;
+  // The incident log's notion of "healthy" is the router's top state; any
+  // away-edge is a detection, the return edge is the recovery.
+  incidents_.HealthChange(static_cast<int>(server), from == Health::kHealthy,
+                          to == Health::kHealthy, now);
+  ++counters_.server_transitions;
   if (registry_ != nullptr) {
     registry_
         ->GetSeries("olympian_server_health",
@@ -251,10 +250,10 @@ bool Router::BrownoutSheds(int priority) const {
 void Router::UpdateScoreHealth(std::size_t server) {
   const Step step = Hysteresis(server);
   if (step == Step::kDegrade && health(server) == Health::kHealthy) {
-    if (counters_ != nullptr) ++counters_->score_degrade_events;
+    ++counters_.score_degrade_events;
     Transition(server, Health::kDegraded);
   } else if (step == Step::kRecover && health(server) == Health::kDegraded) {
-    if (counters_ != nullptr) ++counters_->score_recover_events;
+    ++counters_.score_recover_events;
     Transition(server, Health::kHealthy);
   }
 }
@@ -276,26 +275,22 @@ void Router::UpdateBrownout() {
   const int max_level = static_cast<int>(priority_classes_.size()) - 1;
   const int before = brownout_level_;
   if (cap < options_.brownout.enter_below && brownout_level_ < max_level) {
-    if (brownout_level_ == 0 && counters_ != nullptr) {
-      ++counters_->brownout_entries;
-    }
+    if (brownout_level_ == 0) ++counters_.brownout_entries;
     ++brownout_level_;
     last_brownout_move_ = now;
   } else if (cap >= options_.brownout.exit_above && brownout_level_ > 0) {
     --brownout_level_;
-    if (brownout_level_ == 0 && counters_ != nullptr) {
-      ++counters_->brownout_exits;
-    }
+    if (brownout_level_ == 0) ++counters_.brownout_exits;
     last_brownout_move_ = now;
   }
   if (brownout_level_ != before && registry_ != nullptr) {
     registry_->GetSeries("olympian_brownout_level", {})
         .Sample(now, static_cast<double>(brownout_level_));
   }
-  if (brownout_level_ > before && incident_log_ != nullptr) {
+  if (brownout_level_ > before) {
     // Shedding a class is a global load-shifting action: it mitigates every
     // open, detected incident that nothing else has addressed yet.
-    incident_log_->Mitigation(-1, "brownout", now);
+    incidents_.Mitigation(-1, "brownout", now);
   }
 }
 

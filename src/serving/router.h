@@ -80,7 +80,7 @@ class Router : public HealthFsm {
 
   Router(sim::Environment& env, RouterTransport& transport,
          std::size_t num_servers, RouterOptions options,
-         metrics::RouterCounters* counters,
+         metrics::RouterCounters& counters, metrics::IncidentLog& incidents,
          metrics::MetricRegistry* registry = nullptr);
 
   Router(const Router&) = delete;
@@ -126,10 +126,6 @@ class Router : public HealthFsm {
   bool BrownoutSheds(int priority) const;
   int brownout_level() const { return brownout_level_; }
 
-  // Incident-timeline feed: health edges become detection/recovery marks,
-  // brownout level increases become global mitigations. May be null.
-  void set_incident_log(metrics::IncidentLog* log) { incident_log_ = log; }
-
  private:
   struct ServerState {
     int errors = 0;     // consecutive
@@ -146,9 +142,11 @@ class Router : public HealthFsm {
   sim::Environment& env_;
   RouterTransport& transport_;
   RouterOptions options_;
-  metrics::RouterCounters* counters_;
+  metrics::RouterCounters& counters_;
+  // Incident-timeline feed: health edges become detection/recovery marks,
+  // brownout level increases become global mitigations.
+  metrics::IncidentLog& incidents_;
   metrics::MetricRegistry* registry_;
-  metrics::IncidentLog* incident_log_ = nullptr;
   std::vector<ServerState> servers_;
   // Gray-failure state (all empty/zero when scoring is disabled).
   std::vector<sim::TimePoint> fault_onset_;   // valid iff onset_armed_[s]

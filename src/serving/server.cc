@@ -642,7 +642,7 @@ void Experiment::StartServing() {
     // must be attached when the first device signal fires.
     HealthObserver& observer = *this;  // private base: convert in-class
     health_ = std::make_unique<HealthMonitor>(
-        env_, gpu_ptrs, options_.failover.health, observer, &counters_,
+        env_, gpu_ptrs, options_.failover.health, observer, counters_,
         options_.executor.tracer);
     placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
     inflight_.resize(gpus_.size());
@@ -653,7 +653,7 @@ void Experiment::StartServing() {
   // seed and plan is bit-for-bit reproducible.
   if (!options_.faults.events().empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(
-        env_, std::move(gpu_ptrs), options_.faults, &counters_,
+        env_, std::move(gpu_ptrs), options_.faults, counters_,
         options_.executor.tracer);
     injector_->Arm();
   }

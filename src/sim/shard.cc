@@ -23,7 +23,6 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration lookahead,
   for (std::size_t i = 0; i < envs; ++i) {
     envs_.push_back(std::make_unique<Environment>());
   }
-  lane_boundary_events_.resize(lanes);
   if (sharded()) {
     to_shard_.resize(lanes);
     to_hub_.resize(lanes);
@@ -72,7 +71,6 @@ void ShardedEngine::Send(std::size_t lane, bool to_hub, Duration latency,
 }
 
 void ShardedEngine::Deliver() {
-  const std::uint64_t before = boundary_events_;
   // Hub -> workers: concatenate shard k's lanes k, k + shards, ... in
   // ascending order (each channel already in send/seq order), then
   // stable-sort by arrival time: ties keep lane-then-seq order. The (time,
@@ -86,7 +84,6 @@ void ShardedEngine::Deliver() {
         if (ch.msgs.empty()) continue;
         merge_scratch_.insert(merge_scratch_.end(), ch.msgs.begin(),
                               ch.msgs.end());
-        lane_boundary_events_[l] += ch.msgs.size();
         ch.msgs.clear();
       }
       if (merge_scratch_.empty()) continue;
@@ -107,10 +104,7 @@ void ShardedEngine::Deliver() {
     }
   }
   // Workers -> hub: same (time, lane, seq) merge across every lane.
-  if (pending_to_hub_.load(std::memory_order_relaxed) == 0) {
-    RecordBoundarySample(before);
-    return;
-  }
+  if (pending_to_hub_.load(std::memory_order_relaxed) == 0) return;
   pending_to_hub_.store(0, std::memory_order_relaxed);
   merge_scratch_.clear();
   for (std::size_t l = 0; l < to_hub_.size(); ++l) {
@@ -118,13 +112,9 @@ void ShardedEngine::Deliver() {
     if (ch.msgs.empty()) continue;
     merge_scratch_.insert(merge_scratch_.end(), ch.msgs.begin(),
                           ch.msgs.end());
-    lane_boundary_events_[l] += ch.msgs.size();
     ch.msgs.clear();
   }
-  if (merge_scratch_.empty()) {
-    RecordBoundarySample(before);
-    return;
-  }
+  if (merge_scratch_.empty()) return;
   std::stable_sort(merge_scratch_.begin(), merge_scratch_.end(),
                    [](const BoundaryEvent& a, const BoundaryEvent& b) {
                      return a.at < b.at;
@@ -139,18 +129,6 @@ void ShardedEngine::Deliver() {
     env.ScheduleAt(m.at, m.h);
   }
   boundary_events_ += merge_scratch_.size();
-  RecordBoundarySample(before);
-}
-
-void ShardedEngine::RecordBoundarySample(std::uint64_t before) {
-  const std::uint64_t delivered = boundary_events_ - before;
-  if (delivered == 0) return;
-  if (boundary_samples_.size() < kMaxIntrospectionSamples) {
-    boundary_samples_.push_back(
-        BoundarySample{hub().Now().nanos(), delivered});
-  } else {
-    ++introspection_dropped_;
-  }
 }
 
 void ShardedEngine::StartWorkers() {
@@ -285,8 +263,6 @@ void ShardedEngine::Run() {
     // every participant before the first wakeup). A worker participates
     // only when its head event fits under its cap; everyone else sleeps
     // through the round untouched.
-    TimePoint widest_cap;
-    bool any_unbounded = false;
     for (std::size_t k = 0; k < shards_; ++k) {
       participate_[k] = false;
       if (nexts_[k] == Environment::Never()) continue;  // idle: never woken
@@ -298,11 +274,6 @@ void ShardedEngine::Run() {
       participate_[k] = true;
       slots_[k]->cap = cap;
       ++participants;
-      if (cap == Environment::Never()) {
-        any_unbounded = true;
-      } else {
-        widest_cap = std::max(widest_cap, cap);
-      }
     }
     if (participants == 0) {
       throw std::logic_error(
@@ -310,15 +281,6 @@ void ShardedEngine::Run() {
           "invariant violated)");
     }
     worker_wakeups_ += participants;
-    if (window_samples_.size() < kMaxIntrospectionSamples) {
-      WindowSample ws;
-      ws.at_ns = worker_next.nanos();
-      ws.len_ns = any_unbounded ? -1 : (widest_cap - worker_next).nanos();
-      ws.participants = participants;
-      window_samples_.push_back(ws);
-    } else {
-      ++introspection_dropped_;
-    }
     remaining_.store(participants, std::memory_order_relaxed);
     // Pass 2: wake exactly the participants.
     for (std::size_t k = 0; k < shards_; ++k) {

@@ -145,31 +145,9 @@ class ShardedEngine {
     return sharded() ? envs_[k + 1]->events_executed()
                      : envs_.front()->events_executed();
   }
-  // Boundary events that crossed lane l (both directions); a cheap measured
-  // proxy for how much traffic the lane's owner handled.
-  const std::vector<std::uint64_t>& lane_boundary_events() const {
-    return lane_boundary_events_;
-  }
 
   // --- introspection (wall-clock; NOT part of the deterministic trajectory,
   // so consumers must keep these out of byte-compared artifacts) ------------
-  // One record per parallel window round: when it opened (virtual time of
-  // the earliest participant event), how wide it was allowed to run (virtual
-  // span to the widest participant cap; -1 = a lone worker's unbounded
-  // window), and how many workers woke. Capped at kMaxIntrospectionSamples;
-  // overflow is counted, never silently dropped.
-  struct WindowSample {
-    std::int64_t at_ns = 0;
-    std::int64_t len_ns = -1;
-    std::uint32_t participants = 0;
-  };
-  // One record per channel drain that moved events: hub virtual time and
-  // how many boundary events were merged in that batch.
-  struct BoundarySample {
-    std::int64_t at_ns = 0;
-    std::uint64_t events = 0;
-  };
-  static constexpr std::size_t kMaxIntrospectionSamples = 1 << 16;
   // Wall time shard k spent executing window events, and wall time it spent
   // parked at the arrival barrier between windows. Read only after Run()
   // returns (the barrier's release/acquire pairs publish the counters).
@@ -181,15 +159,6 @@ class ShardedEngine {
   }
   std::uint64_t shard_windows_run(std::size_t k) const {
     return sharded() ? slots_[k]->windows_run : 0;
-  }
-  const std::vector<WindowSample>& window_samples() const {
-    return window_samples_;
-  }
-  const std::vector<BoundarySample>& boundary_samples() const {
-    return boundary_samples_;
-  }
-  std::uint64_t introspection_samples_dropped() const {
-    return introspection_dropped_;
   }
 
  private:
@@ -234,10 +203,6 @@ class ShardedEngine {
   void Send(std::size_t lane, bool to_hub, Duration latency,
             std::coroutine_handle<> h);
   void Deliver();  // drain all channels into destination queues
-  // Record one boundary-traffic sample covering everything a Deliver call
-  // merged (`before` is boundary_events_ at its entry). No-op when nothing
-  // crossed.
-  void RecordBoundarySample(std::uint64_t before);
   void StartWorkers();
   void StopWorkers();
   void WorkerMain(std::size_t k, std::uint64_t seen_phase);
@@ -271,10 +236,6 @@ class ShardedEngine {
   std::uint64_t hub_instants_ = 0;
   std::uint64_t boundary_events_ = 0;
   std::uint64_t worker_wakeups_ = 0;
-  std::vector<std::uint64_t> lane_boundary_events_;
-  std::vector<WindowSample> window_samples_;      // engine thread only
-  std::vector<BoundarySample> boundary_samples_;  // engine thread only
-  std::uint64_t introspection_dropped_ = 0;
 
   // Scratch for Run()'s per-window scan (avoids per-iteration allocation).
   std::vector<TimePoint> nexts_;

@@ -12,6 +12,7 @@
 
 #include "fault/fault.h"
 #include "metrics/counters.h"
+#include "metrics/incident.h"
 #include "metrics/phase_account.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
@@ -94,7 +95,9 @@ TEST(RouterTest, ConsecutiveProbeFailuresMarkServerDown) {
   serving::RouterOptions ro;
   ro.probe_interval = Duration::Millis(1);
   ro.down_after_errors = 2;
-  serving::Router router(env, transport, 2, ro, nullptr);
+  metrics::RouterCounters counters;
+  metrics::IncidentLog incidents;
+  serving::Router router(env, transport, 2, ro, counters, incidents);
   router.Start();
 
   transport.probe_ok = false;
@@ -117,7 +120,9 @@ TEST(RouterTest, ProbeDuringRecoveringDoesNotReadmitEarly) {
   ro.probe_interval = Duration::Millis(1);
   ro.down_after_errors = 2;
   ro.recovery_successes = 3;
-  serving::Router router(env, transport, 2, ro, nullptr);
+  metrics::RouterCounters counters;
+  metrics::IncidentLog incidents;
+  serving::Router router(env, transport, 2, ro, counters, incidents);
   router.Start();
 
   transport.probe_ok = false;
@@ -162,7 +167,9 @@ TEST(RouterTest, RelapseDuringRecoveryKeepsOneIncident) {
   ro.probe_interval = Duration::Millis(1);
   ro.down_after_errors = 1;
   ro.recovery_successes = 2;
-  serving::Router router(env, transport, 1, ro, nullptr);
+  metrics::RouterCounters counters;
+  metrics::IncidentLog incidents;
+  serving::Router router(env, transport, 1, ro, counters, incidents);
   router.Start();
 
   transport.probe_ok = false;
@@ -196,7 +203,8 @@ TEST(RouterTest, ScoredOutageReadmitsWithoutReDegrading) {
   ro.recovery_successes = 2;
   ro.score.enabled = true;
   metrics::RouterCounters counters;
-  serving::Router router(env, transport, 1, ro, &counters);
+  metrics::IncidentLog incidents;
+  serving::Router router(env, transport, 1, ro, counters, incidents);
   router.Start();
 
   env.RunUntil(At(5));  // learn the 100us baseline
@@ -230,7 +238,9 @@ TEST(RouterTest, StickyThenLeastLoadedRouting) {
   FakeTransport transport(env);
   serving::RouterOptions ro;
   ro.probe_interval = Duration::Zero();  // no probes; drive by hand
-  serving::Router router(env, transport, 3, ro, nullptr);
+  metrics::RouterCounters counters;
+  metrics::IncidentLog incidents;
+  serving::Router router(env, transport, 3, ro, counters, incidents);
   router.Start();
 
   // Sticky: the home wins while routable, regardless of load.

@@ -15,6 +15,7 @@
 #include "core/profiler.h"
 #include "core/scheduler.h"
 #include "fault/fault.h"
+#include "metrics/counters.h"
 #include "serving/health.h"
 #include "serving/placer.h"
 #include "serving/server.h"
@@ -174,7 +175,8 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
       return Duration::Zero();
     }
   } observer;
-  serving::HealthMonitor mon(env, {&gpu}, hopts, observer);
+  metrics::ServingCounters counters;
+  serving::HealthMonitor mon(env, {&gpu}, hopts, observer, counters);
   mon.Start();
 
   env.RunUntil(At(2.5));

@@ -771,7 +771,11 @@ struct GoldenObservabilityRun {
   bool operator==(const GoldenObservabilityRun&) const = default;
 };
 
-GoldenObservabilityRun RunShardedObservabilityWorkload(std::size_t shards) {
+// `shared_registry` points ClusterOptions::registry at the server registry,
+// so the router's counters and histogram land next to the per-server
+// counters and the cluster registry stays empty.
+GoldenObservabilityRun RunShardedObservabilityWorkload(
+    std::size_t shards, bool shared_registry = false) {
   metrics::Tracer tracer(200000);
   metrics::MetricRegistry server_registry;
   metrics::MetricRegistry cluster_registry;
@@ -783,7 +787,7 @@ GoldenObservabilityRun RunShardedObservabilityWorkload(std::size_t shards) {
   opts.shards = shards;
   opts.server.executor.tracer = &tracer;
   opts.server.observability.registry = &server_registry;
-  opts.registry = &cluster_registry;
+  opts.registry = shared_registry ? &server_registry : &cluster_registry;
   opts.faults.Crash(sim::TimePoint() + sim::Duration::Millis(100),
                     sim::Duration::Millis(400), /*server=*/0);
   opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(300),
@@ -848,6 +852,58 @@ TEST(GoldenDeterminismTest, ShardedObservabilityExportsBitIdentical) {
       << "sharded Prometheus export diverged from the unsharded export";
   EXPECT_EQ(par.timeline, seq.timeline)
       << "sharded JSON timeline diverged from the unsharded export";
+}
+
+// The same exports pinned absolutely: FNV-1a of the Prometheus text, the
+// JSON timeline and the Chrome trace, plus events_executed. The test above
+// only compares two shard counts with each other.
+struct ObservabilityPin {
+  std::uint64_t events = 0;
+  std::uint64_t prometheus = 0;
+  std::uint64_t timeline = 0;
+  std::uint64_t trace = 0;
+
+  bool operator==(const ObservabilityPin&) const = default;
+};
+
+ObservabilityPin PinOf(const GoldenObservabilityRun& r) {
+  return {r.run.events, Fnv1a(r.prometheus), Fnv1a(r.timeline),
+          Fnv1a(r.chrome_trace)};
+}
+
+void PrintObservabilityPin(const char* name, const ObservabilityPin& g) {
+  std::printf("const ObservabilityPin %s{%lluULL, 0x%016llxULL, "
+              "0x%016llxULL, 0x%016llxULL};\n",
+              name, static_cast<unsigned long long>(g.events),
+              static_cast<unsigned long long>(g.prometheus),
+              static_cast<unsigned long long>(g.timeline),
+              static_cast<unsigned long long>(g.trace));
+}
+
+const ObservabilityPin kGoldenObservability{
+    523995ULL, 0xae73a1642ce9986dULL, 0x4fa63e730662897bULL,
+    0x8acea39de2de9562ULL};
+const ObservabilityPin kGoldenObservabilitySharedRegistry{
+    523995ULL, 0xffb3b36ec5110ee5ULL, 0x726a6db09e9939cdULL,
+    0x8acea39de2de9562ULL};
+
+TEST(GoldenDeterminismTest, ShardedObservabilityExportsMatchGolden) {
+  for (const std::size_t shards : {1, 4}) {
+    const GoldenObservabilityRun separate =
+        RunShardedObservabilityWorkload(shards);
+    const GoldenObservabilityRun shared =
+        RunShardedObservabilityWorkload(shards, /*shared_registry=*/true);
+    if (PrintRequested()) {
+      std::printf("shards=%zu\n", shards);
+      PrintObservabilityPin("kGoldenObservability", PinOf(separate));
+      PrintObservabilityPin("kGoldenObservabilitySharedRegistry",
+                            PinOf(shared));
+      continue;
+    }
+    EXPECT_EQ(PinOf(separate), kGoldenObservability) << "shards=" << shards;
+    EXPECT_EQ(PinOf(shared), kGoldenObservabilitySharedRegistry)
+        << "shards=" << shards;
+  }
 }
 
 // ---------------------------------------------------------------------------

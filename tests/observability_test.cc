@@ -26,7 +26,7 @@ namespace olympian {
 namespace {
 
 using metrics::MetricRegistry;
-using metrics::RequestOutcome;
+using metrics::RequestStatus;
 using metrics::ServingCounters;
 using metrics::SloAccumulator;
 using metrics::SloReport;
@@ -66,7 +66,6 @@ TEST(RegistryTest, PrometheusExpositionShape) {
   MetricRegistry reg;
   reg.GetCounter("olympian_requests_total", {{"model", "resnet"}}).Inc(3);
   reg.GetCounter("olympian_requests_total", {{"model", "googlenet"}}).Inc(5);
-  reg.GetGauge("olympian_pool_occupancy").Set(0.5);
   reg.GetSeries("olympian_gpu_utilization", {{"gpu", "0"}})
       .Sample(TimePoint() + Duration::Millis(1), 0.75);
 
@@ -81,7 +80,6 @@ TEST(RegistryTest, PrometheusExpositionShape) {
             std::string::npos);
   EXPECT_NE(text.find("olympian_requests_total{model=\"googlenet\"} 5"),
             std::string::npos);
-  EXPECT_NE(text.find("olympian_pool_occupancy 0.5"), std::string::npos);
   // A time series exports its latest sample as a gauge.
   EXPECT_NE(text.find("olympian_gpu_utilization{gpu=\"0\"} 0.75"),
             std::string::npos);
@@ -228,13 +226,13 @@ TEST(ServingCountersTest, RegistryBridgeIsIdempotent) {
 TEST(SloTest, ReportFoldsOutcomesAndLatencies) {
   SloAccumulator acc;
   for (int i = 0; i < 96; ++i) {
-    acc.Add("resnet", 10.0 + static_cast<double>(i % 5), RequestOutcome::kSuccess);
+    acc.Add("resnet", 10.0 + static_cast<double>(i % 5), RequestStatus::kOk);
   }
-  acc.Add("resnet", 50.0, RequestOutcome::kRetriedSuccess);
-  acc.Add("resnet", 0.0, RequestOutcome::kTimedOut);
-  acc.Add("resnet", 0.0, RequestOutcome::kRejected);
-  acc.Add("resnet", 0.0, RequestOutcome::kFailed);
-  acc.Add("googlenet", 5.0, RequestOutcome::kSuccess);
+  acc.Add("resnet", 50.0, RequestStatus::kFailedRetried);
+  acc.Add("resnet", 0.0, RequestStatus::kTimedOut);
+  acc.Add("resnet", 0.0, RequestStatus::kRejected);
+  acc.Add("resnet", 0.0, RequestStatus::kFailed);
+  acc.Add("googlenet", 5.0, RequestStatus::kOk);
 
   const SloReport r = acc.Report(/*window_seconds=*/10.0);
   EXPECT_EQ(r.total, 101u);
@@ -264,12 +262,12 @@ TEST(SloTest, ReportFoldsOutcomesAndLatencies) {
 
 TEST(SloTest, MergePoolsObservations) {
   SloAccumulator a, b, direct;
-  a.Add("m", 10.0, RequestOutcome::kSuccess);
-  b.Add("m", 30.0, RequestOutcome::kSuccess);
-  b.Add("n", 0.0, RequestOutcome::kFailed);
-  direct.Add("m", 10.0, RequestOutcome::kSuccess);
-  direct.Add("m", 30.0, RequestOutcome::kSuccess);
-  direct.Add("n", 0.0, RequestOutcome::kFailed);
+  a.Add("m", 10.0, RequestStatus::kOk);
+  b.Add("m", 30.0, RequestStatus::kOk);
+  b.Add("n", 0.0, RequestStatus::kFailed);
+  direct.Add("m", 10.0, RequestStatus::kOk);
+  direct.Add("m", 30.0, RequestStatus::kOk);
+  direct.Add("n", 0.0, RequestStatus::kFailed);
 
   a.Merge(b);
   const SloReport merged = a.Report(5.0);
