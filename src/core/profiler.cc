@@ -89,41 +89,33 @@ ModelProfile Profiler::ProfileModel(const std::string& model,
   return result;
 }
 
-double Profiler::MeasureOverheadAt(const ModelProfile& profile,
-                                   sim::Duration q) const {
+void Profiler::ComputeOverheadQCurve(ModelProfile& profile) const {
   const serving::ClientSpec client{.model = profile.model,
                                    .batch = profile.batch,
                                    .num_batches = kCurveNumBatches};
   const std::vector<serving::ClientSpec> clients(2, client);
-
   serving::ServerOptions opts = options_.server;
   opts.seed = options_.seed + 17;
-
-  // Case (a): stock TF-Serving.
-  serving::Experiment base(opts);
-  const auto base_results = base.Run(clients);
-
-  // Case (b): Olympian, fair sharing at quantum q.
-  serving::Experiment oly(opts);
-  Scheduler sched(oly.env(), oly.gpu(), std::make_unique<FairPolicy>());
-  sched.SetProfile(profile.key, &profile.cost, ThresholdFor(profile, q));
-  oly.SetHooks(&sched);
-  const auto oly_results = oly.Run(clients);
-
-  auto finish = [](const std::vector<serving::ClientResult>& rs) {
+  auto finish_s = [&clients](serving::Experiment& exp) {
     sim::Duration m;
-    for (const auto& r : rs) m = std::max(m, r.finish_time);
-    return m;
+    for (const auto& r : exp.Run(clients)) m = std::max(m, r.finish_time);
+    return m.seconds();
   };
-  const double fb = finish(base_results).seconds();
-  const double fo = finish(oly_results).seconds();
-  return fb <= 0 ? 0.0 : (fo - fb) / fb;
-}
 
-void Profiler::ComputeOverheadQCurve(ModelProfile& profile) const {
+  // Case (a): stock TF-Serving. Its options, seed and clients are the same
+  // at every Q, so one run is the baseline of the whole curve.
+  serving::Experiment base(opts);
+  const double fb = finish_s(base);
+
+  // Case (b): Olympian, fair sharing at each swept quantum.
   profile.overhead_q.clear();
   for (const sim::Duration q : kQSweep) {
-    profile.overhead_q.emplace_back(q, MeasureOverheadAt(profile, q));
+    serving::Experiment oly(opts);
+    Scheduler sched(oly.env(), oly.gpu(), std::make_unique<FairPolicy>());
+    sched.SetProfile(profile.key, &profile.cost, ThresholdFor(profile, q));
+    oly.SetHooks(&sched);
+    const double fo = finish_s(oly);
+    profile.overhead_q.emplace_back(q, fb <= 0 ? 0.0 : (fo - fb) / fb);
   }
 }
 

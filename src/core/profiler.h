@@ -53,8 +53,9 @@ class Profiler {
   // Solo profiling of (model, batch). Deterministic given options.seed.
   ModelProfile ProfileModel(const std::string& model, int batch) const;
 
-  // Fills `profile.overhead_q` by measurement: one pair of two-instance
-  // experiments per point of the fixed Q sweep (300us .. 5ms).
+  // Fills `profile.overhead_q` by measurement over the fixed Q sweep
+  // (300us .. 5ms): one two-instance Olympian experiment per point, each
+  // compared with one stock TF-Serving baseline shared by the whole curve.
   void ComputeOverheadQCurve(ModelProfile& profile) const;
 
   // The operator-facing knob (paper §3.2 "Determining Q"): smallest Q whose
@@ -75,8 +76,6 @@ class Profiler {
   const ProfilerOptions& options() const { return options_; }
 
  private:
-  double MeasureOverheadAt(const ModelProfile& profile, sim::Duration q) const;
-
   ProfilerOptions options_;
 };
 

@@ -134,9 +134,63 @@ sim::Task Executor::Process(RunState& st, NodeId start) {
       }
     }
     if (!cancelled) {
-      co_await Compute(ctx, st, node);
-      // A kernel failure inside Compute, or a deadline elapsing while the
-      // kernel was in flight, cancels the run mid-node.
+      // Compute the node: its CPU time, then a GPU node's kernel.
+      const sim::TimePoint t0 = env_.Now();
+      sim::Duration cpu = node.cpu_time + node.cpu_time_per_item *
+                                              static_cast<double>(ctx.batch);
+      if (options_.online_cost_profiler) {
+        cpu += options_.profiler_overhead_per_node;
+      }
+      if (options_.cpu_jitter > 0.0) {
+        cpu = rng_.Jitter(cpu, options_.cpu_jitter);
+      }
+      if (cpu > sim::Duration::Zero()) co_await env_.Delay(cpu);
+
+      if (node.is_gpu()) {
+        const auto stream = ctx.streams[ctx.next_stream % ctx.streams.size()];
+        ++ctx.next_stream;
+        sim::Duration work = node.block_work;
+        if (options_.online_cost_profiler) {
+          work = work * kProfilerKernelSlowdown;
+        }
+        if (options_.gpu_jitter > 0.0) {
+          work = rng_.Jitter(work, options_.gpu_jitter);
+        }
+        try {
+          co_await gpu_.Submit(stream,
+                               gpusim::KernelDesc{
+                                   .job = ctx.job,
+                                   .node_id = node.id,
+                                   .thread_blocks = node.BlocksFor(ctx.batch),
+                                   .block_work = work,
+                               });
+        } catch (const gpusim::KernelFailed&) {
+          // With a cancellation token installed the failure degrades
+          // gracefully: the run is marked failed and drains, and the serving
+          // layer decides whether to retry. Without one (a run awaited
+          // directly, outside the serving layer), stay fail-stop.
+          if (ctx.cancel == nullptr) throw;
+          ctx.cancel->Cancel(CancelReason::kKernelFailed);
+        }
+      }
+
+      if (st.profile != nullptr) {
+        st.profile->RecordNodeCost(
+            node.id, static_cast<double>((env_.Now() - t0).nanos()));
+      }
+      if (options_.tracer != nullptr && options_.trace_node_spans) {
+        // Numbered ("node-<id>") rather than the graph's string name: this
+        // runs once per node execution, and interning every name would hash
+        // and allocate ~graph-size strings per fresh tracer — measurable
+        // against the whole simulation. The id resolves to the name via the
+        // graph. Called even when full so truncation accounting sees every
+        // rejection.
+        options_.tracer->AddSpanNumbered(
+            node.is_gpu() ? "gpu-node" : "cpu-node", "node-", node.id,
+            ctx.job, t0, env_.Now());
+      }
+      // A kernel failure, or a deadline elapsing while the kernel was in
+      // flight, cancels the run mid-node.
       cancelled = IsCancelled(ctx);
       // Algorithm 2, lines 14-18: cost accrual / token rotation.
       if (!cancelled && hooks_ != nullptr) hooks_->OnNodeComputed(ctx, node);
@@ -166,57 +220,6 @@ sim::Task Executor::Process(RunState& st, NodeId start) {
     }
   }
   ReleaseBfs(&bfs_queue);
-}
-
-sim::Task Executor::Compute(JobContext& ctx, RunState& st, const Node& node) {
-  const sim::TimePoint t0 = env_.Now();
-  sim::Duration cpu =
-      node.cpu_time + node.cpu_time_per_item * static_cast<double>(ctx.batch);
-  if (options_.online_cost_profiler) {
-    cpu += options_.profiler_overhead_per_node;
-  }
-  if (options_.cpu_jitter > 0.0) cpu = rng_.Jitter(cpu, options_.cpu_jitter);
-  if (cpu > sim::Duration::Zero()) co_await env_.Delay(cpu);
-
-  if (node.is_gpu()) {
-    const auto stream = ctx.streams[ctx.next_stream % ctx.streams.size()];
-    ++ctx.next_stream;
-    sim::Duration work = node.block_work;
-    if (options_.online_cost_profiler) {
-      work = work * kProfilerKernelSlowdown;
-    }
-    if (options_.gpu_jitter > 0.0) work = rng_.Jitter(work, options_.gpu_jitter);
-    try {
-      co_await gpu_.Submit(stream,
-                           gpusim::KernelDesc{
-                               .job = ctx.job,
-                               .node_id = node.id,
-                               .thread_blocks = node.BlocksFor(ctx.batch),
-                               .block_work = work,
-                           });
-    } catch (const gpusim::KernelFailed&) {
-      // With a cancellation token installed the failure degrades gracefully:
-      // the run is marked failed and drains, and the serving layer decides
-      // whether to retry. Without one (manual drivers), stay fail-stop.
-      if (ctx.cancel == nullptr) throw;
-      ctx.cancel->Cancel(CancelReason::kKernelFailed);
-    }
-  }
-
-  if (st.profile != nullptr) {
-    st.profile->RecordNodeCost(
-        node.id, static_cast<double>((env_.Now() - t0).nanos()));
-  }
-  if (options_.tracer != nullptr && options_.trace_node_spans) {
-    // Numbered ("node-<id>") rather than the graph's string name: this runs
-    // once per node execution, and interning every name would hash and
-    // allocate ~graph-size strings per fresh tracer — measurable against
-    // the whole simulation. The id resolves to the name via the graph.
-    // Called even when full so truncation accounting sees every rejection.
-    options_.tracer->AddSpanNumbered(node.is_gpu() ? "gpu-node" : "cpu-node",
-                                     "node-", node.id, ctx.job, t0,
-                                     env_.Now());
-  }
 }
 
 }  // namespace olympian::graph

@@ -122,7 +122,6 @@ class Executor {
   sim::Task Process(RunState& st, NodeId start);
   // ThreadPool::WorkItem entry: continue `st`'s traversal from node `node`.
   static sim::Task ProcessItem(void* st, std::uint64_t node);
-  sim::Task Compute(JobContext& ctx, RunState& st, const Node& node);
 
   static bool IsCancelled(const JobContext& ctx) {
     return ctx.cancel != nullptr && ctx.cancel->cancelled;

@@ -163,6 +163,49 @@ TEST(GoldenDeterminismTest, OlympianMatchesGoldenAndReplays) {
   EXPECT_EQ(a, kGoldenOlympian) << "Olympian run diverged from golden values";
 }
 
+// The Overhead-Q curve (paper Figure 8) of fig11's model and batch under
+// default ProfilerOptions, and the quanta SelectQ derives from it. Every
+// figure bench that selects Q reads such a curve, while olympian-mixed's
+// perfbench fingerprint cannot see one: its SelectQ falls back to the
+// largest swept Q. Points are compared bit-exactly.
+// Recorded while the stock baseline still reran at every swept Q.
+const std::vector<std::pair<std::int64_t, double>> kGoldenCurve = {
+    {300000, 0x1.5d587a4b33b19p-5},  {500000, 0x1.f9f66ab075164p-6},
+    {800000, 0x1.602031a9b9a63p-6},  {1200000, 0x1.1467bdf92d92p-6},
+    {1600000, 0x1.0350ee10c7009p-6}, {2400000, 0x1.9f1de303fe7b8p-7},
+    {3600000, 0x1.830da9c183eeep-7}, {5000000, 0x1.5e50975d27c56p-7}};
+// 2.5% lies between the 500 and 800 us points; 2% between 800 and 1200 us.
+constexpr std::int64_t kGoldenQAt2_5Pct = 687918;
+constexpr std::int64_t kGoldenQAt2Pct = 929136;
+
+TEST(GoldenDeterminismTest, OverheadQCurveMatchesGolden) {
+  const core::Profiler profiler;
+  core::ModelProfile profile = profiler.ProfileModel("inception-v4", 100);
+  profiler.ComputeOverheadQCurve(profile);
+  const std::int64_t q25 = core::Profiler::SelectQ({&profile}, 0.025).nanos();
+  const std::int64_t q20 = core::Profiler::SelectQ({&profile}, 0.02).nanos();
+  if (PrintRequested()) {
+    std::printf("const std::vector<std::pair<std::int64_t, double>> "
+                "kGoldenCurve = {\n");
+    for (const auto& [q, o] : profile.overhead_q) {
+      std::printf("    {%lld, %a},\n", static_cast<long long>(q.nanos()), o);
+    }
+    std::printf("};\nconstexpr std::int64_t kGoldenQAt2_5Pct = %lld;\n"
+                "constexpr std::int64_t kGoldenQAt2Pct = %lld;\n",
+                static_cast<long long>(q25), static_cast<long long>(q20));
+    return;
+  }
+  ASSERT_EQ(profile.overhead_q.size(), kGoldenCurve.size());
+  for (std::size_t i = 0; i < kGoldenCurve.size(); ++i) {
+    EXPECT_EQ(profile.overhead_q[i].first.nanos(), kGoldenCurve[i].first)
+        << "point " << i;
+    EXPECT_EQ(profile.overhead_q[i].second, kGoldenCurve[i].second)
+        << "point " << i << " (Q=" << kGoldenCurve[i].first << " ns)";
+  }
+  EXPECT_EQ(q25, kGoldenQAt2_5Pct);
+  EXPECT_EQ(q20, kGoldenQAt2Pct);
+}
+
 // Observability must be invisible to the virtual clock: with the tracer,
 // registry, and sampler all live, every simulation outcome — finish times,
 // GPU durations, batch counts, scheduler switch/quantum counts — is

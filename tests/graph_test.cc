@@ -369,6 +369,49 @@ TEST(ExecutorTest, SequentialRunsReuseContext) {
   EXPECT_EQ(f.gpu.kernels_completed(), 10u);
 }
 
+// A kernel failure in a run with no CancelToken (one awaited directly, as
+// here) is fail-stop: KernelFailed escapes the pool worker that awaited the
+// kernel and surfaces from Environment::Run. The failed node is neither
+// executed nor cancelled, so the run never completes.
+TEST(ExecutorTest, KernelFailureWithoutTokenSurfacesFromRun) {
+  ExecFixture f;
+  Graph g = DiamondGraph();
+  auto ctx = f.MakeCtx(8);
+  f.gpu.InjectKernelFailure(ctx.streams[0]);  // g1 launches on stream 0
+  f.env.Spawn([](ExecFixture& fx, JobContext& c, const Graph& gr) -> Task {
+    co_await fx.exec.RunOnce(c, gr);
+    fx.pool.Shutdown();
+  }(f, ctx, g));
+  EXPECT_THROW(f.env.Run(), gpusim::KernelFailed);
+  EXPECT_EQ(f.gpu.kernels_failed(), 1u);
+  EXPECT_EQ(f.gpu.kernels_completed(), 1u);
+  EXPECT_EQ(f.exec.nodes_executed(), 2u);  // in and g2; join never readies
+  EXPECT_EQ(f.exec.nodes_cancelled(), 0u);
+  EXPECT_EQ(f.exec.runs_completed(), 0u);
+}
+
+// With a CancelToken the same failure degrades gracefully: the token
+// records it, the rest of the graph drains as no-ops, and the run returns.
+TEST(ExecutorTest, KernelFailureWithTokenCancelsAndDrains) {
+  ExecFixture f;
+  Graph g = DiamondGraph();
+  auto ctx = f.MakeCtx(8);
+  CancelToken token;
+  ctx.cancel = &token;
+  f.gpu.InjectKernelFailure(ctx.streams[0]);
+  f.env.Spawn([](ExecFixture& fx, JobContext& c, const Graph& gr) -> Task {
+    co_await fx.exec.RunOnce(c, gr);
+    fx.pool.Shutdown();
+  }(f, ctx, g));
+  f.env.Run();
+  EXPECT_TRUE(token.cancelled);
+  EXPECT_EQ(token.reason, CancelReason::kKernelFailed);
+  EXPECT_EQ(f.exec.runs_completed(), 1u);
+  EXPECT_EQ(f.exec.nodes_executed() + f.exec.nodes_cancelled(), g.size());
+  EXPECT_EQ(f.exec.nodes_cancelled(), 1u);  // join, readied after the fault
+  EXPECT_EQ(f.gpu.kernels_failed(), 1u);
+}
+
 // Property: on random DAGs, every node executes exactly once and
 // dependencies hold (checked via completion-order bookkeeping in a hook).
 class RandomDagTest : public ::testing::TestWithParam<std::uint64_t> {};
