@@ -34,18 +34,7 @@ client resnet-50   batch=100 n=6
 client googlenet   batch=100 n=6
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  serving::WorkloadSpec spec;
-  try {
-    spec = argc > 1 ? serving::WorkloadSpec::LoadFile(argv[1])
-                    : serving::WorkloadSpec::ParseString(kDemoSpec);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-
+void Run(const serving::WorkloadSpec& spec) {
   serving::Experiment exp(spec.ToServerOptions());
 
   // Profile every distinct (model, batch) pair; install per-device
@@ -92,5 +81,21 @@ int main(int argc, char** argv) {
               spec.policy.c_str(),
               static_cast<long long>(spec.quantum.micros()),
               exp.utilization() * 100);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    const serving::WorkloadSpec spec =
+        argc > 1 ? serving::WorkloadSpec::LoadFile(argv[1])
+                 : serving::WorkloadSpec::ParseString(kDemoSpec);
+    // An unknown policy name throws here, before any model is profiled.
+    if (spec.policy != "none") core::MakePolicy(spec.policy);
+    Run(spec);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

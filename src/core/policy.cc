@@ -57,51 +57,10 @@ gpusim::JobId PriorityPolicy::NextJob(std::vector<JobEntry>& jobs,
   return gpusim::kNoJob;  // unreachable
 }
 
-gpusim::JobId LotteryPolicy::NextJob(std::vector<JobEntry>& jobs,
-                                     gpusim::JobId current) {
-  (void)current;  // memoryless by design
-  if (jobs.empty()) return gpusim::kNoJob;
-  std::int64_t total = 0;
-  for (const JobEntry& e : jobs) total += std::max(1, e.ctx->weight);
-  std::int64_t ticket = rng_.UniformInt(0, total - 1);
-  for (const JobEntry& e : jobs) {
-    ticket -= std::max(1, e.ctx->weight);
-    if (ticket < 0) return e.id;
-  }
-  return jobs.back().id;  // unreachable
-}
-
-gpusim::JobId ReservationPolicy::NextJob(std::vector<JobEntry>& jobs,
-                                         gpusim::JobId current) {
-  if (jobs.empty()) return gpusim::kNoJob;
-  ++total_granted_;
-  // Largest reservation deficit first.
-  JobEntry* best = nullptr;
-  double best_deficit = 0.0;
-  for (JobEntry& e : jobs) {
-    const double deficit = e.ctx->min_share * static_cast<double>(total_granted_) -
-                           static_cast<double>(e.served_quanta);
-    if (deficit > best_deficit + 1e-12) {
-      best_deficit = deficit;
-      best = &e;
-    }
-  }
-  if (best == nullptr) {
-    // All reservations met: round-robin the surplus with an own cursor
-    // (reservation grants would otherwise reset the rotation position).
-    (void)current;
-    best = &jobs[static_cast<std::size_t>(rr_cursor_++) % jobs.size()];
-  }
-  ++best->served_quanta;
-  return best->id;
-}
-
 std::unique_ptr<SchedulingPolicy> MakePolicy(const std::string& name) {
   if (name == "fair") return std::make_unique<FairPolicy>();
   if (name == "weighted-fair") return std::make_unique<WeightedFairPolicy>();
   if (name == "priority") return std::make_unique<PriorityPolicy>();
-  if (name == "lottery") return std::make_unique<LotteryPolicy>();
-  if (name == "reservation") return std::make_unique<ReservationPolicy>();
   throw std::invalid_argument("unknown policy: " + name);
 }
 

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gpusim/kernel.h"
 #include "graph/hooks.h"
-#include "sim/random.h"
 
 namespace olympian::core {
 
@@ -19,8 +17,6 @@ struct JobEntry {
   double threshold = 0.0;
   // Quanta left in the job's current turn (weighted fair sharing).
   int turn_remaining = 0;
-  // Quanta granted to this job since registration (reservation policy).
-  std::int64_t served_quanta = 0;
 };
 
 // A pluggable scheduling policy (paper §3.4). Called by the scheduler with
@@ -61,38 +57,6 @@ class PriorityPolicy : public SchedulingPolicy {
   std::string name() const override { return "priority"; }
   gpusim::JobId NextJob(std::vector<JobEntry>& jobs,
                         gpusim::JobId current) override;
-};
-
-// Lottery scheduling (an "expanded policy" beyond the paper, from its
-// future-work list): each quantum goes to a job drawn with probability
-// proportional to its weight. Same expected shares as weighted fair
-// sharing, but with stochastic interleaving — no job can be starved for
-// long, and shares hold even as jobs churn.
-class LotteryPolicy : public SchedulingPolicy {
- public:
-  explicit LotteryPolicy(std::uint64_t seed = 7) : rng_(seed) {}
-  std::string name() const override { return "lottery"; }
-  gpusim::JobId NextJob(std::vector<JobEntry>& jobs,
-                        gpusim::JobId current) override;
-
- private:
-  sim::Rng rng_;
-};
-
-// Reservation scheduling (extension): each job may declare a guaranteed
-// minimum GPU share (`JobContext::min_share`); the policy grants the next
-// quantum to the job with the largest reservation deficit, falling back to
-// round-robin when every reservation is met. Total declared reservations
-// should stay below 1.
-class ReservationPolicy : public SchedulingPolicy {
- public:
-  std::string name() const override { return "reservation"; }
-  gpusim::JobId NextJob(std::vector<JobEntry>& jobs,
-                        gpusim::JobId current) override;
-
- private:
-  std::int64_t total_granted_ = 0;
-  std::int64_t rr_cursor_ = 0;
 };
 
 std::unique_ptr<SchedulingPolicy> MakePolicy(const std::string& name);

@@ -6,22 +6,6 @@
 
 namespace olympian::graph {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kInput: return "Input";
-    case OpKind::kConv: return "Conv2D";
-    case OpKind::kMatMul: return "MatMul";
-    case OpKind::kPool: return "Pool";
-    case OpKind::kNorm: return "Norm";
-    case OpKind::kActivation: return "Activation";
-    case OpKind::kConcat: return "Concat";
-    case OpKind::kAdd: return "Add";
-    case OpKind::kSoftmax: return "Softmax";
-    case OpKind::kIdentity: return "Identity";
-  }
-  return "Unknown";
-}
-
 std::int64_t Node::BlocksFor(int batch) const {
   const double b = blocks_base + blocks_per_item * batch;
   return std::max<std::int64_t>(1, static_cast<std::int64_t>(std::llround(b)));

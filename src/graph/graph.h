@@ -30,8 +30,6 @@ enum class OpKind {
   kIdentity,
 };
 
-const char* OpKindName(OpKind kind);
-
 // One operator in a dataflow graph.
 //
 // Work is parameterized by batch size with an explicit linear model —

@@ -73,12 +73,9 @@ struct JobContext {
   // Profile lookup key, e.g. "inception-v4@100" (model + batch size).
   std::string model_key;
   int batch = 1;
-  // Policy inputs (paper §3.4): weighted fair sharing and priority, plus a
-  // guaranteed minimum GPU share in [0,1) for the reservation policy
-  // (extension).
+  // Policy inputs (paper §3.4): weighted fair sharing and priority.
   int weight = 1;
   int priority = 0;
-  double min_share = 0.0;
   // Algorithm 2's `cumulatedCost`, shared by the job's whole thread gang.
   double cumulated_cost = 0.0;
   // GPU streams assigned to this job, used round-robin across its nodes.

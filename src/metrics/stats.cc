@@ -67,53 +67,4 @@ double Series::CdfAt(double x) const {
   return static_cast<double>(it - s.begin()) / static_cast<double>(s.size());
 }
 
-std::vector<std::pair<double, double>> Series::CdfPoints() const {
-  std::vector<std::pair<double, double>> out;
-  if (values_.empty()) return out;
-  const auto& s = MutableSorted();
-  const double n = static_cast<double>(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (i + 1 < s.size() && s[i + 1] == s[i]) continue;  // last of run
-    out.emplace_back(s[i], static_cast<double>(i + 1) / n);
-  }
-  return out;
-}
-
-void Welford::Add(double v) {
-  ++n_;
-  const double d = v - mean_;
-  mean_ += d / static_cast<double>(n_);
-  m2_ += d * (v - mean_);
-}
-
-double Welford::Stddev() const {
-  if (n_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(n_ - 1));
-}
-
-LinearFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("FitLine needs >= 2 matching points");
-  }
-  const double n = static_cast<double>(xs.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  LinearFit fit;
-  if (denom == 0.0) {
-    // Degenerate (all x equal): fall back to a constant fit.
-    fit.slope = 0.0;
-    fit.intercept = sy / n;
-  } else {
-    fit.slope = (n * sxy - sx * sy) / denom;
-    fit.intercept = (sy - fit.slope * sx) / n;
-  }
-  return fit;
-}
-
 }  // namespace olympian::metrics

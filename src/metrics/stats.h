@@ -10,8 +10,7 @@ namespace olympian::metrics {
 
 // A collection of scalar observations with summary statistics.
 //
-// Stores all values, so percentiles and CDFs are exact. Use Welford (below)
-// when only streaming mean/stddev is needed.
+// Stores all values, so percentiles and CDFs are exact.
 class Series {
  public:
   void Add(double v) { values_.push_back(v); }
@@ -33,10 +32,6 @@ class Series {
   // Empirical CDF evaluated at `x`: fraction of values <= x.
   double CdfAt(double x) const;
 
-  // (value, cumulative fraction) pairs at each distinct observation,
-  // suitable for plotting the paper's CDF figures (e.g. Figure 4).
-  std::vector<std::pair<double, double>> CdfPoints() const;
-
   const std::vector<double>& values() const { return values_; }
 
  private:
@@ -44,28 +39,5 @@ class Series {
   std::vector<double> values_;
   mutable std::vector<double> sorted_;  // lazy cache, invalidated by size
 };
-
-// Streaming mean/variance (Welford's algorithm); O(1) memory.
-class Welford {
- public:
-  void Add(double v);
-  std::size_t count() const { return n_; }
-  double Mean() const { return n_ ? mean_ : 0.0; }
-  double Stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-// Linear least-squares fit y = a*x + b. Used by the profiler to extrapolate
-// node costs across batch sizes (paper §3.2 / Figure 20).
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double Eval(double x) const { return slope * x + intercept; }
-};
-LinearFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys);
 
 }  // namespace olympian::metrics

@@ -50,16 +50,4 @@ void Table::Print(std::ostream& os) const {
   for (const auto& row : rows_) line(row);
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace olympian::metrics

@@ -7,7 +7,7 @@
 namespace olympian::metrics {
 
 // Fixed-width console table, used by every bench binary to print the rows a
-// paper table/figure reports. Also emits CSV for external plotting.
+// paper table/figure reports.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -20,7 +20,6 @@ class Table {
   static std::string Pct(double fraction, int precision = 1);
 
   void Print(std::ostream& os) const;
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

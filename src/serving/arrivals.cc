@@ -6,131 +6,21 @@
 
 namespace olympian::serving {
 
-const char* ToString(ArrivalSpec::Kind k) {
-  switch (k) {
-    case ArrivalSpec::Kind::kClosedLoop:
-      return "closed-loop";
-    case ArrivalSpec::Kind::kPoisson:
-      return "poisson";
-    case ArrivalSpec::Kind::kTrace:
-      return "trace";
-    case ArrivalSpec::Kind::kMmpp:
-      return "mmpp";
-  }
-  return "unknown";
-}
-
 ArrivalProcess::ArrivalProcess(ArrivalSpec spec) : spec_(std::move(spec)) {
-  switch (spec_.kind) {
-    case ArrivalSpec::Kind::kClosedLoop:
-      break;
-    case ArrivalSpec::Kind::kPoisson:
-      if (spec_.rate_rps <= 0.0) {
-        throw std::invalid_argument("Poisson arrivals need rate_rps > 0");
-      }
-      break;
-    case ArrivalSpec::Kind::kTrace: {
-      if (spec_.rate_rps <= 0.0 || spec_.phase <= sim::Duration::Zero() ||
-          spec_.rate_trace.empty()) {
-        throw std::invalid_argument(
-            "Trace arrivals need rate_rps > 0, phase > 0, non-empty trace");
-      }
-      bool any_positive = false;
-      for (const double m : spec_.rate_trace) {
-        if (m < 0.0) {
-          throw std::invalid_argument("Trace multipliers must be >= 0");
-        }
-        any_positive = any_positive || m > 0.0;
-      }
-      if (!any_positive) {
-        throw std::invalid_argument("Trace needs >= 1 positive multiplier");
-      }
-      break;
-    }
-    case ArrivalSpec::Kind::kMmpp:
-      if ((spec_.mmpp_rate_low <= 0.0 && spec_.mmpp_rate_high <= 0.0) ||
-          spec_.mmpp_dwell_low <= sim::Duration::Zero() ||
-          spec_.mmpp_dwell_high <= sim::Duration::Zero()) {
-        throw std::invalid_argument(
-            "MMPP arrivals need a positive rate and positive dwells");
-      }
-      break;
+  if (spec_.kind == ArrivalSpec::Kind::kPoisson && spec_.rate_rps <= 0.0) {
+    throw std::invalid_argument("Poisson arrivals need rate_rps > 0");
   }
-}
-
-double ArrivalProcess::TraceRateAt(sim::TimePoint t) const {
-  const auto n = static_cast<std::int64_t>(spec_.rate_trace.size());
-  const std::int64_t slot = (t - sim::TimePoint()).nanos() / spec_.phase.nanos();
-  return spec_.rate_rps *
-         spec_.rate_trace[static_cast<std::size_t>(slot % n)];
 }
 
 sim::TimePoint ArrivalProcess::Next(sim::Rng& rng) {
-  switch (spec_.kind) {
-    case ArrivalSpec::Kind::kClosedLoop:
-      throw std::logic_error("Next() on a closed-loop ArrivalProcess");
-
-    case ArrivalSpec::Kind::kPoisson: {
-      const sim::Duration gap =
-          sim::Duration::Seconds(1.0 / spec_.rate_rps) *
-          (-std::log(1.0 - rng.NextDouble()));
-      now_ = now_ + gap;
-      return now_;
-    }
-
-    case ArrivalSpec::Kind::kTrace: {
-      // Inversion for a piecewise-constant rate: draw E ~ Exp(1) once and
-      // spend it across phases (E shrinks by rate * time-in-phase at each
-      // boundary crossed), so one arrival costs exactly one variate and the
-      // sequence is exact, not thinned.
-      double e = -std::log(1.0 - rng.NextDouble());
-      sim::TimePoint t = now_;
-      for (;;) {
-        const double rate = TraceRateAt(t);
-        const std::int64_t slot = (t - sim::TimePoint()).nanos() /
-                                  spec_.phase.nanos();
-        const sim::TimePoint phase_end =
-            sim::TimePoint() + spec_.phase * static_cast<double>(slot + 1);
-        const double rem = (phase_end - t).seconds();
-        if (rate > 0.0 && e <= rate * rem) {
-          t = t + sim::Duration::Seconds(e / rate);
-          break;
-        }
-        e -= rate * rem;
-        t = phase_end;
-      }
-      now_ = t;
-      return now_;
-    }
-
-    case ArrivalSpec::Kind::kMmpp: {
-      if (!mmpp_armed_) {
-        mmpp_armed_ = true;
-        mmpp_switch_at_ =
-            now_ + spec_.mmpp_dwell_low * (-std::log(1.0 - rng.NextDouble()));
-      }
-      double e = -std::log(1.0 - rng.NextDouble());
-      sim::TimePoint t = now_;
-      for (;;) {
-        const double rate =
-            mmpp_high_ ? spec_.mmpp_rate_high : spec_.mmpp_rate_low;
-        const double rem = (mmpp_switch_at_ - t).seconds();
-        if (rate > 0.0 && e <= rate * rem) {
-          t = t + sim::Duration::Seconds(e / rate);
-          break;
-        }
-        e -= rate * rem;
-        t = mmpp_switch_at_;
-        mmpp_high_ = !mmpp_high_;
-        const sim::Duration dwell =
-            mmpp_high_ ? spec_.mmpp_dwell_high : spec_.mmpp_dwell_low;
-        mmpp_switch_at_ = t + dwell * (-std::log(1.0 - rng.NextDouble()));
-      }
-      now_ = t;
-      return now_;
-    }
+  if (!open_loop()) {
+    throw std::logic_error("Next() on a closed-loop ArrivalProcess");
   }
-  throw std::logic_error("unreachable arrival kind");
+  const sim::Duration gap =
+      sim::Duration::Seconds(1.0 / spec_.rate_rps) *
+      (-std::log(1.0 - rng.NextDouble()));
+  now_ = now_ + gap;
+  return now_;
 }
 
 AggregateArrivalProcess::AggregateArrivalProcess(ArrivalSpec spec,

@@ -1,53 +1,35 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/random.h"
 #include "sim/time.h"
 
 namespace olympian::serving {
 
-// Open-loop arrival generators on the virtual clock.
+// Open-loop arrival generator on the virtual clock.
 //
 // The paper's workload is closed-loop (each request issued when the previous
 // response lands); availability numbers under faults are only meaningful
-// open-loop, where demand keeps arriving while a server is down. These
-// generators produce deterministic arrival sequences from an Rng stream:
-// homogeneous Poisson, piecewise-constant rate traces (diurnal curves), and
-// a two-state Markov-modulated Poisson process for bursty traffic.
+// open-loop, where demand keeps arriving while a server is down. The
+// generator produces a deterministic homogeneous Poisson arrival sequence
+// from an Rng stream.
 struct ArrivalSpec {
   enum class Kind : std::uint8_t {
     // No generator: the client is closed-loop (legacy behaviour).
     kClosedLoop,
     // Homogeneous Poisson arrivals at `rate_rps`.
     kPoisson,
-    // Non-homogeneous Poisson: `rate_rps` scaled by `rate_trace`, each
-    // multiplier holding for `phase` and the trace cycling (so a 24-entry
-    // trace with phase = 1h is a diurnal curve).
-    kTrace,
-    // Two-state MMPP: Poisson at `mmpp_rate_low` / `mmpp_rate_high` rps,
-    // with exponentially distributed dwell times in each state.
-    kMmpp,
   };
 
   Kind kind = Kind::kClosedLoop;
   double rate_rps = 0.0;
-  std::vector<double> rate_trace;
-  sim::Duration phase = sim::Duration::Seconds(1.0);
-  double mmpp_rate_low = 0.0;
-  double mmpp_rate_high = 0.0;
-  sim::Duration mmpp_dwell_low = sim::Duration::Seconds(1.0);
-  sim::Duration mmpp_dwell_high = sim::Duration::Seconds(1.0);
 };
-
-const char* ToString(ArrivalSpec::Kind k);
 
 // Stateful generator: each Next() advances an internal clock and returns
 // the next arrival instant (monotonically non-decreasing). Deterministic
-// given the Rng stream — draws exactly one exponential variate per arrival
-// for the rate-varying kinds, plus dwell draws when MMPP states flip, so
-// identical seeds give identical arrival sequences.
+// given the Rng stream — draws exactly one exponential variate per arrival,
+// so identical seeds give identical arrival sequences.
 class ArrivalProcess {
  public:
   explicit ArrivalProcess(ArrivalSpec spec);
@@ -58,15 +40,8 @@ class ArrivalProcess {
   sim::TimePoint Next(sim::Rng& rng);
 
  private:
-  // Rate in effect at `t` for the piecewise-constant kinds.
-  double TraceRateAt(sim::TimePoint t) const;
-
   ArrivalSpec spec_;
   sim::TimePoint now_;  // last returned arrival
-  // MMPP state machine.
-  bool mmpp_high_ = false;
-  sim::TimePoint mmpp_switch_at_;  // next state flip (lazily drawn)
-  bool mmpp_armed_ = false;
 };
 
 // One arrival process standing in for a whole population of clients.

@@ -107,7 +107,6 @@ graph::JobContext& Experiment::NewContext(const ClientSpec& spec,
   ctx->batch = spec.batch;
   ctx->weight = spec.weight;
   ctx->priority = spec.priority;
-  ctx->min_share = spec.min_share;
   ctx->gpu_index = static_cast<int>(gpu);
   for (int s = 0; s < kStreamsPerJob; ++s) {
     ctx->streams.push_back(gpus_[gpu]->CreateStream());

@@ -124,8 +124,6 @@ struct ClientSpec {
   int num_batches = 10;
   int weight = 1;
   int priority = 0;
-  // Guaranteed minimum GPU share for the reservation policy (extension).
-  double min_share = 0.0;
   sim::Duration mean_interarrival = sim::Duration::Zero();
   // Per-request deadline, measured from the request's arrival and covering
   // all retry attempts. Zero disables: requests run to completion. With a

@@ -1,7 +1,10 @@
 #include "serving/workload_spec.h"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,30 +17,44 @@ namespace {
                               ": " + what);
 }
 
+// Parses all of `text` as a T in [lo, hi]. A sign the type cannot hold,
+// trailing characters, overflow or a value out of range fails with the line.
+template <typename T>
+T ParseNumber(int line, const std::string& key, const std::string& text, T lo,
+              T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    Fail(line, "bad value for '" + key + "': '" + text + "'");
+  }
+  return value;
+}
+
+// Largest count of `unit` that fits a Duration's int64 nanoseconds.
+constexpr std::int64_t MaxCount(sim::Duration unit) {
+  return std::numeric_limits<std::int64_t>::max() / unit.nanos();
+}
+
 // Parses "key=value" into the matching ClientSpec field.
 void ApplyClientAttr(ClientSpec& c, const std::string& attr, int line) {
   const auto eq = attr.find('=');
   if (eq == std::string::npos) Fail(line, "expected key=value, got " + attr);
   const std::string key = attr.substr(0, eq);
   const std::string value = attr.substr(eq + 1);
-  try {
-    if (key == "batch") {
-      c.batch = std::stoi(value);
-    } else if (key == "n") {
-      c.num_batches = std::stoi(value);
-    } else if (key == "weight") {
-      c.weight = std::stoi(value);
-    } else if (key == "priority") {
-      c.priority = std::stoi(value);
-    } else if (key == "min-share") {
-      c.min_share = std::stod(value);
-    } else if (key == "interarrival-ms") {
-      c.mean_interarrival = sim::Duration::Millis(std::stoll(value));
-    } else {
-      Fail(line, "unknown client attribute '" + key + "'");
-    }
-  } catch (const std::invalid_argument&) {
-    Fail(line, "bad value for '" + key + "': " + value);
+  if (key == "batch") {
+    c.batch = ParseNumber(line, key, value, 1);
+  } else if (key == "n") {
+    c.num_batches = ParseNumber(line, key, value, 1);
+  } else if (key == "weight") {
+    c.weight = ParseNumber(line, key, value, 1);
+  } else if (key == "priority") {
+    c.priority = ParseNumber(line, key, value, std::numeric_limits<int>::min());
+  } else if (key == "interarrival-ms") {
+    c.mean_interarrival = sim::Duration::Millis(ParseNumber<std::int64_t>(
+        line, key, value, 0, MaxCount(sim::Duration::Millis(1))));
+  } else {
+    Fail(line, "unknown client attribute '" + key + "'");
   }
 }
 
@@ -62,28 +79,32 @@ WorkloadSpec WorkloadSpec::Parse(std::istream& is) {
     std::istringstream ls(raw);
     std::string key;
     if (!(ls >> key)) continue;  // blank/comment line
+    std::string value;  // empty when missing, which every parser rejects
+    ls >> value;
     if (key == "seed") {
-      if (!(ls >> spec.seed)) Fail(line, "seed needs an integer");
+      spec.seed = ParseNumber<std::uint64_t>(line, key, value, 0);
     } else if (key == "gpus") {
-      if (!(ls >> spec.num_gpus) || spec.num_gpus < 1) {
-        Fail(line, "gpus needs a positive integer");
-      }
+      spec.num_gpus = ParseNumber(line, key, value, 1);
     } else if (key == "pool-threads") {
-      if (!(ls >> spec.pool_threads)) Fail(line, "pool-threads needs an int");
+      spec.pool_threads = ParseNumber<std::size_t>(line, key, value, 1);
     } else if (key == "policy") {
-      if (!(ls >> spec.policy)) Fail(line, "policy needs a name");
+      if (value.empty()) Fail(line, "policy needs a name");
+      spec.policy = value;
     } else if (key == "quantum-us") {
-      std::int64_t us;
-      if (!(ls >> us) || us <= 0) Fail(line, "quantum-us needs a positive int");
-      spec.quantum = sim::Duration::Micros(us);
+      spec.quantum = sim::Duration::Micros(ParseNumber<std::int64_t>(
+          line, key, value, 1, MaxCount(sim::Duration::Micros(1))));
     } else if (key == "client") {
+      if (value.empty()) Fail(line, "client needs a model name");
       ClientSpec c;
-      if (!(ls >> c.model)) Fail(line, "client needs a model name");
+      c.model = value;
       std::string attr;
       while (ls >> attr) ApplyClientAttr(c, attr, line);
       spec.clients.push_back(std::move(c));
     } else {
       Fail(line, "unknown directive '" + key + "'");
+    }
+    if (std::string extra; ls >> extra) {
+      Fail(line, "unexpected '" + extra + "' after " + key + " " + value);
     }
   }
   if (spec.clients.empty()) {

@@ -18,9 +18,12 @@ namespace olympian::serving {
 //   policy fair              # none = stock TF-Serving
 //   quantum-us 1600
 //   client inception-v4 batch=100 n=10 weight=2 priority=0
-//   client resnet-152  batch=100 n=10 min-share=0.25 interarrival-ms=500
+//   client resnet-152  batch=100 n=10 interarrival-ms=500
 //
-// Unknown keys are errors (typos should not silently change experiments).
+// Unknown keys are errors (typos should not silently change experiments),
+// and so are stray tokens and numbers with trailing characters or out of
+// range: gpus, pool-threads, quantum-us, batch, n and weight are >= 1,
+// interarrival-ms is >= 0.
 struct WorkloadSpec {
   std::uint64_t seed = 1;
   int num_gpus = 1;

@@ -291,7 +291,6 @@ class Environment {
   // site of Step, so every path is straight-line code with a single Event
   // copy out of its container.
   void ExecuteEvent(const Event& e);
-  bool QueueEmpty() const { return ring_.empty() && heap_.empty(); }
   // The event that would execute next; nullptr if none. Pointer is
   // invalidated by any schedule/step.
   const Event* PeekNext() const;

@@ -1,12 +1,9 @@
-// Tests for the request batcher (serving/batcher.h) and the profile-store
-// persistence (core/profile_store.h).
+// Tests for the request batcher (serving/batcher.h).
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
-#include "core/profile_store.h"
 #include "core/profiler.h"
 #include "core/scheduler.h"
 #include "serving/batcher.h"
@@ -154,54 +151,3 @@ TEST(BatcherTest, RejectsBadOptions) {
 
 }  // namespace
 }  // namespace olympian::serving
-
-namespace olympian::core {
-namespace {
-
-TEST(ProfileStoreTest, RoundTripsExactly) {
-  Profiler profiler;
-  const ModelProfile original = profiler.ProfileModel("resnet-152", 20);
-  std::stringstream ss;
-  ProfileStore::Write(original, ss);
-  const ModelProfile loaded = ProfileStore::Read(ss);
-  EXPECT_EQ(loaded.model, original.model);
-  EXPECT_EQ(loaded.batch, original.batch);
-  EXPECT_EQ(loaded.key, original.key);
-  EXPECT_EQ(loaded.cost.gpu_duration, original.cost.gpu_duration);
-  EXPECT_EQ(loaded.cost.solo_runtime, original.cost.solo_runtime);
-  ASSERT_EQ(loaded.cost.size(), original.cost.size());
-  for (std::size_t i = 0; i < loaded.cost.size(); ++i) {
-    EXPECT_EQ(loaded.cost.costs()[i], original.cost.costs()[i]) << i;
-  }
-  // Thresholds derived from the loaded profile are bit-identical.
-  EXPECT_EQ(Profiler::ThresholdFor(loaded, sim::Duration::Micros(1200)),
-            Profiler::ThresholdFor(original, sim::Duration::Micros(1200)));
-}
-
-TEST(ProfileStoreTest, FileRoundTrip) {
-  Profiler profiler;
-  const ModelProfile original = profiler.ProfileModel("resnet-152", 20);
-  const std::string path = "/tmp/olympian_profile_test.txt";
-  ProfileStore::Save(original, path);
-  const ModelProfile loaded = ProfileStore::Load(path);
-  EXPECT_EQ(loaded.cost.TotalCost(), original.cost.TotalCost());
-}
-
-TEST(ProfileStoreTest, RejectsGarbage) {
-  std::stringstream not_a_profile("hello world");
-  EXPECT_THROW(ProfileStore::Read(not_a_profile), std::invalid_argument);
-  std::stringstream bad_version("olympian-profile v99\n");
-  EXPECT_THROW(ProfileStore::Read(bad_version), std::invalid_argument);
-  std::stringstream truncated(
-      "olympian-profile v1\nmodel x\nbatch 2\ngpu_duration_ns 5\n"
-      "solo_runtime_ns 9\nnodes 3\n1.0\n");
-  EXPECT_THROW(ProfileStore::Read(truncated), std::invalid_argument);
-}
-
-TEST(ProfileStoreTest, MissingFileThrows) {
-  EXPECT_THROW(ProfileStore::Load("/nonexistent/path/profile.txt"),
-               std::runtime_error);
-}
-
-}  // namespace
-}  // namespace olympian::core

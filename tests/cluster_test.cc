@@ -281,45 +281,6 @@ TEST(ArrivalsTest, PoissonGapsAreReproducibleAndPositive) {
   EXPECT_LT(prev, TimePoint() + Duration::Seconds(3.0));
 }
 
-TEST(ArrivalsTest, TraceRateModulatesDensity) {
-  // Rate 1000 rps in even seconds, 0 in odd seconds: every arrival must
-  // land inside an even-second phase.
-  serving::ArrivalSpec spec;
-  spec.kind = serving::ArrivalSpec::Kind::kTrace;
-  spec.rate_rps = 1000.0;
-  spec.rate_trace = {1.0, 0.0};
-  spec.phase = Duration::Seconds(1.0);
-  serving::ArrivalProcess a(spec);
-  sim::Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    const TimePoint t = a.Next(rng);
-    const std::int64_t sec = t.nanos() / 1000000000;
-    EXPECT_EQ(sec % 2, 0) << "arrival in a zero-rate phase at " << t.nanos();
-  }
-}
-
-TEST(ArrivalsTest, MmppAlternatesRates) {
-  serving::ArrivalSpec spec;
-  spec.kind = serving::ArrivalSpec::Kind::kMmpp;
-  spec.mmpp_rate_low = 10.0;
-  spec.mmpp_rate_high = 1000.0;
-  spec.mmpp_dwell_low = Duration::Seconds(0.5);
-  spec.mmpp_dwell_high = Duration::Seconds(0.5);
-  serving::ArrivalProcess a(spec);
-  sim::Rng rng(11);
-  TimePoint prev;
-  int n = 0;
-  TimePoint last;
-  for (; n < 2000 && last < TimePoint() + Duration::Seconds(10.0); ++n) {
-    last = a.Next(rng);
-    EXPECT_GE(last, prev);
-    prev = last;
-  }
-  // Mean rate ~505 rps: 10 simulated seconds must produce far more than the
-  // low rate alone and far fewer than the high rate alone would.
-  EXPECT_GT(n, 100);
-}
-
 // ---------------------------------------------------------------------------
 // Cluster end-to-end tests.
 

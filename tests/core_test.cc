@@ -107,75 +107,9 @@ TEST(MakePolicyTest, FactoryNamesWork) {
   EXPECT_EQ(MakePolicy("fair")->name(), "fair");
   EXPECT_EQ(MakePolicy("weighted-fair")->name(), "weighted-fair");
   EXPECT_EQ(MakePolicy("priority")->name(), "priority");
-  EXPECT_EQ(MakePolicy("lottery")->name(), "lottery");
   EXPECT_THROW(MakePolicy("edf"), std::invalid_argument);
-}
-
-TEST(LotteryPolicyTest, SharesTrackWeights) {
-  LotteryPolicy p(/*seed=*/5);
-  auto c0 = MakeCtx(0, /*weight=*/3), c1 = MakeCtx(1, /*weight=*/1);
-  auto jobs = Entries({&c0, &c1});
-  int wins0 = 0;
-  const int kDraws = 20000;
-  gpusim::JobId cur = kNoJob;
-  for (int i = 0; i < kDraws; ++i) {
-    cur = p.NextJob(jobs, cur);
-    wins0 += (cur == 0);
-  }
-  EXPECT_NEAR(static_cast<double>(wins0) / kDraws, 0.75, 0.02);
-}
-
-TEST(LotteryPolicyTest, EmptyReturnsNoJob) {
-  LotteryPolicy p;
-  std::vector<JobEntry> jobs;
-  EXPECT_EQ(p.NextJob(jobs, kNoJob), kNoJob);
-}
-
-TEST(LotteryPolicyTest, SingleJobAlwaysWins) {
-  LotteryPolicy p;
-  auto c0 = MakeCtx(0);
-  auto jobs = Entries({&c0});
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(p.NextJob(jobs, 0), 0);
-}
-
-TEST(ReservationPolicyTest, GuaranteesMinimumShares) {
-  ReservationPolicy p;
-  auto c0 = MakeCtx(0);
-  c0.min_share = 0.5;  // guaranteed half
-  auto c1 = MakeCtx(1);
-  auto c2 = MakeCtx(2);
-  auto jobs = Entries({&c0, &c1, &c2});
-  int granted0 = 0;
-  gpusim::JobId cur = kNoJob;
-  const int kQuanta = 3000;
-  for (int i = 0; i < kQuanta; ++i) {
-    cur = p.NextJob(jobs, cur);
-    granted0 += (cur == 0);
-  }
-  EXPECT_GE(static_cast<double>(granted0) / kQuanta, 0.499);
-  // Surplus round-robins: the other two get roughly equal remainders.
-  std::int64_t s1 = jobs[1].served_quanta, s2 = jobs[2].served_quanta;
-  EXPECT_NEAR(static_cast<double>(s1), static_cast<double>(s2),
-              0.1 * static_cast<double>(s1));
-}
-
-TEST(ReservationPolicyTest, NoReservationsDegeneratesToRoundRobin) {
-  ReservationPolicy p;
-  auto c0 = MakeCtx(0), c1 = MakeCtx(1);
-  auto jobs = Entries({&c0, &c1});
-  gpusim::JobId cur = p.NextJob(jobs, kNoJob);
-  std::vector<gpusim::JobId> seq{cur};
-  for (int i = 0; i < 3; ++i) {
-    cur = p.NextJob(jobs, cur);
-    seq.push_back(cur);
-  }
-  EXPECT_EQ(seq, (std::vector<gpusim::JobId>{0, 1, 0, 1}));
-}
-
-TEST(ReservationPolicyTest, EmptyReturnsNoJob) {
-  ReservationPolicy p;
-  std::vector<JobEntry> jobs;
-  EXPECT_EQ(p.NextJob(jobs, kNoJob), kNoJob);
+  EXPECT_THROW(MakePolicy("lottery"), std::invalid_argument);
+  EXPECT_THROW(MakePolicy("reservation"), std::invalid_argument);
 }
 
 // --- Scheduler unit tests (hooks driven manually) ------------------------

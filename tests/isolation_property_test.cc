@@ -140,8 +140,7 @@ TEST_P(PolicyPropertyTest, DeterministicGivenSeed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, PolicyPropertyTest,
-                         ::testing::Values("fair", "weighted-fair", "priority",
-                                           "lottery", "reservation"));
+                         ::testing::Values("fair", "weighted-fair", "priority"));
 
 // Weighted shares: while both jobs are active, GPU duration ratio tracks
 // the weight ratio.

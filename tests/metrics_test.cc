@@ -58,47 +58,12 @@ TEST(SeriesTest, CdfAtAndPoints) {
   EXPECT_DOUBLE_EQ(s.CdfAt(1.0), 0.5);
   EXPECT_DOUBLE_EQ(s.CdfAt(2.5), 0.75);
   EXPECT_DOUBLE_EQ(s.CdfAt(10.0), 1.0);
-  auto pts = s.CdfPoints();
-  ASSERT_EQ(pts.size(), 3u);
-  EXPECT_DOUBLE_EQ(pts[0].first, 1.0);
-  EXPECT_DOUBLE_EQ(pts[0].second, 0.5);
-  EXPECT_DOUBLE_EQ(pts[2].second, 1.0);
 }
 
 TEST(SeriesTest, CvIsRelativeSpread) {
   Series s;
   for (double v : {99.0, 100.0, 101.0}) s.Add(v);
   EXPECT_NEAR(s.Cv(), 0.01, 1e-3);
-}
-
-TEST(WelfordTest, MatchesSeries) {
-  Series s;
-  Welford w;
-  double xs[] = {3.0, 1.5, 9.0, -4.0, 2.25, 7.5};
-  for (double x : xs) {
-    s.Add(x);
-    w.Add(x);
-  }
-  EXPECT_NEAR(w.Mean(), s.Mean(), 1e-12);
-  EXPECT_NEAR(w.Stddev(), s.Stddev(), 1e-12);
-}
-
-TEST(LinearFitTest, ExactLine) {
-  auto fit = FitLine({1, 2, 3, 4}, {3, 5, 7, 9});  // y = 2x + 1
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(fit.Eval(10), 21.0, 1e-12);
-}
-
-TEST(LinearFitTest, DegenerateXFallsBackToMean) {
-  auto fit = FitLine({5, 5, 5}, {1, 2, 3});
-  EXPECT_DOUBLE_EQ(fit.slope, 0.0);
-  EXPECT_DOUBLE_EQ(fit.intercept, 2.0);
-}
-
-TEST(LinearFitTest, RejectsBadInput) {
-  EXPECT_THROW(FitLine({1}, {2}), std::invalid_argument);
-  EXPECT_THROW(FitLine({1, 2}, {2}), std::invalid_argument);
 }
 
 TEST(BusyMeterTest, NonOverlappingIntervals) {
@@ -148,14 +113,6 @@ TEST(TableTest, PrintAlignsColumns) {
   EXPECT_NE(out.find("model"), std::string::npos);
   EXPECT_NE(out.find("Inception"), std::string::npos);
   EXPECT_NE(out.find("0.83"), std::string::npos);
-}
-
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.AddRow({"1", "2"});
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
 TEST(TableTest, RowWidthMismatchThrows) {

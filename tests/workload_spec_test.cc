@@ -20,7 +20,7 @@ pool-threads 500
 policy priority
 quantum-us 1200
 client inception-v4 batch=100 n=10 weight=2 priority=5
-client resnet-152 batch=50 n=3 min-share=0.25 interarrival-ms=200
+client resnet-152 batch=50 n=3 interarrival-ms=200
 )");
   EXPECT_EQ(spec.seed, 42u);
   EXPECT_EQ(spec.num_gpus, 2);
@@ -33,7 +33,6 @@ client resnet-152 batch=50 n=3 min-share=0.25 interarrival-ms=200
   EXPECT_EQ(spec.clients[0].num_batches, 10);
   EXPECT_EQ(spec.clients[0].weight, 2);
   EXPECT_EQ(spec.clients[0].priority, 5);
-  EXPECT_DOUBLE_EQ(spec.clients[1].min_share, 0.25);
   EXPECT_EQ(spec.clients[1].mean_interarrival, sim::Duration::Millis(200));
 }
 
@@ -58,6 +57,8 @@ TEST(WorkloadSpecTest, UnknownDirectiveRejected) {
 TEST(WorkloadSpecTest, UnknownClientAttrRejected) {
   EXPECT_THROW(WorkloadSpecParse("client vgg16 batches=10"),
                std::invalid_argument);
+  EXPECT_THROW(WorkloadSpecParse("client vgg16 min-share=0.25"),
+               std::invalid_argument);
 }
 
 TEST(WorkloadSpecTest, MalformedAttrRejected) {
@@ -65,6 +66,13 @@ TEST(WorkloadSpecTest, MalformedAttrRejected) {
                std::invalid_argument);
   EXPECT_THROW(WorkloadSpecParse("client vgg16 batch=abc"),
                std::invalid_argument);
+  for (const char* attr : {"batch=", "batch=10x", "batch=1.5",
+                           "batch=0", "n=0", "weight=0", "weight=-2",
+                           "priority=3x", "interarrival-ms=-1"}) {
+    EXPECT_THROW(WorkloadSpecParse(std::string("client vgg16 ") + attr),
+                 std::invalid_argument)
+        << attr;
+  }
 }
 
 TEST(WorkloadSpecTest, EmptySpecRejected) {
@@ -73,11 +81,22 @@ TEST(WorkloadSpecTest, EmptySpecRejected) {
 }
 
 TEST(WorkloadSpecTest, BadNumbersReportLine) {
-  try {
-    WorkloadSpecParse("seed 1\ngpus zero\nclient vgg16 n=1");
-    FAIL() << "expected throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  // Each bad line sits on line 2; every rejection is an invalid_argument
+  // that names it, including values too large for the field.
+  for (const char* bad :
+       {"gpus zero", "gpus 2x", "gpus 2 3", "gpus", "seed -1",
+        "pool-threads -1", "pool-threads 0", "pool-threads 300x",
+        "quantum-us 0", "quantum-us 9223372036854775807",
+        "client vgg16 batch=99999999999", "client vgg16 batch=10x",
+        "client vgg16 n=0", "client vgg16 interarrival-ms=-5",
+        "client vgg16 interarrival-ms=9223372036854775807"}) {
+    try {
+      WorkloadSpecParse(std::string("seed 1\n") + bad + "\nclient vgg16 n=1");
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << bad << " -> " << e.what();
+    }
   }
 }
 
