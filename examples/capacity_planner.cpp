@@ -7,9 +7,14 @@
 // thread pool (Olympian's suspended gangs hold pool threads).
 //
 //   $ ./examples/capacity_planner [model] [batch]
+//
+// A batch that is not a whole positive integer, or an unknown model, prints
+// `error: …` and exits 1.
 
+#include <charconv>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,12 +52,20 @@ const char* Probe(const std::string& model, int batch, int clients,
   }
 }
 
-}  // namespace
+// Parses the batch argument as one whole token, so a typo such as "10x" is
+// rejected rather than run as batch 10.
+int ParseBatch(const std::string& text) {
+  int batch = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, batch);
+  if (ec != std::errc() || ptr != end || batch < 1) {
+    throw std::invalid_argument("batch must be a positive integer, got '" +
+                                text + "'");
+  }
+  return batch;
+}
 
-int main(int argc, char** argv) {
-  const std::string model = argc > 1 ? argv[1] : "inception-v4";
-  const int batch = argc > 2 ? std::atoi(argv[2]) : 100;
-
+void Plan(const std::string& model, int batch) {
   core::Profiler profiler;
   const auto profile = profiler.ProfileModel(model, batch);
   const auto& spec = models::GetModel(model);
@@ -77,5 +90,18 @@ int main(int argc, char** argv) {
               last_ok_tfs, last_ok_oly);
   std::printf("(paper §4.3: TF-Serving ~100 Inception clients, memory-"
               "limited;\n Olympian 40-60, thread-pool-limited.)\n");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    const std::string model = argc > 1 ? argv[1] : "inception-v4";
+    const int batch = argc > 2 ? ParseBatch(argv[2]) : 100;
+    Plan(model, batch);  // an unknown model throws before any output
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

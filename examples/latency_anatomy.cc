@@ -28,13 +28,17 @@
 //
 //   $ ./examples/latency_anatomy [shards] [prefix]
 //
+// A shard count that is not a whole positive integer prints `error: …` and
+// exits 1.
+//
 // The blame and incident exports are fed hub-side in virtual-time order, so
 // they are byte-identical at any shard count — run with shards=1 and
 // shards=4 and diff the files. Only the engine introspection (stderr)
 // differs: it reports physical wall time, which IS shard-count-dependent.
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -49,8 +53,19 @@
 using namespace olympian;
 
 int main(int argc, char** argv) {
-  const std::size_t shards =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 1;
+  std::size_t shards = 1;
+  if (argc > 1) {
+    // One whole token, so a typo such as "4x" or "abc" is rejected rather
+    // than run at another shard count.
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, shards);
+    if (ec != std::errc() || ptr != end || shards == 0) {
+      std::fprintf(stderr,
+                   "error: shard count must be a positive integer, got '%s'\n",
+                   argv[1]);
+      return 1;
+    }
+  }
   const std::string prefix = argc > 2 ? argv[2] : "latency_anatomy";
   const sim::TimePoint t0;
 
@@ -69,7 +84,7 @@ int main(int argc, char** argv) {
   // request and drown the flows/incidents/counters this drill is about.
   opts.server.executor.trace_node_spans = false;
   opts.seed = 29;
-  opts.shards = shards == 0 ? 1 : shards;
+  opts.shards = shards;
   opts.registry = &registry;
   opts.phases = &phases;
   opts.incidents = &incidents;

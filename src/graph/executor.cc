@@ -73,6 +73,7 @@ sim::Task Executor::RunOnce(JobContext& ctx, const Graph& graph,
     throw std::invalid_argument("JobContext has no GPU streams");
   }
   if (ctx.batch < 1) throw std::invalid_argument("batch must be >= 1");
+  if (!graph.finished()) throw std::invalid_argument("graph is not finished");
   return RunOnceImpl(ctx, graph, profile);
 }
 
@@ -179,12 +180,9 @@ sim::Task Executor::Process(RunState& st, NodeId start) {
             node.id, static_cast<double>((env_.Now() - t0).nanos()));
       }
       if (options_.tracer != nullptr && options_.trace_node_spans) {
-        // Numbered ("node-<id>") rather than the graph's string name: this
-        // runs once per node execution, and interning every name would hash
-        // and allocate ~graph-size strings per fresh tracer — measurable
-        // against the whole simulation. The id resolves to the name via the
-        // graph. Called even when full so truncation accounting sees every
-        // rejection.
+        // Numbered ("node-<id>", as Graph::Validate names nodes), so no
+        // string is composed per node execution. Called even when full so
+        // truncation accounting sees every rejection.
         options_.tracer->AddSpanNumbered(
             node.is_gpu() ? "gpu-node" : "cpu-node", "node-", node.id,
             ctx.job, t0, env_.Now());
@@ -203,7 +201,7 @@ sim::Task Executor::Process(RunState& st, NodeId start) {
     --st.remaining;
     if (st.remaining == 0) st.all_done.NotifyAll();
 
-    for (const NodeId child : node.outputs) {
+    for (const NodeId child : st.graph->outputs(nid)) {
       if (--st.pending[static_cast<std::size_t>(child)] == 0) {
         if (cancelled || !st.graph->node(child).is_gpu()) {
           // Synchronous — or cancelled, in which case the rest of the graph

@@ -63,7 +63,8 @@ class Executor {
   // Execute one inference run of `graph` at `ctx.batch`. Completes when
   // every node has executed. If `profile` is non-null, per-node costs
   // (observed execution times, ns) are recorded into it. Validates `ctx`
-  // eagerly (throws std::invalid_argument before any execution).
+  // and that `graph` is finished eagerly (throws std::invalid_argument
+  // before any execution).
   sim::Task RunOnce(JobContext& ctx, const Graph& graph,
                     CostProfile* profile = nullptr);
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "gpusim/gpu_spec.h"
@@ -16,7 +17,7 @@ namespace {
 using graph::Device;
 using graph::Graph;
 using graph::Node;
-using graph::OpKind;
+using graph::NodeId;
 using sim::Duration;
 
 // Fraction of a solo run's wall time spent saturating the GPU. The paper's
@@ -142,6 +143,7 @@ Graph BuildModel(const ModelSpec& spec) {
   }
   sim::Rng rng(spec.graph_seed);
   Graph g(spec.name);
+  g.Reserve(static_cast<std::size_t>(spec.total_nodes));
 
   // Structure: `segments` sequential stages, each a set of parallel pure-GPU
   // branch chains joined by a GPU merge node, plus CPU "administrative" side
@@ -163,12 +165,8 @@ Graph BuildModel(const ModelSpec& spec) {
       std::llround(spec.heavy_node_frac * static_cast<double>(spec.gpu_nodes)));
 
   std::vector<bool> is_heavy;  // by node id, for the calibration pass
-  auto make_gpu_node = [&](std::string name, OpKind op,
-                           std::vector<graph::NodeId> inputs) {
+  auto add_gpu_node = [&](std::span<const NodeId> inputs) {
     Node n;
-    n.name = std::move(name);
-    n.op = op;
-    n.inputs = std::move(inputs);
     n.device = Device::kGpu;
     // Kernel-launch path. Kept small: real TF enqueues kernels into CUDA
     // streams asynchronously, so back-to-back kernels of one job leave
@@ -191,69 +189,47 @@ Graph BuildModel(const ModelSpec& spec) {
       n.blocks_base = rng.Uniform(0.0, 8.0);
       n.blocks_per_item = rng.Uniform(2.5, 6.0);
     }
-    const auto id = g.AddNode(std::move(n));
+    const NodeId id = g.AddNode(n, inputs);
     is_heavy.push_back(heavy);
     return id;
   };
-  auto make_cpu_node = [&](std::string name, OpKind op,
-                           std::vector<graph::NodeId> inputs) {
+  auto add_cpu_node = [&](NodeId input) {
     Node n;
-    n.name = std::move(name);
-    n.op = op;
-    n.inputs = std::move(inputs);
     n.device = Device::kCpu;
     n.cpu_time = LogNormalDuration(rng, 10.0, 0.8);
-    const auto id = g.AddNode(std::move(n));
+    g.AddNode(n, {&input, 1});
     is_heavy.push_back(false);
-    return id;
   };
 
   // Input / batching node (CPU; decode cost scales with batch, §2.1).
   {
     Node input;
-    input.name = "input";
-    input.op = OpKind::kInput;
     input.device = Device::kCpu;
     input.cpu_time = Duration::Micros(30);
     input.cpu_time_per_item = Duration::Micros(50);
-    g.AddNode(std::move(input));
+    g.AddNode(input, {});
     is_heavy.push_back(false);
   }
 
-  graph::NodeId prev = 0;
-  const OpKind kBranchOps[] = {OpKind::kConv, OpKind::kNorm,
-                               OpKind::kActivation, OpKind::kPool};
+  NodeId prev = 0;
   int cpu_emitted = 0;
+  std::vector<NodeId> ends;  // each branch's last node, inputs of the merge
+  ends.reserve(spec.branch_lengths.size());
   for (int s = 0; s < segments; ++s) {
-    std::vector<graph::NodeId> ends;
-    ends.reserve(spec.branch_lengths.size());
-    for (std::size_t b = 0; b < spec.branch_lengths.size(); ++b) {
-      graph::NodeId cur = prev;
-      for (int i = 0; i < spec.branch_lengths[b]; ++i) {
-        cur = make_gpu_node("seg" + std::to_string(s) + "/b" +
-                                std::to_string(b) + "/op" + std::to_string(i),
-                            kBranchOps[static_cast<std::size_t>(i) % 4], {cur});
-      }
+    ends.clear();
+    for (const int length : spec.branch_lengths) {
+      NodeId cur = prev;
+      for (int i = 0; i < length; ++i) cur = add_gpu_node({&cur, 1});
       ends.push_back(cur);
     }
-    prev = make_gpu_node("seg" + std::to_string(s) + "/merge",
-                         ends.size() > 1 ? OpKind::kConcat : OpKind::kIdentity,
-                         std::move(ends));
+    prev = add_gpu_node(ends);
     // Evenly spread administrative CPU side nodes (no downstream consumers).
     const int cpu_target =
         static_cast<int>(static_cast<std::int64_t>(cpu_side_total) * (s + 1) /
                          segments);
-    for (; cpu_emitted < cpu_target; ++cpu_emitted) {
-      make_cpu_node("seg" + std::to_string(s) + "/aux" +
-                        std::to_string(cpu_emitted),
-                    OpKind::kIdentity, {prev});
-    }
+    for (; cpu_emitted < cpu_target; ++cpu_emitted) add_cpu_node(prev);
   }
-  for (int i = 0; i < pad_gpu; ++i) {
-    prev = make_gpu_node(
-        "tail/op" + std::to_string(i),
-        i + 1 == pad_gpu ? OpKind::kSoftmax : OpKind::kMatMul, {prev});
-  }
+  for (int i = 0; i < pad_gpu; ++i) prev = add_gpu_node({&prev, 1});
 
   // --- calibration -------------------------------------------------------
   // Normalize per-block work so total GPU work at the paper batch size
@@ -276,14 +252,13 @@ Graph BuildModel(const ModelSpec& spec) {
   const double small_scale =
       small_raw > 0 ? target_slot_ns * (1.0 - spec.heavy_work_share) / small_raw
                     : 0;
-  // Const-cast free path: rebuild durations via the mutable node list.
   for (std::size_t i = 0; i < g.size(); ++i) {
-    Node& n = g.MutableNode(static_cast<graph::NodeId>(i));
+    Node& n = g.MutableNode(static_cast<NodeId>(i));
     if (!n.is_gpu()) continue;
     n.block_work = n.block_work * (is_heavy[i] ? heavy_scale : small_scale);
   }
 
-  g.Validate();
+  g.Finish();
   return g;
 }
 

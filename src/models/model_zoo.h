@@ -52,9 +52,9 @@ const ModelSpec& GetModel(const std::string& name);
 // Profile-map key for a (model, batch) pair, e.g. "inception-v4@100".
 std::string ModelKey(const std::string& model, int batch);
 
-// Synthesize the dataflow graph for `spec`. Deterministic in (spec); the
-// batch size is applied at execution time via Node::BlocksFor, so one graph
-// serves every batch size.
+// Synthesize the finished dataflow graph for `spec`. Deterministic in
+// (spec); the batch size is applied at execution time via Node::BlocksFor,
+// so one graph serves every batch size.
 //
 // Calibration: per-block work durations are normalized so that the total
 // GPU work at `spec.paper_batch` equals `spec.paper_runtime_s` scaled by

@@ -15,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,6 +36,7 @@
 #include "metrics/phase_account.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
+#include "models/model_zoo.h"
 #include "serving/cluster.h"
 #include "serving/router.h"
 #include "serving/server.h"
@@ -1272,6 +1275,72 @@ TEST(GoldenDeterminismTest, RouterHealthLogsMatchGolden) {
   // The edge counts agree with the server_transitions pins above.
   EXPECT_EQ(crash.edges, kGoldenCluster.transitions);
   EXPECT_EQ(lossy1.edges, kGoldenLostResponses.transitions);
+}
+
+// ---------------------------------------------------------------------------
+// Zoo graph pins. Every run executes one of the seven shared zoo graphs, so
+// a change to the graph layout or the builder must leave each node's
+// execution inputs as they were: device, CPU and kernel work parameters,
+// in-degree, and the ordered out-edge list (child visit order sets RNG draw
+// order). Hashed per graph with FNV-1a, one 64-bit word per value.
+
+struct GoldenGraph {
+  const char* model;
+  std::size_t nodes;
+  std::uint64_t hash;
+};
+
+std::uint64_t HashGraph(const graph::Graph& g) {
+  std::uint64_t h = kFnvOffset;
+  for (const graph::Node& n : g.nodes()) {
+    h = Fnv1a(h, static_cast<std::uint64_t>(n.id));
+    h = Fnv1a(h, static_cast<std::uint64_t>(n.device));
+    h = Fnv1a(h, static_cast<std::uint64_t>(n.cpu_time.nanos()));
+    h = Fnv1a(h, static_cast<std::uint64_t>(n.cpu_time_per_item.nanos()));
+    h = Fnv1a(h, std::bit_cast<std::uint64_t>(n.blocks_base));
+    h = Fnv1a(h, std::bit_cast<std::uint64_t>(n.blocks_per_item));
+    h = Fnv1a(h, static_cast<std::uint64_t>(n.block_work.nanos()));
+    h = Fnv1a(h, static_cast<std::uint64_t>(
+                     g.in_degrees()[static_cast<std::size_t>(n.id)]));
+    const auto outputs = g.outputs(n.id);
+    h = Fnv1a(h, outputs.size());
+    for (const graph::NodeId c : outputs) {
+      h = Fnv1a(h, static_cast<std::uint64_t>(c));
+    }
+  }
+  return h;
+}
+
+const GoldenGraph kGoldenGraphs[] = {
+    {"inception-v4", 15599, 0xc8984b0c4b700b98ULL},
+    {"googlenet", 18980, 0x119407ca97563936ULL},
+    {"alexnet", 23774, 0xa43fbe5e4adad5d3ULL},
+    {"vgg16", 11297, 0x2529740c32d574d8ULL},
+    {"resnet-50", 14472, 0x7f054a310e599345ULL},
+    {"resnet-101", 14034, 0xcd6948103925a9b1ULL},
+    {"resnet-152", 12495, 0xcea39ed91ee96daeULL},
+};
+
+TEST(GoldenDeterminismTest, ZooGraphsMatchGolden) {
+  const std::vector<models::ModelSpec>& zoo = models::AllModels();
+  if (PrintRequested()) {
+    std::printf("const GoldenGraph kGoldenGraphs[] = {\n");
+    for (const models::ModelSpec& spec : zoo) {
+      const graph::Graph& g = models::SharedModel(spec.name);
+      std::printf("    {\"%s\", %zu, 0x%016llxULL},\n", spec.name.c_str(),
+                  g.size(), static_cast<unsigned long long>(HashGraph(g)));
+    }
+    std::printf("};\n");
+    return;
+  }
+  ASSERT_EQ(zoo.size(), std::size(kGoldenGraphs));
+  for (std::size_t i = 0; i < zoo.size(); ++i) {
+    const GoldenGraph& want = kGoldenGraphs[i];
+    ASSERT_EQ(zoo[i].name, want.model);
+    const graph::Graph& g = models::SharedModel(want.model);
+    EXPECT_EQ(g.size(), want.nodes) << want.model;
+    EXPECT_EQ(HashGraph(g), want.hash) << want.model;
+  }
 }
 
 }  // namespace

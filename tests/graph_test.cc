@@ -23,80 +23,100 @@ using sim::Environment;
 using sim::Task;
 using sim::TimePoint;
 
-Node CpuNode(std::string name, Duration t, std::vector<NodeId> inputs) {
+using Inputs = std::vector<NodeId>;
+
+Node CpuNode(Duration t) {
   Node n;
-  n.name = std::move(name);
   n.device = Device::kCpu;
   n.cpu_time = t;
-  n.inputs = std::move(inputs);
   return n;
 }
 
-Node GpuNode(std::string name, double blocks_per_item, Duration block_work,
-             std::vector<NodeId> inputs) {
+Node GpuNode(double blocks_per_item, Duration block_work) {
   Node n;
-  n.name = std::move(name);
   n.device = Device::kGpu;
   n.cpu_time = Duration::Micros(1);
   n.blocks_per_item = blocks_per_item;
   n.block_work = block_work;
-  n.inputs = std::move(inputs);
   return n;
+}
+
+std::vector<NodeId> Outputs(const Graph& g, NodeId id) {
+  const auto out = g.outputs(id);
+  return {out.begin(), out.end()};
 }
 
 TEST(GraphTest, AddNodeWiresEdges) {
   Graph g("t");
-  auto a = g.AddNode(CpuNode("a", Duration::Micros(1), {}));
-  auto b = g.AddNode(CpuNode("b", Duration::Micros(1), {a}));
-  auto c = g.AddNode(CpuNode("c", Duration::Micros(1), {a, b}));
-  EXPECT_EQ(g.node(a).outputs, (std::vector<NodeId>{b, c}));
-  EXPECT_EQ(g.node(c).inputs, (std::vector<NodeId>{a, b}));
-  EXPECT_EQ(g.size(), 3u);
-  g.Validate();
+  auto a = g.AddNode(CpuNode(Duration::Micros(1)), {});
+  auto b = g.AddNode(CpuNode(Duration::Micros(1)), Inputs{a});
+  auto c = g.AddNode(CpuNode(Duration::Micros(1)), Inputs{a, b});
+  // A duplicated input is two edges: d is listed twice among a's children.
+  auto d = g.AddNode(CpuNode(Duration::Micros(1)), Inputs{a, a});
+  EXPECT_EQ(g.size(), 4u);
+  EXPECT_FALSE(g.finished());
+  g.Finish();
+  EXPECT_EQ(Outputs(g, a), (Inputs{b, c, d, d}));
+  EXPECT_EQ(Outputs(g, b), (Inputs{c}));
+  EXPECT_EQ(Outputs(g, c), Inputs{});
+  EXPECT_EQ(Outputs(g, d), Inputs{});
+  EXPECT_EQ(g.in_degrees(), (std::vector<std::int32_t>{0, 1, 2, 2}));
+  // A finished graph is immutable.
+  EXPECT_THROW(g.AddNode(CpuNode(Duration::Micros(1)), Inputs{a}),
+               std::logic_error);
+  EXPECT_THROW(g.Finish(), std::logic_error);
 }
 
 TEST(GraphTest, ForwardReferenceRejected) {
   Graph g("t");
-  g.AddNode(CpuNode("a", Duration::Micros(1), {}));
-  EXPECT_THROW(g.AddNode(CpuNode("bad", Duration::Micros(1), {5})),
+  g.AddNode(CpuNode(Duration::Micros(1)), {});
+  EXPECT_THROW(g.AddNode(CpuNode(Duration::Micros(1)), Inputs{5}),
                std::logic_error);
 }
 
 TEST(GraphTest, ValidateRejectsMultipleSources) {
   Graph g("t");
-  g.AddNode(CpuNode("a", Duration::Micros(1), {}));
-  g.AddNode(CpuNode("orphan", Duration::Micros(1), {}));
-  EXPECT_THROW(g.Validate(), std::logic_error);
+  g.AddNode(CpuNode(Duration::Micros(1)), {});
+  g.AddNode(CpuNode(Duration::Micros(1)), {});  // an orphan
+  try {
+    g.Validate();
+    ADD_FAILURE() << "Validate accepted a second source";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "multiple sources: node-1");  // named by id
+  }
+  EXPECT_THROW(g.Finish(), std::logic_error);
 }
 
 TEST(GraphTest, ValidateRejectsEmpty) {
   Graph g("t");
   EXPECT_THROW(g.Validate(), std::logic_error);
+  EXPECT_THROW(g.Finish(), std::logic_error);
 }
 
 TEST(GraphTest, GpuNodeCountTracked) {
   Graph g("t");
-  auto a = g.AddNode(CpuNode("a", Duration::Micros(1), {}));
-  g.AddNode(GpuNode("g1", 1.0, Duration::Micros(5), {a}));
-  g.AddNode(GpuNode("g2", 1.0, Duration::Micros(5), {a}));
+  auto a = g.AddNode(CpuNode(Duration::Micros(1)), {});
+  g.AddNode(GpuNode(1.0, Duration::Micros(5)), Inputs{a});
+  g.AddNode(GpuNode(1.0, Duration::Micros(5)), Inputs{a});
   EXPECT_EQ(g.gpu_node_count(), 2u);
   EXPECT_EQ(g.cpu_node_count(), 1u);
 }
 
 TEST(GraphTest, BlocksForIsLinearInBatch) {
-  Node n = GpuNode("g", 2.0, Duration::Micros(5), {});
+  Node n = GpuNode(2.0, Duration::Micros(5));
   n.blocks_base = 10;
   EXPECT_EQ(n.BlocksFor(100), 210);
   EXPECT_EQ(n.BlocksFor(50), 110);
   // Floors at 1 block.
-  Node tiny = GpuNode("t", 0.0, Duration::Micros(5), {});
+  Node tiny = GpuNode(0.0, Duration::Micros(5));
   EXPECT_EQ(tiny.BlocksFor(1), 1);
 }
 
 TEST(GraphTest, TotalGpuWorkSumsBlocksTimesWork) {
   Graph g("t");
-  auto a = g.AddNode(CpuNode("a", Duration::Micros(1), {}));
-  g.AddNode(GpuNode("g1", 1.0, Duration::Micros(10), {a}));  // batch b: b blocks
+  auto a = g.AddNode(CpuNode(Duration::Micros(1)), {});
+  // Batch b launches b blocks.
+  g.AddNode(GpuNode(1.0, Duration::Micros(10)), Inputs{a});
   EXPECT_EQ(g.TotalGpuWork(7), Duration::Micros(70));
 }
 
@@ -223,11 +243,11 @@ struct ExecFixture {
 Graph DiamondGraph() {
   // input -> {gpu1, gpu2} -> join(cpu)
   Graph g("diamond");
-  auto in = g.AddNode(CpuNode("in", Duration::Micros(2), {}));
-  auto g1 = g.AddNode(GpuNode("g1", 1.0, Duration::Micros(10), {in}));
-  auto g2 = g.AddNode(GpuNode("g2", 1.0, Duration::Micros(20), {in}));
-  g.AddNode(CpuNode("join", Duration::Micros(2), {g1, g2}));
-  g.Validate();
+  auto in = g.AddNode(CpuNode(Duration::Micros(2)), {});
+  auto g1 = g.AddNode(GpuNode(1.0, Duration::Micros(10)), Inputs{in});
+  auto g2 = g.AddNode(GpuNode(1.0, Duration::Micros(20)), Inputs{in});
+  g.AddNode(CpuNode(Duration::Micros(2)), Inputs{g1, g2});  // join
+  g.Finish();
   return g;
 }
 
@@ -253,10 +273,10 @@ TEST(ExecutorTest, RespectsDependencies) {
   opts.gpu_jitter = 0.0;
   ExecFixture f(64, opts);
   Graph g("chain");
-  auto a = g.AddNode(CpuNode("a", Duration::Micros(10), {}));
-  auto b = g.AddNode(CpuNode("b", Duration::Micros(20), {a}));
-  g.AddNode(CpuNode("c", Duration::Micros(30), {b}));
-  g.Validate();
+  auto a = g.AddNode(CpuNode(Duration::Micros(10)), {});
+  auto b = g.AddNode(CpuNode(Duration::Micros(20)), Inputs{a});
+  g.AddNode(CpuNode(Duration::Micros(30)), Inputs{b});
+  g.Finish();
   auto ctx = f.MakeCtx(1);
   f.env.Spawn([](ExecFixture& fx, JobContext& c, const Graph& gr) -> Task {
     co_await fx.exec.RunOnce(c, gr);
@@ -336,10 +356,10 @@ TEST(ExecutorTest, PerItemCpuTimeScalesWithBatch) {
   opts.gpu_jitter = 0.0;
   ExecFixture f(64, opts);
   Graph g("t");
-  Node in = CpuNode("in", Duration::Micros(10), {});
+  Node in = CpuNode(Duration::Micros(10));
   in.cpu_time_per_item = Duration::Micros(2);
-  g.AddNode(std::move(in));
-  g.Validate();
+  g.AddNode(in, {});
+  g.Finish();
   auto ctx = f.MakeCtx(/*batch=*/50);
   f.env.Spawn([](ExecFixture& fx, JobContext& c, const Graph& gr) -> Task {
     co_await fx.exec.RunOnce(c, gr);
@@ -353,6 +373,14 @@ TEST(ExecutorTest, MissingStreamsRejected) {
   ExecFixture f;
   Graph g = DiamondGraph();
   JobContext ctx;  // no streams
+  EXPECT_THROW(f.exec.RunOnce(ctx, g), std::invalid_argument);
+}
+
+TEST(ExecutorTest, UnfinishedGraphRejected) {
+  ExecFixture f;
+  Graph g("t");
+  g.AddNode(CpuNode(Duration::Micros(1)), {});
+  auto ctx = f.MakeCtx(8);
   EXPECT_THROW(f.exec.RunOnce(ctx, g), std::invalid_argument);
 }
 
@@ -419,7 +447,7 @@ class RandomDagTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomDagTest, AllNodesExecutedDependenciesHeld) {
   sim::Rng rng(GetParam());
   Graph g("rand");
-  g.AddNode(CpuNode("in", Duration::Micros(1), {}));
+  g.AddNode(CpuNode(Duration::Micros(1)), {});
   const int n = 80;
   for (int i = 1; i < n; ++i) {
     // 1-3 inputs from earlier nodes.
@@ -428,19 +456,16 @@ TEST_P(RandomDagTest, AllNodesExecutedDependenciesHeld) {
     for (int j = 0; j < k; ++j) {
       ins.insert(static_cast<NodeId>(rng.UniformInt(0, i - 1)));
     }
-    std::vector<NodeId> inputs(ins.begin(), ins.end());
+    const Inputs inputs(ins.begin(), ins.end());
     if (rng.NextDouble() < 0.5) {
-      g.AddNode(GpuNode("g" + std::to_string(i),
-                        rng.Uniform(0.5, 2.0),
-                        Duration::Micros(rng.UniformInt(1, 30)),
-                        std::move(inputs)));
+      g.AddNode(GpuNode(rng.Uniform(0.5, 2.0),
+                        Duration::Micros(rng.UniformInt(1, 30))),
+                inputs);
     } else {
-      g.AddNode(CpuNode("c" + std::to_string(i),
-                        Duration::Micros(rng.UniformInt(1, 20)),
-                        std::move(inputs)));
+      g.AddNode(CpuNode(Duration::Micros(rng.UniformInt(1, 20))), inputs);
     }
   }
-  g.Validate();
+  g.Finish();
 
   ExecFixture f(16);
   auto ctx = f.MakeCtx(10);
