@@ -29,7 +29,7 @@
 //   $ ./examples/latency_anatomy [shards] [prefix]
 //
 // A shard count that is not a whole positive integer prints `error: …` and
-// exits 1.
+// exits 1, and so does an artifact that cannot be written.
 //
 // The blame and incident exports are fed hub-side in virtual-time order, so
 // they are byte-identical at any shard count — run with shards=1 and
@@ -172,21 +172,28 @@ int main(int argc, char** argv) {
                 inc.goodput_dip);
   }
 
-  {
-    std::ofstream os(prefix + "_blame.json");
-    phases.WriteBlameJson(os);
-  }
-  {
-    std::ofstream os(prefix + "_incidents.json");
-    incidents.WriteJson(os);
-  }
-  {
-    // One Perfetto timeline with everything on it: request flows, incident
-    // spans on the incident track, sampled series as counter charts.
-    incidents.Annotate(tracer);
-    metrics::ExportCountersToTrace(registry, tracer);
-    std::ofstream os(prefix + "_trace.json");
-    tracer.WriteChromeTrace(os);
+  // Each artifact is closed and checked, so a file that could not be
+  // written fails the run instead of being reported as written.
+  const auto write = [&prefix](const char* suffix, const auto& emit) {
+    const std::string path = prefix + suffix;
+    std::ofstream os(path);
+    emit(os);
+    os.close();
+    if (os) return true;
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  };
+  // One Perfetto timeline with everything on it: request flows, incident
+  // spans on the incident track, sampled series as counter charts.
+  incidents.Annotate(tracer);
+  metrics::ExportCountersToTrace(registry, tracer);
+  if (!write("_blame.json",
+             [&](std::ostream& os) { phases.WriteBlameJson(os); }) ||
+      !write("_incidents.json",
+             [&](std::ostream& os) { incidents.WriteJson(os); }) ||
+      !write("_trace.json",
+             [&](std::ostream& os) { tracer.WriteChromeTrace(os); })) {
+    return 1;
   }
   std::printf("\nwrote %s_blame.json, %s_incidents.json, %s_trace.json "
               "(%zu events, %llu dropped)\n",

@@ -23,6 +23,9 @@
 //
 //   $ ./examples/observability_tour
 //
+// An artifact that cannot be written prints `error: cannot write <path>`
+// and exits 1.
+//
 // Deterministic: run it twice and every byte of every artifact is identical.
 
 #include <algorithm>
@@ -55,7 +58,6 @@ int main() {
   opts.num_gpus = 2;
   opts.failover.enabled = true;
   opts.failover.hedge_when_degraded = true;
-  opts.failover.hedge_delay = sim::Duration::Millis(1);
   opts.failover.health.hang_down_after = sim::Duration::Seconds(10);
   opts.degradation.retry.base_backoff = sim::Duration::Millis(10);
   opts.executor.tracer = &tracer;
@@ -124,21 +126,27 @@ int main() {
   std::printf("\ncounters:\n");
   exp.counters().Print(std::cout);
 
-  {
-    // Fold the sampler's series into the trace as 'C' counter events, so
-    // utilization / queue depth / health render as charts on the same
-    // Perfetto timeline as the span flows.
-    metrics::ExportCountersToTrace(registry, tracer);
-    std::ofstream os("observability_trace.json");
-    tracer.WriteChromeTrace(os);
-  }
-  {
-    std::ofstream os("observability_metrics.prom");
-    registry.WritePrometheus(os);
-  }
-  {
-    std::ofstream os("observability_timeline.json");
-    registry.WriteJsonTimeline(os);
+  // Each artifact is closed and checked, so a file that could not be
+  // written fails the run instead of being reported as written.
+  const auto write = [](const char* path, const auto& emit) {
+    std::ofstream os(path);
+    emit(os);
+    os.close();
+    if (os) return true;
+    std::fprintf(stderr, "error: cannot write %s\n", path);
+    return false;
+  };
+  // Fold the sampler's series into the trace as 'C' counter events, so
+  // utilization / queue depth / health render as charts on the same
+  // Perfetto timeline as the span flows.
+  metrics::ExportCountersToTrace(registry, tracer);
+  if (!write("observability_trace.json",
+             [&](std::ostream& os) { tracer.WriteChromeTrace(os); }) ||
+      !write("observability_metrics.prom",
+             [&](std::ostream& os) { registry.WritePrometheus(os); }) ||
+      !write("observability_timeline.json",
+             [&](std::ostream& os) { registry.WriteJsonTimeline(os); })) {
+    return 1;
   }
   std::printf(
       "\nwrote observability_trace.json (%zu events, %llu dropped), "

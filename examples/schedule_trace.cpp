@@ -4,6 +4,9 @@
 //
 //   $ ./examples/schedule_trace [output.json]
 //
+// A trace file that cannot be written prints `error: cannot write <path>`
+// and exits 1.
+//
 // Tracks: tid -1 shows the scheduler's token tenures; tids 0..2 show each
 // job's node executions. The timeline makes the paper's mechanism visible:
 // during job k's tenure only job k's nodes run, except for short "overflow"
@@ -46,6 +49,11 @@ int main(int argc, char** argv) {
 
   std::ofstream os(path);
   tracer.WriteChromeTrace(os);
+  os.close();
+  if (!os) {
+    std::fprintf(stderr, "error: cannot write %s\n", path);
+    return 1;
+  }
 
   std::printf("ran %zu clients; %llu token switches; %zu trace events%s\n",
               results.size(),

@@ -90,6 +90,14 @@ FaultPlan& FaultPlan::CapacityFault(sim::TimePoint at, sim::Duration duration,
 
 namespace {
 
+// Random kernel failures hit stream 0 or 1: a device running any job has
+// created at least those two (serving's kStreamsPerJob).
+constexpr std::int64_t kFaultStreamsPerGpu = 2;
+// Mean windows of random crashes and partitions: both span several router
+// probes, and a process restart outlasts a network heal.
+constexpr sim::Duration kMeanCrashOutage = sim::Duration::Millis(400);
+constexpr sim::Duration kMeanPartition = sim::Duration::Millis(100);
+
 // Draw `expected` Poisson arrivals (in expectation) uniformly over the
 // horizon. Uniform placement of a Poisson-distributed count is an exact
 // construction of a homogeneous Poisson process.
@@ -114,8 +122,8 @@ void DrawArrivals(sim::Rng& rng, double expected, sim::Duration horizon,
 }  // namespace
 
 FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
-  if (options.num_gpus < 1 || options.streams_per_gpu < 1) {
-    throw std::invalid_argument("Random fault plan needs >= 1 gpu and stream");
+  if (options.num_gpus < 1) {
+    throw std::invalid_argument("Random fault plan needs >= 1 gpu");
   }
   sim::Rng rng(seed);
   FaultPlan plan;
@@ -124,7 +132,7 @@ FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
                  const auto gpu = static_cast<std::size_t>(rng.UniformInt(
                      0, static_cast<std::int64_t>(options.num_gpus) - 1));
                  const auto stream =
-                     rng.UniformInt(0, options.streams_per_gpu - 1);
+                     rng.UniformInt(0, kFaultStreamsPerGpu - 1);
                  plan.KernelFailure(at, stream, gpu);
                });
   DrawArrivals(rng, options.expected_hangs, options.horizon,
@@ -254,7 +262,7 @@ ServerFaultPlan& ServerFaultPlan::CapacityLoss(sim::TimePoint at,
 ServerFaultPlan& ServerFaultPlan::Jitter(sim::TimePoint at,
                                          sim::Duration window,
                                          std::size_t server, double factor) {
-  if (factor < 1.0) {
+  if (!(factor >= 1.0)) {
     throw std::invalid_argument("jitter factor must be >= 1");
   }
   events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kJitter,
@@ -279,7 +287,7 @@ ServerFaultPlan ServerFaultPlan::Random(const RandomOptions& options,
   DrawArrivals(rng, options.expected_crashes, options.horizon,
                [&](sim::TimePoint at) {
                  plan.Crash(at,
-                            options.mean_crash_outage *
+                            kMeanCrashOutage *
                                 (-std::log(1.0 - rng.NextDouble())),
                             draw_server());
                });
@@ -295,7 +303,7 @@ ServerFaultPlan ServerFaultPlan::Random(const RandomOptions& options,
                  const auto dir = static_cast<PartitionDirection>(
                      rng.UniformInt(0, 2));
                  plan.Partition(at,
-                                options.mean_partition *
+                                kMeanPartition *
                                     (-std::log(1.0 - rng.NextDouble())),
                                 draw_server(), dir);
                });

@@ -95,8 +95,6 @@ class FaultPlan {
   struct RandomOptions {
     sim::Duration horizon = sim::Duration::Seconds(10.0);
     std::size_t num_gpus = 1;
-    // Streams to target for kernel failures (round-robin over [0, n)).
-    std::int64_t streams_per_gpu = 2;
     double expected_kernel_failures = 0.0;
     double expected_hangs = 0.0;
     sim::Duration mean_hang = sim::Duration::Millis(20);
@@ -195,12 +193,10 @@ class ServerFaultPlan {
   struct RandomOptions {
     sim::Duration horizon = sim::Duration::Seconds(10.0);
     std::size_t num_servers = 2;
-    double expected_crashes = 0.0;
-    sim::Duration mean_crash_outage = sim::Duration::Millis(400);
+    double expected_crashes = 0.0;  // mean outage: fault.cc's kMeanCrashOutage
     double expected_hangs = 0.0;
     sim::Duration mean_hang = sim::Duration::Millis(50);
-    double expected_partitions = 0.0;
-    sim::Duration mean_partition = sim::Duration::Millis(100);
+    double expected_partitions = 0.0;  // mean window: fault.cc's kMeanPartition
     // Gray faults; zero expected events draws no extra random numbers,
     // preserving existing plans bit-for-bit.
     double expected_capacity_losses = 0.0;

@@ -4,8 +4,9 @@
 
 namespace olympian::graph {
 namespace {
-// Slowdown of a kernel instrumented by the online cost profiler (CUPTI
-// hooks); with the per-node CPU overhead it gives paper Figure 6's 21-29%.
+// Per-node CPU cost and per-kernel slowdown of the online cost profiler
+// (CUPTI hooks); together they give paper Figure 6's 21-29%.
+constexpr sim::Duration kProfilerOverheadPerNode = sim::Duration::Micros(4);
 constexpr double kProfilerKernelSlowdown = 1.22;
 }  // namespace
 
@@ -140,7 +141,7 @@ sim::Task Executor::Process(RunState& st, NodeId start) {
       sim::Duration cpu = node.cpu_time + node.cpu_time_per_item *
                                               static_cast<double>(ctx.batch);
       if (options_.online_cost_profiler) {
-        cpu += options_.profiler_overhead_per_node;
+        cpu += kProfilerOverheadPerNode;
       }
       if (options_.cpu_jitter > 0.0) {
         cpu = rng_.Jitter(cpu, options_.cpu_jitter);

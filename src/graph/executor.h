@@ -31,10 +31,9 @@ struct ExecutorOptions {
   // When true, models Tensorflow's online cost profiler (CUPTI hooks): a
   // fixed CPU cost per node plus a slowdown on instrumented kernels,
   // inflating end-to-end runtimes by 21-29% (paper Figure 6) — the reason
-  // Olympian profiles offline. The slowdown is executor.cc's
-  // kProfilerKernelSlowdown.
+  // Olympian profiles offline. The cost and the slowdown are executor.cc's
+  // kProfilerOverheadPerNode and kProfilerKernelSlowdown.
   bool online_cost_profiler = false;
-  sim::Duration profiler_overhead_per_node = sim::Duration::Micros(4);
 
   // Optional execution tracing: every node records a span on its job's
   // track (see metrics/trace.h). Must outlive the executor.

@@ -7,7 +7,7 @@
 namespace olympian::serving {
 
 ArrivalProcess::ArrivalProcess(ArrivalSpec spec) : spec_(std::move(spec)) {
-  if (spec_.kind == ArrivalSpec::Kind::kPoisson && spec_.rate_rps <= 0.0) {
+  if (spec_.kind == ArrivalSpec::Kind::kPoisson && !(spec_.rate_rps > 0.0)) {
     throw std::invalid_argument("Poisson arrivals need rate_rps > 0");
   }
 }

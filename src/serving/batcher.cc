@@ -9,28 +9,30 @@ namespace olympian::serving {
 namespace {
 // The device Experiment::CreateJob places the batcher's job on.
 constexpr std::size_t kGpu = 0;
+
+// Runs in the member initializers ahead of the job's creation, so a
+// rejected batcher leaves no job and no device memory behind.
+Batcher::Options Validated(Batcher::Options options) {
+  const std::vector<int>& sizes = options.allowed_batch_sizes;
+  if (sizes.empty()) {
+    throw std::invalid_argument("allowed_batch_sizes must not be empty");
+  }
+  if (!std::is_sorted(sizes.begin(), sizes.end()) || sizes.front() < 1) {
+    throw std::invalid_argument("allowed_batch_sizes must be ascending, >= 1");
+  }
+  return options;
+}
 }  // namespace
 
 Batcher::Batcher(Experiment& experiment, std::string model, Options options)
     : exp_(experiment),
       env_(experiment.env()),
       model_(std::move(model)),
-      options_(std::move(options)),
-      ctx_(experiment.CreateJob(model_,
-                                options_.allowed_batch_sizes.empty()
-                                    ? 1
-                                    : options_.allowed_batch_sizes.back())),
+      options_(Validated(std::move(options))),
+      ctx_(experiment.CreateJob(model_, options_.allowed_batch_sizes.back())),
       graph_(experiment.LoadModel(model_, kGpu)),
       wake_(env_),
       done_cv_(env_) {
-  if (options_.allowed_batch_sizes.empty()) {
-    throw std::invalid_argument("allowed_batch_sizes must not be empty");
-  }
-  if (!std::is_sorted(options_.allowed_batch_sizes.begin(),
-                      options_.allowed_batch_sizes.end()) ||
-      options_.allowed_batch_sizes.front() < 1) {
-    throw std::invalid_argument("allowed_batch_sizes must be ascending, >= 1");
-  }
   env_.Spawn(Dispatcher(), "batcher:" + model_);
 }
 

@@ -16,6 +16,9 @@ int ClusterClientResult::CountStatus(RequestStatus s) const {
 
 namespace {
 
+// One-way router <-> server hop latency, and so the sharded engine's
+// lookahead: jitter only stretches a hop, so no hop is shorter.
+constexpr sim::Duration kNetDelay = sim::Duration::Micros(200);
 // How long the router waits on an unanswered probe, or on a request lost to
 // a partition, before declaring the attempt failed.
 constexpr sim::Duration kProbeTimeout = sim::Duration::Millis(10);
@@ -29,20 +32,13 @@ constexpr sim::Duration kProbeService = sim::Duration::Millis(1);
 
 // Validates a sharded configuration and returns the effective shard count
 // (clamped to the server count; 0 means 1). Throws std::invalid_argument
-// for the two remaining unpartitionable options; every other cluster
+// for the one remaining unpartitionable option; every other cluster
 // configuration — alloc faults, server-side tracer, server-side registry —
 // shards (see ClusterOptions::shards).
 std::size_t ValidatedShards(const ClusterOptions& o) {
   std::size_t shards = o.shards == 0 ? 1 : o.shards;
   shards = std::min(shards, o.num_servers);
   if (shards <= 1) return 1;
-  if (o.router.net_delay <= sim::Duration::Zero()) {
-    throw std::invalid_argument(
-        "ClusterOptions::shards > 1 requires RouterOptions::net_delay > 0: "
-        "the network delay is the engine lookahead that makes conservative "
-        "windows non-empty; set router.net_delay to the modeled "
-        "router<->server hop latency, or run with shards = 1");
-  }
   for (const fault::FaultEvent& e : o.server.faults.events()) {
     if (e.kind == fault::FaultKind::kCapacityFault) {
       throw std::invalid_argument(
@@ -69,8 +65,7 @@ Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
       incidents_(options_.incidents != nullptr ? Enabled(*options_.incidents)
                                                : disabled_incidents_),
-      engine_(ValidatedShards(options_), options_.router.net_delay,
-              options_.num_servers),
+      engine_(ValidatedShards(options_), kNetDelay, options_.num_servers),
       env_(engine_.hub()),
       tracer_(options_.server.executor.tracer) {
   if (options_.num_servers < 1) {
@@ -152,12 +147,9 @@ sim::Task Cluster::Probe(std::size_t server, bool& ok) {
     co_await env_.Delay(kProbeTimeout);
     ok = false;
   } else {
-    if (options_.router.net_delay > sim::Duration::Zero()) {
-      // Jitter stretches the round trip (factor 1.0 outside any window —
-      // an exact multiply, so jitter-free plans are bit-identical).
-      co_await env_.Delay(options_.router.net_delay * 2.0 *
-                          JitterFactor(server, sent));
-    }
+    // Jitter stretches the round trip (factor 1.0 outside any window — an
+    // exact multiply, so jitter-free plans are bit-identical).
+    co_await env_.Delay(kNetDelay * 2.0 * JitterFactor(server, sent));
     if (options_.router.score.enabled) {
       // The probe exercises the serving path, so its service time runs at
       // the device's current speed: a fractional-capacity fault inflates
@@ -318,12 +310,12 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
                                    int& completed) {
   // One path at every shard count: the serve section runs between a hop onto
   // the server's shard and a hop back to the hub. With shards = 1 both hops
-  // are plain delays on the one queue (a zero-latency hop completes inline),
-  // so every shard count runs the same decisions at the same instants. Route,
-  // counters, and router state are only ever touched hub-side. Phase charges
-  // land at the same virtual instants at every shard count (the account is
-  // frame-local, so charging from the server's shard is race-free), keeping
-  // the blame table byte-identical across shard counts.
+  // are plain delays on the one queue, so every shard count runs the same
+  // decisions at the same instants. Route, counters, and router state are
+  // only ever touched hub-side. Phase charges land at the same virtual
+  // instants at every shard count (the account is frame-local, so charging
+  // from the server's shard is race-free), keeping the blame table
+  // byte-identical across shard counts.
   const RouterOptions& ro = options_.router;
   metrics::PhaseAccount account;
   account.Start(arrival);
@@ -359,10 +351,10 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     // bit-identical); it is >= 1, so a jittered hop never undercuts the
     // engine lookahead.
     const bool lost_to = env_.Now() < part_to_until_[s];
-    const sim::Duration forward = ro.net_delay * JitterFactor(s, env_.Now());
+    const sim::Duration forward = kNetDelay * JitterFactor(s, env_.Now());
     if (!lost_to) {
       co_await engine_.HopToShard(s, forward);
-    } else if (forward > sim::Duration::Zero()) {
+    } else {
       co_await env_.Delay(forward);
     }
     sim::Environment& senv = servers_[s]->env();
@@ -424,7 +416,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
         err = std::current_exception();
       }
       // Response leg: back onto the hub.
-      co_await engine_.HopToHub(s, ro.net_delay * jitter_back);
+      co_await engine_.HopToHub(s, kNetDelay * jitter_back);
       if (err != nullptr) std::rethrow_exception(err);
       account.Charge(metrics::Phase::kResponseHop, env_.Now());
       router_->OnRequestEnd(s);
@@ -638,11 +630,17 @@ std::vector<ClusterStreamResult> Cluster::RunStreams(
     const std::vector<ClusterStreamSpec>& streams) {
   if (ran_) throw std::logic_error("Cluster::RunStreams may only be called once");
   ran_ = true;
-  for (const ClusterStreamSpec& st : streams) {
-    if (st.arrivals.kind == ArrivalSpec::Kind::kClosedLoop) {
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    if (streams[i].arrivals.kind == ArrivalSpec::Kind::kClosedLoop) {
       throw std::invalid_argument(
           "aggregate streams are open-loop: give each stream an arrival "
           "generator");
+    }
+    if (streams[i].num_requests < 0) {
+      throw std::invalid_argument(
+          "stream " + std::to_string(i) + " (" + streams[i].request.model +
+          ") has num_requests = " + std::to_string(streams[i].num_requests) +
+          "; it must be >= 0");
     }
   }
   {

@@ -77,12 +77,12 @@ struct ClusterOptions {
   // all run at any shard count and export byte-identically to shards=1
   // (each server traces into a private buffer on its own shard, and the
   // cluster merges the buffers and exports each server's counters hub-side
-  // in a canonical order after the run). The two
-  // remaining requirements are router.net_delay > 0 (it is the engine
-  // lookahead) and no device-level kCapacityFault events (the router probe
-  // reads device capacity hub-side; use ServerFaultPlan::CapacityLoss,
-  // which is hub-applied). Violations throw with the offending option and
-  // the fix named in the message.
+  // in a canonical order after the run). The one remaining requirement is
+  // no device-level kCapacityFault events (the router probe reads device
+  // capacity hub-side; use ServerFaultPlan::CapacityLoss, which is
+  // hub-applied); a violation throws with the fix named in the message.
+  // The engine lookahead is cluster.cc's kNetDelay, the router <-> server
+  // hop latency.
   std::size_t shards = 1;
 };
 
@@ -227,7 +227,7 @@ class Cluster : private RouterTransport {
   std::vector<sim::TimePoint> part_from_until_;  // server -> router drops
   // Network-jitter windows: every router<->server hop (requests, responses,
   // probes) is stretched by jitter_factor_ while the window is open. The
-  // factor is >= 1, so jittered hops never undercut the net_delay lookahead
+  // factor is >= 1, so jittered hops never undercut the kNetDelay lookahead
   // that bounds the sharded engine's conservative windows.
   std::vector<sim::TimePoint> jitter_until_;
   std::vector<double> jitter_factor_;

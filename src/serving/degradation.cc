@@ -21,7 +21,7 @@ const char* ToString(RequestStatus status) {
 }
 
 sim::Duration RetryPolicy::BackoffFor(int attempt) const {
-  return base_backoff * std::pow(multiplier, attempt - 1);
+  return base_backoff * std::pow(kBackoffMultiplier, attempt - 1);
 }
 
 bool CircuitBreaker::AllowRequest(sim::TimePoint now) {

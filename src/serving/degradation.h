@@ -12,12 +12,13 @@ using metrics::RequestStatus;
 
 const char* ToString(RequestStatus status);
 
-// Exponential backoff; the serving loop jitters each backoff by
+// Exponential backoff: doubling per attempt keeps the default two retries
+// within 3 x base_backoff; the serving loop jitters each backoff by
 // server.cc's kRetryJitter.
 struct RetryPolicy {
+  static constexpr double kBackoffMultiplier = 2.0;
   int max_retries = 2;
   sim::Duration base_backoff = sim::Duration::Millis(2);
-  double multiplier = 2.0;
 
   sim::Duration BackoffFor(int attempt) const;  // attempt is 1-based
 };

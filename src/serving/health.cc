@@ -28,6 +28,9 @@ constexpr int kWarmupProbes = 2;
 // Shape of the heartbeat kernel: one block, microseconds of work.
 constexpr std::int64_t kProbeBlocks = 1;
 constexpr sim::Duration kProbeWork = sim::Duration::Micros(20);
+// Heartbeat cadence per device: one kProbeWork kernel per 5 ms keeps
+// probing to about 0.4% of the device.
+constexpr sim::Duration kProbeInterval = sim::Duration::Millis(5);
 
 }  // namespace
 
@@ -66,9 +69,7 @@ void HealthMonitor::Start() {
     Device& d = *devices_[i];
     d.probe_stream = d.gpu->CreateStream();
     d.gpu->SetHealthListener(&d.listener);
-    if (options_.probe_interval > sim::Duration::Zero()) {
-      env_.Spawn(ProbeLoop(i), "health/probe-gpu" + std::to_string(i));
-    }
+    env_.Spawn(ProbeLoop(i), "health/probe-gpu" + std::to_string(i));
   }
 }
 
@@ -172,7 +173,7 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
 sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
   Device& d = *devices_[gpu];
   for (;;) {
-    co_await env_.Delay(options_.probe_interval);
+    co_await env_.Delay(kProbeInterval);
     if (stopped_) co_return;
     // Inside an outage submissions fail fast and tell us nothing the
     // listener has not already said; skip the beat.

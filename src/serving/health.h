@@ -29,10 +29,6 @@ class HealthObserver {
 };
 
 struct HealthMonitorOptions {
-  // Heartbeat cadence per device; zero disables the probe loop (the
-  // listener signals alone still classify, but warm-up probes and liveness
-  // checks stop).
-  sim::Duration probe_interval = sim::Duration::Millis(5);
   // A hang outliving this budget escalates kDegraded -> kDown, triggering
   // failover even though the driver will eventually un-wedge. Zero keeps
   // hung devices merely degraded.

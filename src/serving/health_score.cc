@@ -6,9 +6,6 @@ namespace olympian::serving {
 
 void Validate(const HealthScoreOptions& options) {
   if (!options.enabled) return;
-  if (!(options.rtt_alpha > 0.0) || options.rtt_alpha > 1.0) {
-    throw std::invalid_argument("health score rtt_alpha must be in (0, 1]");
-  }
   if (!(options.degrade_below > 0.0) || options.degrade_below >= 1.0 ||
       !(options.recover_above > 0.0) || options.recover_above >= 1.0) {
     throw std::invalid_argument("health score thresholds must be in (0, 1)");
@@ -36,7 +33,7 @@ const char* ToString(Health h) {
 HealthFsm::HealthFsm(std::size_t targets, const HealthScoreOptions& score)
     : score_options_(score) {
   Validate(score);
-  targets_.assign(targets, Target{.score = HealthScore(score)});
+  targets_.resize(targets);
 }
 
 bool HealthFsm::Usable(std::size_t i) const {

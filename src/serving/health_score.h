@@ -13,9 +13,12 @@ namespace olympian::serving {
 // term starts contributing (score is err-term-only until then).
 inline constexpr int kBaselineProbes = 3;
 static_assert(kBaselineProbes >= 1);
-// EWMA smoothing factor (weight of the newest sample) of the error term.
+// EWMA smoothing factors (weight of the newest sample) of the error and RTT
+// terms: a sustained change outweighs the history after two probes.
 inline constexpr double kErrorAlpha = 0.3;
 static_assert(kErrorAlpha > 0.0 && kErrorAlpha <= 1.0);
+inline constexpr double kRttAlpha = 0.3;
+static_assert(kRttAlpha > 0.0 && kRttAlpha <= 1.0);
 // Blend between the RTT term and the error-rate term.
 inline constexpr double kRttWeight = 0.7;
 static_assert(kRttWeight >= 0.0 && kRttWeight <= 1.0);
@@ -26,8 +29,6 @@ static_assert(kRttWeight >= 0.0 && kRttWeight <= 1.0);
 // move the health state machine, so existing goldens stay byte-identical.
 struct HealthScoreOptions {
   bool enabled = false;
-  // EWMA smoothing factor (weight of the newest sample) of the RTT term.
-  double rtt_alpha = 0.3;
   // Hysteresis thresholds driving healthy <-> degraded transitions:
   // degrade when score < degrade_below, recover when score >= recover_above.
   // The gap between them is what prevents flapping at the boundary.
@@ -53,9 +54,6 @@ struct HealthScoreOptions {
 // and unscored cluster runs share one event stream.
 class HealthScore {
  public:
-  HealthScore() = default;  // default options (disabled-tier smoothing)
-  explicit HealthScore(const HealthScoreOptions& options) : options_(options) {}
-
   // Record one probe outcome; `rtt` is meaningful only when `ok`.
   void OnProbe(bool ok, sim::Duration rtt) {
     err_ewma_ =
@@ -71,8 +69,7 @@ class HealthScore {
       }
       return;
     }
-    ewma_rtt_ =
-        options_.rtt_alpha * r + (1.0 - options_.rtt_alpha) * ewma_rtt_;
+    ewma_rtt_ = kRttAlpha * r + (1.0 - kRttAlpha) * ewma_rtt_;
   }
 
   // Forget everything (target went down / was readmitted): the baseline
@@ -103,7 +100,6 @@ class HealthScore {
   bool baseline_learned() const { return baseline_ > 0.0; }
 
  private:
-  HealthScoreOptions options_;
   double baseline_ = 0.0;      // mean of the first N successful RTTs (ns)
   double baseline_sum_ = 0.0;
   int baseline_count_ = 0;
@@ -111,8 +107,8 @@ class HealthScore {
   double err_ewma_ = 0.0;      // EWMA of the 0/1 failure indicator
 };
 
-// Throws std::invalid_argument on out-of-range knobs (rtt_alpha outside
-// (0, 1], thresholds outside (0, 1) or inverted).
+// Throws std::invalid_argument on out-of-range knobs (thresholds outside
+// (0, 1) or inverted).
 void Validate(const HealthScoreOptions& options);
 
 // Health of one target (a device or a server) as placement and routing see

@@ -7,6 +7,15 @@
 
 namespace olympian::serving {
 namespace {
+// Heartbeat cadence per server: with cluster.cc's 10 ms probe timeout, a
+// server that stops answering is down after about 3 x (20 + 10) = 90 ms.
+constexpr sim::Duration kProbeInterval = sim::Duration::Millis(20);
+// Consecutive errors (probe or request) before a server is marked down;
+// fewer only degrade it, so one lost probe fails no client over.
+constexpr int kDownAfterErrors = 3;
+// Consecutive probe successes a down server needs before it is routed
+// again: the first only shows the process answers (kRecovering).
+constexpr int kRecoverySuccesses = 2;
 // Minimum virtual time between brownout shed-level moves (anti-flap dwell).
 constexpr sim::Duration kBrownoutMinDwell = sim::Duration::Millis(50);
 }  // namespace
@@ -24,10 +33,6 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
       incidents_(incidents),
       registry_(registry) {
   if (num_servers < 1) throw std::invalid_argument("Router needs >= 1 server");
-  if (options_.down_after_errors < 1 || options_.recovery_successes < 1) {
-    throw std::invalid_argument(
-        "down_after_errors and recovery_successes must be >= 1");
-  }
   if (options_.brownout.enabled) {
     if (!options_.score.enabled) {
       throw std::invalid_argument("brownout requires health scoring");
@@ -49,7 +54,6 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
 void Router::Start() {
   if (started_) throw std::logic_error("Router::Start called twice");
   started_ = true;
-  if (options_.probe_interval <= sim::Duration::Zero()) return;
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     env_.Spawn(ProbeLoop(s), "router/probe-server" + std::to_string(s));
   }
@@ -106,7 +110,7 @@ sim::Task Router::ProbeLoop(std::size_t server) {
   // (a server that never answers exports no series) and reused after.
   metrics::MetricRegistry::TimeSeries* rtt_series = nullptr;
   for (;;) {
-    co_await env_.Delay(options_.probe_interval);
+    co_await env_.Delay(kProbeInterval);
     if (stopped_) co_return;
     ++counters_.probes_sent;
     bool ok = false;
@@ -150,8 +154,8 @@ void Router::OnResult(std::size_t server, bool ok) {
         break;
       case Health::kRecovering:
         // Not routed until the warm-up hand-shake completes: the server must
-        // answer `recovery_successes` consecutive probes before traffic.
-        if (++st.successes >= options_.recovery_successes) {
+        // answer kRecoverySuccesses consecutive probes before traffic.
+        if (++st.successes >= kRecoverySuccesses) {
           EndOutage(server, env_.Now());
           ++counters_.server_readmissions;
           Transition(server, Health::kHealthy);
@@ -172,7 +176,7 @@ void Router::OnResult(std::size_t server, bool ok) {
       break;
     case Health::kHealthy:
     case Health::kDegraded:
-      if (st.errors >= options_.down_after_errors) {
+      if (st.errors >= kDownAfterErrors) {
         MarkDown(server, env_.Now());
         ++counters_.server_down_events;
         Transition(server, Health::kDown);

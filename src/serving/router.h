@@ -18,17 +18,6 @@ struct RouterOptions {
   // request of a client goes to its home server no matter what (the
   // no-failover baseline the cluster bench compares against).
   bool failover = true;
-  // Heartbeat cadence per server (zero disables probing; the health view
-  // then moves only on request outcomes).
-  sim::Duration probe_interval = sim::Duration::Millis(20);
-  // Consecutive errors (probe or request) before a server is marked down.
-  int down_after_errors = 3;
-  // Consecutive probe successes a down server must string together before
-  // it is routed again (the recovering warm-up window).
-  int recovery_successes = 2;
-  // One-way router <-> server network latency. (The probe timeout, retry
-  // backoff and scored probe service time are constants in cluster.cc.)
-  sim::Duration net_delay = sim::Duration::Micros(200);
   // Client retry budget for genuine failures (failover re-admissions are
   // free, mirroring the device-failover contract).
   int max_retries = 2;
@@ -86,7 +75,7 @@ class Router : public HealthFsm {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Spawn the per-server probe loops (no-op when probing is disabled).
+  // Spawn the per-server probe loops.
   void Start();
   // Stop the probe loops so the shared event queue can drain.
   void Stop();

@@ -12,6 +12,9 @@ constexpr sim::Duration kRejectBackoff = sim::Duration::Millis(5);
 // Multiplicative jitter on each retry's exponential backoff, drawn from the
 // request's seeded Rng so retry timing is reproducible.
 constexpr double kRetryJitter = 0.2;
+// Wait before a hedge launches: a primary done by then needs no duplicate,
+// and 1 ms is far below one inference.
+constexpr sim::Duration kHedgeDelay = sim::Duration::Millis(1);
 }  // namespace
 
 int ClientResult::CountStatus(RequestStatus s) const {
@@ -584,9 +587,7 @@ sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
 
 sim::Task Experiment::HedgeProc(std::size_t tenant, std::size_t gpu,
                                 std::shared_ptr<HedgeState> st) {
-  if (options_.failover.hedge_delay > sim::Duration::Zero()) {
-    co_await env_.Delay(options_.failover.hedge_delay);
-  }
+  co_await env_.Delay(kHedgeDelay);
   // The hedge runs only if the primary is still in flight and the replica
   // is usable and idle once loaded; otherwise it reports a loss at once.
   graph::JobContext* ctx = nullptr;

@@ -43,11 +43,11 @@ struct FailoverOptions {
   bool enabled = false;
   HealthMonitorOptions health;
   // Launch a duplicate attempt on another replica when the routed device is
-  // merely degraded (tail tolerance during hangs / alloc-fault windows).
-  // Hedging needs the failover placer: with `enabled` clear, either hedge
-  // knob makes the Experiment constructor throw.
+  // merely degraded (tail tolerance during hangs / alloc-fault windows),
+  // after server.cc's kHedgeDelay. Hedging needs the failover placer: with
+  // `enabled` clear, either hedge knob makes the Experiment constructor
+  // throw.
   bool hedge_when_degraded = false;
-  sim::Duration hedge_delay = sim::Duration::Millis(5);
   // Slowdown-triggered hedging (requires health.score.enabled, else the
   // constructor throws): also hedge when the routed device's score drops
   // below this, even before the hysteresis marks it degraded — the response

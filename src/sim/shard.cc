@@ -14,7 +14,7 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration lookahead,
     throw std::logic_error(
         "ShardedEngine: shards=" + std::to_string(shards_) +
         " requires a positive lookahead; pass the minimum cross-shard hop "
-        "latency (e.g. the cluster's router<->server net_delay) as the "
+        "latency (e.g. the cluster's router<->server network delay) as the "
         "lookahead argument, or construct with shards=1");
   }
   if (lanes == 0) lanes = shards_;

@@ -104,16 +104,14 @@ class ShardedEngine {
 
   // Awaitable: move the running coroutine from the hub onto lane `l`'s
   // shard, resuming `latency` later on that shard's clock. Must be awaited
-  // from hub-resident code. With shards == 1, a plain Delay on the hub —
-  // except that a zero-latency hop completes inline, with no event.
+  // from hub-resident code. With shards == 1, a plain Delay on the hub.
   auto HopToShard(std::size_t l, Duration latency) {
     return HopAwaiter{this, l, /*to_hub=*/false, latency};
   }
 
   // Awaitable: move the running coroutine from lane `l`'s shard back onto
   // the hub, resuming `latency` later on the hub's clock. Must be awaited
-  // from code resident on that lane's shard. With shards == 1, a plain
-  // Delay (inline when the latency is zero, as for HopToShard).
+  // from code resident on that lane's shard. With shards == 1, a plain Delay.
   auto HopToHub(std::size_t l, Duration latency) {
     return HopAwaiter{this, l, /*to_hub=*/true, latency};
   }
@@ -174,11 +172,9 @@ class ShardedEngine {
     std::size_t lane;
     bool to_hub;
     Duration latency;
-    // Unsharded, a zero-latency hop is no hop at all. Sharded, every hop
-    // goes through Send, which rejects a latency below the lookahead.
-    bool await_ready() const noexcept {
-      return !eng->sharded() && latency == Duration::Zero();
-    }
+    // Every hop goes through Send, which rejects a sharded latency below
+    // the lookahead.
+    bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       eng->Send(lane, to_hub, latency, h);
     }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/profiler.h"
 #include "core/scheduler.h"
@@ -141,12 +143,18 @@ TEST(BatcherTest, WorksUnderOlympianWithInterpolatedProfiles) {
 
 TEST(BatcherTest, RejectsBadOptions) {
   Experiment exp(ServerOptions{});
-  Batcher::Options empty;
-  empty.allowed_batch_sizes = {};
-  EXPECT_THROW(Batcher(exp, "resnet-152", empty), std::invalid_argument);
-  Batcher::Options unsorted;
-  unsorted.allowed_batch_sizes = {8, 4};
-  EXPECT_THROW(Batcher(exp, "resnet-152", unsorted), std::invalid_argument);
+  const std::int64_t memory_mb = exp.gpu(0).memory_used_mb();
+  const std::size_t jobs = exp.job_contexts().size();
+  const std::vector<std::vector<int>> bad = {{}, {0}, {8, 4}, {64, 8}};
+  for (const std::vector<int>& sizes : bad) {
+    SCOPED_TRACE(::testing::PrintToString(sizes));
+    Batcher::Options o;
+    o.allowed_batch_sizes = sizes;
+    EXPECT_THROW(Batcher(exp, "resnet-152", o), std::invalid_argument);
+    // Rejected before its job exists: no job context, no device memory.
+    EXPECT_EQ(exp.gpu(0).memory_used_mb(), memory_mb);
+    EXPECT_EQ(exp.job_contexts().size(), jobs);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -89,19 +90,25 @@ struct FakeTransport final : serving::RouterTransport {
   Duration rtt = Duration::Micros(100);
 };
 
+// The router probes every 20 ms and each fake probe takes 100 us, so the
+// k-th probe of a run answers at k x 20.1 ms: 20.1, 40.2, 60.3, 80.4, ...
+// A server goes down at its third consecutive error and is readmitted by
+// its second consecutive probe success.
+
 TEST(RouterTest, ConsecutiveProbeFailuresMarkServerDown) {
   sim::Environment env;
   FakeTransport transport(env);
   serving::RouterOptions ro;
-  ro.probe_interval = Duration::Millis(1);
-  ro.down_after_errors = 2;
   metrics::RouterCounters counters;
   metrics::IncidentLog incidents;
   serving::Router router(env, transport, 2, ro, counters, incidents);
   router.Start();
 
   transport.probe_ok = false;
-  env.RunUntil(At(2.5));  // two failed probes per server
+  env.RunUntil(At(50));  // two failed probes per server: degraded only
+  EXPECT_EQ(router.health(0), serving::Health::kDegraded);
+  EXPECT_EQ(router.Route(0), 0u);
+  env.RunUntil(At(70));  // the third failed probe marks them down
   EXPECT_EQ(router.health(0), serving::Health::kDown);
   EXPECT_EQ(router.health(1), serving::Health::kDown);
   EXPECT_EQ(router.Route(0), serving::Router::kNoServer);
@@ -109,39 +116,32 @@ TEST(RouterTest, ConsecutiveProbeFailuresMarkServerDown) {
   env.Run();
 }
 
-// The satellite edge case: a probe landing while the server is recovering
-// must NOT readmit it early. The server takes no traffic until the warm-up
-// hand-shake (recovery_successes consecutive probe successes) completes,
-// and the transition log records recovering -> healthy exactly once.
+// A probe success that ends the outage must NOT readmit the server: it
+// only moves it to recovering, where it takes no traffic until the warm-up
+// hand-shake (a second consecutive probe success) completes, and the
+// transition log records recovering -> healthy exactly once.
 TEST(RouterTest, ProbeDuringRecoveringDoesNotReadmitEarly) {
   sim::Environment env;
   FakeTransport transport(env);
   serving::RouterOptions ro;
-  ro.probe_interval = Duration::Millis(1);
-  ro.down_after_errors = 2;
-  ro.recovery_successes = 3;
   metrics::RouterCounters counters;
   metrics::IncidentLog incidents;
   serving::Router router(env, transport, 2, ro, counters, incidents);
   router.Start();
 
   transport.probe_ok = false;
-  env.RunUntil(At(2.5));
+  env.RunUntil(At(70));  // third failure at 60.3 ms
   ASSERT_EQ(router.health(0), serving::Health::kDown);
 
   transport.probe_ok = true;
-  env.RunUntil(At(3.5));  // first success: down -> recovering
-  ASSERT_EQ(router.health(0), serving::Health::kRecovering);
+  env.RunUntil(At(90));  // first success at 80.4 ms: down -> recovering
+  ASSERT_EQ(router.health(0), serving::Health::kRecovering)
+      << "the success that ends the outage must not readmit before the "
+         "warm-up hand-shake completes";
   EXPECT_FALSE(router.Routable(0));
   EXPECT_EQ(router.Route(0), serving::Router::kNoServer);
 
-  env.RunUntil(At(4.5));  // second success lands during recovering
-  EXPECT_EQ(router.health(0), serving::Health::kRecovering)
-      << "a probe success during recovering must not readmit before the "
-         "warm-up hand-shake completes";
-  EXPECT_FALSE(router.Routable(0));
-
-  env.RunUntil(At(6.0));  // third success completes the hand-shake
+  env.RunUntil(At(110));  // second success at 100.5 ms readmits
   EXPECT_EQ(router.health(0), serving::Health::kHealthy);
   EXPECT_TRUE(router.Routable(0));
 
@@ -153,9 +153,10 @@ TEST(RouterTest, ProbeDuringRecoveringDoesNotReadmitEarly) {
     }
   }
   EXPECT_EQ(recovering_to_healthy, 1);
-  // Router-side MTTR covers the whole incident: down-mark to readmission.
+  // Router-side MTTR covers the whole incident: down-mark to readmission
+  // (40.2 ms), not just the recovering hand-shake (20.1 ms).
   ASSERT_GE(router.outages().size(), 1u);
-  EXPECT_GT(router.outages()[0].mttr(), Duration::Millis(2));
+  EXPECT_GT(router.outages()[0].mttr(), Duration::Millis(30));
   router.Stop();
   env.Run();
 }
@@ -164,29 +165,28 @@ TEST(RouterTest, RelapseDuringRecoveryKeepsOneIncident) {
   sim::Environment env;
   FakeTransport transport(env);
   serving::RouterOptions ro;
-  ro.probe_interval = Duration::Millis(1);
-  ro.down_after_errors = 1;
-  ro.recovery_successes = 2;
   metrics::RouterCounters counters;
   metrics::IncidentLog incidents;
   serving::Router router(env, transport, 1, ro, counters, incidents);
   router.Start();
 
   transport.probe_ok = false;
-  env.RunUntil(At(1.5));
+  env.RunUntil(At(70));  // down at 60.3 ms
   ASSERT_EQ(router.health(0), serving::Health::kDown);
   transport.probe_ok = true;
-  env.RunUntil(At(2.5));
+  env.RunUntil(At(90));  // recovering at 80.4 ms
   ASSERT_EQ(router.health(0), serving::Health::kRecovering);
   transport.probe_ok = false;  // relapse before the hand-shake completes
-  env.RunUntil(At(3.5));
+  env.RunUntil(At(110));       // down again at 100.5 ms
   ASSERT_EQ(router.health(0), serving::Health::kDown);
   transport.probe_ok = true;
-  env.RunUntil(At(6.0));
+  env.RunUntil(At(150));  // recovering at 120.6 ms, readmitted at 140.7 ms
   ASSERT_EQ(router.health(0), serving::Health::kHealthy);
-  // One outage episode, one MTTR incident, spanning the relapse.
+  // One outage episode, one MTTR incident, spanning the relapse: 80.4 ms
+  // from the first down mark, where an episode restarted at the relapse
+  // would read 40.2 ms.
   ASSERT_EQ(router.outages().size(), 1u);
-  EXPECT_GT(router.outages()[0].mttr(), Duration::Millis(3));
+  EXPECT_GT(router.outages()[0].mttr(), Duration::Millis(60));
   router.Stop();
   env.Run();
 }
@@ -198,25 +198,22 @@ TEST(RouterTest, ScoredOutageReadmitsWithoutReDegrading) {
   sim::Environment env;
   FakeTransport transport(env);
   serving::RouterOptions ro;
-  ro.probe_interval = Duration::Millis(1);
-  ro.down_after_errors = 2;
-  ro.recovery_successes = 2;
   ro.score.enabled = true;
   metrics::RouterCounters counters;
   metrics::IncidentLog incidents;
   serving::Router router(env, transport, 1, ro, counters, incidents);
   router.Start();
 
-  env.RunUntil(At(5));  // learn the 100us baseline
+  env.RunUntil(At(100));  // learn the 100us baseline
   transport.rtt = Duration::Micros(400);
-  env.RunUntil(At(10));
+  env.RunUntil(At(200));
   ASSERT_EQ(router.health(0), serving::Health::kDegraded);
   transport.probe_ok = false;
-  env.RunUntil(At(15));
+  env.RunUntil(At(300));
   ASSERT_EQ(router.health(0), serving::Health::kDown);
   transport.probe_ok = true;
   transport.rtt = Duration::Micros(100);
-  env.RunUntil(At(80));
+  env.RunUntil(At(1600));
   router.Stop();
   env.Run();
 
@@ -237,11 +234,10 @@ TEST(RouterTest, StickyThenLeastLoadedRouting) {
   sim::Environment env;
   FakeTransport transport(env);
   serving::RouterOptions ro;
-  ro.probe_interval = Duration::Zero();  // no probes; drive by hand
   metrics::RouterCounters counters;
   metrics::IncidentLog incidents;
   serving::Router router(env, transport, 3, ro, counters, incidents);
-  router.Start();
+  router.Start();  // the clock never reaches the first probe: drive by hand
 
   // Sticky: the home wins while routable, regardless of load.
   router.OnRequestStart(0);
@@ -279,6 +275,16 @@ TEST(ArrivalsTest, PoissonGapsAreReproducibleAndPositive) {
   // 200 draws at 200 rps land around t=1s (loose 3x bounds).
   EXPECT_GT(prev, TimePoint() + Duration::Seconds(0.33));
   EXPECT_LT(prev, TimePoint() + Duration::Seconds(3.0));
+}
+
+TEST(ArrivalsTest, PoissonRejectsRateThatIsNotPositive) {
+  serving::ArrivalSpec spec;
+  spec.kind = serving::ArrivalSpec::Kind::kPoisson;
+  for (const double rate : {0.0, -5.0, std::nan("")}) {
+    spec.rate_rps = rate;
+    EXPECT_THROW(serving::ArrivalProcess{spec}, std::invalid_argument)
+        << rate;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -350,13 +356,12 @@ TEST(ClusterTest, PartitionDropsTrafficThenFailsOver) {
   // A request is ~140ms at this sim's scale, so the window must span
   // several requests: sends into the partition are dropped until the
   // router marks the server down, and the heal leaves time to readmit.
-  opts.faults.Partition(At(200), Duration::Millis(1200), /*server=*/0,
-                        fault::PartitionDirection::kToServer);
-  // Slow down-marking (6 errors at ~30ms probe cadence ≈ 180ms — more than
-  // one request period) so at least one request is *sent* into the
+  // Down-marking takes three errors (~30 ms apart for failed probes), and
+  // the 130 ms onset lets at least one request be *sent* into the
   // partition while the server is still routable, exercising the lost-leg
   // path rather than only the probe path.
-  opts.router.down_after_errors = 6;
+  opts.faults.Partition(At(130), Duration::Millis(1200), /*server=*/0,
+                        fault::PartitionDirection::kToServer);
   serving::Cluster cluster(opts);
   std::vector<serving::ClusterClientSpec> clients(
       4, PoissonClient("googlenet", 150.0, 20));
@@ -463,17 +468,6 @@ std::string InvalidArgumentMessage(F f) {
 }
 
 TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
-  // Zero network delay: no lookahead, no conservative window. The error
-  // names the offending option and the fix.
-  serving::ClusterOptions no_delay = SmallCluster(2);
-  no_delay.shards = 2;
-  no_delay.router.net_delay = Duration::Zero();
-  {
-    const std::string msg =
-        InvalidArgumentMessage([&] { serving::Cluster cluster(no_delay); });
-    EXPECT_NE(msg.find("RouterOptions::net_delay"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("shards = 1"), std::string::npos) << msg;
-  }
   // Device-level capacity faults: the probe reads capacity hub-side. The
   // error names the fault kind and points at the hub-applied alternative.
   serving::ClusterOptions cap = SmallCluster(2);
@@ -485,10 +479,8 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
     EXPECT_NE(msg.find("kCapacityFault"), std::string::npos) << msg;
     EXPECT_NE(msg.find("CapacityLoss"), std::string::npos) << msg;
   }
-  // Both rejected configurations are fine unsharded.
-  no_delay.shards = 1;
+  // The rejected configuration is fine unsharded.
   cap.shards = 1;
-  EXPECT_NO_THROW(serving::Cluster{no_delay});
   EXPECT_NO_THROW(serving::Cluster{cap});
   // Previously-banned state now shards: alloc faults, a server-side tracer,
   // and a server-side observability registry all construct at shards=2.
@@ -536,6 +528,19 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
         InvalidArgumentMessage([&] { cluster.Run({legacy}); });
     EXPECT_NE(msg.find("ClusterClientSpec::arrivals"), std::string::npos)
         << msg;
+  }
+  // A negative request count is rejected up front, naming the stream.
+  serving::ClusterStreamSpec negative;
+  negative.request.model = "googlenet";
+  negative.arrivals.kind = serving::ArrivalSpec::Kind::kPoisson;
+  negative.arrivals.rate_rps = 100.0;
+  negative.num_requests = -1;
+  {
+    serving::Cluster cluster(SmallCluster(2));
+    const std::string msg =
+        InvalidArgumentMessage([&] { cluster.RunStreams({negative}); });
+    EXPECT_NE(msg.find("stream 0 (googlenet)"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("num_requests = -1"), std::string::npos) << msg;
   }
 }
 

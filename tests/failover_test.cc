@@ -164,10 +164,10 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   sim::Environment env;
   gpusim::Gpu gpu(env, gpusim::Gpu::Options{});
   serving::HealthMonitorOptions hopts;
-  hopts.probe_interval = Duration::Millis(1);
-  // Recovery runs on the fixed pipeline: 20ms re-init, 2 warm-up probes, 5ms.
-  // No serving layer above the monitor: nothing in flight to cancel and no
-  // parameters resident, so recovery charges no reload.
+  // Heartbeats every 5 ms. Recovery runs on the fixed pipeline: 20ms
+  // re-init, 2 warm-up probes, 5ms. No serving layer above the monitor:
+  // nothing in flight to cancel and no parameters resident, so recovery
+  // charges no reload.
   struct NoServingLayer final : serving::HealthObserver {
     void OnDeviceDown(std::size_t) override {}
     void OnDeviceReadmitted(std::size_t) override {}
@@ -193,8 +193,8 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   env.RunUntil(At(43));
   ASSERT_EQ(mon.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(mon.Usable(0));
-  env.RunUntil(At(44.5));
-  // Heartbeats landed every 1ms during recovery; readmission waits for the
+  env.RunUntil(At(46));
+  // The 45 ms heartbeat landed during recovery; readmission waits for the
   // pipeline (warm-up probes + 5ms warm-up), not the first probe success.
   EXPECT_EQ(mon.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(mon.Usable(0));
@@ -279,7 +279,6 @@ TEST(FailoverTest, HedgesLaunchWhileRoutedDeviceIsDegraded) {
   opts.faults.DeviceHang(At(600), Duration::Millis(300), /*gpu_index=*/0);
   opts.failover.health.hang_down_after = Duration::Seconds(10);
   opts.failover.hedge_when_degraded = true;
-  opts.failover.hedge_delay = Duration::Millis(1);
   opts.degradation.retry.base_backoff = Duration::Millis(10);
   serving::Experiment exp(opts);
   const auto results = exp.Run(TwoGpuWorkload(/*batches=*/10));
@@ -305,7 +304,6 @@ TEST(FailoverTest, HedgeWinAdoptedWhenPrimaryDiesMidKernel) {
   opts.faults.DeviceReset(At(650), Duration::Seconds(100), /*gpu_index=*/0);
   opts.failover.health.hang_down_after = Duration::Seconds(10);
   opts.failover.hedge_when_degraded = true;
-  opts.failover.hedge_delay = Duration::Millis(1);
   opts.degradation.retry.base_backoff = Duration::Millis(10);
   serving::Experiment exp(opts);
   const auto results = exp.Run(TwoGpuWorkload(/*batches=*/10));

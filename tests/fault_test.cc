@@ -236,7 +236,6 @@ TEST(GpuFaultTest, AllocFaultWindowFailsAllocationsTransiently) {
 TEST(RetryPolicyTest, BackoffGrowsExponentially) {
   serving::RetryPolicy p;
   p.base_backoff = Duration::Millis(2);
-  p.multiplier = 2.0;
   EXPECT_EQ(p.BackoffFor(1), Duration::Millis(2));
   EXPECT_EQ(p.BackoffFor(2), Duration::Millis(4));
   EXPECT_EQ(p.BackoffFor(3), Duration::Millis(8));

@@ -328,7 +328,6 @@ GoldenServerRun RunServerStaging(ServerStaging staging, bool sinks,
       opts.faults.DeviceReset(AtMs(650), sim::Duration::Seconds(100), 0);
       opts.failover.health.hang_down_after = sim::Duration::Seconds(10);
       opts.failover.hedge_when_degraded = true;
-      opts.failover.hedge_delay = sim::Duration::Millis(1);
       opts.degradation.retry.base_backoff = sim::Duration::Millis(10);
       clients = {{.model = "resnet-152", .batch = 20, .num_batches = 10},
                  {.model = "googlenet", .batch = 20, .num_batches = 10}};
@@ -365,7 +364,6 @@ GoldenServerRun RunServerStaging(ServerStaging staging, bool sinks,
       opts.failover.health.score.recover_above = 0.20;
       opts.failover.hedge_below_score = 0.95;
       opts.failover.hedge_when_degraded = true;
-      opts.failover.hedge_delay = sim::Duration::Millis(1);
       opts.failover.health.hang_down_after = sim::Duration::Seconds(1);
       opts.faults.CapacityFault(AtMs(100), sim::Duration::Millis(500), 0.25,
                                 0);
@@ -637,8 +635,7 @@ struct ClusterVariant {
   // the sharded engine runs the hub's crash before the server's fault,
   // unlike shards=1, and the summed event count differs by one.
   bool lost_responses = false;
-  bool failover = true;         // RouterOptions::failover
-  bool zero_net_delay = false;  // RouterOptions::net_delay = 0 (shards=1)
+  bool failover = true;  // RouterOptions::failover
   // Installs a PhaseCollector and an IncidentLog, and checks that every
   // request's phase sum matched its latency and that an incident opened.
   bool sinks = false;
@@ -666,7 +663,6 @@ GoldenClusterRun RunShardedClusterWorkload(
                                   sim::Duration::Millis(40));
   }
   opts.router.failover = variant.failover;
-  if (variant.zero_net_delay) opts.router.net_delay = sim::Duration::Zero();
   metrics::PhaseCollector phases;
   metrics::IncidentLog incidents;
   if (variant.sinks) {
@@ -738,8 +734,7 @@ TEST(GoldenDeterminismTest, ShardedClusterWithTwoShardsMatchesToo) {
 }
 
 // Lost responses and failed first-arrival tenants, with router failover on
-// (free re-admission) and off (budgeted retries), at shards 1 and 4; and the
-// same run with a zero network delay, where every hop completes inline.
+// (free re-admission) and off (budgeted retries), at shards 1 and 4.
 const GoldenClusterRun kGoldenLostResponses{
     {1230287462LL, 1202134651LL, 1025052519LL, 1018794248LL, 1138995546LL,
      1182981105LL, 1038570923LL, 1020892112LL},
@@ -750,17 +745,10 @@ const GoldenClusterRun kGoldenLostResponsesNoFailover{
      838571307LL, 509909840LL, 733191152LL},
     {0, 5, 3, 5, 0, 5, 3, 5},
     2073021ULL, 70ULL, 26ULL, 0ULL, 12ULL};
-const GoldenClusterRun kGoldenZeroNetDelay{
-    {1164094264LL, 1110202407LL, 1042393909LL, 1015749645LL, 1237101878LL,
-     1122433123LL, 1073683017LL, 1020002030LL},
-    {5, 5, 5, 5, 5, 5, 5, 5},
-    9093519ULL, 55ULL, 40ULL, 11ULL, 22ULL};
 
 TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
   const ClusterVariant lossy{.lost_responses = true};
   const ClusterVariant no_failover{.lost_responses = true, .failover = false};
-  const ClusterVariant zero_delay{.lost_responses = true,
-                                  .zero_net_delay = true};
   const ClusterVariant lossy_sinks{.lost_responses = true, .sinks = true};
   const ClusterVariant no_failover_sinks{
       .lost_responses = true, .failover = false, .sinks = true};
@@ -769,16 +757,13 @@ TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
       RunShardedClusterWorkload(1, lossy, &lossy_counters);
   const GoldenClusterRun b =
       RunShardedClusterWorkload(1, no_failover, &no_failover_counters);
-  const GoldenClusterRun c = RunShardedClusterWorkload(1, zero_delay);
   if (PrintRequested()) {
     PrintGoldenCluster("kGoldenLostResponses", a);
     PrintGoldenCluster("kGoldenLostResponsesNoFailover", b);
-    PrintGoldenCluster("kGoldenZeroNetDelay", c);
     return;
   }
   EXPECT_EQ(a, kGoldenLostResponses);
   EXPECT_EQ(b, kGoldenLostResponsesNoFailover);
-  EXPECT_EQ(c, kGoldenZeroNetDelay);
   EXPECT_EQ(RunShardedClusterWorkload(4, lossy), kGoldenLostResponses);
   EXPECT_EQ(RunShardedClusterWorkload(4, no_failover),
             kGoldenLostResponsesNoFailover);

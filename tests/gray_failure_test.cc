@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -104,13 +105,30 @@ TEST(GpuCapacityTest, RejectsOutOfRangeCapacity) {
                std::invalid_argument);
 }
 
+TEST(GrayFailureTest, ServerPlanRejectsOutOfRangeGrayFaults) {
+  fault::ServerFaultPlan plan;
+  for (const double capacity : {0.0, 1.5, std::nan("")}) {
+    EXPECT_THROW(plan.CapacityLoss(At(1), Duration::Millis(1), 0, capacity),
+                 std::invalid_argument)
+        << capacity;
+  }
+  // A factor below 1 would undercut the network-delay lookahead; a NaN one
+  // would scale every hop to NaN.
+  for (const double factor : {0.5, std::nan("")}) {
+    EXPECT_THROW(plan.Jitter(At(1), Duration::Millis(1), 0, factor),
+                 std::invalid_argument)
+        << factor;
+  }
+  EXPECT_TRUE(plan.empty());
+  EXPECT_NO_THROW(plan.Jitter(At(1), Duration::Millis(1), 0, 1.0));
+}
+
 // ---------------------------------------------------------------------------
 // HealthScore unit behaviour
 
 TEST(HealthScoreTest, ScoreTracksRttInflationAndRecovers) {
-  serving::HealthScoreOptions o;
-  o.enabled = true;
-  serving::HealthScore score(o);
+  const serving::HealthScoreOptions o;  // the hysteresis thresholds
+  serving::HealthScore score;
   // Learn a 1ms baseline.
   for (int i = 0; i < serving::kBaselineProbes; ++i) {
     score.OnProbe(true, Duration::Millis(1));
@@ -130,9 +148,7 @@ TEST(HealthScoreTest, ScoreTracksRttInflationAndRecovers) {
 }
 
 TEST(HealthScoreTest, FailuresDriveErrorTermWithoutRtt) {
-  serving::HealthScoreOptions o;
-  o.enabled = true;
-  serving::HealthScore score(o);
+  serving::HealthScore score;
   for (int i = 0; i < 20; ++i) score.OnProbe(false, Duration::Zero());
   // err term ~0: score collapses to roughly kRttWeight (RTT treated nominal
   // while unlearned).
@@ -144,10 +160,6 @@ TEST(HealthScoreTest, ValidateRejectsBadKnobs) {
   o.enabled = true;
   o.degrade_below = 0.9;
   o.recover_above = 0.8;  // inverted hysteresis
-  EXPECT_THROW(serving::Validate(o), std::invalid_argument);
-  o = {};
-  o.enabled = true;
-  o.rtt_alpha = 0.0;
   EXPECT_THROW(serving::Validate(o), std::invalid_argument);
   o = {};  // disabled: anything goes
   o.degrade_below = 2.0;
@@ -261,7 +273,6 @@ TEST(GrayFailureTest, ScoreTriggeredHedgingFiresBeforeDegradedBit) {
   opts.failover.health.score.recover_above = 0.20;
   opts.failover.hedge_when_degraded = false;
   opts.failover.hedge_below_score = 0.95;
-  opts.failover.hedge_delay = Duration::Millis(1);
   opts.faults.CapacityFault(At(100), Duration::Millis(300), 0.25);
   serving::Experiment exp(opts);
   exp.Run({serving::ClientSpec{.model = "googlenet",

@@ -378,7 +378,6 @@ TEST(ObservabilityTest, HedgeWinChainConnectsDeviceTracks) {
   opts.faults.DeviceReset(At(650), Duration::Seconds(100), /*gpu_index=*/0);
   opts.failover.health.hang_down_after = Duration::Seconds(10);
   opts.failover.hedge_when_degraded = true;
-  opts.failover.hedge_delay = Duration::Millis(1);
   opts.degradation.retry.base_backoff = Duration::Millis(10);
   serving::Experiment exp(opts);
   const auto results = exp.Run(

@@ -170,7 +170,6 @@ TEST(PhaseAccountTest, IdentityHoldsThroughServerFaultsAndFailover) {
   opts.num_gpus = 2;
   opts.failover.enabled = true;
   opts.failover.hedge_when_degraded = true;
-  opts.failover.hedge_delay = Duration::Millis(1);
   opts.degradation.retry.base_backoff = Duration::Millis(10);
   opts.observability.phases = &phases;
   // The observability_tour staged outage: kernel failure -> retry, hang ->
