@@ -486,8 +486,10 @@ const std::vector<SweepCase>& SweepRunner::RunAll() {
       .Set("cases", std::move(cases_json));
   const std::string path = "BENCH_" + name_ + ".json";
   if (!WriteJsonFile(path, root)) {
-    std::fprintf(stderr, "[sweep %s] failed to write %s\n", name_.c_str(),
-                 path.c_str());
+    // Fail before the caller prints its table: a sweep whose artifact is
+    // missing must not look like a success.
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
   }
   std::fprintf(stderr, "[sweep %s] %zu cases on %d thread%s in %.2fs -> %s\n",
                name_.c_str(), n, threads, threads == 1 ? "" : "s",

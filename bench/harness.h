@@ -191,7 +191,9 @@ class SweepRunner {
 
   // Runs every queued case across `Threads()` workers, writes the JSON
   // artifact, and prints a one-line timing summary to stderr. Returns the
-  // results in Add() order.
+  // results in Add() order. An artifact that cannot be written prints
+  // `error: cannot write BENCH_<name>.json` on stderr and exits with
+  // status 1.
   const std::vector<SweepCase>& RunAll();
 
   const std::vector<SweepCase>& results() const { return results_; }

@@ -12,7 +12,7 @@
 //     device tracks;
 //   * the MetricRegistry collects labeled counters, request-latency
 //     histograms, and the virtual-clock sampler's windowed series
-//     (utilization, queue depth, health, breaker and pool state);
+//     (utilization, queue depth, health and pool state);
 //   * the SLO layer folds per-request outcomes into availability, latency
 //     quantiles, error-budget burn, and goodput.
 //

@@ -27,8 +27,6 @@ const char* ToString(FaultKind kind) {
       return "device-reset";
     case FaultKind::kAllocFault:
       return "alloc-fault";
-    case FaultKind::kCapacityFault:
-      return "capacity-fault";
   }
   return "unknown";
 }
@@ -72,19 +70,6 @@ FaultPlan& FaultPlan::AllocFault(sim::TimePoint at, sim::Duration duration,
                                .at = at,
                                .gpu_index = gpu_index,
                                .duration = duration});
-  return *this;
-}
-
-FaultPlan& FaultPlan::CapacityFault(sim::TimePoint at, sim::Duration duration,
-                                    double capacity, std::size_t gpu_index) {
-  if (!(capacity > 0.0) || capacity > 1.0) {
-    throw std::invalid_argument("capacity multiplier must be in (0, 1]");
-  }
-  events_.push_back(FaultEvent{.kind = FaultKind::kCapacityFault,
-                               .at = at,
-                               .gpu_index = gpu_index,
-                               .duration = duration,
-                               .capacity = capacity});
   return *this;
 }
 
@@ -164,19 +149,6 @@ FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
                                  options.mean_alloc_window *
                                      (-std::log(1.0 - rng.NextDouble())),
                                  gpu);
-               });
-  DrawArrivals(rng, options.expected_capacity_faults, options.horizon,
-               [&](sim::TimePoint at) {
-                 const auto gpu = static_cast<std::size_t>(rng.UniformInt(
-                     0, static_cast<std::int64_t>(options.num_gpus) - 1));
-                 const double cap =
-                     options.capacity_low +
-                     (options.capacity_high - options.capacity_low) *
-                         rng.NextDouble();
-                 plan.CapacityFault(at,
-                                    options.mean_capacity_window *
-                                        (-std::log(1.0 - rng.NextDouble())),
-                                    cap, gpu);
                });
   // Deterministic application order regardless of draw order.
   std::stable_sort(plan.events_.begin(), plan.events_.end(),
@@ -387,10 +359,6 @@ void FaultInjector::Apply(const FaultEvent& e) {
     case FaultKind::kAllocFault:
       gpu.InjectAllocFault(e.duration);
       ++counters_.alloc_fault_windows;
-      break;
-    case FaultKind::kCapacityFault:
-      gpu.ThrottleCapacity(e.capacity, e.duration);
-      ++counters_.capacity_fault_windows;
       break;
   }
   ++events_applied_;

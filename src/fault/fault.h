@@ -27,11 +27,6 @@ enum class FaultKind : std::uint8_t {
   kDeviceReset,
   // AllocateMemory on the device fails transiently for `duration`.
   kAllocFault,
-  // Gray failure: the device keeps serving but at `capacity` (in (0, 1])
-  // of its normal speed for `duration` — thermal throttle, ECC remap,
-  // partial SM loss. Kernel wave durations stretch by 1/capacity; nothing
-  // is push-announced, so detection must come from measured latency.
-  kCapacityFault,
 };
 
 const char* ToString(FaultKind kind);
@@ -42,12 +37,10 @@ struct FaultEvent {
   sim::TimePoint at;
   std::size_t gpu_index = 0;
   gpusim::StreamId stream = -1;  // kKernelFailure only
-  // kDeviceHang / kAllocFault / kCapacityFault: window length.
+  // kDeviceHang / kAllocFault: window length.
   // kDeviceReset: outage during which the device stays down (zero =
   // instant reset, legacy semantics).
   sim::Duration duration;
-  // kCapacityFault only: fractional speed multiplier in (0, 1].
-  double capacity = 1.0;
 };
 
 // Recovery pricing. Once a reset outage ends, the serving layer's health
@@ -82,10 +75,6 @@ class FaultPlan {
                          std::size_t gpu_index);
   FaultPlan& AllocFault(sim::TimePoint at, sim::Duration duration,
                         std::size_t gpu_index = 0);
-  // Fractional-capacity window: the device runs at `capacity` (in (0, 1])
-  // of normal speed for `duration`.
-  FaultPlan& CapacityFault(sim::TimePoint at, sim::Duration duration,
-                           double capacity, std::size_t gpu_index = 0);
 
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
@@ -104,13 +93,6 @@ class FaultPlan {
     sim::Duration mean_reset_outage = sim::Duration::Zero();
     double expected_alloc_faults = 0.0;
     sim::Duration mean_alloc_window = sim::Duration::Millis(10);
-    // Fractional-capacity windows; zero expected events draws no extra
-    // random numbers, preserving existing plans bit-for-bit.
-    double expected_capacity_faults = 0.0;
-    sim::Duration mean_capacity_window = sim::Duration::Millis(200);
-    // Multiplier drawn uniformly from [capacity_low, capacity_high].
-    double capacity_low = 0.25;
-    double capacity_high = 0.75;
   };
 
   // Draw a plan from `seed`: same seed, same plan, bit-for-bit — fault

@@ -629,6 +629,11 @@ double Gpu::MeanPowerWatts() const {
 }
 
 void Gpu::AllocateMemory(JobId job, std::int64_t mb) {
+  if (mb < 0) {
+    throw std::invalid_argument("AllocateMemory: job " + std::to_string(job) +
+                                " requested " + std::to_string(mb) +
+                                " MB; the size must be >= 0");
+  }
   if (alloc_fault_active()) {
     throw TransientAllocFailure("transient allocation failure: job " +
                                 std::to_string(job) + " requested " +

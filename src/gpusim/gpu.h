@@ -222,7 +222,8 @@ class Gpu {
 
   // --- memory accounting ----------------------------------------------
 
-  // Reserve device memory; throws OutOfDeviceMemory when the device is full.
+  // Reserve device memory; throws std::invalid_argument for a negative `mb`
+  // and OutOfDeviceMemory when the device is full.
   void AllocateMemory(JobId job, std::int64_t mb);
   void ReleaseMemory(JobId job, std::int64_t mb);
   std::int64_t memory_used_mb() const { return memory_used_mb_; }

@@ -11,7 +11,6 @@ std::span<const ServingCounters::Field> ServingCounters::Fields() {
       {"device_hangs", &ServingCounters::device_hangs},
       {"device_resets", &ServingCounters::device_resets},
       {"alloc_fault_windows", &ServingCounters::alloc_fault_windows},
-      {"capacity_fault_windows", &ServingCounters::capacity_fault_windows},
       {"requests_ok", &ServingCounters::requests_ok},
       {"requests_retried_ok", &ServingCounters::requests_retried_ok},
       {"requests_timed_out", &ServingCounters::requests_timed_out},
@@ -19,8 +18,6 @@ std::span<const ServingCounters::Field> ServingCounters::Fields() {
       {"requests_failed", &ServingCounters::requests_failed},
       {"retries", &ServingCounters::retries},
       {"requests_shed", &ServingCounters::requests_shed},
-      {"breaker_rejections", &ServingCounters::breaker_rejections},
-      {"breaker_opens", &ServingCounters::breaker_opens},
       {"transient_alloc_failures", &ServingCounters::transient_alloc_failures},
       {"kernel_failures_observed", &ServingCounters::kernel_failures_observed},
       {"deadline_cancellations", &ServingCounters::deadline_cancellations},

@@ -9,18 +9,16 @@
 namespace olympian::metrics {
 
 // Monotonic event counters for the serving stack's failure model: injected
-// faults, request-level degradation outcomes, and the load-shedding /
-// circuit-breaker machinery. One instance lives in each
-// `serving::Experiment`; the fault injector and the serving layer both
-// increment it, so aggregate checks (e.g. "shed requests == rejected
-// results") are a single comparison.
+// faults, request-level degradation outcomes, and the load-shedding
+// machinery. One instance lives in each `serving::Experiment`; the fault
+// injector and the serving layer both increment it, so aggregate checks
+// (e.g. "shed requests == rejected results") are a single comparison.
 struct ServingCounters {
   // --- injected faults (incremented by fault::FaultInjector) -------------
   std::uint64_t kernel_failures_injected = 0;
   std::uint64_t device_hangs = 0;
   std::uint64_t device_resets = 0;
   std::uint64_t alloc_fault_windows = 0;
-  std::uint64_t capacity_fault_windows = 0;  // fractional-capacity windows
 
   // --- per-request outcomes (incremented by serving::Experiment) ---------
   std::uint64_t requests_ok = 0;
@@ -32,8 +30,6 @@ struct ServingCounters {
   // --- degradation machinery ---------------------------------------------
   std::uint64_t retries = 0;              // individual retry attempts
   std::uint64_t requests_shed = 0;        // rejected by admission control
-  std::uint64_t breaker_rejections = 0;   // rejected by an open breaker
-  std::uint64_t breaker_opens = 0;        // closed/half-open -> open edges
   std::uint64_t transient_alloc_failures = 0;
   std::uint64_t kernel_failures_observed = 0;
   std::uint64_t deadline_cancellations = 0;

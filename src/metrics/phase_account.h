@@ -34,7 +34,7 @@ namespace olympian::metrics {
 enum class Phase : int {
   kRouterHop = 0,    // network hop, router -> server (forward leg)
   kRouterQueue,      // at the router before/between route decisions
-  kAdmission,        // admission control, breaker and deadline checks
+  kAdmission,        // admission control and deadline checks
   kPlacerDecision,   // placer/device routing decision
   kReload,           // parameter reload over PCIe + warm-up
   kBatcherWait,      // waiting for a batch to fill or time out

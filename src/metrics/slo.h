@@ -16,7 +16,7 @@ namespace olympian::metrics {
 enum class RequestStatus : std::uint8_t {
   kOk = 0,           // succeeded on the first attempt
   kTimedOut,         // cancelled by its deadline (possibly mid-retry)
-  kRejected,         // shed by admission control or an open circuit breaker
+  kRejected,         // shed by admission control, or no usable device
   kFailedRetried,    // succeeded, but only after >= 1 retry
   kFailed,           // exhausted the retry budget
 };

@@ -30,27 +30,11 @@ constexpr sim::Duration kRetryBackoff = sim::Duration::Millis(5);
 // makes a fractional-capacity fault visible in the probe RTT.
 constexpr sim::Duration kProbeService = sim::Duration::Millis(1);
 
-// Validates a sharded configuration and returns the effective shard count
-// (clamped to the server count; 0 means 1). Throws std::invalid_argument
-// for the one remaining unpartitionable option; every other cluster
-// configuration — alloc faults, server-side tracer, server-side registry —
-// shards (see ClusterOptions::shards).
-std::size_t ValidatedShards(const ClusterOptions& o) {
-  std::size_t shards = o.shards == 0 ? 1 : o.shards;
-  shards = std::min(shards, o.num_servers);
-  if (shards <= 1) return 1;
-  for (const fault::FaultEvent& e : o.server.faults.events()) {
-    if (e.kind == fault::FaultKind::kCapacityFault) {
-      throw std::invalid_argument(
-          "ClusterOptions::shards > 1 cannot run device-level "
-          "FaultKind::kCapacityFault events: the router probe reads device "
-          "capacity hub-side, which is only exact for capacity written "
-          "during hub instants; schedule the equivalent server-wide window "
-          "with ServerFaultPlan::CapacityLoss (hub-applied), or run with "
-          "shards = 1");
-    }
-  }
-  return shards;
+// The effective shard count: ClusterOptions::shards clamped to
+// [1, num_servers], 0 meaning 1. Every cluster configuration shards (see
+// ClusterOptions::shards).
+std::size_t ClampedShards(const ClusterOptions& o) {
+  return std::max<std::size_t>(1, std::min(o.shards, o.num_servers));
 }
 
 // Handing the cluster an incident log is the opt-in: enable it for binding.
@@ -65,7 +49,7 @@ Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
       incidents_(options_.incidents != nullptr ? Enabled(*options_.incidents)
                                                : disabled_incidents_),
-      engine_(ValidatedShards(options_), kNetDelay, options_.num_servers),
+      engine_(ClampedShards(options_), kNetDelay, options_.num_servers),
       env_(engine_.hub()),
       tracer_(options_.server.executor.tracer) {
   if (options_.num_servers < 1) {
@@ -383,9 +367,9 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       // Serve section, on the server's shard. Admission first: make sure
       // this client has a tenant slot on the server (a first arrival on a
       // non-home server streams parameters and warms up). Then the full
-      // in-server pipeline (admission control, breaker, device placement,
-      // retries, device failover); the original arrival anchors the
-      // deadline end-to-end across server hops.
+      // in-server pipeline (admission control, device placement, retries,
+      // device failover); the original arrival anchors the deadline
+      // end-to-end across server hops.
       std::size_t tenant = 0;
       bool tenant_ok = true;
       RequestStatus leg = RequestStatus::kOk;

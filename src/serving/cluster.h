@@ -77,12 +77,11 @@ struct ClusterOptions {
   // all run at any shard count and export byte-identically to shards=1
   // (each server traces into a private buffer on its own shard, and the
   // cluster merges the buffers and exports each server's counters hub-side
-  // in a canonical order after the run). The one remaining requirement is
-  // no device-level kCapacityFault events (the router probe reads device
-  // capacity hub-side; use ServerFaultPlan::CapacityLoss, which is
-  // hub-applied); a violation throws with the fix named in the message.
-  // The engine lookahead is cluster.cc's kNetDelay, the router <-> server
-  // hop latency.
+  // in a canonical order after the run). Capacity is throttled only by the
+  // hub-applied ServerFaultPlan::CapacityLoss, so the router probe's
+  // hub-side read of device capacity is exact at any shard count. The
+  // engine lookahead is cluster.cc's kNetDelay, the router <-> server hop
+  // latency.
   std::size_t shards = 1;
 };
 

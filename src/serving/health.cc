@@ -40,7 +40,7 @@ HealthMonitor::HealthMonitor(sim::Environment& env,
                              HealthObserver& observer,
                              metrics::ServingCounters& counters,
                              metrics::Tracer* tracer)
-    : HealthFsm(gpus.size(), options.score),
+    : HealthFsm(gpus.size(), /*scoring=*/false),
       env_(env),
       options_(options),
       observer_(observer),
@@ -74,19 +74,6 @@ void HealthMonitor::Start() {
 }
 
 void HealthMonitor::Stop() { stopped_ = true; }
-
-void HealthMonitor::UpdateScoreHealth(std::size_t gpu) {
-  const Step step = Hysteresis(gpu);
-  const gpusim::Gpu& g = *devices_[gpu]->gpu;
-  if (step == Step::kDegrade && health(gpu) == Health::kHealthy) {
-    Transition(gpu, Health::kDegraded);
-  } else if (step == Step::kRecover && health(gpu) == Health::kDegraded &&
-             !g.hung() && !g.alloc_fault_active()) {
-    // Cleared only if nothing else holds the device impaired (a concurrent
-    // hang or alloc-fault window keeps its own degraded claim).
-    Transition(gpu, Health::kHealthy);
-  }
-}
 
 void HealthMonitor::Transition(std::size_t gpu, Health to) {
   const sim::TimePoint now = env_.Now();
@@ -178,7 +165,6 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
     // Inside an outage submissions fail fast and tell us nothing the
     // listener has not already said; skip the beat.
     if (d.gpu->down()) continue;
-    const sim::TimePoint sent = env_.Now();
     bool ok = true;
     try {
       co_await d.gpu->Submit(
@@ -192,13 +178,6 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
     }
     if (stopped_) co_return;
     if (!ok) ++counters_.probe_failures;
-    if (scoring()) {
-      // The heartbeat kernel runs through the same capacity-scaled device
-      // clock as real work, so a fractional-capacity fault shows up here as
-      // a stretched RTT — the only signal a gray fault gives off.
-      Probe(gpu, ok, env_.Now() - sent);
-      UpdateScoreHealth(gpu);
-    }
   }
 }
 
@@ -217,11 +196,7 @@ void HealthMonitor::HandleHangEnd(std::size_t gpu) {
   Device& d = *devices_[gpu];
   ++d.hang_epoch;  // disarm any pending escalation for the ended hang
   if (health(gpu) == Health::kDegraded) {
-    // The score's hysteresis latch outranks the listener clear: a device
-    // still measurably slow stays degraded until the score recovers.
-    if (!d.gpu->alloc_fault_active() && !score_degraded(gpu)) {
-      Transition(gpu, Health::kHealthy);
-    }
+    if (!d.gpu->alloc_fault_active()) Transition(gpu, Health::kHealthy);
     return;
   }
   if (health(gpu) == Health::kDown && d.down_from_hang) {
@@ -270,7 +245,6 @@ void HealthMonitor::AllocClearTrampoline(void* ctx, std::uint64_t arg) {
   const gpusim::Gpu& g = *self->devices_[gpu]->gpu;
   if (self->health(gpu) != Health::kDegraded) return;
   if (g.hung() || g.alloc_fault_active()) return;  // still impaired
-  if (self->score_degraded(gpu)) return;  // score hysteresis still holds it
   self->Transition(gpu, Health::kHealthy);
 }
 

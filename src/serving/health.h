@@ -33,27 +33,18 @@ struct HealthMonitorOptions {
   // failover even though the driver will eventually un-wedge. Zero keeps
   // hung devices merely degraded.
   sim::Duration hang_down_after = sim::Duration::Millis(10);
-  // Gray-failure detection: continuous per-device health scoring from probe
-  // kernel RTTs. A fractional-capacity fault has no listener signal — it
-  // stretches kernels silently — so it can only be noticed by measuring the
-  // heartbeat. When enabled, hysteresis thresholds add a score-driven
-  // healthy <-> degraded path alongside the push-style listener edges
-  // (which stay authoritative for hangs/alloc faults); while the score
-  // holds a device degraded, the listener clear edges are deferred until
-  // the score recovers. Off by default: zero behavior change.
-  HealthScoreOptions score;
 };
 
 // Per-device health on the virtual clock, one HealthFsm target per device.
 //
 // Wired to each gpusim::Gpu as its GpuHealthListener: hang/reset/alloc
-// signals drive transitions push-style, a per-device heartbeat loop probes
-// liveness pull-style, and after an outage a recovery pipeline (driver
+// signals drive transitions push-style, a per-device heartbeat loop counts
+// failed probe kernels, and after an outage a recovery pipeline (driver
 // re-init delay -> parameter reload -> warm-up probes -> fault::kWarmup)
 // gates readmission; health.cc holds its constants. A device is kDegraded
-// while a hang or alloc-fault window is open or its score is latched low,
-// kDown in a reset outage or after a hang outlived the escalation budget,
-// and kRecovering from the end of driver re-init until readmission.
+// while a hang or alloc-fault window is open, kDown in a reset outage or
+// after a hang outlived the escalation budget, and kRecovering from the end
+// of driver re-init until readmission.
 // Every edge also lands in the serving counters and on the tracer's health
 // track, so failover behaviour is observable and testable.
 class HealthMonitor : public HealthFsm {
@@ -110,7 +101,6 @@ class HealthMonitor : public HealthFsm {
   };
 
   void Transition(std::size_t gpu, Health to);
-  void UpdateScoreHealth(std::size_t gpu);
   void GoDown(std::size_t gpu, bool from_hang);
   void Readmit(std::size_t gpu);
   sim::Task RecoveryProc(std::size_t gpu, std::uint64_t generation,

@@ -1,20 +1,6 @@
 #include "serving/health_score.h"
 
-#include <stdexcept>
-
 namespace olympian::serving {
-
-void Validate(const HealthScoreOptions& options) {
-  if (!options.enabled) return;
-  if (!(options.degrade_below > 0.0) || options.degrade_below >= 1.0 ||
-      !(options.recover_above > 0.0) || options.recover_above >= 1.0) {
-    throw std::invalid_argument("health score thresholds must be in (0, 1)");
-  }
-  if (options.degrade_below >= options.recover_above) {
-    throw std::invalid_argument(
-        "degrade_below must sit strictly below recover_above (hysteresis)");
-  }
-}
 
 const char* ToString(Health h) {
   switch (h) {
@@ -30,11 +16,8 @@ const char* ToString(Health h) {
   return "unknown";
 }
 
-HealthFsm::HealthFsm(std::size_t targets, const HealthScoreOptions& score)
-    : score_options_(score) {
-  Validate(score);
-  targets_.resize(targets);
-}
+HealthFsm::HealthFsm(std::size_t targets, bool scoring)
+    : scoring_(scoring), targets_(targets) {}
 
 bool HealthFsm::Usable(std::size_t i) const {
   const Health h = targets_.at(i).health;
@@ -76,11 +59,11 @@ void HealthFsm::EndOutage(std::size_t i, sim::TimePoint now) {
 HealthFsm::Step HealthFsm::Hysteresis(std::size_t i) {
   Target& t = targets_[i];
   const double sc = t.score.score();
-  if (!t.score_degraded && sc < score_options_.degrade_below) {
+  if (!t.score_degraded && sc < kDegradeBelow) {
     t.score_degraded = true;
     return Step::kDegrade;
   }
-  if (t.score_degraded && sc >= score_options_.recover_above) {
+  if (t.score_degraded && sc >= kRecoverAbove) {
     t.score_degraded = false;
     return Step::kRecover;
   }

@@ -22,28 +22,30 @@ static_assert(kRttAlpha > 0.0 && kRttAlpha <= 1.0);
 // Blend between the RTT term and the error-rate term.
 inline constexpr double kRttWeight = 0.7;
 static_assert(kRttWeight >= 0.0 && kRttWeight <= 1.0);
+// Hysteresis thresholds driving healthy <-> degraded transitions: degrade
+// when the score falls below kDegradeBelow, recover when it climbs back to
+// kRecoverAbove. The gap between them is what prevents flapping at the
+// boundary.
+inline constexpr double kDegradeBelow = 0.70;
+inline constexpr double kRecoverAbove = 0.85;
+static_assert(0.0 < kDegradeBelow && kDegradeBelow < kRecoverAbove &&
+              kRecoverAbove < 1.0);
 
-// Knobs for the continuous gray-failure health score shared by the device
-// HealthMonitor and the cluster Router. Off by default: with
-// `enabled == false` no score is fed and only the owners' binary signals
-// move the health state machine, so existing goldens stay byte-identical.
+// The cluster Router's continuous gray-failure health score. Off by
+// default: with `enabled == false` no score is fed and only the router's
+// binary probe and request signals move its health state machine.
 struct HealthScoreOptions {
   bool enabled = false;
-  // Hysteresis thresholds driving healthy <-> degraded transitions:
-  // degrade when score < degrade_below, recover when score >= recover_above.
-  // The gap between them is what prevents flapping at the boundary.
-  double degrade_below = 0.70;
-  double recover_above = 0.85;
 };
 
-// Continuous health score in [0, 1] for one probed target (a device or a
-// server), fed by probe outcomes and round-trip times:
+// Continuous health score in [0, 1] for one probed server, fed by the
+// router's probe outcomes and round-trip times:
 //
 //   score = kRttWeight  * min(1, baseline / ewma_rtt)
 //         + (1 - kRttWeight) * (1 - err_ewma)
 //
 // where `baseline` is the mean of the first kBaselineProbes successful
-// RTTs (a learned notion of "normal" for this target), `ewma_rtt` smooths
+// RTTs (a learned notion of "normal" for this server), `ewma_rtt` smooths
 // successful RTTs, and `err_ewma` smooths the 0/1 failure indicator of
 // every outcome. A fractional-capacity fault or jitter window inflates
 // measured RTT and drives the RTT term down; probe timeouts drive the
@@ -107,10 +109,6 @@ class HealthScore {
   double err_ewma_ = 0.0;      // EWMA of the 0/1 failure indicator
 };
 
-// Throws std::invalid_argument on out-of-range knobs (thresholds outside
-// (0, 1) or inverted).
-void Validate(const HealthScoreOptions& options);
-
 // Health of one target (a device or a server) as placement and routing see
 // it. What moves a target between states is up to its owner.
 enum class Health : std::uint8_t {
@@ -145,15 +143,16 @@ struct Outage {
 // cluster Router. It holds each target's state, its HealthScore and the
 // score's hysteresis latch, the edge log, and the completed outages. The
 // owners decide what moves a target (device signals and the recovery
-// pipeline; probe and request streaks) and what each edge feeds.
+// pipeline; probe and request streaks) and what each edge feeds. Only a
+// `scoring` owner (the Router, when its score is enabled) feeds the score.
 class HealthFsm {
  public:
-  HealthFsm(std::size_t targets, const HealthScoreOptions& score);
+  HealthFsm(std::size_t targets, bool scoring);
 
   Health health(std::size_t i) const { return targets_.at(i).health; }
   // Routable: healthy or degraded (down/recovering targets take no traffic).
   bool Usable(std::size_t i) const;
-  bool scoring() const { return score_options_.enabled; }
+  bool scoring() const { return scoring_; }
   // Continuous health score of target i (1.0 when scoring is disabled).
   double score(std::size_t i) const;
   const std::vector<HealthEdge>& transitions() const { return transitions_; }
@@ -184,24 +183,21 @@ class HealthFsm {
     targets_[i].score.OnProbe(ok, rtt);
   }
   // Steps target i's hysteresis latch on its current score: kDegrade when
-  // the score falls below degrade_below, kRecover when it climbs back to
-  // recover_above. The owner decides which edge, if any, the step causes.
+  // the score falls below kDegradeBelow, kRecover when it climbs back to
+  // kRecoverAbove. The owner decides which edge, if any, the step causes.
   Step Hysteresis(std::size_t i);
-  // The latch: set from a kDegrade step until the next kRecover step or
-  // EndOutage.
-  bool score_degraded(std::size_t i) const {
-    return targets_[i].score_degraded;
-  }
 
  private:
   struct Target {
     Health health = Health::kHealthy;
     sim::TimePoint down_since;
     HealthScore score;
+    // The latch: set from a kDegrade step until the next kRecover step or
+    // EndOutage.
     bool score_degraded = false;
   };
 
-  HealthScoreOptions score_options_;
+  bool scoring_;
   std::vector<Target> targets_;
   std::vector<HealthEdge> transitions_;
   std::vector<Outage> outages_;
@@ -220,10 +216,10 @@ struct RouteCandidate {
 // `home` wins while usable and, in scored mode, healthy: the hysteresis
 // state, not the raw score, so routing inherits the anti-flap margin.
 // Otherwise binary mode ranks healthy over degraded, then ready replicas,
-// then fewer outstanding, then the lowest index; scored mode takes the
-// maximum of score / (1 + outstanding), strict > so ties keep the lowest
-// index, except that a ready replica beats one that must load at equal
-// weight. `view(i)` describes candidate i of `n`; `exclude` is never
+// then fewer outstanding, then the lowest index; scored mode (the Router's,
+// whose candidates are all ready) takes the maximum of
+// score / (1 + outstanding), strict > so ties keep the lowest index.
+// `view(i)` describes candidate i of `n`; `exclude` is never
 // picked. Returns size_t(-1) (Placer::kNoDevice, Router::kNoServer) when
 // no candidate is usable.
 template <typename View>
@@ -246,8 +242,7 @@ std::size_t StickySelect(std::size_t n, std::size_t home, std::size_t exclude,
     bool better = true;  // the first usable candidate wins outright
     if (best != kNone) {
       if (scored) {
-        better = weight > best_weight ||
-                 (weight == best_weight && c.ready && !b.ready);
+        better = weight > best_weight;
       } else if (c.healthy != b.healthy) {
         better = c.healthy;
       } else if (c.ready != b.ready) {

@@ -16,14 +16,13 @@ Placer::Placer(sim::Environment& env, const HealthMonitor& health,
 std::size_t Placer::Route(const std::string& model, std::size_t primary,
                           std::size_t exclude) const {
   return StickySelect(
-      outstanding_.size(), primary, exclude, health_.scoring(),
+      outstanding_.size(), primary, exclude, /*scored=*/false,
       [&](std::size_t i) {
         return RouteCandidate{
             .usable = health_.Usable(i),
             .healthy = health_.health(i) == Health::kHealthy,
             .ready = replica_state(i, model) == ReplicaState::kReady,
-            .outstanding = outstanding_[i],
-            .score = health_.score(i)};
+            .outstanding = outstanding_[i]};
       });
 }
 

@@ -40,12 +40,11 @@ class Placer {
   Placer& operator=(const Placer&) = delete;
 
   // Pick a device for one request of `model` whose home is `primary`, by
-  // StickySelect (scored when the monitor scores devices; a device holding
-  // the replica is "ready"). `exclude` (optional) removes one device from
-  // consideration — used by hedged requests, which must land somewhere
-  // other than the primary attempt. Returns kNoDevice when no usable device
-  // remains (every device down: the caller rejects promptly instead of
-  // stalling).
+  // StickySelect in binary mode (a device holding the replica is "ready").
+  // `exclude` (optional) removes one device from consideration — used by
+  // hedged requests, which must land somewhere other than the primary
+  // attempt. Returns kNoDevice when no usable device remains (every device
+  // down: the caller rejects promptly instead of stalling).
   std::size_t Route(const std::string& model, std::size_t primary,
                     std::size_t exclude = kNoDevice) const;
 

@@ -25,7 +25,7 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
                metrics::RouterCounters& counters,
                metrics::IncidentLog& incidents,
                metrics::MetricRegistry* registry)
-    : HealthFsm(num_servers, options.score),
+    : HealthFsm(num_servers, options.score.enabled),
       env_(env),
       transport_(transport),
       options_(options),

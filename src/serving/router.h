@@ -22,10 +22,11 @@ struct RouterOptions {
   // free, mirroring the device-failover contract).
   int max_retries = 2;
   // Gray-failure detection: continuous health scoring from probe RTTs.
-  // When enabled, hysteresis thresholds own the healthy <-> degraded
-  // transitions (the legacy one-error degrade and success-clears edges are
-  // skipped; down/recovering semantics are unchanged) and Route() switches
-  // to score-weighted selection. Off by default: zero behavior change.
+  // When enabled, the hysteresis thresholds (health_score.h's kDegradeBelow
+  // and kRecoverAbove) own the healthy <-> degraded transitions (the legacy
+  // one-error degrade and success-clears edges are skipped; down/recovering
+  // semantics are unchanged) and Route() switches to score-weighted
+  // selection. Off by default: zero behavior change.
   HealthScoreOptions score;
   // Brownout admission control: when the mean routable-server score drops
   // below `enter_below`, the router sheds the lowest remaining priority

@@ -37,18 +37,10 @@ Experiment::Experiment(ServerOptions options, sim::Environment* env)
   if (options_.num_gpus < 1) {
     throw std::invalid_argument("num_gpus must be >= 1");
   }
-  const FailoverOptions& fo = options_.failover;
-  if (!fo.enabled && (fo.hedge_when_degraded || fo.hedge_below_score > 0.0)) {
+  if (options_.failover.hedge_when_degraded && !options_.failover.enabled) {
     throw std::invalid_argument(
-        std::string("failover.") +
-        (fo.hedge_when_degraded ? "hedge_when_degraded" : "hedge_below_score") +
-        " races a duplicate on another replica, which needs the failover "
-        "placer: set failover.enabled = true");
-  }
-  if (fo.hedge_below_score > 0.0 && !fo.health.score.enabled) {
-    throw std::invalid_argument(
-        "failover.hedge_below_score compares the device health score, which "
-        "is off: set failover.health.score.enabled = true");
+        "failover.hedge_when_degraded races a duplicate on another replica, "
+        "which needs the failover placer: set failover.enabled = true");
   }
   // Derive decorrelated seeds for each device and executor.
   sim::Rng master(options_.seed);
@@ -182,15 +174,6 @@ sim::Task Experiment::ClientProc(std::size_t tenant, std::uint64_t seed,
   if (--clients_running_ == 0) StopServing();
 }
 
-CircuitBreaker* Experiment::BreakerFor(const std::string& model) {
-  if (options_.degradation.breaker.failure_threshold <= 0) return nullptr;
-  auto& slot = breakers_[model];
-  if (!slot) {
-    slot = std::make_unique<CircuitBreaker>(options_.degradation.breaker);
-  }
-  return slot.get();
-}
-
 namespace {
 
 // What each terminal status does at the request loop's one exit: the
@@ -222,7 +205,6 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
   const FailoverOptions& fo = options_.failover;
   const bool has_deadline = spec.deadline > sim::Duration::Zero();
   const sim::TimePoint deadline = arrival + spec.deadline;
-  CircuitBreaker* breaker = BreakerFor(spec.model);
   const bool failover = health_ != nullptr;
 
   // Causal tracing: one flow id (= request id) chains every admission of
@@ -249,8 +231,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
   for (int attempt = 1;;) {
     // Admission: a request past its deadline, shed because the pool is
     // already saturated (the paper's §4.3 failure mode becomes a 503, not a
-    // hang), refused by the breaker, or left with no usable device ends in
-    // the one exit below.
+    // hang), or left with no usable device ends in the one exit below.
     if (has_deadline && env_.Now() >= deadline) {
       status = RequestStatus::kTimedOut;
       break;
@@ -264,11 +245,6 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         status = RequestStatus::kRejected;
         break;
       }
-    }
-    if (breaker != nullptr && !breaker->AllowRequest(env_.Now())) {
-      ++counters_.breaker_rejections;
-      status = RequestStatus::kRejected;
-      break;
     }
 
     // Route this attempt. Legacy: the static round-robin pin. Failover:
@@ -326,14 +302,12 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
       // cudaMalloc before launch.
       ++counters_.transient_alloc_failures;
     } else {
-      // Hedge (both triggers require failover): the routed device is
-      // impaired but not down — race a duplicate on another usable replica
-      // for tail tolerance.
+      // Hedge (requires failover): the routed device is degraded but not
+      // down — race a duplicate on another usable replica for tail
+      // tolerance.
       std::shared_ptr<HedgeState> hedge;
-      if ((fo.hedge_when_degraded &&
-           health_->health(gpu) == Health::kDegraded) ||
-          (fo.hedge_below_score > 0.0 &&
-           health_->score(gpu) < fo.hedge_below_score)) {
+      if (fo.hedge_when_degraded &&
+          health_->health(gpu) == Health::kDegraded) {
         const std::size_t alt = placer_->Route(spec.model, t.primary_gpu, gpu);
         if (alt != Placer::kNoDevice && alt != gpu) {
           hedge = std::make_shared<HedgeState>(env_);
@@ -393,7 +367,6 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         }
       }
       if (!token->cancelled || hedge_won) {
-        if (breaker != nullptr) breaker->OnSuccess();
         status = attempt == 1 ? RequestStatus::kOk
                               : RequestStatus::kFailedRetried;
         break;
@@ -423,9 +396,6 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
     }
     if (reason == graph::CancelReason::kKernelFailed) {
       ++counters_.kernel_failures_observed;
-    }
-    if (breaker != nullptr && breaker->OnFailure(env_.Now())) {
-      ++counters_.breaker_opens;
     }
     if (attempt > deg.retry.max_retries) {
       status = RequestStatus::kFailed;
@@ -661,6 +631,19 @@ void Experiment::StartServing() {
 
 std::size_t Experiment::AddTenant(const ClientSpec& spec) {
   if (!ran_) throw std::logic_error("AddTenant before StartServing");
+  // Checked before the model loads, so a malformed spec reserves nothing.
+  const auto reject = [&](const char* field, const std::string& value,
+                          const char* bound) {
+    throw std::invalid_argument("client of " + spec.model + " has " + field +
+                                " = " + value + "; it must be " + bound);
+  };
+  if (spec.batch < 1) reject("batch", std::to_string(spec.batch), ">= 1");
+  if (spec.num_batches < 0) {
+    reject("num_batches", std::to_string(spec.num_batches), ">= 0");
+  }
+  if (spec.deadline < sim::Duration::Zero()) {
+    reject("deadline", std::to_string(spec.deadline.nanos()) + " ns", ">= 0");
+  }
   const std::size_t index = tenants_.size();
   const std::size_t gpu = index % gpus_.size();  // round-robin placement
   const graph::Graph& g = LoadModel(spec.model, gpu);
@@ -764,8 +747,7 @@ sim::Task Experiment::SamplerProc() {
   const sim::Duration interval = options_.observability.sample_interval;
 
   // Resolve series handles up front; the tick loop below is then lookup-
-  // free. Breakers appear lazily (a model's first replica creates one), so
-  // their handle cache is rebuilt only when the breaker count changes.
+  // free.
   struct DeviceSeries {
     metrics::MetricRegistry::TimeSeries* utilization;
     metrics::MetricRegistry::TimeSeries* pending;
@@ -784,9 +766,6 @@ sim::Task Experiment::SamplerProc() {
   }
   metrics::MetricRegistry::TimeSeries& pool_occupancy =
       reg.GetSeries("olympian_pool_occupancy");
-  std::vector<std::pair<const CircuitBreaker*,
-                        metrics::MetricRegistry::TimeSeries*>>
-      breaker_series;
 
   sim::TimePoint window_start = env_.Now();
   while (clients_running_ > 0) {
@@ -816,19 +795,6 @@ sim::Task Experiment::SamplerProc() {
     pool_occupancy.Sample(
         now, static_cast<double>(pool_->busy_workers() + pool_->queued()) /
                  static_cast<double>(pool_->num_threads()));
-    if (breaker_series.size() != breakers_.size()) {
-      breaker_series.clear();
-      breaker_series.reserve(breakers_.size());
-      for (const auto& [model, breaker] : breakers_) {
-        breaker_series.emplace_back(
-            breaker.get(),
-            &reg.GetSeries("olympian_breaker_state", {{"model", model}}));
-      }
-    }
-    for (const auto& [breaker, series] : breaker_series) {
-      series->Sample(
-          now, static_cast<double>(static_cast<int>(breaker->state())));
-    }
     window_start = now;
   }
 }

@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,15 +44,8 @@ struct FailoverOptions {
   // Launch a duplicate attempt on another replica when the routed device is
   // merely degraded (tail tolerance during hangs / alloc-fault windows),
   // after server.cc's kHedgeDelay. Hedging needs the failover placer: with
-  // `enabled` clear, either hedge knob makes the Experiment constructor
-  // throw.
+  // `enabled` clear, setting this makes the Experiment constructor throw.
   bool hedge_when_degraded = false;
-  // Slowdown-triggered hedging (requires health.score.enabled, else the
-  // constructor throws): also hedge when the routed device's score drops
-  // below this, even before the hysteresis marks it degraded — the response
-  // acts on the measured slowdown, not the binary bit. 0 disables (the
-  // default).
-  double hedge_below_score = 0.0;
 };
 
 // Observability wiring for a serving run. Fully passive: with `registry`
@@ -65,8 +57,8 @@ struct ObservabilityOptions {
   // sampler's windowed series. Owned by the caller; must outlive Run.
   metrics::MetricRegistry* registry = nullptr;
   // Virtual-clock cadence of the sampler process that snapshots per-device
-  // utilization, queue depth, health, placer load, pool occupancy, breaker
-  // state, and scheduler token occupancy (via SchedulingHooks::OnSample).
+  // utilization, queue depth, health, placer load, pool occupancy, and
+  // scheduler token occupancy (via SchedulingHooks::OnSample).
   // Zero disables the sampler; counters and histograms still flow. Only
   // Run spawns the sampler, so a Cluster rejects a nonzero interval.
   sim::Duration sample_interval = sim::Duration::Zero();
@@ -98,8 +90,8 @@ struct ServerOptions {
   graph::ExecutorOptions executor;
   // Deterministic fault schedule applied during Run (empty = no faults).
   fault::FaultPlan faults;
-  // Graceful-degradation knobs: retries, circuit breaker, load shedding.
-  // Defaults preserve the legacy fail-stop behaviour.
+  // Graceful-degradation knobs: retries and load shedding. Defaults
+  // preserve the legacy fail-stop behaviour.
   DegradationOptions degradation;
   // Health-aware placement / failover / recovery. Off by default.
   FailoverOptions failover;
@@ -218,7 +210,7 @@ class Experiment : private HealthObserver {
   // A Cluster drives N Experiments on one shared Environment through this
   // surface instead of Run(): stand the server up once, register tenants
   // (the cluster's clients, one slot per client that ever lands here), and
-  // issue individual requests through the request loop (admission, breaker,
+  // issue individual requests through the request loop (admission,
   // health-aware placement, retries, device failover). Run() is built on
   // the same calls: one tenant per client.
   //
@@ -229,11 +221,13 @@ class Experiment : private HealthObserver {
   // Register one tenant: loads the model, creates its JobContext on the
   // next round-robin home device, and allocates activation memory. Returns
   // the tenant index. Existing tenants never move, so requests in flight
-  // stay valid while tenants are added.
+  // stay valid while tenants are added. A spec with batch < 1,
+  // num_batches < 0 or a negative deadline throws std::invalid_argument
+  // naming the field, before anything is loaded.
   std::size_t AddTenant(const ClientSpec& spec);
   // The request loop: one request of tenant `tenant`. Each round passes
-  // admission (deadline, shedding, breaker, a usable device), is routed,
-  // and runs one leg (racing a hedge when the device is impaired); a round
+  // admission (deadline, shedding, a usable device), is routed, and runs
+  // one leg (racing a hedge when the device is degraded); a round
   // that fails ends in one tail: free failover when the device died, else
   // a budgeted retry, else exhaustion. `arrival` anchors the deadline;
   // `status` receives the terminal outcome. `account` continues the
@@ -313,7 +307,6 @@ class Experiment : private HealthObserver {
   sim::Task DeadlineWatchdog(std::shared_ptr<graph::CancelToken> token,
                              graph::JobContext* ctx, std::size_t gpu_index,
                              sim::TimePoint deadline);
-  CircuitBreaker* BreakerFor(const std::string& model);
 
   // --- failover plumbing (active only when options_.failover.enabled) ----
   // serving::HealthObserver:
@@ -352,8 +345,6 @@ class Experiment : private HealthObserver {
   bool ran_ = false;
   metrics::ServingCounters counters_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  // Per-model circuit breakers (lazily created when the breaker is enabled).
-  std::unordered_map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
 
   // --- failover state (allocated only when options_.failover.enabled) ----
   std::unique_ptr<HealthMonitor> health_;

@@ -468,20 +468,6 @@ std::string InvalidArgumentMessage(F f) {
 }
 
 TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
-  // Device-level capacity faults: the probe reads capacity hub-side. The
-  // error names the fault kind and points at the hub-applied alternative.
-  serving::ClusterOptions cap = SmallCluster(2);
-  cap.shards = 2;
-  cap.server.faults.CapacityFault(At(10), Duration::Millis(5), 0.5);
-  {
-    const std::string msg =
-        InvalidArgumentMessage([&] { serving::Cluster cluster(cap); });
-    EXPECT_NE(msg.find("kCapacityFault"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("CapacityLoss"), std::string::npos) << msg;
-  }
-  // The rejected configuration is fine unsharded.
-  cap.shards = 1;
-  EXPECT_NO_THROW(serving::Cluster{cap});
   // Previously-banned state now shards: alloc faults, a server-side tracer,
   // and a server-side observability registry all construct at shards=2.
   serving::ClusterOptions lifted = SmallCluster(2);

@@ -1,6 +1,6 @@
 // Tests for the fault-injection subsystem (fault/) and the serving stack's
-// graceful degradation: deadlines, retries, circuit breaking, and the
-// determinism guarantee under injected faults.
+// graceful degradation: deadlines, retries, and the determinism guarantee
+// under injected faults.
 
 #include <gtest/gtest.h>
 
@@ -239,76 +239,6 @@ TEST(RetryPolicyTest, BackoffGrowsExponentially) {
   EXPECT_EQ(p.BackoffFor(1), Duration::Millis(2));
   EXPECT_EQ(p.BackoffFor(2), Duration::Millis(4));
   EXPECT_EQ(p.BackoffFor(3), Duration::Millis(8));
-}
-
-TEST(CircuitBreakerTest, TripsAfterConsecutiveFailuresAndRecovers) {
-  serving::CircuitBreakerOptions opts;
-  opts.failure_threshold = 3;
-  opts.cooldown = Duration::Millis(10);
-  serving::CircuitBreaker b(opts);
-
-  EXPECT_TRUE(b.AllowRequest(At(0)));
-  EXPECT_FALSE(b.OnFailure(At(0)));
-  EXPECT_FALSE(b.OnFailure(At(0)));
-  EXPECT_TRUE(b.OnFailure(At(0)));  // third consecutive failure trips it
-  EXPECT_EQ(b.state(), serving::CircuitBreaker::State::kOpen);
-  EXPECT_EQ(b.opens(), 1u);
-  EXPECT_FALSE(b.AllowRequest(At(5)));  // still cooling down
-
-  EXPECT_TRUE(b.AllowRequest(At(11)));  // half-open: one trial admitted
-  EXPECT_EQ(b.state(), serving::CircuitBreaker::State::kHalfOpen);
-  EXPECT_FALSE(b.AllowRequest(At(11)));  // second concurrent trial refused
-  b.OnSuccess();
-  EXPECT_EQ(b.state(), serving::CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(b.AllowRequest(At(12)));
-}
-
-TEST(CircuitBreakerTest, FailedTrialReopensImmediately) {
-  serving::CircuitBreakerOptions opts;
-  opts.failure_threshold = 1;
-  opts.cooldown = Duration::Millis(10);
-  serving::CircuitBreaker b(opts);
-  b.OnFailure(At(0));
-  ASSERT_EQ(b.state(), serving::CircuitBreaker::State::kOpen);
-  ASSERT_TRUE(b.AllowRequest(At(11)));  // trial
-  EXPECT_TRUE(b.OnFailure(At(11)));     // trial failed -> reopen counts
-  EXPECT_EQ(b.state(), serving::CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(b.AllowRequest(At(12)));
-  EXPECT_EQ(b.opens(), 2u);
-}
-
-// Satellite: half-open edge coverage. A failed trial restarts the cooldown
-// from the failure instant, and after a full second cooldown a successful
-// trial closes the breaker and clears the failure streak.
-TEST(CircuitBreakerTest, HalfOpenCooldownRestartsAfterFailedTrial) {
-  serving::CircuitBreakerOptions opts;
-  opts.failure_threshold = 2;
-  opts.cooldown = Duration::Millis(10);
-  serving::CircuitBreaker b(opts);
-  b.OnFailure(At(0));
-  b.OnFailure(At(0));
-  ASSERT_EQ(b.state(), serving::CircuitBreaker::State::kOpen);
-
-  ASSERT_TRUE(b.AllowRequest(At(11)));  // first trial
-  EXPECT_TRUE(b.OnFailure(At(11)));     // fails -> reopen
-  // The new cooldown runs from t=11, not t=0: t=15 is still closed off.
-  EXPECT_FALSE(b.AllowRequest(At(15)));
-  ASSERT_TRUE(b.AllowRequest(At(22)));  // second trial after full cooldown
-  EXPECT_EQ(b.state(), serving::CircuitBreaker::State::kHalfOpen);
-  b.OnSuccess();
-  EXPECT_EQ(b.state(), serving::CircuitBreaker::State::kClosed);
-  // The streak reset with the successful trial: one new failure does not
-  // re-trip a threshold-2 breaker.
-  EXPECT_FALSE(b.OnFailure(At(23)));
-  EXPECT_EQ(b.state(), serving::CircuitBreaker::State::kClosed);
-  EXPECT_EQ(b.opens(), 2u);
-}
-
-TEST(CircuitBreakerTest, DisabledBreakerNeverTrips) {
-  serving::CircuitBreaker b(serving::CircuitBreakerOptions{});  // threshold 0
-  for (int i = 0; i < 10; ++i) EXPECT_FALSE(b.OnFailure(At(i)));
-  EXPECT_TRUE(b.AllowRequest(At(20)));
-  EXPECT_EQ(b.opens(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "gpusim/gpu.h"
@@ -228,6 +229,9 @@ TEST(GpuTest, MemoryAccounting) {
   EXPECT_THROW(gpu.AllocateMemory(2, 600), OutOfDeviceMemory);
   gpu.ReleaseMemory(1, 600);
   gpu.AllocateMemory(2, 600);
+  EXPECT_EQ(gpu.memory_used_mb(), 600);
+  // A negative request would silently shrink the books.
+  EXPECT_THROW(gpu.AllocateMemory(3, -5), std::invalid_argument);
   EXPECT_EQ(gpu.memory_used_mb(), 600);
 }
 

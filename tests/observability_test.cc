@@ -494,8 +494,8 @@ TEST(ObservabilityTest, HedgeWinChainConnectsDeviceTracks) {
   EXPECT_EQ(ends, 1);
   EXPECT_GE(tids.size(), 2u) << "exported flow does not cross device tracks";
 
-  // And the registry saw the same story: device 0 went down, the breaker /
-  // health series sampled it, and the hedge counters bridged.
+  // And the registry saw the same story: device 0 went down, the health
+  // series sampled it, and the hedge counters bridged.
   const auto* hedge_wins = reg.FindCounter("olympian_hedge_wins_total");
   ASSERT_NE(hedge_wins, nullptr);
   EXPECT_EQ(hedge_wins->value(), exp.counters().hedge_wins);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/profiler.h"
 #include "core/scheduler.h"
@@ -172,7 +173,7 @@ TEST(ExperimentTest, AdmissionControlShedsInsteadOfStalling) {
   EXPECT_GT(rejected, 0);  // the surplus load is shed, not deadlocked
   // Every rejection came from admission control and is accounted for.
   const auto& c = oly.counters();
-  EXPECT_EQ(c.requests_shed + c.breaker_rejections, c.requests_rejected);
+  EXPECT_EQ(c.requests_shed, c.requests_rejected);
   EXPECT_EQ(static_cast<std::uint64_t>(rejected), c.requests_rejected);
   EXPECT_EQ(static_cast<std::uint64_t>(ok), c.requests_ok);
 }
@@ -180,6 +181,41 @@ TEST(ExperimentTest, AdmissionControlShedsInsteadOfStalling) {
 TEST(ExperimentTest, UnknownModelRejected) {
   Experiment exp(ServerOptions{});
   EXPECT_THROW(exp.Run({SmallClient("not-a-model")}), std::out_of_range);
+}
+
+TEST(ExperimentTest, MalformedClientSpecRejectedBeforeLoading) {
+  // Each bad field throws from AddTenant, naming the field, before the model
+  // loads: no parameters or activation memory stay reserved and no job
+  // context is left behind.
+  const auto with = [](auto set) {
+    ClientSpec spec = SmallClient("googlenet");
+    set(spec);
+    return spec;
+  };
+  const std::pair<const char*, ClientSpec> bad[] = {
+      {"batch", with([](ClientSpec& c) { c.batch = 0; })},
+      {"batch", with([](ClientSpec& c) { c.batch = -5; })},
+      {"num_batches", with([](ClientSpec& c) { c.num_batches = -1; })},
+      {"deadline",
+       with([](ClientSpec& c) { c.deadline = Duration::Millis(-1); })},
+  };
+  for (const auto& [field, spec] : bad) {
+    Experiment exp(ServerOptions{});
+    try {
+      exp.Run({spec});
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(exp.gpu().memory_used_mb(), 0) << field;
+    EXPECT_EQ(exp.job_contexts().size(), 0u) << field;
+  }
+  // The bounds themselves are accepted: a client with no requests runs.
+  Experiment exp(ServerOptions{});
+  const auto results =
+      exp.Run({with([](ClientSpec& c) { c.num_batches = 0; })});
+  EXPECT_EQ(results[0].batches_completed, 0);
 }
 
 TEST(ExperimentTest, OpenLoopArrivalsRecordLatencies) {
@@ -286,8 +322,7 @@ TEST(MultiGpuTest, InvalidGpuCountRejected) {
   EXPECT_THROW(Experiment exp(opts), std::invalid_argument);
 
   // Hedging races a duplicate on another replica, so it needs the failover
-  // placer; a score threshold also needs the device health score. The error
-  // names the option and the fix.
+  // placer. The error names the option and the fix.
   const auto message = [](const ServerOptions& o) -> std::string {
     try {
       Experiment exp(o);
@@ -301,15 +336,6 @@ TEST(MultiGpuTest, InvalidGpuCountRejected) {
   bit.failover.hedge_when_degraded = true;
   EXPECT_NE(message(bit).find("hedge_when_degraded"), std::string::npos);
   EXPECT_NE(message(bit).find("failover.enabled"), std::string::npos);
-  ServerOptions score;
-  score.num_gpus = 2;
-  score.failover.hedge_below_score = 0.9;
-  EXPECT_NE(message(score).find("hedge_below_score"), std::string::npos);
-  EXPECT_NE(message(score).find("failover.enabled"), std::string::npos);
-  ServerOptions unscored = score;
-  unscored.failover.enabled = true;
-  EXPECT_NE(message(unscored).find("hedge_below_score"), std::string::npos);
-  EXPECT_NE(message(unscored).find("health.score.enabled"), std::string::npos);
 }
 
 // --- Profiler -------------------------------------------------------------
