@@ -179,7 +179,7 @@ def check_prometheus():
     # The run must have produced the core families.
     for want in ("olympian_requests_ok_total", "olympian_request_latency_ms",
                  "olympian_gpu_utilization", "olympian_device_health",
-                 "olympian_hedge_wins_total"):
+                 "olympian_requests_failed_over_total"):
         if family(want) not in types and want not in types:
             fail(f"{PROM}: expected family {want} missing")
 

@@ -1,9 +1,11 @@
 #include "harness.h"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <set>
 #include <thread>
@@ -335,9 +337,18 @@ Json HistogramJson(const metrics::MetricRegistry::Histogram& h) {
 int SweepRunner::Threads() const {
   int n = 0;
   if (const char* env = std::getenv("OLYMPIAN_BENCH_THREADS")) {
-    n = std::atoi(env);
-  }
-  if (n <= 0) {
+    // One whole decimal token >= 1: a typo must not fall back to every
+    // hardware thread, or a serial-vs-threaded diff compares threaded runs.
+    const char* end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    if (ec != std::errc() || ptr != end || n < 1) {
+      std::fprintf(stderr,
+                   "error: OLYMPIAN_BENCH_THREADS must be a whole number >= 1, "
+                   "got '%s'\n",
+                   env);
+      std::exit(1);
+    }
+  } else {
     n = static_cast<int>(std::thread::hardware_concurrency());
     if (n <= 0) n = 1;
   }

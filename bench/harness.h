@@ -199,8 +199,10 @@ class SweepRunner {
   const std::vector<SweepCase>& results() const { return results_; }
   double wall_seconds() const { return wall_seconds_; }
 
-  // Worker count: OLYMPIAN_BENCH_THREADS if set (min 1), else the hardware
-  // concurrency, capped at the number of queued cases.
+  // Worker count: OLYMPIAN_BENCH_THREADS if set, else the hardware
+  // concurrency, capped at the number of queued cases. A set value that is
+  // not one whole decimal number >= 1 prints `error: ...` on stderr and
+  // exits with status 1 before any case runs.
   int Threads() const;
 
  private:

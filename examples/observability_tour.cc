@@ -2,14 +2,14 @@
 // fault-injected run, with artifacts written for offline inspection.
 //
 // A two-GPU server under Olympian fair scheduling takes a staged outage on
-// GPU 0: a kernel failure forces a retry, a hang window degrades the device
-// (so the retry hedges on the healthy peer), and a device reset then kills
-// the wedged attempt mid-kernel — the hedge's result is adopted. The full
-// observability stack watches:
+// GPU 0: a kernel failure forces a retry, the retry runs into a hang window
+// on the same device, and a device reset then kills the wedged attempt
+// mid-kernel, so the request fails over to GPU 1. The full observability
+// stack watches:
 //
 //   * the Tracer records node/attempt/token spans and chains the request's
-//     retry -> failover -> hedge-win admissions into one flow across both
-//     device tracks;
+//     first admission, retry and failover re-admission into one flow across
+//     both device tracks;
 //   * the MetricRegistry collects labeled counters, request-latency
 //     histograms, and the virtual-clock sampler's windowed series
 //     (utilization, queue depth, health and pool state);
@@ -57,13 +57,13 @@ int main() {
   opts.seed = 23;
   opts.num_gpus = 2;
   opts.failover.enabled = true;
-  opts.failover.hedge_when_degraded = true;
   opts.failover.health.hang_down_after = sim::Duration::Seconds(10);
   opts.degradation.retry.base_backoff = sim::Duration::Millis(10);
   opts.executor.tracer = &tracer;
   opts.observability.registry = &registry;
   opts.observability.sample_interval = sim::Duration::Millis(10);
-  // The staged outage: retry -> degraded routing + hedge -> device death.
+  // The staged outage: retry -> hang on the same device -> device death ->
+  // failover.
   opts.faults.KernelFailure(t0 + sim::Duration::Millis(595), /*stream=*/1,
                             /*gpu_index=*/0);
   opts.faults.DeviceHang(t0 + sim::Duration::Millis(600),

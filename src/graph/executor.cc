@@ -93,12 +93,11 @@ sim::Task Executor::RunOnceImpl(JobContext& ctx, const Graph& graph,
   if (hooks_ != nullptr) hooks_->DeregisterRun(ctx);
   if (options_.tracer != nullptr && ctx.trace.request != 0) {
     // One span per admission of a traced request; the serving layer's flow
-    // events bind to these at their start timestamps, chaining retries,
-    // hedges, and failover re-admissions across device tracks.
+    // events bind to these at their start timestamps, chaining retries and
+    // failover re-admissions across device tracks.
     options_.tracer->AddSpanNumbered(
-        "attempt", ctx.trace.hedge ? "hedge-req-" : "req-",
-        static_cast<std::int64_t>(ctx.trace.request), ctx.job, attempt_start,
-        env_.Now());
+        "attempt", "req-", static_cast<std::int64_t>(ctx.trace.request),
+        ctx.job, attempt_start, env_.Now());
   }
   ++runs_completed_;
   // Only now is the state guaranteed unreferenced by pool threads.

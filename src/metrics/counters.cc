@@ -17,7 +17,6 @@ std::span<const ServingCounters::Field> ServingCounters::Fields() {
       {"requests_rejected", &ServingCounters::requests_rejected},
       {"requests_failed", &ServingCounters::requests_failed},
       {"retries", &ServingCounters::retries},
-      {"requests_shed", &ServingCounters::requests_shed},
       {"transient_alloc_failures", &ServingCounters::transient_alloc_failures},
       {"kernel_failures_observed", &ServingCounters::kernel_failures_observed},
       {"deadline_cancellations", &ServingCounters::deadline_cancellations},
@@ -30,8 +29,6 @@ std::span<const ServingCounters::Field> ServingCounters::Fields() {
       {"requests_rejected_no_device",
        &ServingCounters::requests_rejected_no_device},
       {"replica_instantiations", &ServingCounters::replica_instantiations},
-      {"hedges_launched", &ServingCounters::hedges_launched},
-      {"hedge_wins", &ServingCounters::hedge_wins},
   };
   return kFields;
 }

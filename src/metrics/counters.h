@@ -9,10 +9,10 @@
 namespace olympian::metrics {
 
 // Monotonic event counters for the serving stack's failure model: injected
-// faults, request-level degradation outcomes, and the load-shedding
-// machinery. One instance lives in each `serving::Experiment`; the fault
-// injector and the serving layer both increment it, so aggregate checks
-// (e.g. "shed requests == rejected results") are a single comparison.
+// faults, request-level degradation outcomes, and device failover. One
+// instance lives in each `serving::Experiment`; the fault injector and the
+// serving layer both increment it, so aggregate checks (e.g. "no-device
+// rejections <= rejected results") are a single comparison.
 struct ServingCounters {
   // --- injected faults (incremented by fault::FaultInjector) -------------
   std::uint64_t kernel_failures_injected = 0;
@@ -29,7 +29,9 @@ struct ServingCounters {
 
   // --- degradation machinery ---------------------------------------------
   std::uint64_t retries = 0;              // individual retry attempts
-  std::uint64_t requests_shed = 0;        // rejected by admission control
+  // The server sheds no load. Kept, always zero and outside Fields(),
+  // because perfbench/perfbench.cc:442 reads it for `serving.shed`.
+  static constexpr std::uint64_t requests_shed = 0;
   std::uint64_t transient_alloc_failures = 0;
   std::uint64_t kernel_failures_observed = 0;
   std::uint64_t deadline_cancellations = 0;
@@ -45,8 +47,9 @@ struct ServingCounters {
   // requests_rejected; the all-devices-down fast path).
   std::uint64_t requests_rejected_no_device = 0;
   std::uint64_t replica_instantiations = 0;  // lazy model loads on failover
-  std::uint64_t hedges_launched = 0;         // duplicates sent while degraded
-  std::uint64_t hedge_wins = 0;              // hedge finished first / rescued
+  // The server sends no hedges. Kept, always zero and outside Fields(),
+  // because perfbench/perfbench.cc:441 reads it for `serving.hedges`.
+  static constexpr std::uint64_t hedges_launched = 0;
 
   std::uint64_t requests_total() const {
     return requests_ok + requests_retried_ok + requests_timed_out +

@@ -41,7 +41,10 @@ enum class Phase : int {
   kGpuQueue,         // kernels submitted but not yet resident on SMs
   kGpuCompute,       // kernels resident (the paper's "GPU duration")
   kBackoff,          // retry backoff wait
-  kHedgeOverhead,    // waiting on a hedged sibling leg
+  // Charged by nothing since the server stopped hedging. Kept so the blame
+  // exports keep their columns, and because perfbench/perfbench.cc:975
+  // reports every phase, `phase.hedge_overhead_ms` among them.
+  kHedgeOverhead,
   kFailoverReadmit,  // failover re-admission (device- or server-level)
   kResponseHop,      // network hop, server -> router (response leg)
   kCount,

@@ -23,8 +23,8 @@ class MetricRegistry;
 //
 // Flow events (`AddFlow`) draw arrows between slices on different tracks.
 // The serving layer uses one flow per request (flow id = request id) to
-// stitch a request's retries, hedges, and failover re-admissions into a
-// single causal chain across device tracks.
+// stitch a request's retries and failover re-admissions into a single
+// causal chain across device tracks.
 //
 // Hot path: recording is allocation-free. Events are PODs holding
 // `const char*` names (string literals, or strings interned once via
@@ -91,7 +91,7 @@ class Tracer {
 
   // As above, with a `reason` annotation rendered as args:{"reason":...} in
   // the Chrome export: why this leg of the request started (a kStep after a
-  // failover, retry, or hedge) or how the flow ended (a kEnd's terminal
+  // failover or retry) or how the flow ended (a kEnd's terminal
   // outcome). `detail` must outlive the tracer (literal or Intern()ed);
   // nullptr elides the annotation.
   void AddFlow(FlowPhase phase, const char* category, const char* name,

@@ -4,24 +4,18 @@
 
 namespace olympian::metrics {
 
-// Per-request causal identity, threaded from serving::Experiment through
-// Placer -> Executor -> Scheduler -> gpusim::Gpu via graph::JobContext.
+// Per-request causal identity, handed from serving::Experiment to the
+// Executor via graph::JobContext; the executor stamps it onto attempt spans.
 //
-// Propagation rules:
-//  * `request` is assigned once per client request by the serving layer
-//    (monotonic, 1-based; 0 means "no tracing identity") and is reused
-//    verbatim by every retry, failover re-admission, and hedge of that
-//    request. It doubles as the Chrome-trace flow id, so everything a
-//    request caused renders as one arrow chain across device tracks.
-//  * `attempt` counts admissions of this request (0-based); hedges carry
-//    the attempt number of the primary attempt they shadow, with `hedge`
-//    set so exporters can label the speculative leg.
+// `request` is assigned once per client request by the serving layer
+// (monotonic, 1-based; 0 means "no tracing identity") and is reused
+// verbatim by every retry and failover re-admission of that request. It
+// doubles as the Chrome-trace flow id, so everything a request caused
+// renders as one arrow chain across device tracks.
 //
 // POD by design: copied into JobContext on the hot path, never allocated.
 struct TraceContext {
   std::uint64_t request = 0;  // 0 => untraced
-  std::int32_t attempt = 0;
-  bool hedge = false;
 };
 
 }  // namespace olympian::metrics

@@ -287,11 +287,11 @@ sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
   ++tenant_instantiations_[server];
 }
 
-sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
-                                   std::size_t home, sim::Rng& rng,
-                                   sim::TimePoint arrival,
-                                   RequestStatus& status, double& latency_ms,
-                                   int& completed) {
+sim::Task Cluster::DispatchRequest(
+    std::size_t client, const ClientSpec& spec, std::size_t home,
+    sim::Rng& rng, sim::TimePoint arrival, RequestStatus& status,
+    double& latency_ms, int& completed,
+    metrics::MetricRegistry::Histogram* latency_hist) {
   // One path at every shard count: the serve section runs between a hop onto
   // the server's shard and a hop back to the hub. With shards = 1 both hops
   // are plain delays on the one queue, so every shard count runs the same
@@ -367,7 +367,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       // Serve section, on the server's shard. Admission first: make sure
       // this client has a tenant slot on the server (a first arrival on a
       // non-home server streams parameters and warms up). Then the full
-      // in-server pipeline (admission control, device placement, retries,
+      // in-server pipeline (admission, device placement, retries,
       // device failover); the original arrival anchors the deadline
       // end-to-end across server hops.
       std::size_t tenant = 0;
@@ -461,7 +461,16 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
                             env_.Now() - arrival);
   }
   incidents_.RequestOutcome(static_cast<int>(served), env_.Now(), ok);
+  if (latency_hist != nullptr) latency_hist->Observe(latency_ms);
   if (ok) ++completed;
+}
+
+metrics::MetricRegistry::Histogram* Cluster::LatencyHistogram(
+    const std::string& model) {
+  return options_.registry == nullptr
+             ? nullptr
+             : &options_.registry->GetHistogram(
+                   "olympian_cluster_request_latency_ms", {{"model", model}});
 }
 
 sim::Task Cluster::ClientProc(std::size_t client,
@@ -469,12 +478,8 @@ sim::Task Cluster::ClientProc(std::size_t client,
                               std::uint64_t seed, ClusterClientResult& out) {
   sim::Rng rng(seed);
   ArrivalProcess arrivals(spec.arrivals);
-  metrics::MetricRegistry* const registry = options_.registry;
   metrics::MetricRegistry::Histogram* const latency_hist =
-      registry == nullptr
-          ? nullptr
-          : &registry->GetHistogram("olympian_cluster_request_latency_ms",
-                                    {{"model", spec.request.model}});
+      LatencyHistogram(spec.request.model);
   sim::TimePoint arrival;  // request b's arrival instant (t=0 for b=0)
   for (int b = 0; b < spec.request.num_batches; ++b) {
     if (arrivals.open_loop()) {
@@ -490,10 +495,7 @@ sim::Task Cluster::ClientProc(std::size_t client,
     co_await DispatchRequest(client, spec.request, out.home_server, rng,
                              arrival, out.request_status.back(),
                              out.request_latency_ms.back(),
-                             out.requests_completed);
-    if (latency_hist != nullptr) {
-      latency_hist->Observe(out.request_latency_ms.back());
-    }
+                             out.requests_completed, latency_hist);
   }
   out.finish_time = env_.Now() - sim::TimePoint();
   // Fold this client's meters into each server it ever ran on. Runs during
@@ -577,6 +579,8 @@ sim::Task Cluster::StreamProc(std::size_t stream,
                               std::uint64_t seed, ClusterStreamResult& out) {
   sim::Rng rng(seed);
   AggregateArrivalProcess arrivals(spec.arrivals, spec.modeled_clients);
+  metrics::MetricRegistry::Histogram* const latency_hist =
+      LatencyHistogram(spec.request.model);
   for (int r = 0; r < spec.num_requests; ++r) {
     const sim::TimePoint arrival = arrivals.Next(rng);
     if (arrival > env_.Now()) co_await env_.Delay(arrival - env_.Now());
@@ -588,23 +592,22 @@ sim::Task Cluster::StreamProc(std::size_t stream,
     const std::size_t home = static_cast<std::size_t>(cid % servers_.size());
     ++outstanding_requests_;
     env_.Spawn(StreamRequestProc(stream, spec, home, rng.Fork(), arrival, r,
-                                 out));
+                                 out, latency_hist));
   }
   if (--streams_running_ == 0 && outstanding_requests_ == 0) StopAll();
 }
 
-sim::Task Cluster::StreamRequestProc(std::size_t stream,
-                                     const ClusterStreamSpec& spec,
-                                     std::size_t home, sim::Rng rng,
-                                     sim::TimePoint arrival, int index,
-                                     ClusterStreamResult& out) {
+sim::Task Cluster::StreamRequestProc(
+    std::size_t stream, const ClusterStreamSpec& spec, std::size_t home,
+    sim::Rng rng, sim::TimePoint arrival, int index, ClusterStreamResult& out,
+    metrics::MetricRegistry::Histogram* latency_hist) {
   // Slots are indexed by arrival order, so the result layout is identical
   // no matter which order responses land in.
   const auto slot = static_cast<std::size_t>(index);
   co_await DispatchRequest(stream, spec.request, home, rng, arrival,
                            out.request_status[slot],
                            out.request_latency_ms[slot],
-                           out.requests_completed);
+                           out.requests_completed, latency_hist);
   const sim::Duration finished = env_.Now() - sim::TimePoint();
   out.finish_time = std::max(out.finish_time, finished);
   if (--outstanding_requests_ == 0 && streams_running_ == 0) StopAll();
@@ -620,11 +623,18 @@ std::vector<ClusterStreamResult> Cluster::RunStreams(
           "aggregate streams are open-loop: give each stream an arrival "
           "generator");
     }
+    const auto reject = [&](const std::string& what) {
+      throw std::invalid_argument("stream " + std::to_string(i) + " (" +
+                                  streams[i].request.model + ") " + what);
+    };
     if (streams[i].num_requests < 0) {
-      throw std::invalid_argument(
-          "stream " + std::to_string(i) + " (" + streams[i].request.model +
-          ") has num_requests = " + std::to_string(streams[i].num_requests) +
-          "; it must be >= 0");
+      reject("has num_requests = " + std::to_string(streams[i].num_requests) +
+             "; it must be >= 0");
+    }
+    if (streams[i].request.mean_interarrival > sim::Duration::Zero()) {
+      reject("sets request.mean_interarrival, the single-server legacy open "
+             "loop, which a stream ignores; its arrivals come from "
+             "ClusterStreamSpec::arrivals alone");
     }
   }
   {

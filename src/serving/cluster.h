@@ -132,7 +132,9 @@ class Cluster : private RouterTransport {
       const std::vector<ClusterClientSpec>& clients);
 
   // Runs aggregate request streams from t=0 to completion (open-loop only).
-  // Mutually exclusive with Run; may only be called once.
+  // Mutually exclusive with Run; may only be called once. Throws
+  // std::invalid_argument for a stream with a closed-loop generator, a
+  // negative num_requests or a nonzero request.mean_interarrival.
   std::vector<ClusterStreamResult> RunStreams(
       const std::vector<ClusterStreamSpec>& streams);
 
@@ -156,11 +158,13 @@ class Cluster : private RouterTransport {
   // serve -> response hop back to the hub, with failover re-admission and
   // the budgeted retry loop. Writes the outcome into `status` and
   // `latency_ms`, counts a success into `completed`, and feeds the phase
-  // collector and the incident log.
+  // collector, the incident log and `latency_hist` (the caller resolves it
+  // once; null when the cluster has no registry).
   sim::Task DispatchRequest(std::size_t client, const ClientSpec& spec,
                             std::size_t home, sim::Rng& rng,
                             sim::TimePoint arrival, RequestStatus& status,
-                            double& latency_ms, int& completed);
+                            double& latency_ms, int& completed,
+                            metrics::MetricRegistry::Histogram* latency_hist);
   // Bring client's tenant up on `server`, charging parameter streaming +
   // warm-up for a first arrival on a non-home server. `ok` is false on a
   // transient allocation failure. Runs on the server's environment (the
@@ -175,7 +179,12 @@ class Cluster : private RouterTransport {
   sim::Task StreamRequestProc(std::size_t stream, const ClusterStreamSpec& spec,
                               std::size_t home, sim::Rng rng,
                               sim::TimePoint arrival, int index,
-                              ClusterStreamResult& out);
+                              ClusterStreamResult& out,
+                              metrics::MetricRegistry::Histogram* latency_hist);
+  // The latency histogram of `model` in the cluster registry, or null
+  // without one. Resolved once per client or stream, never per request.
+  metrics::MetricRegistry::Histogram* LatencyHistogram(
+      const std::string& model);
   // Merge per-server private accumulators (tenant counters, trace buffers)
   // hub-side in canonical order, then export.
   void FinishRun();

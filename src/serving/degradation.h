@@ -20,16 +20,12 @@ struct RetryPolicy {
   sim::Duration BackoffFor(int attempt) const;  // attempt is 1-based
 };
 
-// Knobs for the serving layer's graceful-degradation machinery. Defaults
-// preserve the legacy fail-stop behaviour (no shedding); the retry policy
-// only engages when faults actually produce request failures.
+// Knobs for the serving layer's graceful-degradation machinery. The retry
+// policy only engages when faults actually produce request failures. The
+// server sheds no load: a pool exhausted by suspended gangs stalls, as the
+// paper's §4.3 reports, and Experiment::Run throws ServerStalled.
 struct DegradationOptions {
   RetryPolicy retry;
-  // Admission-control watermark as a fraction of the thread pool
-  // (busy + queued over pool size). A new request arriving at or above the
-  // watermark is rejected instead of stalling the server (which answers
-  // after server.cc's kRejectBackoff); 0 disables.
-  double admission_watermark = 0.0;
 };
 
 }  // namespace olympian::serving

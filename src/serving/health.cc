@@ -40,7 +40,7 @@ HealthMonitor::HealthMonitor(sim::Environment& env,
                              HealthObserver& observer,
                              metrics::ServingCounters& counters,
                              metrics::Tracer* tracer)
-    : HealthFsm(gpus.size(), /*scoring=*/false),
+    : HealthFsm(gpus.size()),
       env_(env),
       options_(options),
       observer_(observer),

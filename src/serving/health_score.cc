@@ -16,16 +16,11 @@ const char* ToString(Health h) {
   return "unknown";
 }
 
-HealthFsm::HealthFsm(std::size_t targets, bool scoring)
-    : scoring_(scoring), targets_(targets) {}
+HealthFsm::HealthFsm(std::size_t targets) : targets_(targets) {}
 
 bool HealthFsm::Usable(std::size_t i) const {
   const Health h = targets_.at(i).health;
   return h == Health::kHealthy || h == Health::kDegraded;
-}
-
-double HealthFsm::score(std::size_t i) const {
-  return scoring() ? targets_.at(i).score.score() : 1.0;
 }
 
 sim::Duration HealthFsm::Mttr(std::size_t i) const {
@@ -49,25 +44,8 @@ bool HealthFsm::Move(std::size_t i, Health to, sim::TimePoint now) {
 }
 
 void HealthFsm::EndOutage(std::size_t i, sim::TimePoint now) {
-  Target& t = targets_[i];
   outages_.push_back(
-      Outage{.target = i, .down = t.down_since, .readmitted = now});
-  t.score.Reset();
-  t.score_degraded = false;
-}
-
-HealthFsm::Step HealthFsm::Hysteresis(std::size_t i) {
-  Target& t = targets_[i];
-  const double sc = t.score.score();
-  if (!t.score_degraded && sc < kDegradeBelow) {
-    t.score_degraded = true;
-    return Step::kDegrade;
-  }
-  if (t.score_degraded && sc >= kRecoverAbove) {
-    t.score_degraded = false;
-    return Step::kRecover;
-  }
-  return Step::kNone;
+      Outage{.target = i, .down = targets_[i].down_since, .readmitted = now});
 }
 
 }  // namespace olympian::serving

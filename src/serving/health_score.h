@@ -74,8 +74,8 @@ class HealthScore {
     ewma_rtt_ = kRttAlpha * r + (1.0 - kRttAlpha) * ewma_rtt_;
   }
 
-  // Forget everything (target went down / was readmitted): the baseline
-  // re-learns, so a post-recovery "normal" can differ from the old one.
+  // Forget everything (the server was readmitted): the baseline re-learns,
+  // so a post-recovery "normal" can differ from the old one.
   void Reset() {
     baseline_ = 0.0;
     baseline_sum_ = 0.0;
@@ -93,13 +93,6 @@ class HealthScore {
     const double rtt_term = std::min(1.0, baseline_ / ewma_rtt_);
     return kRttWeight * rtt_term + (1.0 - kRttWeight) * err_term;
   }
-
-  // Measured slowdown vs. the learned baseline (1.0 until learned).
-  double slowdown() const {
-    return baseline_ > 0.0 && ewma_rtt_ > 0.0 ? ewma_rtt_ / baseline_ : 1.0;
-  }
-
-  bool baseline_learned() const { return baseline_ > 0.0; }
 
  private:
   double baseline_ = 0.0;      // mean of the first N successful RTTs (ns)
@@ -140,21 +133,17 @@ struct Outage {
 };
 
 // The four-state health machine under the device HealthMonitor and the
-// cluster Router. It holds each target's state, its HealthScore and the
-// score's hysteresis latch, the edge log, and the completed outages. The
-// owners decide what moves a target (device signals and the recovery
-// pipeline; probe and request streaks) and what each edge feeds. Only a
-// `scoring` owner (the Router, when its score is enabled) feeds the score.
+// cluster Router. It holds each target's state, the edge log, and the
+// completed outages. The owners decide what moves a target (device signals
+// and the recovery pipeline; probe and request streaks) and what each edge
+// feeds. The Router alone keeps a HealthScore per server, beside it.
 class HealthFsm {
  public:
-  HealthFsm(std::size_t targets, bool scoring);
+  explicit HealthFsm(std::size_t targets);
 
   Health health(std::size_t i) const { return targets_.at(i).health; }
   // Routable: healthy or degraded (down/recovering targets take no traffic).
   bool Usable(std::size_t i) const;
-  bool scoring() const { return scoring_; }
-  // Continuous health score of target i (1.0 when scoring is disabled).
-  double score(std::size_t i) const;
   const std::vector<HealthEdge>& transitions() const { return transitions_; }
   // In readmission order.
   const std::vector<Outage>& outages() const { return outages_; }
@@ -163,8 +152,6 @@ class HealthFsm {
   sim::Duration Mttr(std::size_t i) const;
 
  protected:
-  enum class Step { kNone, kDegrade, kRecover };
-
   // Logs the edge health(i) -> `to`; false when i is already in `to`.
   bool Move(std::size_t i, Health to, sim::TimePoint now);
   // Opens an outage episode of target i at `now`.
@@ -174,30 +161,15 @@ class HealthFsm {
   sim::TimePoint down_since(std::size_t i) const {
     return targets_[i].down_since;
   }
-  // Closes target i's outage episode at readmission: records the Outage,
-  // then forgets the score and clears the latch, so the error EWMA built
-  // up through the outage (and a possibly different post-recovery normal)
-  // cannot re-degrade the readmitted target.
+  // Closes target i's outage episode at readmission: records the Outage.
   void EndOutage(std::size_t i, sim::TimePoint now);
-  void Probe(std::size_t i, bool ok, sim::Duration rtt) {
-    targets_[i].score.OnProbe(ok, rtt);
-  }
-  // Steps target i's hysteresis latch on its current score: kDegrade when
-  // the score falls below kDegradeBelow, kRecover when it climbs back to
-  // kRecoverAbove. The owner decides which edge, if any, the step causes.
-  Step Hysteresis(std::size_t i);
 
  private:
   struct Target {
     Health health = Health::kHealthy;
     sim::TimePoint down_since;
-    HealthScore score;
-    // The latch: set from a kDegrade step until the next kRecover step or
-    // EndOutage.
-    bool score_degraded = false;
   };
 
-  bool scoring_;
   std::vector<Target> targets_;
   std::vector<HealthEdge> transitions_;
   std::vector<Outage> outages_;
@@ -219,14 +191,13 @@ struct RouteCandidate {
 // then fewer outstanding, then the lowest index; scored mode (the Router's,
 // whose candidates are all ready) takes the maximum of
 // score / (1 + outstanding), strict > so ties keep the lowest index.
-// `view(i)` describes candidate i of `n`; `exclude` is never
-// picked. Returns size_t(-1) (Placer::kNoDevice, Router::kNoServer) when
-// no candidate is usable.
+// `view(i)` describes candidate i of `n`. Returns size_t(-1)
+// (Placer::kNoDevice, Router::kNoServer) when no candidate is usable.
 template <typename View>
-std::size_t StickySelect(std::size_t n, std::size_t home, std::size_t exclude,
-                         bool scored, const View& view) {
+std::size_t StickySelect(std::size_t n, std::size_t home, bool scored,
+                         const View& view) {
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  if (home != exclude && home < n) {
+  if (home < n) {
     const RouteCandidate h = view(home);
     if (h.usable && (!scored || h.healthy)) return home;
   }
@@ -234,7 +205,6 @@ std::size_t StickySelect(std::size_t n, std::size_t home, std::size_t exclude,
   RouteCandidate b;
   double best_weight = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (i == exclude) continue;
     const RouteCandidate c = view(i);
     if (!c.usable) continue;
     const double weight =

@@ -13,10 +13,10 @@ Placer::Placer(sim::Environment& env, const HealthMonitor& health,
   }
 }
 
-std::size_t Placer::Route(const std::string& model, std::size_t primary,
-                          std::size_t exclude) const {
+std::size_t Placer::Route(const std::string& model,
+                          std::size_t primary) const {
   return StickySelect(
-      outstanding_.size(), primary, exclude, /*scored=*/false,
+      outstanding_.size(), primary, /*scored=*/false,
       [&](std::size_t i) {
         return RouteCandidate{
             .usable = health_.Usable(i),

@@ -41,12 +41,9 @@ class Placer {
 
   // Pick a device for one request of `model` whose home is `primary`, by
   // StickySelect in binary mode (a device holding the replica is "ready").
-  // `exclude` (optional) removes one device from consideration — used by
-  // hedged requests, which must land somewhere other than the primary
-  // attempt. Returns kNoDevice when no usable device remains (every device
-  // down: the caller rejects promptly instead of stalling).
-  std::size_t Route(const std::string& model, std::size_t primary,
-                    std::size_t exclude = kNoDevice) const;
+  // Returns kNoDevice when no usable device remains (every device down: the
+  // caller rejects promptly instead of stalling).
+  std::size_t Route(const std::string& model, std::size_t primary) const;
 
   // Outstanding-request accounting (drives the least-loaded ordering).
   void OnRequestStart(std::size_t gpu) { ++outstanding_.at(gpu); }

@@ -25,7 +25,7 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
                metrics::RouterCounters& counters,
                metrics::IncidentLog& incidents,
                metrics::MetricRegistry* registry)
-    : HealthFsm(num_servers, options.score.enabled),
+    : HealthFsm(num_servers),
       env_(env),
       transport_(transport),
       options_(options),
@@ -64,8 +64,8 @@ void Router::Stop() { stopped_ = true; }
 std::size_t Router::Route(std::size_t home) {
   if (!options_.failover) return home;  // static pin baseline
   // Every routable server holds the tenant or instantiates it on arrival,
-  // so all candidates are "ready" and the home is never excluded.
-  return StickySelect(servers_.size(), home, kNoServer, scoring(),
+  // so all candidates are "ready".
+  return StickySelect(servers_.size(), home, scoring(),
                       [&](std::size_t s) {
                         return RouteCandidate{
                             .usable = Routable(s),
@@ -105,6 +105,10 @@ std::uint64_t Router::outstanding(std::size_t server) const {
   return servers_.at(server).outstanding;
 }
 
+double Router::score(std::size_t server) const {
+  return scoring() ? servers_.at(server).score.score() : 1.0;
+}
+
 sim::Task Router::ProbeLoop(std::size_t server) {
   // This server's probe-RTT series, looked up at its first successful probe
   // (a server that never answers exports no series) and reused after.
@@ -127,7 +131,7 @@ sim::Task Router::ProbeLoop(std::size_t server) {
       }
       rtt_series->Sample(env_.Now(), rtt.millis());
     }
-    if (scoring()) Probe(server, ok, rtt);
+    if (scoring()) servers_[server].score.OnProbe(ok, rtt);
     OnResult(server, ok);
     if (scoring()) {
       UpdateScoreHealth(server);
@@ -157,6 +161,8 @@ void Router::OnResult(std::size_t server, bool ok) {
         // answer kRecoverySuccesses consecutive probes before traffic.
         if (++st.successes >= kRecoverySuccesses) {
           EndOutage(server, env_.Now());
+          st.score.Reset();
+          st.score_degraded = false;
           ++counters_.server_readmissions;
           Transition(server, Health::kHealthy);
         }
@@ -252,13 +258,22 @@ bool Router::BrownoutSheds(int priority) const {
 }
 
 void Router::UpdateScoreHealth(std::size_t server) {
-  const Step step = Hysteresis(server);
-  if (step == Step::kDegrade && health(server) == Health::kHealthy) {
-    ++counters_.score_degrade_events;
-    Transition(server, Health::kDegraded);
-  } else if (step == Step::kRecover && health(server) == Health::kDegraded) {
-    ++counters_.score_recover_events;
-    Transition(server, Health::kHealthy);
+  // Step the latch on the current score; only a step moves the healthy <->
+  // degraded edge, and only from the state it leaves.
+  ServerState& st = servers_[server];
+  const double sc = st.score.score();
+  if (!st.score_degraded && sc < kDegradeBelow) {
+    st.score_degraded = true;
+    if (health(server) == Health::kHealthy) {
+      ++counters_.score_degrade_events;
+      Transition(server, Health::kDegraded);
+    }
+  } else if (st.score_degraded && sc >= kRecoverAbove) {
+    st.score_degraded = false;
+    if (health(server) == Health::kDegraded) {
+      ++counters_.score_recover_events;
+      Transition(server, Health::kHealthy);
+    }
   }
 }
 

@@ -97,6 +97,8 @@ class Router : public HealthFsm {
   bool Routable(std::size_t server) const;
   std::uint64_t outstanding(std::size_t server) const;
   std::size_t num_servers() const { return servers_.size(); }
+  // Continuous health score of `server` (1.0 when scoring is disabled).
+  double score(std::size_t server) const;
 
   // --- gray-failure detection & response --------------------------------
 
@@ -121,8 +123,17 @@ class Router : public HealthFsm {
     int errors = 0;     // consecutive
     int successes = 0;  // consecutive probe successes while recovering
     std::uint64_t outstanding = 0;
+    // Gray-failure score, fed by probes when scoring is enabled, and its
+    // hysteresis latch: set when the score falls below kDegradeBelow,
+    // cleared when it climbs back to kRecoverAbove. Both reset at
+    // readmission, so the error EWMA built up through an outage (and a
+    // possibly different post-recovery normal) cannot re-degrade the
+    // readmitted server.
+    HealthScore score;
+    bool score_degraded = false;
   };
 
+  bool scoring() const { return options_.score.enabled; }
   sim::Task ProbeLoop(std::size_t server);
   void OnResult(std::size_t server, bool ok);
   void Transition(std::size_t server, Health to);

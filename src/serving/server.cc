@@ -12,9 +12,6 @@ constexpr sim::Duration kRejectBackoff = sim::Duration::Millis(5);
 // Multiplicative jitter on each retry's exponential backoff, drawn from the
 // request's seeded Rng so retry timing is reproducible.
 constexpr double kRetryJitter = 0.2;
-// Wait before a hedge launches: a primary done by then needs no duplicate,
-// and 1 ms is far below one inference.
-constexpr sim::Duration kHedgeDelay = sim::Duration::Millis(1);
 }  // namespace
 
 int ClientResult::CountStatus(RequestStatus s) const {
@@ -36,11 +33,6 @@ Experiment::Experiment(ServerOptions options, sim::Environment* env)
       env_(env == nullptr ? *owned_env_ : *env) {
   if (options_.num_gpus < 1) {
     throw std::invalid_argument("num_gpus must be >= 1");
-  }
-  if (options_.failover.hedge_when_degraded && !options_.failover.enabled) {
-    throw std::invalid_argument(
-        "failover.hedge_when_degraded races a duplicate on another replica, "
-        "which needs the failover placer: set failover.enabled = true");
   }
   // Derive decorrelated seeds for each device and executor.
   sim::Rng master(options_.seed);
@@ -202,24 +194,22 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
   const Tenant& t = *tenants_.at(tenant);
   const ClientSpec& spec = t.spec;
   const DegradationOptions& deg = options_.degradation;
-  const FailoverOptions& fo = options_.failover;
   const bool has_deadline = spec.deadline > sim::Duration::Zero();
   const sim::TimePoint deadline = arrival + spec.deadline;
   const bool failover = health_ != nullptr;
 
   // Causal tracing: one flow id (= request id) chains every admission of
-  // this request — retries, failover re-admissions, hedges — across device
+  // this request — retries and failover re-admissions — across device
   // tracks. The id is assigned unconditionally so traced and untraced runs
   // walk identical state.
   metrics::Tracer* const tracer = options_.executor.tracer;
   const std::uint64_t rid = ++next_request_id_;
   int flow_hops = 0;                              // executed admissions so far
-  std::int64_t flow_track = t.ctx->job;           // track of the winning leg
+  std::int64_t flow_track = t.ctx->job;           // track of the last leg
   // Why the *next* admission hop happens (failover / retry / reroute);
   // rendered as the kStep's args.reason so a trace shows why a leg ended
   // and another began instead of a bare arrow.
   const char* hop_detail = nullptr;
-  bool hedge_won = false;
 
   // Latency anatomy: every interval between awaits below is charged to
   // exactly one phase of `account`, so its cursor equals the current instant
@@ -229,22 +219,11 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
   // themselves take no time.
   bool failing_over = false;  // last attempt ended in failover re-admission
   for (int attempt = 1;;) {
-    // Admission: a request past its deadline, shed because the pool is
-    // already saturated (the paper's §4.3 failure mode becomes a 503, not a
-    // hang), or left with no usable device ends in the one exit below.
+    // Admission: a request past its deadline, or left with no usable
+    // device, ends in the one exit below.
     if (has_deadline && env_.Now() >= deadline) {
       status = RequestStatus::kTimedOut;
       break;
-    }
-    if (deg.admission_watermark > 0.0) {
-      const double occupancy =
-          static_cast<double>(pool_->busy_workers() + pool_->queued()) /
-          static_cast<double>(pool_->num_threads());
-      if (occupancy >= deg.admission_watermark) {
-        ++counters_.requests_shed;
-        status = RequestStatus::kRejected;
-        break;
-      }
     }
 
     // Route this attempt. Legacy: the static round-robin pin. Failover:
@@ -282,11 +261,10 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
           continue;  // went down while loading
         }
         if (ctx->cancel != nullptr) {
-          // Another request still owns this tenant's context: a draining
-          // hedge of a previous request (cancelled, so it drains fast), or,
-          // on the cluster's stream path, where one tenant per (server,
-          // stream) carries every request of the stream on that server, a
-          // concurrent request of the same stream. Poll until it is free;
+          // Another request still owns this tenant's context: on the
+          // cluster's stream path, one tenant per (server, stream) carries
+          // every request of the stream on that server, so a concurrent
+          // request of the same stream may hold it. Poll until it is free;
           // the wait is charged to kBackoff.
           hop_detail = "reroute";
           co_await env_.Delay(kRejectBackoff);
@@ -302,21 +280,6 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
       // cudaMalloc before launch.
       ++counters_.transient_alloc_failures;
     } else {
-      // Hedge (requires failover): the routed device is degraded but not
-      // down — race a duplicate on another usable replica for tail
-      // tolerance.
-      std::shared_ptr<HedgeState> hedge;
-      if (fo.hedge_when_degraded &&
-          health_->health(gpu) == Health::kDegraded) {
-        const std::size_t alt = placer_->Route(spec.model, t.primary_gpu, gpu);
-        if (alt != Placer::kNoDevice && alt != gpu) {
-          hedge = std::make_shared<HedgeState>(env_);
-          hedge->trace = metrics::TraceContext{rid, attempt, true};
-          ++counters_.hedges_launched;
-          env_.Spawn(HedgeProc(tenant, alt, hedge),
-                     ctx->client_name + "/hedge");
-        }
-      }
       // The flow hop lands at the same instant as the attempt span the
       // executor opens for this admission, and binds to it in Perfetto.
       if (tracer != nullptr) {
@@ -337,36 +300,14 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                    ctx->client_name + "/watchdog");
       }
       const sim::Duration gpu_before = gpus_[gpu]->JobGpuDuration(ctx->job);
-      co_await RunLeg(*ctx, *t.graph, gpu,
-                      metrics::TraceContext{rid, attempt, false}, *token);
+      co_await RunLeg(*ctx, *t.graph, gpu, metrics::TraceContext{rid}, *token);
       // Split the run interval into measured GPU residency (compute) and
       // everything else — pool queueing, scheduler token waits (queue).
       account.SplitCharge(metrics::Phase::kGpuCompute,
                           gpus_[gpu]->JobGpuDuration(ctx->job) - gpu_before,
                           metrics::Phase::kGpuQueue, env_.Now());
       reason = token->reason;
-      if (hedge) {
-        hedge->primary_done = true;
-        if (!token->cancelled) {
-          // Primary won; reel the hedge in (it drains as a no-op).
-          if (!hedge->done && hedge->token != nullptr) {
-            CancelLeg(*hedge->token, *hedge->ctx, hedge->gpu,
-                      graph::CancelReason::kFailover);
-          }
-        } else {
-          // Primary failed: the hedge verdict decides the request.
-          while (!hedge->done) co_await hedge->cv.Wait();
-          account.Charge(metrics::Phase::kHedgeOverhead, env_.Now());
-          if (hedge->won) {
-            ++counters_.hedge_wins;
-            hedge_won = true;
-            // The hedge's leg is the one that produced the response; the
-            // flow terminates on its track.
-            if (hedge->ctx != nullptr) flow_track = hedge->ctx->job;
-          }
-        }
-      }
-      if (!token->cancelled || hedge_won) {
+      if (!token->cancelled) {
         status = attempt == 1 ? RequestStatus::kOk
                               : RequestStatus::kFailedRetried;
         break;
@@ -427,8 +368,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
   ++(counters_.*outcome.counter);
   if (tracer != nullptr && flow_hops > 0) {
     tracer->AddFlow(metrics::Tracer::FlowPhase::kEnd, "request", "req-", rid,
-                    flow_track, env_.Now(),
-                    hedge_won ? "hedge-win" : outcome.flow_end);
+                    flow_track, env_.Now(), outcome.flow_end);
   }
   if (status == RequestStatus::kRejected) {
     co_await env_.Delay(kRejectBackoff);
@@ -553,41 +493,6 @@ sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
       ok = false;
     }
   }
-}
-
-sim::Task Experiment::HedgeProc(std::size_t tenant, std::size_t gpu,
-                                std::shared_ptr<HedgeState> st) {
-  co_await env_.Delay(kHedgeDelay);
-  // The hedge runs only if the primary is still in flight and the replica
-  // is usable and idle once loaded; otherwise it reports a loss at once.
-  graph::JobContext* ctx = nullptr;
-  if (!st->primary_done && health_->Usable(gpu)) {
-    bool replica_ok = true;
-    co_await EnsureReplica(tenant, gpu, replica_ok);
-    ctx = ClientContext(tenant, gpu);
-    if (!replica_ok || ctx == nullptr || ctx->cancel != nullptr ||
-        st->primary_done || !health_->Usable(gpu)) {
-      ctx = nullptr;
-    }
-  }
-  if (ctx != nullptr) {
-    // The hedge is one more admission of the same request: same flow id,
-    // `hedge` flagged so the attempt span is labeled as the speculative leg.
-    if (metrics::Tracer* const tracer = options_.executor.tracer;
-        tracer != nullptr) {
-      tracer->AddFlow(metrics::Tracer::FlowPhase::kStep, "request", "req-",
-                      st->trace.request, ctx->job, env_.Now(), "hedge");
-    }
-    graph::CancelToken token;
-    st->token = &token;
-    st->ctx = ctx;
-    st->gpu = gpu;
-    co_await RunLeg(*ctx, *tenants_[tenant]->graph, gpu, st->trace, token);
-    st->token = nullptr;
-    st->won = !token.cancelled;
-  }
-  st->done = true;
-  st->cv.NotifyAll();
 }
 
 graph::JobContext* Experiment::ClientContext(std::size_t tenant,

@@ -23,7 +23,6 @@
 #include "serving/health.h"
 #include "serving/placer.h"
 #include "sim/environment.h"
-#include "sim/sync.h"
 
 namespace olympian::serving {
 
@@ -41,11 +40,6 @@ struct ServerStalled : std::runtime_error {
 struct FailoverOptions {
   bool enabled = false;
   HealthMonitorOptions health;
-  // Launch a duplicate attempt on another replica when the routed device is
-  // merely degraded (tail tolerance during hangs / alloc-fault windows),
-  // after server.cc's kHedgeDelay. Hedging needs the failover placer: with
-  // `enabled` clear, setting this makes the Experiment constructor throw.
-  bool hedge_when_degraded = false;
 };
 
 // Observability wiring for a serving run. Fully passive: with `registry`
@@ -90,8 +84,8 @@ struct ServerOptions {
   graph::ExecutorOptions executor;
   // Deterministic fault schedule applied during Run (empty = no faults).
   fault::FaultPlan faults;
-  // Graceful-degradation knobs: retries and load shedding. Defaults
-  // preserve the legacy fail-stop behaviour.
+  // Graceful-degradation knobs: the retry policy. Defaults preserve the
+  // legacy fail-stop behaviour.
   DegradationOptions degradation;
   // Health-aware placement / failover / recovery. Off by default.
   FailoverOptions failover;
@@ -226,10 +220,9 @@ class Experiment : private HealthObserver {
   // naming the field, before anything is loaded.
   std::size_t AddTenant(const ClientSpec& spec);
   // The request loop: one request of tenant `tenant`. Each round passes
-  // admission (deadline, shedding, a usable device), is routed, and runs
-  // one leg (racing a hedge when the device is degraded); a round
-  // that fails ends in one tail: free failover when the device died, else
-  // a budgeted retry, else exhaustion. `arrival` anchors the deadline;
+  // admission (deadline, a usable device), is routed, and runs one leg; a
+  // round that fails ends in one tail: free failover when the device died,
+  // else a budgeted retry, else exhaustion. `arrival` anchors the deadline;
   // `status` receives the terminal outcome. `account` continues the
   // request's latency-anatomy account, started by the caller — the cluster
   // charges the router-side phases, this call charges the server-side ones.
@@ -269,20 +262,6 @@ class Experiment : private HealthObserver {
   }
 
  private:
-  // Join state between one request's primary attempt and its hedge.
-  struct HedgeState {
-    explicit HedgeState(sim::Environment& env) : cv(env) {}
-    bool primary_done = false;
-    bool done = false;  // hedge attempt finished (or skipped)
-    bool won = false;   // hedge completed without cancellation
-    graph::CancelToken* token = nullptr;  // hedge's in-flight token
-    graph::JobContext* ctx = nullptr;
-    std::size_t gpu = 0;
-    // Causal identity of the admission this hedge shadows, for tracing.
-    metrics::TraceContext trace;
-    sim::CondVar cv;
-  };
-
   Experiment(ServerOptions options, sim::Environment* env);
 
   // The one JobContext builder: a fresh job on `gpu` with streams and
@@ -293,9 +272,9 @@ class Experiment : private HealthObserver {
   // One Run() client: tenant `tenant`'s requests, back to back or open-loop.
   sim::Task ClientProc(std::size_t tenant, std::uint64_t seed,
                        ClientResult& out);
-  // One leg of a request on `gpu`, for the primary attempt and the hedge
-  // alike: arm `token` on the context, register it with the placer and the
-  // device's in-flight list (failover only), run the graph, deregister.
+  // One leg of a request on `gpu`: arm `token` on the context, register it
+  // with the placer and the device's in-flight list (failover only), run
+  // the graph, deregister.
   sim::Task RunLeg(graph::JobContext& ctx, const graph::Graph& g,
                    std::size_t gpu, metrics::TraceContext trace,
                    graph::CancelToken& token);
@@ -317,9 +296,6 @@ class Experiment : private HealthObserver {
   // reload + warm-up on the virtual clock for the first arrival; concurrent
   // arrivals await the load. `ok` is false on a transient alloc failure.
   sim::Task EnsureReplica(std::size_t tenant, std::size_t gpu, bool& ok);
-  // Duplicate attempt on `gpu` while the primary runs on a degraded device.
-  sim::Task HedgeProc(std::size_t tenant, std::size_t gpu,
-                      std::shared_ptr<HedgeState> st);
   graph::JobContext* ClientContext(std::size_t tenant, std::size_t gpu);
   // Virtual-clock sampler: snapshots device/pool/health/scheduler state
   // into the observability registry every `sample_interval` until the last
@@ -375,8 +351,8 @@ class Experiment : private HealthObserver {
   std::size_t clients_running_ = 0;
 
   // --- observability state ------------------------------------------------
-  // Monotonic request-id source; every admission (retry, failover, hedge)
-  // of one request reuses its id as the Chrome-trace flow id.
+  // Monotonic request-id source; every admission (retry, failover) of one
+  // request reuses its id as the Chrome-trace flow id.
   std::uint64_t next_request_id_ = 0;
 };
 

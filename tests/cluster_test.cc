@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <string>
@@ -528,6 +529,18 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
     EXPECT_NE(msg.find("stream 0 (googlenet)"), std::string::npos) << msg;
     EXPECT_NE(msg.find("num_requests = -1"), std::string::npos) << msg;
   }
+  // A stream's arrivals come from its generator alone, so the legacy open
+  // loop on its request template is rejected rather than silently ignored.
+  serving::ClusterStreamSpec legacy_stream = negative;
+  legacy_stream.num_requests = 5;
+  legacy_stream.request.mean_interarrival = Duration::Millis(10);
+  {
+    serving::Cluster cluster(SmallCluster(2));
+    const std::string msg =
+        InvalidArgumentMessage([&] { cluster.RunStreams({legacy_stream}); });
+    EXPECT_NE(msg.find("stream 0 (googlenet)"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("request.mean_interarrival"), std::string::npos) << msg;
+  }
 }
 
 TEST(ClusterTest, ShardedAllocFaultMatchesUnshardedTrajectory) {
@@ -591,7 +604,9 @@ TEST(ArrivalsTest, AggregateStreamDrawsReproducibleClientIds) {
 }
 
 TEST(ClusterTest, StreamRunServesAggregateTraffic) {
+  metrics::MetricRegistry registry;
   serving::ClusterOptions opts = SmallCluster(2);
+  opts.registry = &registry;
   serving::Cluster cluster(opts);
   serving::ClusterStreamSpec stream;
   stream.request.model = "googlenet";
@@ -607,6 +622,15 @@ TEST(ClusterTest, StreamRunServesAggregateTraffic) {
   for (const double ms : results[0].request_latency_ms) EXPECT_GT(ms, 0.0);
   // Ids spread across both servers' homes, so both served traffic.
   EXPECT_EQ(cluster.counters().requests_ok, 40u);
+  // Stream requests land in the cluster latency histogram like client
+  // requests, each exactly once.
+  const auto* hist = registry.FindHistogram(
+      "olympian_cluster_request_latency_ms", {{"model", "googlenet"}});
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count(), 40u);
+  const auto& ms = results[0].request_latency_ms;
+  EXPECT_EQ(hist->min(), *std::min_element(ms.begin(), ms.end()));
+  EXPECT_EQ(hist->max(), *std::max_element(ms.begin(), ms.end()));
 }
 
 // With no clients or streams there is no last one to stop the router's and

@@ -263,69 +263,6 @@ TEST(FailoverTest, AllDevicesDownRejectsPendingRequestsPromptly) {
 }
 
 // ---------------------------------------------------------------------------
-// Hedged requests during degradation
-
-TEST(FailoverTest, HedgesLaunchWhileRoutedDeviceIsDegraded) {
-  // A closed-loop client never *starts* a request during a hang (its
-  // in-flight request is stuck until the hang clears), so degradation is
-  // made visible to routing via a retry: a kernel failure at t=595ms fails
-  // the attempt, the 10ms backoff lands the retry inside the hang window
-  // that opens at t=600ms, and the retry — routed to the degraded primary —
-  // hedges on the healthy peer.
-  serving::ServerOptions opts = TwoGpuOptions(/*failover=*/true);
-  // Stream 0 is the health monitor's probe stream; the client's first
-  // stream is 1.
-  opts.faults.KernelFailure(At(595), /*stream=*/1, /*gpu_index=*/0);
-  opts.faults.DeviceHang(At(600), Duration::Millis(300), /*gpu_index=*/0);
-  opts.failover.health.hang_down_after = Duration::Seconds(10);
-  opts.failover.hedge_when_degraded = true;
-  opts.degradation.retry.base_backoff = Duration::Millis(10);
-  serving::Experiment exp(opts);
-  const auto results = exp.Run(TwoGpuWorkload(/*batches=*/10));
-
-  for (const auto& r : results) {
-    EXPECT_EQ(r.batches_completed, 10) << r.name;
-    EXPECT_EQ(r.CountStatus(serving::RequestStatus::kFailed), 0) << r.name;
-  }
-  EXPECT_GE(exp.counters().hedges_launched, 1u);
-}
-
-TEST(FailoverTest, HedgeWinAdoptedWhenPrimaryDiesMidKernel) {
-  // Same staging as above — the kernel failure at t=595ms pushes a retry
-  // into the hang window, where it routes to the degraded primary and
-  // hedges on the healthy peer. Then the primary device RESETS at t=650ms,
-  // killing the wedged attempt mid-kernel. The request must adopt the
-  // hedge's result: no failed requests, a hedge win counted, and no retry
-  // budget consumed by the primary's death (the only retry on the books is
-  // the injected kernel failure that staged the scenario).
-  serving::ServerOptions opts = TwoGpuOptions(/*failover=*/true);
-  opts.faults.KernelFailure(At(595), /*stream=*/1, /*gpu_index=*/0);
-  opts.faults.DeviceHang(At(600), Duration::Millis(300), /*gpu_index=*/0);
-  opts.faults.DeviceReset(At(650), Duration::Seconds(100), /*gpu_index=*/0);
-  opts.failover.health.hang_down_after = Duration::Seconds(10);
-  opts.failover.hedge_when_degraded = true;
-  opts.degradation.retry.base_backoff = Duration::Millis(10);
-  serving::Experiment exp(opts);
-  const auto results = exp.Run(TwoGpuWorkload(/*batches=*/10));
-
-  for (const auto& r : results) {
-    EXPECT_EQ(r.batches_completed, 10) << r.name;
-    EXPECT_EQ(r.CountStatus(serving::RequestStatus::kFailed), 0) << r.name;
-  }
-  const auto& c = exp.counters();
-  EXPECT_GE(c.hedges_launched, 1u);
-  EXPECT_GE(c.hedge_wins, 1u);
-  // The hedge-winning request is the staged retry (attempt 2), so exactly
-  // one request reports kFailedRetried; everything else is clean.
-  EXPECT_EQ(results[0].CountStatus(serving::RequestStatus::kFailedRetried), 1)
-      << results[0].name;
-  // One retry from the injected kernel failure — and none from the
-  // primary's cancellation, which the hedge win absorbed.
-  EXPECT_EQ(c.retries, 1u);
-  EXPECT_EQ(c.requests_failed, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Determinism: the failover path is on the virtual clock end to end
 
 TEST(FailoverTest, FailoverRunsAreBitIdenticalAcrossRepeats) {

@@ -130,18 +130,24 @@ TEST(HealthScoreTest, ScoreTracksRttInflationAndRecovers) {
   for (int i = 0; i < serving::kBaselineProbes; ++i) {
     score.OnProbe(true, Duration::Millis(1));
   }
-  ASSERT_TRUE(score.baseline_learned());
   EXPECT_DOUBLE_EQ(score.score(), 1.0);
-  // A sustained 4x slowdown drives the RTT term toward 0.25.
+  // A sustained 4x slowdown drives the RTT term toward 0.25: with no
+  // errors the score is kRttWeight / slowdown + (1 - kRttWeight), so a
+  // slowdown above 3.5 reads below this bound.
   for (int i = 0; i < 30; ++i) score.OnProbe(true, Duration::Millis(4));
   EXPECT_LT(score.score(), serving::kDegradeBelow);
-  EXPECT_GT(score.slowdown(), 3.5);
+  EXPECT_LT(score.score(),
+            serving::kRttWeight / 3.5 + (1.0 - serving::kRttWeight));
   // Recovery: RTTs return to baseline, the EWMA follows.
   for (int i = 0; i < 30; ++i) score.OnProbe(true, Duration::Millis(1));
   EXPECT_GT(score.score(), serving::kRecoverAbove);
-  // Reset forgets the baseline entirely.
+  // Reset forgets the baseline entirely: probes at a new, 4x slower RTT
+  // become the new normal and read nominal.
   score.Reset();
-  EXPECT_FALSE(score.baseline_learned());
+  for (int i = 0; i < serving::kBaselineProbes; ++i) {
+    score.OnProbe(true, Duration::Millis(4));
+  }
+  EXPECT_DOUBLE_EQ(score.score(), 1.0);
 }
 
 TEST(HealthScoreTest, FailuresDriveErrorTermWithoutRtt) {

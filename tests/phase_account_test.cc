@@ -169,12 +169,11 @@ TEST(PhaseAccountTest, IdentityHoldsThroughServerFaultsAndFailover) {
   opts.seed = 23;
   opts.num_gpus = 2;
   opts.failover.enabled = true;
-  opts.failover.hedge_when_degraded = true;
   opts.degradation.retry.base_backoff = Duration::Millis(10);
   opts.observability.phases = &phases;
-  // The observability_tour staged outage: kernel failure -> retry, hang ->
-  // degraded routing + hedge, reset -> mid-kernel kill + adoption of the
-  // hedge. Exercises reload, backoff, hedge, failover-readmit charges.
+  // The observability_tour staged outage: kernel failure -> retry into a
+  // hang on the same device, reset -> mid-kernel kill -> failover to the
+  // peer. Exercises the backoff and failover-readmit charges.
   opts.faults.KernelFailure(At(595), /*stream=*/1, /*gpu_index=*/0);
   opts.faults.DeviceHang(At(600), Duration::Millis(300), /*gpu_index=*/0);
   opts.faults.DeviceReset(At(650), Duration::Seconds(100), /*gpu_index=*/0);

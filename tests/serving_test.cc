@@ -140,44 +140,6 @@ TEST(ExperimentTest, TinyPoolStallsUnderOlympian) {
   EXPECT_THROW(oly.Run({SmallClient(), SmallClient()}), ServerStalled);
 }
 
-TEST(ExperimentTest, AdmissionControlShedsInsteadOfStalling) {
-  // The workload shape that stalls above (two Olympian gangs, two pool
-  // threads). With a load-shedding watermark plus a deadline on the surplus
-  // client the server completes: its requests are shed while the pool is
-  // occupied (or cancelled if one wedges), and the other client finishes.
-  ServerOptions opts;
-  opts.pool_threads = 2;
-  opts.degradation.admission_watermark = 0.5;
-
-  core::Profiler profiler;
-  auto profile = profiler.ProfileModel("resnet-152", 20);
-  Experiment oly(opts);
-  core::Scheduler sched(oly.env(), oly.gpu(),
-                        std::make_unique<core::FairPolicy>());
-  sched.SetProfile(profile.key, &profile.cost,
-                   core::Profiler::ThresholdFor(profile, Duration::Micros(500)));
-  oly.SetHooks(&sched);
-
-  ClientSpec surplus = SmallClient("resnet-152", 20, 6);
-  surplus.deadline = Duration::Millis(1);
-  auto results = oly.Run({SmallClient(), surplus});  // no throw
-
-  int ok = 0, rejected = 0;
-  for (const auto& r : results) {
-    ASSERT_EQ(r.request_status.size(), r.request_latency_ms.size());
-    ok += r.CountStatus(RequestStatus::kOk);
-    rejected += r.CountStatus(RequestStatus::kRejected);
-  }
-  EXPECT_EQ(results[0].batches_completed, 2);  // the steady client finishes
-  EXPECT_GT(ok, 0);
-  EXPECT_GT(rejected, 0);  // the surplus load is shed, not deadlocked
-  // Every rejection came from admission control and is accounted for.
-  const auto& c = oly.counters();
-  EXPECT_EQ(c.requests_shed, c.requests_rejected);
-  EXPECT_EQ(static_cast<std::uint64_t>(rejected), c.requests_rejected);
-  EXPECT_EQ(static_cast<std::uint64_t>(ok), c.requests_ok);
-}
-
 TEST(ExperimentTest, UnknownModelRejected) {
   Experiment exp(ServerOptions{});
   EXPECT_THROW(exp.Run({SmallClient("not-a-model")}), std::out_of_range);
@@ -320,22 +282,6 @@ TEST(MultiGpuTest, InvalidGpuCountRejected) {
   ServerOptions opts;
   opts.num_gpus = 0;
   EXPECT_THROW(Experiment exp(opts), std::invalid_argument);
-
-  // Hedging races a duplicate on another replica, so it needs the failover
-  // placer. The error names the option and the fix.
-  const auto message = [](const ServerOptions& o) -> std::string {
-    try {
-      Experiment exp(o);
-    } catch (const std::invalid_argument& e) {
-      return e.what();
-    }
-    return "";
-  };
-  ServerOptions bit;
-  bit.num_gpus = 2;
-  bit.failover.hedge_when_degraded = true;
-  EXPECT_NE(message(bit).find("hedge_when_degraded"), std::string::npos);
-  EXPECT_NE(message(bit).find("failover.enabled"), std::string::npos);
 }
 
 // --- Profiler -------------------------------------------------------------
