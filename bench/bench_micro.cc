@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the hot paths: the simulation event
-// loop, GPU submission, and Olympian's per-node scheduler hooks. These bound
-// the simulator's own cost, not the modeled system's.
+// loop, GPU submission, the observability overhead and the sharded cluster.
+// These bound the simulator's own cost, not the modeled system's.
 //
 // The event-loop benchmarks also report heap-allocations-per-event (via a
 // counting global operator new in this binary), the metric the coroutine
@@ -16,11 +16,8 @@
 #include <new>
 #include <vector>
 
-#include "core/profiler.h"
-#include "core/scheduler.h"
 #include "fault/fault.h"
 #include "gpusim/gpu.h"
-#include "graph/thread_pool.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "serving/cluster.h"
@@ -218,10 +215,11 @@ void ReportKernelCounters(benchmark::State& state, std::uint64_t kernels,
 }
 
 // GPU submission path: small kernels through one stream, with a live
-// metrics sampler on the virtual clock. Paired with BM_GpuSubmitPath by the
-// perf-smoke gate: kernels/s must stay within 5% and the kernel path must
-// remain allocation-free with the sampler running (handles resolved up
-// front, TimeSeries storage pre-reserved).
+// metrics sampler on the virtual clock, reported next to BM_GpuSubmitPath.
+// perf-smoke gates neither against the other (the baseline file has no
+// entry for this one): the sampled path's kernels/s ratio and its
+// allocation-free kernel path are gated in-run by
+// BM_GpuObservabilityOverhead below.
 void BM_GpuSubmitPathObserved(benchmark::State& state) {
   std::uint64_t kernels = 0, waves = 0, allocs = 0;
   for (auto _ : state) {
@@ -362,91 +360,16 @@ void BM_GpuWaveTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_GpuWaveTrain)->Unit(benchmark::kMillisecond);
 
-// The scheduler's per-node hot path: OnNodeComputed cost accrual + rotation.
-void BM_SchedulerAccrual(benchmark::State& state) {
-  sim::Environment env;
-  gpusim::Gpu gpu(env, gpusim::Gpu::Options{.seed = 1});
-  core::Scheduler sched(env, gpu, std::make_unique<core::FairPolicy>());
-  graph::CostProfile profile(4);
-  profile.RecordNodeCost(0, 100.0);
-  profile.gpu_duration = sim::Duration::Millis(1);
-  sched.SetProfile("m@1", &profile, 1000.0);
-  graph::JobContext a, b;
-  a.job = 0;
-  a.model_key = "m@1";
-  b.job = 1;
-  b.model_key = "m@1";
-  sched.RegisterRun(a);
-  sched.RegisterRun(b);
-  graph::Node node;
-  node.id = 0;
-  node.device = graph::Device::kGpu;
-  for (auto _ : state) {
-    sched.OnNodeComputed(sched.token() == 0 ? a : b, node);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SchedulerAccrual);
-
-// End-to-end: one full serving experiment per iteration. Several batches
-// per client so per-experiment setup (profile build, graph interning) is
-// amortized the way a long-lived serving process amortizes it.
-void BM_SmallServingExperiment(benchmark::State& state) {
-  std::uint64_t events = 0, allocs = 0;
-  for (auto _ : state) {
-    serving::ServerOptions opts;
-    opts.seed = 3;
-    serving::Experiment exp(opts);
-    const std::uint64_t a0 = g_allocs;
-    auto results = exp.Run(
-        {serving::ClientSpec{.model = "resnet-152", .batch = 20, .num_batches = 5},
-         serving::ClientSpec{.model = "resnet-152", .batch = 20, .num_batches = 5}});
-    allocs += g_allocs - a0;
-    events += exp.env().events_executed();
-    benchmark::DoNotOptimize(results);
-  }
-  ReportEventCounters(state, events, allocs);
-}
-BENCHMARK(BM_SmallServingExperiment)->Unit(benchmark::kMillisecond);
-
-// The same workload with the full observability stack live: request tracing
-// into a preallocated Tracer, per-request latency histograms, and the
-// virtual-clock sampler at 1ms. Paired with BM_SmallServingExperiment by
-// the perf-smoke gate: events/s must stay within 5%.
-void BM_SmallServingExperimentObserved(benchmark::State& state) {
-  std::uint64_t events = 0, allocs = 0;
-  for (auto _ : state) {
-    serving::ServerOptions opts;
-    opts.seed = 3;
-    metrics::Tracer tracer(20000);
-    metrics::MetricRegistry registry;
-    opts.executor.tracer = &tracer;
-    opts.observability.registry = &registry;
-    opts.observability.sample_interval = sim::Duration::Millis(1);
-    serving::Experiment exp(opts);
-    const std::uint64_t a0 = g_allocs;
-    auto results = exp.Run(
-        {serving::ClientSpec{.model = "resnet-152", .batch = 20, .num_batches = 5},
-         serving::ClientSpec{.model = "resnet-152", .batch = 20, .num_batches = 5}});
-    allocs += g_allocs - a0;
-    events += exp.env().events_executed();
-    benchmark::DoNotOptimize(results);
-    benchmark::DoNotOptimize(registry);
-  }
-  ReportEventCounters(state, events, allocs);
-}
-BENCHMARK(BM_SmallServingExperimentObserved)->Unit(benchmark::kMillisecond);
-
 // --- paired observability-overhead gates ------------------------------------
-// The perf-smoke CI bound is tight (<=5%): comparing two separately-timed
-// benchmarks can't resolve it on a busy host, where throughput drifts more
+// The perf-smoke CI bounds are tight (5-10%): comparing two separately-timed
+// benchmarks can't resolve them on a busy host, where throughput drifts more
 // than that between benchmarks. These run the plain and observed
 // configuration back-to-back inside every iteration, so drift cancels, and
 // export the observed/plain rate ratio directly as a counter for
 // compare_bench.py --min-counter.
 
-// GPU submission path, plain vs live-sampler: `kernels_ratio` must stay
-// >= 0.95 and `allocs/kernel` (observed half) ~0.
+// GPU submission path, plain vs live-sampler: perf-smoke requires
+// `kernels_ratio` >= 0.90 and `allocs/kernel` (observed half) <= 0.05.
 void BM_GpuObservabilityOverhead(benchmark::State& state) {
   double plain_s = 0.0, obs_s = 0.0;
   std::uint64_t plain_kernels = 0, obs_kernels = 0, obs_allocs = 0;

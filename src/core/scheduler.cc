@@ -18,6 +18,14 @@ Scheduler::Scheduler(sim::Environment& env, gpusim::Gpu& gpu,
       options_(options),
       rng_(options.seed) {
   if (!policy_) throw std::invalid_argument("Scheduler needs a policy");
+  // The wall timer re-arms every quantum: at zero it would spin at one
+  // instant forever, and below zero run the virtual clock backwards.
+  if (options_.use_wall_clock &&
+      options_.wall_quantum <= sim::Duration::Zero()) {
+    throw std::invalid_argument("Options::wall_quantum must be > 0 with "
+                                "use_wall_clock, got " +
+                                sim::ToString(options_.wall_quantum));
+  }
 }
 
 sim::CondVar& Scheduler::JobCv(gpusim::JobId job) {

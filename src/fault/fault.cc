@@ -10,6 +10,15 @@ namespace {
 // Host-to-device bandwidth that prices parameter loads, GB/s.
 constexpr double kPcieGbps = 12.0;
 static_assert(kPcieGbps > 0.0);
+
+// A negative window would end before it starts, and its clear timer would
+// run the virtual clock backwards. Zero is an instant fault.
+void CheckWindow(sim::Duration d, const char* field) {
+  if (d < sim::Duration::Zero()) {
+    throw std::invalid_argument(std::string(field) + " must be >= 0, got " +
+                                sim::ToString(d));
+  }
+}
 }  // namespace
 
 sim::Duration ParamsTransferTime(double params_mb) {
@@ -42,6 +51,7 @@ FaultPlan& FaultPlan::KernelFailure(sim::TimePoint at, gpusim::StreamId stream,
 
 FaultPlan& FaultPlan::DeviceHang(sim::TimePoint at, sim::Duration duration,
                                  std::size_t gpu_index) {
+  CheckWindow(duration, "FaultPlan::DeviceHang duration");
   events_.push_back(FaultEvent{.kind = FaultKind::kDeviceHang,
                                .at = at,
                                .gpu_index = gpu_index,
@@ -57,6 +67,7 @@ FaultPlan& FaultPlan::DeviceReset(sim::TimePoint at, std::size_t gpu_index) {
 
 FaultPlan& FaultPlan::DeviceReset(sim::TimePoint at, sim::Duration outage,
                                   std::size_t gpu_index) {
+  CheckWindow(outage, "FaultPlan::DeviceReset outage");
   events_.push_back(FaultEvent{.kind = FaultKind::kDeviceReset,
                                .at = at,
                                .gpu_index = gpu_index,
@@ -66,6 +77,7 @@ FaultPlan& FaultPlan::DeviceReset(sim::TimePoint at, sim::Duration outage,
 
 FaultPlan& FaultPlan::AllocFault(sim::TimePoint at, sim::Duration duration,
                                  std::size_t gpu_index) {
+  CheckWindow(duration, "FaultPlan::AllocFault duration");
   events_.push_back(FaultEvent{.kind = FaultKind::kAllocFault,
                                .at = at,
                                .gpu_index = gpu_index,
@@ -188,6 +200,7 @@ const char* ToString(PartitionDirection d) {
 
 ServerFaultPlan& ServerFaultPlan::Crash(sim::TimePoint at, sim::Duration outage,
                                         std::size_t server) {
+  CheckWindow(outage, "ServerFaultPlan::Crash outage");
   events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kCrash,
                                      .at = at,
                                      .server = server,
@@ -197,6 +210,7 @@ ServerFaultPlan& ServerFaultPlan::Crash(sim::TimePoint at, sim::Duration outage,
 
 ServerFaultPlan& ServerFaultPlan::Hang(sim::TimePoint at, sim::Duration duration,
                                        std::size_t server) {
+  CheckWindow(duration, "ServerFaultPlan::Hang duration");
   events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kHang,
                                      .at = at,
                                      .server = server,
@@ -208,6 +222,7 @@ ServerFaultPlan& ServerFaultPlan::Partition(sim::TimePoint at,
                                             sim::Duration window,
                                             std::size_t server,
                                             PartitionDirection direction) {
+  CheckWindow(window, "ServerFaultPlan::Partition window");
   events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kPartition,
                                      .at = at,
                                      .server = server,
@@ -220,6 +235,7 @@ ServerFaultPlan& ServerFaultPlan::CapacityLoss(sim::TimePoint at,
                                                sim::Duration window,
                                                std::size_t server,
                                                double capacity) {
+  CheckWindow(window, "ServerFaultPlan::CapacityLoss window");
   if (!(capacity > 0.0) || capacity > 1.0) {
     throw std::invalid_argument("capacity multiplier must be in (0, 1]");
   }
@@ -234,6 +250,7 @@ ServerFaultPlan& ServerFaultPlan::CapacityLoss(sim::TimePoint at,
 ServerFaultPlan& ServerFaultPlan::Jitter(sim::TimePoint at,
                                          sim::Duration window,
                                          std::size_t server, double factor) {
+  CheckWindow(window, "ServerFaultPlan::Jitter window");
   if (!(factor >= 1.0)) {
     throw std::invalid_argument("jitter factor must be >= 1");
   }

@@ -40,14 +40,13 @@ void ServingCounters::Print(std::ostream& os) const {
   }
 }
 
-void ServingCounters::ExportTo(MetricRegistry& registry,
-                               const Labels& labels) const {
+void ServingCounters::ExportTo(MetricRegistry& registry) const {
   std::string name;
   for (const Field& f : Fields()) {
     name.assign("olympian_");
     name.append(f.name);
     name.append("_total");
-    registry.GetCounter(name, labels).Set(this->*f.member);
+    registry.GetCounter(name).Set(this->*f.member);
   }
 }
 

@@ -69,11 +69,10 @@ struct ServingCounters {
   void Print(std::ostream& os) const;
 
   // Mirrors every field into `registry` as a counter named
-  // "olympian_<field>_total" with `labels` via Counter::Set — idempotent, so
-  // repeated bridging (Experiment::Run calls this at finish; callers may
-  // re-export at any time) never double-counts. A cluster labels each
-  // server's counters {server="s"}.
-  void ExportTo(MetricRegistry& registry, const Labels& labels = {}) const;
+  // "olympian_<field>_total" via Counter::Set — idempotent, so repeated
+  // bridging (Experiment::Run calls this at finish; callers may re-export
+  // at any time) never double-counts.
+  void ExportTo(MetricRegistry& registry) const;
 };
 
 // Monotonic event counters for the cluster front-end: routing decisions,

@@ -15,19 +15,18 @@ namespace olympian::metrics {
 // Latency anatomy: where did a request's end-to-end time actually go?
 //
 // Every request of the serving request loops (Experiment's clients and the
-// Cluster's dispatch) keeps a PhaseAccount, and Batcher::Infer charges one
-// when handed it. The account charges each virtual-time interval of the
-// request's life to exactly one phase of a closed taxonomy. The accounting
-// is *cursor-based*: the account remembers the end of the last charged
-// interval, and Charge(phase, now) attributes [cursor, now) to `phase` and
-// advances the cursor. Because the intervals tile the request's lifetime
-// with no gaps and no overlaps, the phase sum equals the end-to-end latency
-// bit-exactly in virtual time — an identity that holds by construction, in
-// integer nanoseconds, with no floating point anywhere.
-// PhaseCollector::Record still verifies it against the independently
-// measured latency and counts mismatches, so a missed charge site shows up
-// as a nonzero `phase_sum_mismatches` counter rather than a silently wrong
-// blame table.
+// Cluster's dispatch) keeps a PhaseAccount. The account charges each
+// virtual-time interval of the request's life to exactly one phase of a
+// closed taxonomy. The accounting is *cursor-based*: the account remembers
+// the end of the last charged interval, and Charge(phase, now) attributes
+// [cursor, now) to `phase` and advances the cursor. Because the intervals
+// tile the request's lifetime with no gaps and no overlaps, the phase sum
+// equals the end-to-end latency bit-exactly in virtual time — an identity
+// that holds by construction, in integer nanoseconds, with no floating
+// point anywhere. PhaseCollector::Record still verifies it against the
+// independently measured latency and counts mismatches, so a missed charge
+// site shows up as a nonzero `phase_sum_mismatches` counter rather than a
+// silently wrong blame table.
 
 // Closed phase taxonomy. Order matters twice: it is the export order of
 // every blame table, and the dominant-phase tie-break (lowest index wins).
@@ -37,7 +36,9 @@ enum class Phase : int {
   kAdmission,        // admission control and deadline checks
   kPlacerDecision,   // placer/device routing decision
   kReload,           // parameter reload over PCIe + warm-up
-  kBatcherWait,      // waiting for a batch to fill or time out
+  // Charged by nothing since the Batcher stopped taking an account. Kept
+  // like kHedgeOverhead below: `phase.batcher_wait_ms` is reported too.
+  kBatcherWait,
   kGpuQueue,         // kernels submitted but not yet resident on SMs
   kGpuCompute,       // kernels resident (the paper's "GPU duration")
   kBackoff,          // retry backoff wait

@@ -20,6 +20,11 @@ Batcher::Options Validated(Batcher::Options options) {
   if (!std::is_sorted(sizes.begin(), sizes.end()) || sizes.front() < 1) {
     throw std::invalid_argument("allowed_batch_sizes must be ascending, >= 1");
   }
+  // A negative timeout would arm the batch alarm in the past.
+  if (options.batch_timeout < sim::Duration::Zero()) {
+    throw std::invalid_argument("batch_timeout must be >= 0, got " +
+                                sim::ToString(options.batch_timeout));
+  }
   return options;
 }
 }  // namespace
@@ -43,9 +48,9 @@ int Batcher::PadToAllowed(int items) const {
   return options_.allowed_batch_sizes.back();
 }
 
-sim::Task Batcher::Infer(sim::Duration* latency, metrics::PhaseAccount* pa) {
+sim::Task Batcher::Infer(sim::Duration* latency) {
   if (closed_) throw std::logic_error("Infer after Close");
-  Request req{env_.Now(), false, pa};
+  Request req{env_.Now(), false};
   pending_.push_back(&req);
   wake_.NotifyAll();
   while (!req.done) co_await done_cv_.Wait();
@@ -89,32 +94,7 @@ sim::Task Batcher::Dispatcher() {
     const int padded = PadToAllowed(take);
     ctx_.batch = padded;
     ctx_.model_key = models::ModelKey(model_, padded);
-    // Everything up to this instant was time spent waiting for the batch to
-    // close; the run interval below is split into GPU residency vs. queueing.
-    // Completion (and each waiter's resume) happens at the same virtual
-    // instant as the charges below, so the phase-sum identity holds.
-    bool any_accounted = false;
-    for (Request* r : batch) {
-      if (r->pa != nullptr) {
-        r->pa->Charge(metrics::Phase::kBatcherWait, env_.Now());
-        any_accounted = true;
-      }
-    }
-    const sim::Duration gpu_before =
-        any_accounted
-            ? exp_.gpu(kGpu).JobGpuDuration(ctx_.job)
-            : sim::Duration::Zero();
     co_await exp_.executor(kGpu).RunOnce(ctx_, graph_);
-    if (any_accounted) {
-      const sim::Duration compute =
-          exp_.gpu(kGpu).JobGpuDuration(ctx_.job) - gpu_before;
-      for (Request* r : batch) {
-        if (r->pa != nullptr) {
-          r->pa->SplitCharge(metrics::Phase::kGpuCompute, compute,
-                             metrics::Phase::kGpuQueue, env_.Now());
-        }
-      }
-    }
 
     ++batches_executed_;
     items_served_ += static_cast<std::uint64_t>(take);

@@ -46,11 +46,8 @@ class Batcher {
 
   // Awaitable: submit one item and resume when its batch's run completes.
   // Returns (via out-param) the request latency. Must not be called after
-  // Close(). When `pa` is set, the time from submission to batch execution
-  // is charged to kBatcherWait and the run itself is split into
-  // kGpuCompute / kGpuQueue, preserving the phase-sum identity.
-  sim::Task Infer(sim::Duration* latency = nullptr,
-                  metrics::PhaseAccount* pa = nullptr);
+  // Close().
+  sim::Task Infer(sim::Duration* latency = nullptr);
 
   // No further Infer calls will come; the dispatcher drains pending
   // requests (flushing a final partial batch) and exits.
@@ -65,7 +62,6 @@ class Batcher {
   struct Request {
     sim::TimePoint arrival;
     bool done = false;
-    metrics::PhaseAccount* pa = nullptr;
   };
 
   sim::Task Dispatcher();

@@ -25,6 +25,9 @@ constexpr sim::Duration kProbeTimeout = sim::Duration::Millis(10);
 // Router-side delay before a budgeted retry, and before answering a rejected
 // request (brownout shed, or no routable server).
 constexpr sim::Duration kRetryBackoff = sim::Duration::Millis(5);
+// Client retry budget for genuine failures; failover re-admissions are
+// free, mirroring the device-failover contract.
+constexpr int kMaxRetries = 2;
 // Service time of one probe on a fully healthy server, charged only under
 // health scoring and divided by the server's current capacity: this is what
 // makes a fractional-capacity fault visible in the probe RTT.
@@ -55,19 +58,16 @@ Cluster::Cluster(ClusterOptions options)
   if (options_.num_servers < 1) {
     throw std::invalid_argument("num_servers must be >= 1");
   }
-  // Cluster servers serve through ServeTenantRequest, never Run, so two
-  // per-server observability options would be silently ignored.
-  if (options_.server.observability.phases != nullptr) {
+  // Cluster servers serve through ServeTenantRequest, never Run, so every
+  // per-server observability option would be silently ignored.
+  if (const ObservabilityOptions& o = options_.server.observability;
+      o.registry != nullptr || o.phases != nullptr ||
+      o.sample_interval != sim::Duration::Zero()) {
     throw std::invalid_argument(
-        "ClusterOptions::server.observability.phases is not read by a "
-        "cluster, whose requests are charged end to end across router and "
-        "servers: set ClusterOptions::phases instead");
-  }
-  if (options_.server.observability.sample_interval != sim::Duration::Zero()) {
-    throw std::invalid_argument(
-        "ClusterOptions::server.observability.sample_interval is not read by "
-        "a cluster, which runs no per-server sampler: set the interval to "
-        "zero");
+        "ClusterOptions::server.observability is read only by "
+        "Experiment::Run, never by a cluster, whose requests are charged and "
+        "counted end to end across router and servers: leave it unset and "
+        "set ClusterOptions::registry or ClusterOptions::phases instead");
   }
   // Per-server private trace buffers. Each server records into its own
   // buffer on its own shard (no cross-thread writes); FinishRun merges them
@@ -94,10 +94,6 @@ Cluster::Cluster(ClusterOptions options)
     // device), which is the signal the router converts into failover.
     so.failover.enabled = true;
     if (tracer_ != nullptr) so.executor.tracer = server_tracers_[s].get();
-    // No server writes its registry during a cluster run (the histogram,
-    // sampler and counter bridge all belong to Experiment::Run); FinishRun
-    // exports each server's counters instead.
-    so.observability.registry = nullptr;
     servers_.push_back(std::make_unique<Experiment>(
         std::move(so), engine_.lane_env(s)));
   }
@@ -300,7 +296,6 @@ sim::Task Cluster::DispatchRequest(
   // instants at every shard count (the account is frame-local, so charging
   // from the server's shard is race-free), keeping the blame table
   // byte-identical across shard counts.
-  const RouterOptions& ro = options_.router;
   metrics::PhaseAccount account;
   account.Start(arrival);
   // An arrival that found its predecessor still in flight queued at the
@@ -431,13 +426,13 @@ sim::Task Cluster::DispatchRequest(
       }
     }
     if (error) router_->OnRequestError(s);
-    if (free_failover && ro.failover) {
+    if (free_failover && options_.router.failover) {
       ++counters_.requests_failed_over;
       failing_over = true;
       incidents_.Mitigation(static_cast<int>(s), "failover", env_.Now());
       continue;
     }
-    if (attempt > ro.max_retries) {
+    if (attempt > kMaxRetries) {
       status = failure;
       ++counters_.requests_failed;
       break;
@@ -498,6 +493,7 @@ sim::Task Cluster::ClientProc(std::size_t client,
                              out.requests_completed, latency_hist);
   }
   out.finish_time = env_.Now() - sim::TimePoint();
+  makespan_ = std::max(makespan_, out.finish_time);
   // Fold this client's meters into each server it ever ran on. Runs during
   // a hub instant (workers parked), so touching shard-resident servers is
   // safe; ascending server order matches the old flat-map iteration.
@@ -506,7 +502,7 @@ sim::Task Cluster::ClientProc(std::size_t client,
       servers_[s]->RetireTenant(it->second);
     }
   }
-  if (--clients_running_ == 0) StopAll();
+  if (--live_ == 0) StopAll();
 }
 
 std::vector<ClusterClientResult> Cluster::Run(
@@ -522,21 +518,14 @@ std::vector<ClusterClientResult> Cluster::Run(
           "kind = kPoisson, rate_rps = 1 / mean_interarrival)");
     }
   }
-  {
-    std::vector<int> priorities;
-    priorities.reserve(clients.size());
-    for (const ClusterClientSpec& c : clients) {
-      priorities.push_back(c.request.priority);
-    }
-    router_->SetPriorityClasses(std::move(priorities));
+  std::vector<int> priorities;
+  priorities.reserve(clients.size());
+  for (const ClusterClientSpec& c : clients) {
+    priorities.push_back(c.request.priority);
   }
-  for (auto& s : servers_) s->StartServing();
-  router_->Start();
-  ArmServerFaults();
+  StartRun(std::move(priorities));
 
   std::vector<ClusterClientResult> results(clients.size());
-  std::vector<sim::Process> procs;
-  procs.reserve(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
     const std::size_t home = i % servers_.size();
     // Home tenants are provisioned before traffic, like Run()'s per-client
@@ -548,29 +537,10 @@ std::vector<ClusterClientResult> Cluster::Run(
     out.name = clients[i].request.model + "#" + std::to_string(i);
     out.model = clients[i].request.model;
     out.home_server = home;
-    procs.push_back(env_.Spawn(
-        ClientProc(i, clients[i], options_.seed * 104729 + i, out),
-        "cluster/" + out.name));
+    env_.Spawn(ClientProc(i, clients[i], options_.seed * 104729 + i, out),
+               "cluster/" + out.name);
   }
-  clients_running_ = clients.size();
-  if (clients.empty()) StopAll();  // no last client to stop the probes
-
-  engine_.Run();
-
-  sim::Duration makespan;
-  bool stalled = false;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    makespan = std::max(makespan, results[i].finish_time);
-    if (!procs[i].done()) stalled = true;
-  }
-  makespan_ = makespan;
-  if (stalled) {
-    throw ServerStalled("cluster workload stalled: unfinished clients with a "
-                        "drained event queue");
-  }
-  for (auto& s : servers_) s->ShutdownPool();
-  engine_.Run();  // drain exiting workers
-  FinishRun();
+  FinishRun(clients.size());
   return results;
 }
 
@@ -590,11 +560,11 @@ sim::Task Cluster::StreamProc(std::size_t stream,
     // serving and in-flight memory tracks concurrency, not population.
     const std::uint64_t cid = arrivals.NextClient(rng);
     const std::size_t home = static_cast<std::size_t>(cid % servers_.size());
-    ++outstanding_requests_;
+    ++live_;
     env_.Spawn(StreamRequestProc(stream, spec, home, rng.Fork(), arrival, r,
                                  out, latency_hist));
   }
-  if (--streams_running_ == 0 && outstanding_requests_ == 0) StopAll();
+  if (--live_ == 0) StopAll();
 }
 
 sim::Task Cluster::StreamRequestProc(
@@ -610,7 +580,8 @@ sim::Task Cluster::StreamRequestProc(
                            out.requests_completed, latency_hist);
   const sim::Duration finished = env_.Now() - sim::TimePoint();
   out.finish_time = std::max(out.finish_time, finished);
-  if (--outstanding_requests_ == 0 && streams_running_ == 0) StopAll();
+  makespan_ = std::max(makespan_, finished);
+  if (--live_ == 0) StopAll();
 }
 
 std::vector<ClusterStreamResult> Cluster::RunStreams(
@@ -637,21 +608,14 @@ std::vector<ClusterStreamResult> Cluster::RunStreams(
              "ClusterStreamSpec::arrivals alone");
     }
   }
-  {
-    std::vector<int> priorities;
-    priorities.reserve(streams.size());
-    for (const ClusterStreamSpec& st : streams) {
-      priorities.push_back(st.request.priority);
-    }
-    router_->SetPriorityClasses(std::move(priorities));
+  std::vector<int> priorities;
+  priorities.reserve(streams.size());
+  for (const ClusterStreamSpec& st : streams) {
+    priorities.push_back(st.request.priority);
   }
-  for (auto& s : servers_) s->StartServing();
-  router_->Start();
-  ArmServerFaults();
+  StartRun(std::move(priorities));
 
   std::vector<ClusterStreamResult> results(streams.size());
-  std::vector<sim::Process> procs;
-  procs.reserve(streams.size());
   for (std::size_t i = 0; i < streams.size(); ++i) {
     // The model is racked on every server up front: any drawn client id can
     // dispatch anywhere without a first-arrival PCIe charge, and EnsureTenant
@@ -666,42 +630,38 @@ std::vector<ClusterStreamResult> Cluster::RunStreams(
         static_cast<std::size_t>(streams[i].num_requests), 0.0);
     out.request_status.assign(
         static_cast<std::size_t>(streams[i].num_requests), RequestStatus::kOk);
-    procs.push_back(env_.Spawn(
-        StreamProc(i, streams[i], options_.seed * 15485863 + i, out),
-        "cluster/" + out.name));
+    env_.Spawn(StreamProc(i, streams[i], options_.seed * 15485863 + i, out),
+               "cluster/" + out.name);
   }
-  streams_running_ = streams.size();
-  outstanding_requests_ = 0;
-  if (streams.empty()) StopAll();  // no last stream to stop the probes
-
-  engine_.Run();
-
-  sim::Duration makespan;
-  bool stalled = outstanding_requests_ != 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    makespan = std::max(makespan, results[i].finish_time);
-    if (!procs[i].done()) stalled = true;
-  }
-  makespan_ = makespan;
-  if (stalled) {
-    throw ServerStalled("cluster stream workload stalled: in-flight requests "
-                        "with a drained event queue");
-  }
+  FinishRun(streams.size());
   // Fold stream meters into their servers (every stream is racked on every
-  // server), then drain the pools.
+  // server).
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     for (const auto& [stream, tenant] : tenant_of_[s]) {
       (void)stream;
       servers_[s]->RetireTenant(tenant);
     }
   }
-  for (auto& s : servers_) s->ShutdownPool();
-  engine_.Run();  // drain exiting workers
-  FinishRun();
   return results;
 }
 
-void Cluster::FinishRun() {
+void Cluster::StartRun(std::vector<int> priorities) {
+  router_->SetPriorityClasses(std::move(priorities));
+  for (auto& s : servers_) s->StartServing();
+  router_->Start();
+  ArmServerFaults();
+}
+
+void Cluster::FinishRun(std::size_t generators) {
+  live_ = generators;
+  if (live_ == 0) StopAll();  // no last generator to stop the probes
+  engine_.Run();
+  if (live_ != 0) {
+    throw ServerStalled("cluster workload stalled: live traffic with a "
+                        "drained event queue");
+  }
+  for (auto& s : servers_) s->ShutdownPool();
+  engine_.Run();  // drain exiting workers
   for (const std::uint64_t n : tenant_instantiations_) {
     counters_.tenant_instantiations += n;
   }
@@ -709,21 +669,13 @@ void Cluster::FinishRun() {
   if (options_.registry != nullptr) {
     counters_.ExportTo(*options_.registry);
   }
-  // Fold the private per-server accumulators into the user destinations in
+  // Fold the private per-server trace buffers into the user's tracer in
   // canonical order — hub first, then servers 0..N-1. The same merge runs
   // at every shard count (including 1), so the exported bytes are a
   // function of the trajectory alone, never of the partitioning.
   if (tracer_ != nullptr) {
     tracer_->MergeFrom(*hub_tracer_);
     for (const auto& t : server_tracers_) tracer_->MergeFrom(*t);
-  }
-  if (metrics::MetricRegistry* const user_registry =
-          options_.server.observability.registry;
-      user_registry != nullptr) {
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      servers_[s]->counters().ExportTo(*user_registry,
-                                       {{"server", std::to_string(s)}});
-    }
   }
 }
 

@@ -49,6 +49,7 @@ struct ClusterOptions {
   // cluster derives each server's seed from `seed` and forces
   // failover.enabled on — the router's cross-server contract depends on the
   // in-server placer rejecting promptly when every local device is down.
+  // A set `server.observability` field throws: only Experiment::Run reads it.
   ServerOptions server;
   std::size_t num_servers = 2;
   RouterOptions router;
@@ -73,11 +74,10 @@ struct ClusterOptions {
   // sim::ShardedEngine's conservative windows. Clamped to num_servers.
   //
   // Every cluster configuration shards: per-request kAllocFault device
-  // faults, a server-side tracer, and a server-side observability registry
-  // all run at any shard count and export byte-identically to shards=1
-  // (each server traces into a private buffer on its own shard, and the
-  // cluster merges the buffers and exports each server's counters hub-side
-  // in a canonical order after the run). Capacity is throttled only by the
+  // faults and a server-side tracer run at any shard count and export
+  // byte-identically to shards=1 (each server traces into a private buffer
+  // on its own shard, and the cluster merges the buffers hub-side in a
+  // canonical order after the run). Capacity is throttled only by the
   // hub-applied ServerFaultPlan::CapacityLoss, so the router probe's
   // hub-side read of device capacity is exact at any shard count. The
   // engine lookahead is cluster.cc's kNetDelay, the router <-> server hop
@@ -185,9 +185,14 @@ class Cluster : private RouterTransport {
   // without one. Resolved once per client or stream, never per request.
   metrics::MetricRegistry::Histogram* LatencyHistogram(
       const std::string& model);
-  // Merge per-server private accumulators (tenant counters, trace buffers)
-  // hub-side in canonical order, then export.
-  void FinishRun();
+  // The run driver Run and RunStreams share around their spawn loops.
+  // StartRun registers the priority classes, starts the servers and the
+  // router, and arms the server faults. FinishRun gives each of the
+  // `generators` spawned processes a unit of live traffic, runs the engine
+  // dry (ServerStalled if live traffic is left), drains the pools, and folds
+  // the per-server accumulators hub-side in canonical order.
+  void StartRun(std::vector<int> priorities);
+  void FinishRun(std::size_t generators);
 
   void ArmServerFaults();
   void ApplyServerFault(const fault::ServerFaultEvent& e);
@@ -248,10 +253,10 @@ class Cluster : private RouterTransport {
   // run (the shared counter would be a cross-thread race in sharded mode).
   std::vector<std::uint64_t> tenant_instantiations_;
 
-  std::size_t clients_running_ = 0;
-  std::size_t streams_running_ = 0;
-  std::size_t outstanding_requests_ = 0;
-  sim::Duration makespan_;
+  // Live traffic: a unit per client or stream generator, and one per
+  // in-flight stream request. The last unit out stops the probes.
+  std::size_t live_ = 0;
+  sim::Duration makespan_;  // raised as each client or stream request ends
   bool ran_ = false;
 };
 

@@ -18,9 +18,6 @@ struct RouterOptions {
   // request of a client goes to its home server no matter what (the
   // no-failover baseline the cluster bench compares against).
   bool failover = true;
-  // Client retry budget for genuine failures (failover re-admissions are
-  // free, mirroring the device-failover contract).
-  int max_retries = 2;
   // Gray-failure detection: continuous health scoring from probe RTTs.
   // When enabled, the hysteresis thresholds (health_score.h's kDegradeBelow
   // and kRecoverAbove) own the healthy <-> degraded transitions (the legacy

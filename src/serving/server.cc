@@ -34,6 +34,10 @@ Experiment::Experiment(ServerOptions options, sim::Environment* env)
   if (options_.num_gpus < 1) {
     throw std::invalid_argument("num_gpus must be >= 1");
   }
+  // A negative backoff would schedule retries in the past.
+  if (options_.degradation.retry.base_backoff < sim::Duration::Zero()) {
+    throw std::invalid_argument("degradation.retry.base_backoff must be >= 0");
+  }
   // Derive decorrelated seeds for each device and executor.
   sim::Rng master(options_.seed);
   for (int i = 0; i < options_.num_gpus; ++i) {
@@ -597,8 +601,6 @@ std::vector<ClientResult> Experiment::Run(
   StartServing();
 
   std::vector<ClientResult> results(clients.size());
-  std::vector<sim::Process> procs;
-  procs.reserve(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
     const Tenant& t = *tenants_[AddTenant(clients[i])];
     ClientResult& out = results[i];
@@ -607,8 +609,8 @@ std::vector<ClientResult> Experiment::Run(
     out.model = t.spec.model;
     out.batch = t.spec.batch;
     out.gpu_index = t.primary_gpu;
-    procs.push_back(env_.Spawn(ClientProc(i, options_.seed * 7919 + i, out),
-                               t.ctx->client_name));
+    env_.Spawn(ClientProc(i, options_.seed * 7919 + i, out),
+               t.ctx->client_name);
   }
 
   clients_running_ = clients.size();
@@ -622,16 +624,14 @@ std::vector<ClientResult> Experiment::Run(
   env_.Run();
 
   sim::Duration makespan;
-  bool stalled = false;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    makespan = std::max(makespan, results[i].finish_time);
-    // A client whose process never finished is stalled. (Completed batches
-    // alone no longer prove liveness: rejected or timed-out requests finish
-    // their iteration without completing a batch.)
-    if (!procs[i].done()) stalled = true;
+  for (const ClientResult& r : results) {
+    makespan = std::max(makespan, r.finish_time);
   }
   makespan_ = makespan;
-  if (stalled) {
+  // A client still inside ClientProc is stalled. (Completed batches alone
+  // do not prove liveness: rejected or timed-out requests finish their
+  // iteration without completing a batch.)
+  if (clients_running_ != 0) {
     throw ServerStalled(
         "workload stalled: thread pool exhausted by suspended gangs (" +
         std::to_string(pool_->num_threads()) + " threads, " +

@@ -42,10 +42,11 @@ struct FailoverOptions {
   HealthMonitorOptions health;
 };
 
-// Observability wiring for a serving run. Fully passive: with `registry`
-// null (the default) no sampling runs and no registry is touched, and even
-// when enabled the sampler is strictly read-only — the golden determinism
-// suite asserts finish times are bit-identical in both modes.
+// Observability wiring for Experiment::Run; a Cluster rejects every field.
+// Fully passive: with `registry` null (the default) no sampling runs and no
+// registry is touched, and even when enabled the sampler is strictly
+// read-only — the golden determinism suite asserts finish times are
+// bit-identical in both modes.
 struct ObservabilityOptions {
   // Destination for counters, request-latency histograms, and the
   // sampler's windowed series. Owned by the caller; must outlive Run.
@@ -53,15 +54,14 @@ struct ObservabilityOptions {
   // Virtual-clock cadence of the sampler process that snapshots per-device
   // utilization, queue depth, health, placer load, pool occupancy, and
   // scheduler token occupancy (via SchedulingHooks::OnSample).
-  // Zero disables the sampler; counters and histograms still flow. Only
-  // Run spawns the sampler, so a Cluster rejects a nonzero interval.
+  // Zero disables the sampler; counters and histograms still flow.
   sim::Duration sample_interval = sim::Duration::Zero();
   // Latency anatomy. Every request keeps a PhaseAccount that charges its
   // whole lifetime to the closed Phase taxonomy (phase sum == end-to-end
   // latency bit-exactly in virtual time) at a few integer adds per request,
   // with no allocation and no event. When set, each finished request's
   // account is folded per (server, model) into this collector. Owned by the
-  // caller; must outlive Run. A Cluster rejects it: set ClusterOptions::phases.
+  // caller; must outlive Run.
   metrics::PhaseCollector* phases = nullptr;
 };
 

@@ -155,6 +155,12 @@ TEST(BatcherTest, RejectsBadOptions) {
     EXPECT_EQ(exp.gpu(0).memory_used_mb(), memory_mb);
     EXPECT_EQ(exp.job_contexts().size(), jobs);
   }
+  // A negative timeout would arm the batch alarm in the past.
+  Batcher::Options late;
+  late.batch_timeout = Duration::Millis(-1);
+  EXPECT_THROW(Batcher(exp, "resnet-152", late), std::invalid_argument);
+  EXPECT_EQ(exp.gpu(0).memory_used_mb(), memory_mb);
+  EXPECT_EQ(exp.job_contexts().size(), jobs);
 }
 
 }  // namespace

@@ -469,39 +469,35 @@ std::string InvalidArgumentMessage(F f) {
 }
 
 TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
-  // Previously-banned state now shards: alloc faults, a server-side tracer,
-  // and a server-side observability registry all construct at shards=2.
+  // Previously-banned state now shards: alloc faults and a server-side
+  // tracer both construct at shards=2.
   serving::ClusterOptions lifted = SmallCluster(2);
   lifted.shards = 2;
   lifted.server.faults.AllocFault(At(10), Duration::Millis(5));
   metrics::Tracer tracer(1000);
   lifted.server.executor.tracer = &tracer;
-  metrics::MetricRegistry registry;
-  lifted.server.observability.registry = &registry;
   EXPECT_NO_THROW(serving::Cluster{lifted});
-  // Cluster servers never run Experiment::Run, so its per-server phase
-  // collector and sampler would be silently ignored: the constructor names
-  // each field and its fix.
-  serving::ClusterOptions server_phases = SmallCluster(2);
+  // Cluster servers never run Experiment::Run, so a per-server registry,
+  // phase collector or sampler would be silently ignored: the constructor
+  // rejects each one with the same message, naming the field group and the
+  // cluster-level fix.
+  metrics::MetricRegistry registry;
   metrics::PhaseCollector phases;
-  server_phases.server.observability.phases = &phases;
-  {
-    const std::string msg = InvalidArgumentMessage(
-        [&] { serving::Cluster cluster(server_phases); });
-    EXPECT_NE(msg.find("server.observability.phases"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("set ClusterOptions::phases"), std::string::npos)
-        << msg;
-  }
-  serving::ClusterOptions sampled = SmallCluster(2);
-  sampled.server.observability.sample_interval = Duration::Millis(10);
-  {
+  for (int field = 0; field < 3; ++field) {
+    SCOPED_TRACE(field);
+    serving::ClusterOptions opts = SmallCluster(2);
+    serving::ObservabilityOptions& o = opts.server.observability;
+    if (field == 0) o.registry = &registry;
+    if (field == 1) o.phases = &phases;
+    if (field == 2) o.sample_interval = Duration::Millis(10);
     const std::string msg =
-        InvalidArgumentMessage([&] { serving::Cluster cluster(sampled); });
-    EXPECT_NE(msg.find("server.observability.sample_interval"),
+        InvalidArgumentMessage([&] { serving::Cluster cluster(opts); });
+    EXPECT_NE(msg.find("ClusterOptions::server.observability"),
               std::string::npos)
         << msg;
-    EXPECT_NE(msg.find("set the interval to zero"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("ClusterOptions::registry or ClusterOptions::phases"),
+              std::string::npos)
+        << msg;
   }
   // The single-server legacy open loop would silently run closed-loop in a
   // cluster, so Run rejects it and names the arrival generator as the fix.

@@ -351,6 +351,27 @@ TEST(SchedulerTest, WallClockModeRotatesOnTimer) {
   EXPECT_TRUE(saw_b);
 }
 
+// The wall timer re-arms every quantum: a zero quantum would re-arm at the
+// same instant forever, a negative one in the past. Construction is enough
+// to reject either; nothing runs.
+TEST(SchedulerTest, WallClockModeRejectsNonPositiveQuantum) {
+  Environment env;
+  gpusim::Gpu gpu(env, gpusim::Gpu::Options{.seed = 1});
+  for (const Duration quantum : {Duration::Zero(), Duration::Millis(-2)}) {
+    Scheduler::Options opts;
+    opts.use_wall_clock = true;
+    opts.wall_quantum = quantum;
+    EXPECT_THROW(Scheduler(env, gpu, std::make_unique<FairPolicy>(), opts),
+                 std::invalid_argument)
+        << sim::ToString(quantum);
+  }
+  // Cost-based accounting never reads the quantum.
+  Scheduler::Options cost_based;
+  cost_based.wall_quantum = Duration::Zero();
+  EXPECT_NO_THROW(
+      Scheduler(env, gpu, std::make_unique<FairPolicy>(), cost_based));
+}
+
 TEST(SchedulerTest, WeightedPolicyIntegration) {
   SchedFixture f(std::make_unique<WeightedFairPolicy>());
   f.sched.SetProfile("m@1", &f.profile, 100.0);

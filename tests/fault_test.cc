@@ -12,6 +12,7 @@
 #include "core/scheduler.h"
 #include "fault/fault.h"
 #include "gpusim/gpu.h"
+#include "serving/cluster.h"
 #include "serving/degradation.h"
 #include "serving/server.h"
 #include "sim/environment.h"
@@ -41,6 +42,29 @@ TEST(FaultPlanTest, FluentBuilderRecordsEvents) {
   EXPECT_EQ(plan.events()[2].kind, fault::FaultKind::kDeviceReset);
   EXPECT_EQ(plan.events()[3].kind, fault::FaultKind::kAllocFault);
   EXPECT_EQ(plan.events()[1].duration, Duration::Millis(5));
+}
+
+// A negative window ends before it starts: its end timer would fire in the
+// past and run the virtual clock backwards (a -20 ms hang at 50 ms used to
+// end the run at 30 ms). A zero window stays an instant fault.
+TEST(FaultPlanTest, AddersRejectNegativeWindows) {
+  fault::FaultPlan plan;
+  const Duration minus = Duration::Millis(-20);
+  EXPECT_THROW(plan.DeviceHang(At(50), minus), std::invalid_argument);
+  EXPECT_THROW(plan.DeviceReset(At(50), minus, 0), std::invalid_argument);
+  EXPECT_THROW(plan.AllocFault(At(50), minus), std::invalid_argument);
+  EXPECT_TRUE(plan.empty());
+  // The message names the argument and its value.
+  try {
+    plan.DeviceHang(At(50), minus);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "FaultPlan::DeviceHang duration must be >= 0, got -20ms");
+  }
+  plan.DeviceHang(At(50), Duration::Zero())
+      .DeviceReset(At(50), Duration::Zero(), 0)
+      .AllocFault(At(50), Duration::Zero());
+  EXPECT_EQ(plan.size(), 3u);
 }
 
 TEST(FaultPlanTest, RandomIsDeterministicInSeed) {
@@ -239,6 +263,20 @@ TEST(RetryPolicyTest, BackoffGrowsExponentially) {
   EXPECT_EQ(p.BackoffFor(1), Duration::Millis(2));
   EXPECT_EQ(p.BackoffFor(2), Duration::Millis(4));
   EXPECT_EQ(p.BackoffFor(3), Duration::Millis(8));
+}
+
+// A negative backoff schedules each retry in the past: requests once
+// reported negative latencies. The Experiment constructor rejects it, so
+// every cluster server does too; zero (retry at once) stays legal.
+TEST(RetryPolicyTest, NegativeBaseBackoffRejectedAtConstruction) {
+  serving::ServerOptions opts;
+  opts.degradation.retry.base_backoff = Duration::Millis(-50);
+  EXPECT_THROW(serving::Experiment{opts}, std::invalid_argument);
+  serving::ClusterOptions cluster;
+  cluster.server = opts;
+  EXPECT_THROW(serving::Cluster{cluster}, std::invalid_argument);
+  opts.degradation.retry.base_backoff = Duration::Zero();
+  EXPECT_NO_THROW(serving::Experiment{opts});
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@
 // perturb virtual-clock arithmetic, so the same constants hold.
 //
 // To regenerate after an *intentional* semantic change, run with
-// OLYMPIAN_GOLDEN_PRINT=1 and paste the emitted block below.
+// OLYMPIAN_GOLDEN_PRINT=1 and paste the emitted block below. Each pinned
+// struct prints in the designated-initializer form its constant is written
+// in, through the same PrintTo that gtest uses for a failing EXPECT_EQ, so a
+// failure names the field that moved.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -44,6 +48,56 @@
 namespace olympian {
 namespace {
 
+// Writes `{.name = value, ...}`: vectors as brace lists, hashes in hex.
+class Designated {
+ public:
+  explicit Designated(std::ostream* os) : os_(*os) {}
+  ~Designated() { os_ << '}'; }
+  Designated(const Designated&) = delete;
+  Designated& operator=(const Designated&) = delete;
+
+  template <typename T>
+  Designated& operator()(const char* name, const T& value) {
+    Name(name);
+    Put(value);
+    return *this;
+  }
+  Designated& Hex(const char* name, std::uint64_t value) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(value));
+    Name(name);
+    os_ << buf;
+    return *this;
+  }
+
+ private:
+  void Name(const char* name) {
+    os_ << (first_ ? "{." : ", .") << name << " = ";
+    first_ = false;
+  }
+  template <typename T>
+  void Put(const T& v) {
+    os_ << v;
+  }
+  template <typename T>
+  void Put(const std::vector<T>& v) {
+    os_ << '{';
+    for (std::size_t i = 0; i < v.size(); ++i) os_ << (i ? ", " : "") << v[i];
+    os_ << '}';
+  }
+
+  std::ostream& os_;
+  bool first_ = true;
+};
+
+// `const Type name{...};`, ready to paste over the constant.
+template <typename Pin>
+void PrintGolden(const char* type, const char* name, const Pin& pin) {
+  std::printf("const %s %s%s;\n", type, name,
+              ::testing::PrintToString(pin).c_str());
+}
+
 struct GoldenRun {
   std::vector<std::int64_t> finish_ns;   // per-client finish times
   std::vector<std::int64_t> gpu_ns;      // per-client GPU durations
@@ -54,6 +108,12 @@ struct GoldenRun {
 
   bool operator==(const GoldenRun&) const = default;
 };
+
+void PrintTo(const GoldenRun& g, std::ostream* os) {
+  Designated{os}("finish_ns", g.finish_ns)("gpu_ns", g.gpu_ns)(
+      "batches", g.batches)("events", g.events)("switches", g.switches)(
+      "quanta", g.quanta);
+}
 
 constexpr int kClients = 10;
 constexpr int kBatches = 2;
@@ -107,37 +167,29 @@ GoldenRun RunWorkload(bool olympian, bool observed = false) {
   return out;
 }
 
-void PrintGolden(const char* name, const GoldenRun& g) {
-  std::printf("const GoldenRun %s{\n    {", name);
-  for (auto v : g.finish_ns) std::printf("%lldLL, ", static_cast<long long>(v));
-  std::printf("},\n    {");
-  for (auto v : g.gpu_ns) std::printf("%lldLL, ", static_cast<long long>(v));
-  std::printf("},\n    {");
-  for (auto v : g.batches) std::printf("%d, ", v);
-  std::printf("},\n    %lluULL, %lluULL, %lluULL};\n",
-              static_cast<unsigned long long>(g.events),
-              static_cast<unsigned long long>(g.switches),
-              static_cast<unsigned long long>(g.quanta));
-}
-
 // Golden values recorded from the pre-rewrite simulation kernel
 // (std::priority_queue event loop), seed 5, 10 clients x 2 batches.
 const GoldenRun kGoldenBaseline{
-    {9068776858LL, 10960558313LL, 11354049113LL, 10220972098LL, 8912229488LL,
-     10659668123LL, 9711286909LL, 8228638535LL, 9828060530LL, 11338222049LL},
-    {1134996471LL, 1134886510LL, 1135164404LL, 1134937902LL, 1134936901LL,
-     1134930888LL, 1134938968LL, 1134993954LL, 1134789945LL, 1134941801LL},
-    {2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
-    1111150ULL, 0ULL, 0ULL};
+    .finish_ns = {9068776858, 10960558313, 11354049113, 10220972098,
+                  8912229488, 10659668123, 9711286909, 8228638535, 9828060530,
+                  11338222049},
+    .gpu_ns = {1134996471, 1134886510, 1135164404, 1134937902, 1134936901,
+               1134930888, 1134938968, 1134993954, 1134789945, 1134941801},
+    .batches = {2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+    .events = 1111150,
+    .switches = 0,
+    .quanta = 0};
 
 const GoldenRun kGoldenOlympian{
-    {11535181119LL, 11535835619LL, 11536476308LL, 11537126770LL,
-     11537792406LL, 11538439502LL, 11539101135LL, 11539751847LL,
-     11540391545LL, 11541038440LL},
-    {1135041533LL, 1134626034LL, 1134901641LL, 1134560874LL, 1135277897LL,
-     1134812960LL, 1135173941LL, 1134996082LL, 1135156183LL, 1135204132LL},
-    {2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
-    1156570ULL, 6781ULL, 6760ULL};
+    .finish_ns = {11535181119, 11535835619, 11536476308, 11537126770,
+                  11537792406, 11538439502, 11539101135, 11539751847,
+                  11540391545, 11541038440},
+    .gpu_ns = {1135041533, 1134626034, 1134901641, 1134560874, 1135277897,
+               1134812960, 1135173941, 1134996082, 1135156183, 1135204132},
+    .batches = {2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+    .events = 1156570,
+    .switches = 6781,
+    .quanta = 6760};
 
 bool PrintRequested() {
   const char* v = std::getenv("OLYMPIAN_GOLDEN_PRINT");
@@ -149,7 +201,7 @@ TEST(GoldenDeterminismTest, BaselineMatchesGoldenAndReplays) {
   const GoldenRun b = RunWorkload(/*olympian=*/false);
   EXPECT_EQ(a, b) << "same-seed replay diverged within one build";
   if (PrintRequested()) {
-    PrintGolden("kGoldenBaseline", a);
+    PrintGolden("GoldenRun", "kGoldenBaseline", a);
     return;
   }
   EXPECT_EQ(a, kGoldenBaseline) << "baseline run diverged from golden values";
@@ -160,7 +212,7 @@ TEST(GoldenDeterminismTest, OlympianMatchesGoldenAndReplays) {
   const GoldenRun b = RunWorkload(/*olympian=*/true);
   EXPECT_EQ(a, b) << "same-seed replay diverged within one build";
   if (PrintRequested()) {
-    PrintGolden("kGoldenOlympian", a);
+    PrintGolden("GoldenRun", "kGoldenOlympian", a);
     return;
   }
   EXPECT_EQ(a, kGoldenOlympian) << "Olympian run diverged from golden values";
@@ -269,6 +321,14 @@ struct GoldenServerRun {
 
   bool operator==(const GoldenServerRun&) const = default;
 };
+
+void PrintTo(const GoldenServerRun& g, std::ostream* os) {
+  Designated{os}("finish_ns", g.finish_ns)("gpu_ns", g.gpu_ns)
+      .Hex("requests", g.requests)("events", g.events)
+      .Hex("counters", g.counters)
+      .Hex("blame", g.blame)
+      .Hex("trace", g.trace);
+}
 
 enum class ServerStaging {
   // Reset on GPU 0 with an alloc-fault window on GPU 1, the failover
@@ -407,47 +467,45 @@ GoldenServerRun RunServerStaging(ServerStaging staging, bool sinks,
   return out;
 }
 
-void PrintGoldenServer(const char* name, const GoldenServerRun& g) {
-  std::printf("const GoldenServerRun %s{\n    {", name);
-  for (auto v : g.finish_ns) std::printf("%lldLL, ", static_cast<long long>(v));
-  std::printf("},\n    {");
-  for (auto v : g.gpu_ns) std::printf("%lldLL, ", static_cast<long long>(v));
-  std::printf("},\n    0x%016llxULL, %lluULL, 0x%016llxULL, 0x%016llxULL, "
-              "0x%016llxULL};\n",
-              static_cast<unsigned long long>(g.requests),
-              static_cast<unsigned long long>(g.events),
-              static_cast<unsigned long long>(g.counters),
-              static_cast<unsigned long long>(g.blame),
-              static_cast<unsigned long long>(g.trace));
-}
-
 // Recorded before the request loop was folded into one attempt tail.
 const GoldenServerRun kGoldenServerFailover{
-    {2729512200LL, 2191265637LL},
-    {2583685398LL, 2114670809LL},
-    0x9d6f0be80db0158cULL, 1480104ULL, 0xd97a983bc7a25618ULL,
-    0xe21c62a1d7133832ULL, 0xaee3064ac2e070deULL};
+    .finish_ns = {2729512200, 2191265637},
+    .gpu_ns = {2583685398, 2114670809},
+    .requests = 0x9d6f0be80db0158c,
+    .events = 1480104,
+    .counters = 0xd97a983bc7a25618,
+    .blame = 0xe21c62a1d7133832,
+    .trace = 0xaee3064ac2e070de};
 // Recorded on the code before the degraded-device hedge and the admission
 // watermark were removed, with the stagings as above.
 const GoldenServerRun kGoldenServerRetryThenFailover{
-    {2905460936LL, 1938600677LL},
-    {2701376134LL, 1903240301LL},
-    0x5f48e579138d6a4fULL, 1397037ULL, 0xb70e74e48fc2a12dULL,
-    0x8c95a9cd871827f8ULL, 0x4d8205e24d47ea57ULL};
+    .finish_ns = {2905460936, 1938600677},
+    .gpu_ns = {2701376134, 1903240301},
+    .requests = 0x5f48e579138d6a4f,
+    .events = 1397037,
+    .counters = 0xb70e74e48fc2a12d,
+    .blame = 0x8c95a9cd871827f8,
+    .trace = 0x4d8205e24d47ea57};
 const GoldenServerRun kGoldenServerDegradation{
-    {2470669392LL, 1769006305LL, 1500160415LL, 1060389056LL},
-    {1238432292LL, 778075386LL, 248475692LL, 81981196LL},
-    0x847a4d1d2f360e0bULL, 650526ULL, 0x97b726df0e73881aULL,
-    0x148cc73fcae45ceeULL, 0xb5ba8bc50236fe8dULL};
+    .finish_ns = {2470669392, 1769006305, 1500160415, 1060389056},
+    .gpu_ns = {1238432292, 778075386, 248475692, 81981196},
+    .requests = 0x847a4d1d2f360e0b,
+    .events = 650526,
+    .counters = 0x97b726df0e73881a,
+    .blame = 0x148cc73fcae45cee,
+    .trace = 0xb5ba8bc50236fe8d};
 // Recorded on the code before the circuit breaker, device health scoring
 // and the score-triggered hedge were removed. Its staging then also set the
 // degraded-device hedge, which never raced a leg in it: dropping that line
 // left every value unchanged.
 const GoldenServerRun kGoldenServerHangThenAllDown{
-    {2041853795LL, 1005046263LL},
-    {525748348LL, 960094386LL},
-    0x13acad713724d540ULL, 766194ULL, 0x9c1e49258a11feb2ULL,
-    0x5c4b80aca0b1683eULL, 0x897a54e815e6619cULL};
+    .finish_ns = {2041853795, 1005046263},
+    .gpu_ns = {525748348, 960094386},
+    .requests = 0x13acad713724d540,
+    .events = 766194,
+    .counters = 0x9c1e49258a11feb2,
+    .blame = 0x5c4b80aca0b1683e,
+    .trace = 0x897a54e815e6619c};
 
 TEST(GoldenDeterminismTest, ServerFaultPathsMatchGolden) {
   const std::tuple<ServerStaging, const char*, const GoldenServerRun*>
@@ -466,7 +524,7 @@ TEST(GoldenDeterminismTest, ServerFaultPathsMatchGolden) {
     metrics::ServingCounters c;
     const GoldenServerRun run = RunServerStaging(staging, /*sinks=*/true, &c);
     if (PrintRequested()) {
-      PrintGoldenServer(name, run);
+      PrintGolden("GoldenServerRun", name, run);
     } else {
       EXPECT_EQ(run, *golden) << name << " diverged from golden values";
       // The sinks only observe: without them every branch of the request
@@ -514,6 +572,11 @@ struct RouterLog {
   bool operator==(const RouterLog&) const = default;
 };
 
+void PrintTo(const RouterLog& g, std::ostream* os) {
+  Designated{os}("edges", g.edges)("incidents", g.incidents)
+      .Hex("hash", g.hash);
+}
+
 RouterLog HashRouterLog(const serving::Router& router) {
   RouterLog out;
   for (const auto& t : router.transitions()) {
@@ -541,6 +604,12 @@ struct GoldenClusterRun {
 
   bool operator==(const GoldenClusterRun&) const = default;
 };
+
+void PrintTo(const GoldenClusterRun& g, std::ostream* os) {
+  Designated{os}("finish_ns", g.finish_ns)("completed", g.completed)(
+      "events", g.events)("routed", g.routed)("ok", g.ok)(
+      "failed_over", g.failed_over)("transitions", g.transitions);
+}
 
 GoldenClusterRun RunClusterWorkload(RouterLog* log = nullptr) {
   serving::ClusterOptions opts;
@@ -573,30 +642,21 @@ GoldenClusterRun RunClusterWorkload(RouterLog* log = nullptr) {
   return out;
 }
 
-void PrintGoldenCluster(const char* name, const GoldenClusterRun& g) {
-  std::printf("const GoldenClusterRun %s{\n    {", name);
-  for (auto v : g.finish_ns) std::printf("%lldLL, ", static_cast<long long>(v));
-  std::printf("},\n    {");
-  for (auto v : g.completed) std::printf("%d, ", v);
-  std::printf("},\n    %lluULL, %lluULL, %lluULL, %lluULL, %lluULL};\n",
-              static_cast<unsigned long long>(g.events),
-              static_cast<unsigned long long>(g.routed),
-              static_cast<unsigned long long>(g.ok),
-              static_cast<unsigned long long>(g.failed_over),
-              static_cast<unsigned long long>(g.transitions));
-}
-
 const GoldenClusterRun kGoldenCluster{
-    {1169439626LL, 1055583791LL, 1173012036LL, 1053536204LL},
-    {6, 6, 6, 6},
-    3201689ULL, 26ULL, 24ULL, 2ULL, 4ULL};
+    .finish_ns = {1169439626, 1055583791, 1173012036, 1053536204},
+    .completed = {6, 6, 6, 6},
+    .events = 3201689,
+    .routed = 26,
+    .ok = 24,
+    .failed_over = 2,
+    .transitions = 4};
 
 TEST(GoldenDeterminismTest, ClusterMatchesGoldenAndReplays) {
   const GoldenClusterRun a = RunClusterWorkload();
   const GoldenClusterRun b = RunClusterWorkload();
   EXPECT_EQ(a, b) << "same-seed cluster replay diverged within one build";
   if (PrintRequested()) {
-    PrintGoldenCluster("kGoldenCluster", a);
+    PrintGolden("GoldenClusterRun", "kGoldenCluster", a);
     return;
   }
   EXPECT_EQ(a, kGoldenCluster) << "cluster run diverged from golden values";
@@ -690,18 +750,22 @@ GoldenClusterRun RunShardedClusterWorkload(
 // shard-count pins compare runs with each other, so a change to code every
 // shard count shares would move both sides and still pass; these pin values.
 const GoldenClusterRun kGoldenShardedCluster{
-    {961891928LL, 823517020LL, 878444850LL, 802498387LL, 946666024LL,
-     822168740LL, 863506674LL, 801495179LL},
-    {5, 5, 5, 5, 5, 5, 5, 5},
-    4085189ULL, 46ULL, 40ULL, 6ULL, 10ULL};
+    .finish_ns = {961891928, 823517020, 878444850, 802498387, 946666024,
+                  822168740, 863506674, 801495179},
+    .completed = {5, 5, 5, 5, 5, 5, 5, 5},
+    .events = 4085189,
+    .routed = 46,
+    .ok = 40,
+    .failed_over = 6,
+    .transitions = 10};
 
 TEST(GoldenDeterminismTest, ShardedClusterBitIdenticalToUnsharded) {
   const GoldenClusterRun seq = RunShardedClusterWorkload(1);
   const GoldenClusterRun par = RunShardedClusterWorkload(4);
   const GoldenClusterRun par2 = RunShardedClusterWorkload(4);
   if (PrintRequested()) {
-    PrintGoldenCluster("kGoldenShardedCluster", seq);
-    PrintGoldenCluster("kGoldenShardedCluster(par)", par);
+    PrintGolden("GoldenClusterRun", "kGoldenShardedCluster", seq);
+    PrintGolden("GoldenClusterRun", "kGoldenShardedCluster(par)", par);
     return;
   }
   EXPECT_EQ(seq, kGoldenShardedCluster)
@@ -724,15 +788,23 @@ TEST(GoldenDeterminismTest, ShardedClusterWithTwoShardsMatchesToo) {
 // Lost responses and failed first-arrival tenants, with router failover on
 // (free re-admission) and off (budgeted retries), at shards 1 and 4.
 const GoldenClusterRun kGoldenLostResponses{
-    {1230287462LL, 1202134651LL, 1025052519LL, 1018794248LL, 1138995546LL,
-     1182981105LL, 1038570923LL, 1020892112LL},
-    {5, 5, 5, 5, 5, 5, 5, 5},
-    9325576ULL, 53ULL, 40ULL, 9ULL, 18ULL};
+    .finish_ns = {1230287462, 1202134651, 1025052519, 1018794248, 1138995546,
+                  1182981105, 1038570923, 1020892112},
+    .completed = {5, 5, 5, 5, 5, 5, 5, 5},
+    .events = 9325576,
+    .routed = 53,
+    .ok = 40,
+    .failed_over = 9,
+    .transitions = 18};
 const GoldenClusterRun kGoldenLostResponsesNoFailover{
-    {230800187LL, 835279810LL, 509375448LL, 733307371LL, 230800267LL,
-     838571307LL, 509909840LL, 733191152LL},
-    {0, 5, 3, 5, 0, 5, 3, 5},
-    2073021ULL, 70ULL, 26ULL, 0ULL, 12ULL};
+    .finish_ns = {230800187, 835279810, 509375448, 733307371, 230800267,
+                  838571307, 509909840, 733191152},
+    .completed = {0, 5, 3, 5, 0, 5, 3, 5},
+    .events = 2073021,
+    .routed = 70,
+    .ok = 26,
+    .failed_over = 0,
+    .transitions = 12};
 
 TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
   const ClusterVariant lossy{.lost_responses = true};
@@ -746,8 +818,8 @@ TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
   const GoldenClusterRun b =
       RunShardedClusterWorkload(1, no_failover, &no_failover_counters);
   if (PrintRequested()) {
-    PrintGoldenCluster("kGoldenLostResponses", a);
-    PrintGoldenCluster("kGoldenLostResponsesNoFailover", b);
+    PrintGolden("GoldenClusterRun", "kGoldenLostResponses", a);
+    PrintGolden("GoldenClusterRun", "kGoldenLostResponsesNoFailover", b);
     return;
   }
   EXPECT_EQ(a, kGoldenLostResponses);
@@ -776,11 +848,10 @@ TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
   EXPECT_GT(no_failover_counters.requests_failed, 0u);
 }
 
-// Sharded observability: a cluster run with a server-side tracer AND a
-// server-side registry (both banned in sharded mode before the private-
-// accumulator merge) must export byte-identical artifacts at any shard
-// count. Compares the full Chrome trace JSON, Prometheus exposition, and
-// JSON timeline strings.
+// Sharded observability: a cluster run with a server-side tracer (banned in
+// sharded mode before the private-accumulator merge) and a cluster registry
+// must export byte-identical artifacts at any shard count. Compares the full
+// Chrome trace JSON, Prometheus exposition, and JSON timeline strings.
 struct GoldenObservabilityRun {
   GoldenClusterRun run;
   std::string chrome_trace;
@@ -790,11 +861,10 @@ struct GoldenObservabilityRun {
   bool operator==(const GoldenObservabilityRun&) const = default;
 };
 
-// `shared_registry` points ClusterOptions::registry at the server registry,
-// so the router's counters and histogram land next to the per-server
-// counters and the cluster registry stays empty.
-GoldenObservabilityRun RunShardedObservabilityWorkload(
-    std::size_t shards, bool shared_registry = false) {
+// `server_registry` stays empty: a cluster rejects a per-server registry.
+// Its exports still lead each string, as when the cluster exported every
+// server's counters into it, so the timeline pin recorded then still holds.
+GoldenObservabilityRun RunShardedObservabilityWorkload(std::size_t shards) {
   metrics::Tracer tracer(200000);
   metrics::MetricRegistry server_registry;
   metrics::MetricRegistry cluster_registry;
@@ -805,8 +875,7 @@ GoldenObservabilityRun RunShardedObservabilityWorkload(
   opts.seed = 11;
   opts.shards = shards;
   opts.server.executor.tracer = &tracer;
-  opts.server.observability.registry = &server_registry;
-  opts.registry = shared_registry ? &server_registry : &cluster_registry;
+  opts.registry = &cluster_registry;
   opts.faults.Crash(sim::TimePoint() + sim::Duration::Millis(100),
                     sim::Duration::Millis(400), /*server=*/0);
   opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(300),
@@ -862,8 +931,9 @@ TEST(GoldenDeterminismTest, ShardedObservabilityExportsBitIdentical) {
   const GoldenObservabilityRun par = RunShardedObservabilityWorkload(4);
   EXPECT_GT(seq.chrome_trace.size(), 100u)
       << "trace export is vacuously empty";
-  EXPECT_NE(seq.prometheus.find("server=\"1\""), std::string::npos)
-      << "per-server counters missing from the merged registry export";
+  EXPECT_NE(seq.prometheus.find("olympian_router_requests_ok_total"),
+            std::string::npos)
+      << "router counters missing from the cluster registry export";
   EXPECT_EQ(par.run, seq.run);
   EXPECT_EQ(par.chrome_trace, seq.chrome_trace)
       << "sharded Chrome trace diverged from the unsharded export";
@@ -885,43 +955,35 @@ struct ObservabilityPin {
   bool operator==(const ObservabilityPin&) const = default;
 };
 
+void PrintTo(const ObservabilityPin& g, std::ostream* os) {
+  Designated{os}("events", g.events)
+      .Hex("prometheus", g.prometheus)
+      .Hex("timeline", g.timeline)
+      .Hex("trace", g.trace);
+}
+
 ObservabilityPin PinOf(const GoldenObservabilityRun& r) {
   return {r.run.events, Fnv1a(r.prometheus), Fnv1a(r.timeline),
           Fnv1a(r.chrome_trace)};
 }
 
-void PrintObservabilityPin(const char* name, const ObservabilityPin& g) {
-  std::printf("const ObservabilityPin %s{%lluULL, 0x%016llxULL, "
-              "0x%016llxULL, 0x%016llxULL};\n",
-              name, static_cast<unsigned long long>(g.events),
-              static_cast<unsigned long long>(g.prometheus),
-              static_cast<unsigned long long>(g.timeline),
-              static_cast<unsigned long long>(g.trace));
-}
-
+// `prometheus` re-pinned when the per-server counter lines left the server
+// registry's export; the other fields were recorded with them.
 const ObservabilityPin kGoldenObservability{
-    523995ULL, 0x190ab2b5e12896c8ULL, 0x4fa63e730662897bULL,
-    0x8acea39de2de9562ULL};
-const ObservabilityPin kGoldenObservabilitySharedRegistry{
-    523995ULL, 0x9f7deee39c5867fcULL, 0x726a6db09e9939cdULL,
-    0x8acea39de2de9562ULL};
+    .events = 523995,
+    .prometheus = 0xb8eef0c456c2deb9,
+    .timeline = 0x4fa63e730662897b,
+    .trace = 0x8acea39de2de9562};
 
 TEST(GoldenDeterminismTest, ShardedObservabilityExportsMatchGolden) {
   for (const std::size_t shards : {1, 4}) {
-    const GoldenObservabilityRun separate =
-        RunShardedObservabilityWorkload(shards);
-    const GoldenObservabilityRun shared =
-        RunShardedObservabilityWorkload(shards, /*shared_registry=*/true);
+    const ObservabilityPin pin = PinOf(RunShardedObservabilityWorkload(shards));
     if (PrintRequested()) {
       std::printf("shards=%zu\n", shards);
-      PrintObservabilityPin("kGoldenObservability", PinOf(separate));
-      PrintObservabilityPin("kGoldenObservabilitySharedRegistry",
-                            PinOf(shared));
+      PrintGolden("ObservabilityPin", "kGoldenObservability", pin);
       continue;
     }
-    EXPECT_EQ(PinOf(separate), kGoldenObservability) << "shards=" << shards;
-    EXPECT_EQ(PinOf(shared), kGoldenObservabilitySharedRegistry)
-        << "shards=" << shards;
+    EXPECT_EQ(pin, kGoldenObservability) << "shards=" << shards;
   }
 }
 
@@ -1115,6 +1177,13 @@ struct GoldenGrayRun {
   bool operator==(const GoldenGrayRun&) const = default;
 };
 
+void PrintTo(const GoldenGrayRun& g, std::ostream* os) {
+  Designated{os}("finish_ns", g.finish_ns)("completed", g.completed)(
+      "events", g.events)("ok", g.ok)("shed", g.shed)("degrades", g.degrades)(
+      "recovers", g.recovers)("brownouts", g.brownouts)(
+      "detection_ns", g.detection_ns);
+}
+
 GoldenGrayRun RunGrayClusterWorkload(std::size_t shards,
                                      RouterLog* log = nullptr) {
   serving::ClusterOptions opts;
@@ -1164,34 +1233,24 @@ GoldenGrayRun RunGrayClusterWorkload(std::size_t shards,
   return out;
 }
 
-void PrintGoldenGray(const char* name, const GoldenGrayRun& g) {
-  std::printf("const GoldenGrayRun %s{\n    {", name);
-  for (auto v : g.finish_ns) std::printf("%lldLL, ", static_cast<long long>(v));
-  std::printf("},\n    {");
-  for (auto v : g.completed) std::printf("%d, ", v);
-  std::printf("},\n    %lluULL, %lluULL, %lluULL, %lluULL, %lluULL, %lluULL, "
-              "%lldLL};\n",
-              static_cast<unsigned long long>(g.events),
-              static_cast<unsigned long long>(g.ok),
-              static_cast<unsigned long long>(g.shed),
-              static_cast<unsigned long long>(g.degrades),
-              static_cast<unsigned long long>(g.recovers),
-              static_cast<unsigned long long>(g.brownouts),
-              static_cast<long long>(g.detection_ns));
-}
-
 const GoldenGrayRun kGoldenGray{
-    {885153784LL, 1279888020LL, 769712434LL, 1065424996LL, 912355800LL,
-     1271921622LL, 471160639LL, 1064546099LL},
-    {4, 8, 4, 8, 4, 8, 2, 8},
-    3128821ULL, 46ULL, 18ULL, 3ULL, 3ULL, 1ULL, 137666666LL};
+    .finish_ns = {885153784, 1279888020, 769712434, 1065424996, 912355800,
+                  1271921622, 471160639, 1064546099},
+    .completed = {4, 8, 4, 8, 4, 8, 2, 8},
+    .events = 3128821,
+    .ok = 46,
+    .shed = 18,
+    .degrades = 3,
+    .recovers = 3,
+    .brownouts = 1,
+    .detection_ns = 137666666};
 
 TEST(GoldenDeterminismTest, GrayClusterMatchesGoldenAndReplays) {
   const GoldenGrayRun a = RunGrayClusterWorkload(1);
   const GoldenGrayRun b = RunGrayClusterWorkload(1);
   EXPECT_EQ(a, b) << "same-seed gray-failure replay diverged within one build";
   if (PrintRequested()) {
-    PrintGoldenGray("kGoldenGray", a);
+    PrintGolden("GoldenGrayRun", "kGoldenGray", a);
     return;
   }
   EXPECT_EQ(a, kGoldenGray) << "gray-failure run diverged from golden values";
@@ -1216,16 +1275,18 @@ TEST(GoldenDeterminismTest, GrayClusterShardedBitIdenticalToUnsharded) {
 // Router health logs, edge by edge: the crash golden, the lossy fault-path
 // variant at shards 1 and 4, and the scored brownout run.
 
-void PrintRouterLog(const char* name, const RouterLog& g) {
-  std::printf("const RouterLog %s{%lluULL, %lluULL, 0x%016llxULL};\n", name,
-              static_cast<unsigned long long>(g.edges),
-              static_cast<unsigned long long>(g.incidents),
-              static_cast<unsigned long long>(g.hash));
-}
-
-const RouterLog kGoldenCrashRouterLog{4ULL, 1ULL, 0x99b4c78785bdd5b3ULL};
-const RouterLog kGoldenLossyRouterLog{18ULL, 3ULL, 0xb5a8137d985494b1ULL};
-const RouterLog kGoldenGrayRouterLog{6ULL, 0ULL, 0x09cab94b6a5a8a9bULL};
+const RouterLog kGoldenCrashRouterLog{
+    .edges = 4,
+    .incidents = 1,
+    .hash = 0x99b4c78785bdd5b3};
+const RouterLog kGoldenLossyRouterLog{
+    .edges = 18,
+    .incidents = 3,
+    .hash = 0xb5a8137d985494b1};
+const RouterLog kGoldenGrayRouterLog{
+    .edges = 6,
+    .incidents = 0,
+    .hash = 0x09cab94b6a5a8a9b};
 
 TEST(GoldenDeterminismTest, RouterHealthLogsMatchGolden) {
   const ClusterVariant lossy{.lost_responses = true};
@@ -1235,10 +1296,10 @@ TEST(GoldenDeterminismTest, RouterHealthLogsMatchGolden) {
   RunShardedClusterWorkload(4, lossy, nullptr, &lossy4);
   RunGrayClusterWorkload(1, &gray);
   if (PrintRequested()) {
-    PrintRouterLog("kGoldenCrashRouterLog", crash);
-    PrintRouterLog("kGoldenLossyRouterLog", lossy1);
-    PrintRouterLog("kGoldenLossyRouterLog(shards=4)", lossy4);
-    PrintRouterLog("kGoldenGrayRouterLog", gray);
+    PrintGolden("RouterLog", "kGoldenCrashRouterLog", crash);
+    PrintGolden("RouterLog", "kGoldenLossyRouterLog", lossy1);
+    PrintGolden("RouterLog", "kGoldenLossyRouterLog(shards=4)", lossy4);
+    PrintGolden("RouterLog", "kGoldenGrayRouterLog", gray);
     return;
   }
   EXPECT_EQ(crash, kGoldenCrashRouterLog);

@@ -117,8 +117,20 @@ TEST(GrayFailureTest, ServerPlanRejectsOutOfRangeGrayFaults) {
                  std::invalid_argument)
         << factor;
   }
+  // A negative window would end before it starts and run the virtual clock
+  // backwards, whichever adder set it.
+  const Duration minus = Duration::Millis(-20);
+  EXPECT_THROW(plan.Crash(At(1), minus, 0), std::invalid_argument);
+  EXPECT_THROW(plan.Hang(At(1), minus, 0), std::invalid_argument);
+  EXPECT_THROW(
+      plan.Partition(At(1), minus, 0, fault::PartitionDirection::kBoth),
+      std::invalid_argument);
+  EXPECT_THROW(plan.CapacityLoss(At(1), minus, 0, 0.5), std::invalid_argument);
+  EXPECT_THROW(plan.Jitter(At(1), minus, 0, 2.0), std::invalid_argument);
   EXPECT_TRUE(plan.empty());
   EXPECT_NO_THROW(plan.Jitter(At(1), Duration::Millis(1), 0, 1.0));
+  // A zero window is an instant fault, as before.
+  EXPECT_NO_THROW(plan.Hang(At(1), Duration::Zero(), 0));
 }
 
 // ---------------------------------------------------------------------------

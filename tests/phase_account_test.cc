@@ -15,10 +15,8 @@
 #include "fault/fault.h"
 #include "metrics/incident.h"
 #include "metrics/phase_account.h"
-#include "serving/batcher.h"
 #include "serving/cluster.h"
 #include "serving/server.h"
-#include "sim/environment.h"
 #include "sim/time.h"
 
 namespace olympian {
@@ -193,45 +191,6 @@ TEST(PhaseAccountTest, IdentityHoldsThroughServerFaultsAndFailover) {
   EXPECT_GT(phases.requests(), 0u);
   // THE gate: every request's phase charges tile its lifetime bit-exactly.
   EXPECT_EQ(phases.mismatches(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// The identity through the batcher: coalesced waiters split the batch's GPU
-// run into per-member compute + queue, and the cursor lands on resume.
-
-TEST(PhaseAccountTest, IdentityHoldsThroughTheBatcher) {
-  serving::Experiment exp(serving::ServerOptions{});
-  serving::Batcher::Options bo;
-  bo.allowed_batch_sizes = {4, 8};
-  bo.batch_timeout = Duration::Millis(20);
-  serving::Batcher batcher(exp, "resnet-152", bo);
-
-  constexpr int kProducers = 2;  // partial batch: timeout path, real wait
-  std::vector<PhaseAccount> accounts(kProducers);
-  std::vector<Duration> latencies(kProducers);
-  std::vector<sim::Process> procs;
-  for (int i = 0; i < kProducers; ++i) {
-    procs.push_back(exp.env().Spawn(
-        [](sim::Environment& env, serving::Batcher& b, PhaseAccount& pa,
-           Duration& lat) -> sim::Task {
-          pa.Start(env.Now());
-          co_await b.Infer(&lat, &pa);
-        }(exp.env(), batcher, accounts[i], latencies[i]),
-        "producer"));
-  }
-  exp.env().Spawn(
-      [](serving::Batcher& b, std::vector<sim::Process> ps) -> sim::Task {
-        for (auto& p : ps) co_await p.Join();
-        b.Close();
-      }(batcher, std::move(procs)),
-      "supervisor");
-  exp.FinishManualRun();
-
-  for (int i = 0; i < kProducers; ++i) {
-    EXPECT_EQ(accounts[i].TotalNs(), latencies[i].nanos()) << "producer " << i;
-    EXPECT_GT(accounts[i].ns(Phase::kBatcherWait), 0) << "producer " << i;
-    EXPECT_GT(accounts[i].ns(Phase::kGpuCompute), 0) << "producer " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------
