@@ -78,7 +78,8 @@ int main() {
                 exp.SetHooks(&sched);
                 const auto rr = exp.Run(clients);
                 bench::RunOutcome run;
-                run.quantum_log = sched.quantum_log();
+                run.quantum_log.assign(sched.quantum_log().begin(),
+                                       sched.quantum_log().end());
                 const auto stats =
                     bench::PerJobQuantumStats(run, clients.size());
                 metrics::Series means;

@@ -75,7 +75,8 @@ RunOutcome RunWithScheduler(const serving::ServerOptions& server,
   out.utilization = exp.utilization();
   out.switches = sched.switches();
   out.quanta = sched.quanta_completed();
-  out.quantum_log = sched.quantum_log();
+  out.quantum_log.assign(sched.quantum_log().begin(),
+                         sched.quantum_log().end());
   return out;
 }
 

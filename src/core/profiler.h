@@ -34,6 +34,9 @@ struct ProfilerOptions {
   std::uint64_t seed = 7;
   // Server configuration profiles are taken under. Profiling runs offline —
   // in their own private simulation with an idle GPU — mirroring the paper.
+  // It must carry no sinks (registry, phase collector, tracer): a curve's
+  // experiments run on several threads at once, and the constructor
+  // rejects them.
   serving::ServerOptions server;
 };
 
@@ -56,6 +59,11 @@ class Profiler {
   // Fills `profile.overhead_q` by measurement over the fixed Q sweep
   // (300us .. 5ms): one two-instance Olympian experiment per point, each
   // compared with one stock TF-Serving baseline shared by the whole curve.
+  // The nine experiments run on up to three threads, the caller's among
+  // them; the curve is bit-identical at any thread count. If any
+  // experiment throws, the lowest one's exception (the baseline first,
+  // then ascending Q) is rethrown here after every thread has joined, and
+  // `profile.overhead_q` keeps its old value.
   void ComputeOverheadQCurve(ModelProfile& profile) const;
 
   // The operator-facing knob (paper §3.2 "Determining Q"): smallest Q whose

@@ -63,6 +63,9 @@ void Scheduler::RegisterRun(graph::JobContext& ctx) {
                              ctx.model_key + "'");
     }
     threshold = it->second.threshold;
+    // Map nodes never move and SetProfile assigns in place, so the pointer
+    // sees a later SetProfile for this key exactly as a lookup would.
+    ctx.hooks_profile = &it->second;
   }
   jobs_.push_back(JobEntry{ctx.job, &ctx, threshold, 0});
   if (token_ == gpusim::kNoJob) Rotate(gpusim::kNoJob);
@@ -174,7 +177,7 @@ void Scheduler::OnNodeComputed(graph::JobContext& ctx,
   if (options_.use_wall_clock) return;  // Figure 19 ablation: timer-driven
   if (!node.is_gpu()) return;           // Algorithm 2, line 14
   if (!options_.charge_overflow && token_ != ctx.job) return;  // ablation
-  const ProfileInfo& info = profiles_.at(ctx.model_key);
+  const auto& info = *static_cast<const ProfileInfo*>(ctx.hooks_profile);
   ctx.cumulated_cost += info.profile->NodeCost(node.id);
   // Note: this runs on the job's own thread even when the node "overflowed"
   // past a token rotation — the overflow cost is charged to this job

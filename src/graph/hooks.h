@@ -78,6 +78,10 @@ struct JobContext {
   int priority = 0;
   // Algorithm 2's `cumulatedCost`, shared by the job's whole thread gang.
   double cumulated_cost = 0.0;
+  // What the scheduling hooks resolved for `model_key` in RegisterRun (for
+  // Olympian's scheduler, its profile entry), so the per-node hook reads it
+  // without a lookup by key. Opaque to the executor; set for each run.
+  const void* hooks_profile = nullptr;
   // GPU streams assigned to this job, used round-robin across its nodes.
   std::vector<gpusim::StreamId> streams;
   std::size_t next_stream = 0;

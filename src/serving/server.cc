@@ -298,7 +298,10 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
       ++flow_hops;
       hop_detail = nullptr;
       flow_track = ctx->job;
-      auto token = std::make_shared<graph::CancelToken>();
+      // From the frame pool, like Environment::Spawn's process state, so
+      // the token costs no heap allocation once the pool is warm.
+      auto token = std::allocate_shared<graph::CancelToken>(
+          sim::detail::PoolAlloc<graph::CancelToken>{});
       if (has_deadline) {
         env_.Spawn(DeadlineWatchdog(token, ctx, gpu, deadline),
                    ctx->client_name + "/watchdog");

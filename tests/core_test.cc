@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -329,6 +331,36 @@ TEST(SchedulerTest, QuantumLogRecordsTenures) {
   EXPECT_EQ(f.sched.quantum_log()[0].job, 0);
   EXPECT_EQ(f.sched.quantum_log()[1].job, 1);
   EXPECT_EQ(f.sched.quantum_log()[0].active_jobs, 2u);
+}
+
+TEST(SchedulerTest, QuantumLogKeepsWriteOrderAcrossChunks) {
+  SchedFixture f(std::make_unique<FairPolicy>());
+  f.sched.SetProfile("m@1", &f.profile, 100.0);  // one node per quantum
+  auto a = MakeCtx(0), b = MakeCtx(1);
+  f.sched.RegisterRun(a);
+  f.sched.RegisterRun(b);
+  // Tenure i ends at i + 1 us, so each record names its write position.
+  const std::size_t n = 2 * Scheduler::QuantumLog::kChunkRecords + 3;
+  graph::JobContext* holders[] = {&a, &b};
+  for (std::size_t i = 0; i < n; ++i) {
+    f.env.AdvanceTo(sim::TimePoint() +
+                    Duration::Micros(static_cast<std::int64_t>(i + 1)));
+    f.sched.OnNodeComputed(*holders[f.sched.token()], f.FakeGpuNode(0));
+  }
+  const Scheduler::QuantumLog& log = f.sched.quantum_log();
+  ASSERT_EQ(log.size(), n);
+  std::size_t i = 0;
+  for (const Scheduler::QuantumRecord& rec : log) {
+    ASSERT_LT(i, n);
+    EXPECT_EQ(&rec, &log[i]) << "record " << i;
+    EXPECT_EQ(rec.job, static_cast<JobId>(i % 2)) << "record " << i;
+    EXPECT_EQ(rec.start.nanos(), static_cast<std::int64_t>(i) * 1000)
+        << "record " << i;
+    EXPECT_EQ(rec.end.nanos(), static_cast<std::int64_t>(i + 1) * 1000)
+        << "record " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, n);
 }
 
 TEST(SchedulerTest, WallClockModeRotatesOnTimer) {

@@ -43,7 +43,7 @@ RunArtifacts RunFairWorkload(const std::string& model, int batch, int clients,
   out.results = exp.Run(std::vector<ClientSpec>(
       static_cast<std::size_t>(clients),
       ClientSpec{.model = model, .batch = batch, .num_batches = 2}));
-  out.quanta = sched.quantum_log();
+  out.quanta.assign(sched.quantum_log().begin(), sched.quantum_log().end());
   out.gpu_busy = exp.gpu().TotalBusy();
   out.switches = sched.switches();
   return out;

@@ -7,10 +7,14 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/profiler.h"
 #include "core/scheduler.h"
+#include "metrics/phase_account.h"
+#include "metrics/registry.h"
 #include "metrics/stats.h"
+#include "metrics/trace.h"
 #include "serving/server.h"
 
 namespace olympian::serving {
@@ -330,6 +334,53 @@ TEST(ProfilerTest, ThresholdMatchesFormula) {
   EXPECT_NEAR(t, 1e6 * p.TotalCost() /
                      static_cast<double>(p.GpuDuration().nanos()),
               1e-6 * t);
+}
+
+TEST(ProfilerTest, RejectsBadOptions) {
+  core::ProfilerOptions runs;
+  runs.profile_runs = 0;
+  EXPECT_THROW(core::Profiler{runs}, std::invalid_argument);
+  // A curve's experiments run on several threads; none may share a sink.
+  metrics::MetricRegistry registry;
+  metrics::PhaseCollector phases;
+  metrics::Tracer tracer;
+  core::ProfilerOptions sinks[3];
+  sinks[0].server.observability.registry = &registry;
+  sinks[1].server.observability.phases = &phases;
+  sinks[2].server.executor.tracer = &tracer;
+  for (const core::ProfilerOptions& opts : sinks) {
+    EXPECT_THROW(core::Profiler{opts}, std::invalid_argument);
+  }
+}
+
+// A curve that fails reaches the caller and keeps the profile's old curve.
+TEST(ProfilerTest, FailedCurveRethrowsAndKeepsOldCurve) {
+  core::Profiler profiler;
+  const core::ModelProfile measured = profiler.ProfileModel("resnet-152", 20);
+  const std::vector<std::pair<Duration, double>> old_curve = {
+      {Duration::Micros(700), 0.25}};
+
+  // No GPU duration, so no threshold: ThresholdFor's logic_error.
+  core::ModelProfile no_duration = measured;
+  no_duration.overhead_q = old_curve;
+  no_duration.cost.gpu_duration = Duration::Zero();
+  try {
+    profiler.ComputeOverheadQCurve(no_duration);
+    ADD_FAILURE() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("has no GPU duration"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(no_duration.overhead_q, old_curve);
+
+  // An unknown model fails inside every experiment, on whichever thread
+  // runs it; the exception surfaces here, not as a terminate.
+  core::ModelProfile unknown = measured;
+  unknown.model = "no-such-model";
+  unknown.overhead_q = old_curve;
+  EXPECT_THROW(profiler.ComputeOverheadQCurve(unknown), std::out_of_range);
+  EXPECT_EQ(unknown.overhead_q, old_curve);
 }
 
 TEST(ProfilerTest, SelectQPicksToleranceCrossing) {
