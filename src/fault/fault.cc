@@ -59,12 +59,6 @@ FaultPlan& FaultPlan::DeviceHang(sim::TimePoint at, sim::Duration duration,
   return *this;
 }
 
-FaultPlan& FaultPlan::DeviceReset(sim::TimePoint at, std::size_t gpu_index) {
-  events_.push_back(
-      FaultEvent{.kind = FaultKind::kDeviceReset, .at = at, .gpu_index = gpu_index});
-  return *this;
-}
-
 FaultPlan& FaultPlan::DeviceReset(sim::TimePoint at, sim::Duration outage,
                                   std::size_t gpu_index) {
   CheckWindow(outage, "FaultPlan::DeviceReset outage");
@@ -144,14 +138,13 @@ FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
                [&](sim::TimePoint at) {
                  const auto gpu = static_cast<std::size_t>(rng.UniformInt(
                      0, static_cast<std::int64_t>(options.num_gpus) - 1));
-                 if (options.mean_reset_outage > sim::Duration::Zero()) {
-                   plan.DeviceReset(at,
-                                    options.mean_reset_outage *
-                                        (-std::log(1.0 - rng.NextDouble())),
-                                    gpu);
-                 } else {
-                   plan.DeviceReset(at, gpu);
-                 }
+                 // A zero mean draws no outage: an instant reset.
+                 const sim::Duration outage =
+                     options.mean_reset_outage > sim::Duration::Zero()
+                         ? options.mean_reset_outage *
+                               (-std::log(1.0 - rng.NextDouble()))
+                         : sim::Duration::Zero();
+                 plan.DeviceReset(at, outage, gpu);
                });
   DrawArrivals(rng, options.expected_alloc_faults, options.horizon,
                [&](sim::TimePoint at) {
@@ -174,26 +167,12 @@ const char* ToString(ServerFaultKind kind) {
   switch (kind) {
     case ServerFaultKind::kCrash:
       return "server-crash";
-    case ServerFaultKind::kHang:
-      return "server-hang";
     case ServerFaultKind::kPartition:
       return "partition";
     case ServerFaultKind::kCapacityLoss:
       return "capacity-loss";
     case ServerFaultKind::kJitter:
       return "jitter";
-  }
-  return "unknown";
-}
-
-const char* ToString(PartitionDirection d) {
-  switch (d) {
-    case PartitionDirection::kToServer:
-      return "to-server";
-    case PartitionDirection::kFromServer:
-      return "from-server";
-    case PartitionDirection::kBoth:
-      return "both";
   }
   return "unknown";
 }
@@ -208,26 +187,15 @@ ServerFaultPlan& ServerFaultPlan::Crash(sim::TimePoint at, sim::Duration outage,
   return *this;
 }
 
-ServerFaultPlan& ServerFaultPlan::Hang(sim::TimePoint at, sim::Duration duration,
-                                       std::size_t server) {
-  CheckWindow(duration, "ServerFaultPlan::Hang duration");
-  events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kHang,
-                                     .at = at,
-                                     .server = server,
-                                     .duration = duration});
-  return *this;
-}
-
 ServerFaultPlan& ServerFaultPlan::Partition(sim::TimePoint at,
                                             sim::Duration window,
                                             std::size_t server,
-                                            PartitionDirection direction) {
+                                            PartitionDirection /*direction*/) {
   CheckWindow(window, "ServerFaultPlan::Partition window");
   events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kPartition,
                                      .at = at,
                                      .server = server,
-                                     .duration = window,
-                                     .direction = direction});
+                                     .duration = window});
   return *this;
 }
 
@@ -280,21 +248,12 @@ ServerFaultPlan ServerFaultPlan::Random(const RandomOptions& options,
                                 (-std::log(1.0 - rng.NextDouble())),
                             draw_server());
                });
-  DrawArrivals(rng, options.expected_hangs, options.horizon,
-               [&](sim::TimePoint at) {
-                 plan.Hang(at,
-                           options.mean_hang *
-                               (-std::log(1.0 - rng.NextDouble())),
-                           draw_server());
-               });
   DrawArrivals(rng, options.expected_partitions, options.horizon,
                [&](sim::TimePoint at) {
-                 const auto dir = static_cast<PartitionDirection>(
-                     rng.UniformInt(0, 2));
                  plan.Partition(at,
                                 kMeanPartition *
                                     (-std::log(1.0 - rng.NextDouble())),
-                                draw_server(), dir);
+                                draw_server(), PartitionDirection::kToServer);
                });
   DrawArrivals(rng, options.expected_capacity_losses, options.horizon,
                [&](sim::TimePoint at) {

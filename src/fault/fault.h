@@ -68,11 +68,11 @@ class FaultPlan {
                            std::size_t gpu_index = 0);
   FaultPlan& DeviceHang(sim::TimePoint at, sim::Duration duration,
                         std::size_t gpu_index = 0);
-  FaultPlan& DeviceReset(sim::TimePoint at, std::size_t gpu_index = 0);
   // Reset with a down window: submissions fail fast until `outage` elapses,
-  // then the device signals completion to its health listener.
+  // then the device signals completion to its health listener. A zero
+  // outage is an instant reset.
   FaultPlan& DeviceReset(sim::TimePoint at, sim::Duration outage,
-                         std::size_t gpu_index);
+                         std::size_t gpu_index = 0);
   FaultPlan& AllocFault(sim::TimePoint at, sim::Duration duration,
                         std::size_t gpu_index = 0);
 
@@ -117,12 +117,9 @@ enum class ServerFaultKind : std::uint8_t {
   // server's own recovery pipeline (driver re-init, reload, warm-up) runs
   // before it takes traffic again.
   kCrash,
-  // Stop-the-world hang: the process stays up but stops answering — every
-  // device hangs for `duration` and router probes time out.
-  kHang,
-  // Asymmetric network partition between the router and the server for
-  // `duration`: kToServer drops requests and probes on the way in,
-  // kFromServer drops responses on the way out, kBoth drops both.
+  // Inbound network partition between the router and the server for
+  // `duration`: requests and probes are dropped on the way in. Responses
+  // are always delivered.
   kPartition,
   // Gray failure: every device of the server runs at `capacity` (in
   // (0, 1]) of normal speed for `duration`. The server stays up and keeps
@@ -136,16 +133,16 @@ enum class ServerFaultKind : std::uint8_t {
 
 const char* ToString(ServerFaultKind kind);
 
-enum class PartitionDirection : std::uint8_t { kToServer, kFromServer, kBoth };
-
-const char* ToString(PartitionDirection d);
+// A partition drops traffic towards the server only, so kToServer is the
+// one direction. Kept, with Partition's parameter that takes it, because
+// perfbench/perfbench.cc:649 passes it.
+enum class PartitionDirection : std::uint8_t { kToServer };
 
 struct ServerFaultEvent {
   ServerFaultKind kind = ServerFaultKind::kCrash;
   sim::TimePoint at;
   std::size_t server = 0;
-  sim::Duration duration;  // outage / hang / partition / gray window length
-  PartitionDirection direction = PartitionDirection::kBoth;  // kPartition only
+  sim::Duration duration;  // outage / partition / gray window length
   double capacity = 1.0;  // kCapacityLoss only: speed multiplier in (0, 1]
   double factor = 1.0;    // kJitter only: hop-delay multiplier >= 1
 };
@@ -156,8 +153,6 @@ class ServerFaultPlan {
  public:
   ServerFaultPlan& Crash(sim::TimePoint at, sim::Duration outage,
                          std::size_t server);
-  ServerFaultPlan& Hang(sim::TimePoint at, sim::Duration duration,
-                        std::size_t server);
   ServerFaultPlan& Partition(sim::TimePoint at, sim::Duration window,
                              std::size_t server,
                              PartitionDirection direction);
@@ -176,8 +171,6 @@ class ServerFaultPlan {
     sim::Duration horizon = sim::Duration::Seconds(10.0);
     std::size_t num_servers = 2;
     double expected_crashes = 0.0;  // mean outage: fault.cc's kMeanCrashOutage
-    double expected_hangs = 0.0;
-    sim::Duration mean_hang = sim::Duration::Millis(50);
     double expected_partitions = 0.0;  // mean window: fault.cc's kMeanPartition
     // Gray faults; zero expected events draws no extra random numbers,
     // preserving existing plans bit-for-bit.

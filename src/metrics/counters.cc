@@ -53,7 +53,6 @@ void ServingCounters::ExportTo(MetricRegistry& registry) const {
 std::span<const RouterCounters::Field> RouterCounters::Fields() {
   static constexpr Field kFields[] = {
       {"server_crashes", &RouterCounters::server_crashes},
-      {"server_hangs", &RouterCounters::server_hangs},
       {"partitions", &RouterCounters::partitions},
       {"capacity_losses", &RouterCounters::capacity_losses},
       {"jitter_windows", &RouterCounters::jitter_windows},
@@ -66,8 +65,6 @@ std::span<const RouterCounters::Field> RouterCounters::Fields() {
       {"requests_failed_over", &RouterCounters::requests_failed_over},
       {"retries", &RouterCounters::retries},
       {"requests_lost_to_server", &RouterCounters::requests_lost_to_server},
-      {"responses_lost_from_server",
-       &RouterCounters::responses_lost_from_server},
       {"probes_sent", &RouterCounters::probes_sent},
       {"probe_failures", &RouterCounters::probe_failures},
       {"server_transitions", &RouterCounters::server_transitions},

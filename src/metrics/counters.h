@@ -77,14 +77,13 @@ struct ServingCounters {
 
 // Monotonic event counters for the cluster front-end: routing decisions,
 // cross-server failover, router-side probing, and the server-level fault
-// model (crashes, hangs, partitions). One instance lives in each
+// model (crashes, partitions, gray faults). One instance lives in each
 // `serving::Cluster`; the router, the cluster request path, and the server
 // fault applier all increment it. Same single-source-table idiom as
 // ServingCounters, exported as "olympian_router_<field>_total".
 struct RouterCounters {
   // --- injected server faults --------------------------------------------
   std::uint64_t server_crashes = 0;
-  std::uint64_t server_hangs = 0;
   std::uint64_t partitions = 0;
   std::uint64_t capacity_losses = 0;  // server-wide fractional-capacity windows
   std::uint64_t jitter_windows = 0;   // router<->server hop-stretch windows
@@ -102,8 +101,7 @@ struct RouterCounters {
   std::uint64_t retries = 0;  // budgeted retries of genuine failures
 
   // --- network fault effects ---------------------------------------------
-  std::uint64_t requests_lost_to_server = 0;     // dropped router -> server
-  std::uint64_t responses_lost_from_server = 0;  // dropped server -> router
+  std::uint64_t requests_lost_to_server = 0;  // dropped router -> server
 
   // --- router-side health view -------------------------------------------
   std::uint64_t probes_sent = 0;
@@ -120,9 +118,10 @@ struct RouterCounters {
   std::uint64_t brownout_exits = 0;        // shed-level back-to-0 edges
   std::uint64_t requests_shed_brownout = 0;  // rejected by brownout shedding
 
+  // Every request ends in exactly one of these five outcomes.
   std::uint64_t requests_total() const {
     return requests_ok + requests_failed + requests_timed_out +
-           requests_rejected_no_server;
+           requests_rejected_no_server + requests_shed_brownout;
   }
 
   struct Field {

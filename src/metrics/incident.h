@@ -41,7 +41,7 @@ class IncidentLog {
  public:
   struct Incident {
     int server = -1;
-    std::string kind;  // "crash", "hang", "partition", "capacity", ...
+    std::string kind;  // "server-crash", "partition", "capacity-loss", ...
     std::int64_t injected_ns = 0;
     std::int64_t window_ns = 0;  // injected fault window (0 = point fault)
     std::int64_t detected_ns = -1;

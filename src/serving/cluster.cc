@@ -58,6 +58,13 @@ Cluster::Cluster(ClusterOptions options)
   if (options_.num_servers < 1) {
     throw std::invalid_argument("num_servers must be >= 1");
   }
+  for (const fault::ServerFaultEvent& e : options_.faults.events()) {
+    if (e.server >= options_.num_servers) {
+      throw std::out_of_range("ServerFaultPlan targets server " +
+                              std::to_string(e.server) + " but only " +
+                              std::to_string(options_.num_servers) + " exist");
+    }
+  }
   // Cluster servers serve through ServeTenantRequest, never Run, so every
   // per-server observability option would be silently ignored.
   if (const ObservabilityOptions& o = options_.server.observability;
@@ -104,9 +111,7 @@ Cluster::Cluster(ClusterOptions options)
                                      options_.router, counters_, incidents_,
                                      options_.registry);
   crashed_until_.resize(servers_.size());
-  hung_until_.resize(servers_.size());
   part_to_until_.resize(servers_.size());
-  part_from_until_.resize(servers_.size());
   jitter_until_.resize(servers_.size());
   jitter_factor_.assign(servers_.size(), 1.0);
   tenant_of_.resize(servers_.size());
@@ -116,14 +121,10 @@ Cluster::Cluster(ClusterOptions options)
 Cluster::~Cluster() = default;
 
 sim::Task Cluster::Probe(std::size_t server, bool& ok) {
-  // Partitions drop the probe (or its reply); a crashed or hung process
-  // never answers. All evaluated at send time: deterministic and cheap.
+  // A partition drops the probe; a crashed process never answers. Both
+  // evaluated at send time: deterministic and cheap.
   const sim::TimePoint sent = env_.Now();
-  const bool dropped =
-      sent < part_to_until_[server] || sent < part_from_until_[server];
-  const bool unresponsive =
-      sent < crashed_until_[server] || sent < hung_until_[server];
-  if (dropped || unresponsive) {
+  if (sent < part_to_until_[server] || sent < crashed_until_[server]) {
     co_await env_.Delay(kProbeTimeout);
     ok = false;
   } else {
@@ -158,11 +159,6 @@ bool Cluster::HasUsableDevice(std::size_t server) const {
 void Cluster::ArmServerFaults() {
   const auto& events = options_.faults.events();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].server >= servers_.size()) {
-      throw std::out_of_range("ServerFaultPlan targets server " +
-                              std::to_string(events[i].server) + " but only " +
-                              std::to_string(servers_.size()) + " exist");
-    }
     if (events[i].at < env_.Now()) continue;  // already in the past
     env_.ScheduleCallbackAt(events[i].at, &Cluster::FaultTrampoline, this, i);
   }
@@ -190,23 +186,8 @@ void Cluster::ApplyServerFault(const fault::ServerFaultEvent& e) {
       }
       ++counters_.server_crashes;
       break;
-    case fault::ServerFaultKind::kHang:
-      // Stop-the-world: the process stays up but stops answering; every
-      // device wedges and router probes time out until it clears.
-      hung_until_[e.server] = std::max(hung_until_[e.server], until);
-      for (std::size_t g = 0; g < srv.num_gpus(); ++g) {
-        srv.gpu(g).Hang(e.duration);
-      }
-      ++counters_.server_hangs;
-      break;
     case fault::ServerFaultKind::kPartition:
-      if (e.direction != fault::PartitionDirection::kFromServer) {
-        part_to_until_[e.server] = std::max(part_to_until_[e.server], until);
-      }
-      if (e.direction != fault::PartitionDirection::kToServer) {
-        part_from_until_[e.server] =
-            std::max(part_from_until_[e.server], until);
-      }
+      part_to_until_[e.server] = std::max(part_to_until_[e.server], until);
       ++counters_.partitions;
       break;
     case fault::ServerFaultKind::kCapacityLoss:
@@ -368,7 +349,6 @@ sim::Task Cluster::DispatchRequest(
       std::size_t tenant = 0;
       bool tenant_ok = true;
       RequestStatus leg = RequestStatus::kOk;
-      bool lost_from = false;
       double jitter_back = 1.0;
       std::exception_ptr err;
       try {
@@ -377,17 +357,16 @@ sim::Task Cluster::DispatchRequest(
         if (tenant_ok) {
           co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg,
                                                    account);
-          lost_from = senv.Now() < part_from_until_[s];
         } else {
           // Tenant instantiation failed (an alloc-fault window on the
           // server): the leg failed, a budgeted retry.
           leg = RequestStatus::kFailed;
         }
-        // The response leg's partition and jitter are read at its send
-        // instant on the server's clock — after the serve, or where the
-        // tenant instantiation failed (the failure reply crosses the same
-        // leg). The window arrays are written only during hub instants, so
-        // the reads are race-free and temporally exact.
+        // The response leg's jitter is read at its send instant on the
+        // server's clock — after the serve, or where the tenant
+        // instantiation failed (the failure reply crosses the same leg).
+        // The window arrays are written only during hub instants, so the
+        // read is race-free and temporally exact.
         jitter_back = JitterFactor(s, senv.Now());
       } catch (...) {
         // Carry server-side errors across the hop: rethrowing on the worker
@@ -399,13 +378,7 @@ sim::Task Cluster::DispatchRequest(
       if (err != nullptr) std::rethrow_exception(err);
       account.Charge(metrics::Phase::kResponseHop, env_.Now());
       router_->OnRequestEnd(s);
-      if (lost_from) {
-        // At-least-once: the work happened but the answer is gone, so the
-        // request re-executes on a routable server, budget untouched.
-        ++counters_.responses_lost_from_server;
-        free_failover = true;
-      } else if (leg == RequestStatus::kOk ||
-                 leg == RequestStatus::kFailedRetried) {
+      if (leg == RequestStatus::kOk || leg == RequestStatus::kFailedRetried) {
         router_->OnRequestSuccess(s);
         ++counters_.requests_ok;
         status = (attempt == 1 && leg == RequestStatus::kOk)

@@ -53,7 +53,8 @@ struct ClusterOptions {
   ServerOptions server;
   std::size_t num_servers = 2;
   RouterOptions router;
-  // Server-level fault schedule (crashes, hangs, partitions).
+  // Server-level fault schedule (crashes, partitions, gray faults). The
+  // constructor throws std::out_of_range for an event on a missing server.
   fault::ServerFaultPlan faults;
   // Router counters + per-server health series land here (may be null).
   metrics::MetricRegistry* registry = nullptr;
@@ -113,7 +114,7 @@ struct ClusterStreamResult {
 
 // A cluster of N independent serving::Experiment instances on ONE shared
 // virtual clock, fronted by a Router. The cluster implements the router's
-// transport (so partitions, crashes, and hangs are modelled here, where the
+// transport (so partitions and crashes are modelled here, where the
 // topology lives) and the cross-server failover contract: a request whose
 // server died mid-flight is re-admitted on a survivor WITHOUT spending the
 // client retry budget, mirroring the in-server device-failover rule.
@@ -235,9 +236,7 @@ class Cluster : private RouterTransport {
   // the workers are parked at a barrier, and temporally exact because every
   // hub instant at or before a worker event's time has already executed.
   std::vector<sim::TimePoint> crashed_until_;
-  std::vector<sim::TimePoint> hung_until_;
-  std::vector<sim::TimePoint> part_to_until_;    // router -> server drops
-  std::vector<sim::TimePoint> part_from_until_;  // server -> router drops
+  std::vector<sim::TimePoint> part_to_until_;  // router -> server drops
   // Network-jitter windows: every router<->server hop (requests, responses,
   // probes) is stretched by jitter_factor_ while the window is open. The
   // factor is >= 1, so jittered hops never undercut the kNetDelay lookahead

@@ -39,7 +39,7 @@ struct RouterOptions {
 };
 
 // How the router reaches servers. Implemented by the Cluster, which knows
-// about partitions, crashes, and hangs; the Router only sees outcomes.
+// about partitions and crashes; the Router only sees outcomes.
 class RouterTransport {
  public:
   virtual ~RouterTransport() = default;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -381,7 +382,7 @@ TEST(ClusterTest, DeterministicAcrossRepeats) {
     opts.seed = 17;
     opts.faults.Crash(At(25), Duration::Millis(60), /*server=*/1);
     opts.faults.Partition(At(60), Duration::Millis(30), /*server=*/2,
-                          fault::PartitionDirection::kBoth);
+                          fault::PartitionDirection::kToServer);
     serving::Cluster cluster(opts);
     std::vector<serving::ClusterClientSpec> clients(
         5, PoissonClient("googlenet", 120.0, 12));
@@ -539,6 +540,20 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
   }
 }
 
+// A fault on a server the cluster does not have is rejected when the
+// cluster is built, before any server starts serving or any probe loop runs.
+TEST(ClusterTest, ConstructorRejectsFaultOnMissingServer) {
+  serving::ClusterOptions opts = SmallCluster(2);
+  opts.faults.Crash(At(10), Duration::Millis(5), /*server=*/2);
+  try {
+    serving::Cluster cluster(opts);
+    ADD_FAILURE() << "a crash on server 2 of 2 constructed";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("server 2"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ClusterTest, ShardedAllocFaultMatchesUnshardedTrajectory) {
   // Server 0 crashes while every server's device sits in an alloc-fault
   // window: the crash victims fail over to server 1, whose first-arrival
@@ -671,7 +686,6 @@ TEST(ClusterTest, RandomServerFaultPlanIsSeedStable) {
   fault::ServerFaultPlan::RandomOptions ro;
   ro.num_servers = 4;
   ro.expected_crashes = 2.0;
-  ro.expected_hangs = 1.0;
   ro.expected_partitions = 2.0;
   const auto a = fault::ServerFaultPlan::Random(ro, 99);
   const auto b = fault::ServerFaultPlan::Random(ro, 99);

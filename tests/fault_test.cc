@@ -34,7 +34,7 @@ TEST(FaultPlanTest, FluentBuilderRecordsEvents) {
   fault::FaultPlan plan;
   plan.KernelFailure(At(1), /*stream=*/0)
       .DeviceHang(At(2), Duration::Millis(5))
-      .DeviceReset(At(3))
+      .DeviceReset(At(3), Duration::Zero())
       .AllocFault(At(4), Duration::Millis(2));
   ASSERT_EQ(plan.size(), 4u);
   EXPECT_EQ(plan.events()[0].kind, fault::FaultKind::kKernelFailure);

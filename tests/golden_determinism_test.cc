@@ -98,6 +98,18 @@ void PrintGolden(const char* type, const char* name, const Pin& pin) {
               ::testing::PrintToString(pin).c_str());
 }
 
+// Compares a pin in two parts, each failing with its own message: the event
+// count first, then the trajectory, i.e. every other field, compared with
+// the event count copied over. A change that removes events without moving
+// a request fails only the first part; one that moves a request, the second.
+template <typename Pin>
+void ExpectPin(const Pin& got, const Pin& want, const std::string& what) {
+  EXPECT_EQ(got.events, want.events) << what << ": event count moved";
+  Pin trajectory = got;
+  trajectory.events = want.events;
+  EXPECT_EQ(trajectory, want) << what << ": trajectory moved";
+}
+
 struct GoldenRun {
   std::vector<std::int64_t> finish_ns;   // per-client finish times
   std::vector<std::int64_t> gpu_ns;      // per-client GPU durations
@@ -199,23 +211,23 @@ bool PrintRequested() {
 TEST(GoldenDeterminismTest, BaselineMatchesGoldenAndReplays) {
   const GoldenRun a = RunWorkload(/*olympian=*/false);
   const GoldenRun b = RunWorkload(/*olympian=*/false);
-  EXPECT_EQ(a, b) << "same-seed replay diverged within one build";
+  ExpectPin(a, b, "same-seed replay within one build");
   if (PrintRequested()) {
     PrintGolden("GoldenRun", "kGoldenBaseline", a);
     return;
   }
-  EXPECT_EQ(a, kGoldenBaseline) << "baseline run diverged from golden values";
+  ExpectPin(a, kGoldenBaseline, "baseline run vs. golden values");
 }
 
 TEST(GoldenDeterminismTest, OlympianMatchesGoldenAndReplays) {
   const GoldenRun a = RunWorkload(/*olympian=*/true);
   const GoldenRun b = RunWorkload(/*olympian=*/true);
-  EXPECT_EQ(a, b) << "same-seed replay diverged within one build";
+  ExpectPin(a, b, "same-seed replay within one build");
   if (PrintRequested()) {
     PrintGolden("GoldenRun", "kGoldenOlympian", a);
     return;
   }
-  EXPECT_EQ(a, kGoldenOlympian) << "Olympian run diverged from golden values";
+  ExpectPin(a, kGoldenOlympian, "Olympian run vs. golden values");
 }
 
 // The Overhead-Q curve (paper Figure 8) of fig11's model and batch under
@@ -526,7 +538,7 @@ TEST(GoldenDeterminismTest, ServerFaultPathsMatchGolden) {
     if (PrintRequested()) {
       PrintGolden("GoldenServerRun", name, run);
     } else {
-      EXPECT_EQ(run, *golden) << name << " diverged from golden values";
+      ExpectPin(run, *golden, name);
       // The sinks only observe: without them every branch of the request
       // loop replays the same trajectory.
       const GoldenServerRun bare =
@@ -654,12 +666,12 @@ const GoldenClusterRun kGoldenCluster{
 TEST(GoldenDeterminismTest, ClusterMatchesGoldenAndReplays) {
   const GoldenClusterRun a = RunClusterWorkload();
   const GoldenClusterRun b = RunClusterWorkload();
-  EXPECT_EQ(a, b) << "same-seed cluster replay diverged within one build";
+  ExpectPin(a, b, "same-seed cluster replay within one build");
   if (PrintRequested()) {
     PrintGolden("GoldenClusterRun", "kGoldenCluster", a);
     return;
   }
-  EXPECT_EQ(a, kGoldenCluster) << "cluster run diverged from golden values";
+  ExpectPin(a, kGoldenCluster, "cluster run vs. golden values");
 }
 
 // ---------------------------------------------------------------------------
@@ -667,22 +679,21 @@ TEST(GoldenDeterminismTest, ClusterMatchesGoldenAndReplays) {
 // execution-strategy change — the virtual-time trajectory must be BIT-
 // IDENTICAL to the single-queue run, for any shard count, on any host
 // (thread scheduling must not leak into outcomes). A 4-server workload with
-// a crash plus an asymmetric partition exercises hub instants (faults,
-// probes, routing) interleaved with parallel windows (serving), cross-shard
-// failover, and lost-response re-execution. `events` is excluded from the
-// cross-shard comparison only in that it counts per-environment; summed
-// across shards it too must match the unsharded count (same events, merely
-// executed on different queues).
+// a crash plus an inbound partition exercises hub instants (faults, probes,
+// routing) interleaved with parallel windows (serving), cross-shard
+// failover, and lost-request re-admission. `events` counts per-environment;
+// summed across shards it too must match the unsharded count (same events,
+// merely executed on different queues).
 
 // Fault-path variants of the sharded workload (the default is the plain
 // crash + inbound-partition run).
 struct ClusterVariant {
-  // Adds a server -> router partition (lost responses) and an alloc-fault
-  // window on every server (crash victims' first-arrival tenants fail).
-  // The window opens 5 ms before the crash on purpose: on a shared instant
-  // the sharded engine runs the hub's crash before the server's fault,
-  // unlike shards=1, and the summed event count differs by one.
-  bool lost_responses = false;
+  // Adds an alloc-fault window on every server (crash victims'
+  // first-arrival tenants fail). The window opens 5 ms before the crash on
+  // purpose: on a shared instant the sharded engine runs the hub's crash
+  // before the server's fault, unlike shards=1, and the summed event count
+  // differs by one.
+  bool alloc_faults = false;
   bool failover = true;  // RouterOptions::failover
   // Installs a PhaseCollector and an IncidentLog, and checks that every
   // request's phase sum matched its latency and that an incident opened.
@@ -703,10 +714,7 @@ GoldenClusterRun RunShardedClusterWorkload(
   opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(300),
                         sim::Duration::Millis(300), /*server=*/2,
                         fault::PartitionDirection::kToServer);
-  if (variant.lost_responses) {
-    opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(200),
-                          sim::Duration::Millis(150), /*server=*/1,
-                          fault::PartitionDirection::kFromServer);
+  if (variant.alloc_faults) {
     opts.server.faults.AllocFault(sim::TimePoint() + sim::Duration::Millis(95),
                                   sim::Duration::Millis(40));
   }
@@ -768,13 +776,11 @@ TEST(GoldenDeterminismTest, ShardedClusterBitIdenticalToUnsharded) {
     PrintGolden("GoldenClusterRun", "kGoldenShardedCluster(par)", par);
     return;
   }
-  EXPECT_EQ(seq, kGoldenShardedCluster)
-      << "single-queue run diverged from golden values";
-  EXPECT_EQ(par, par2)
-      << "same-seed 4-shard replay diverged: thread scheduling leaked into "
-         "the trajectory";
-  EXPECT_EQ(par, seq)
-      << "4-shard run diverged from the single-queue run (same seed)";
+  ExpectPin(seq, kGoldenShardedCluster, "single-queue run vs. golden values");
+  ExpectPin(par, par2,
+            "same-seed 4-shard replay (thread scheduling must not leak into "
+            "the trajectory)");
+  ExpectPin(par, seq, "4-shard run vs. the single-queue run (same seed)");
 }
 
 TEST(GoldenDeterminismTest, ShardedClusterWithTwoShardsMatchesToo) {
@@ -782,69 +788,71 @@ TEST(GoldenDeterminismTest, ShardedClusterWithTwoShardsMatchesToo) {
   // share shard 0, servers 1 and 3 share shard 1.
   const GoldenClusterRun seq = RunShardedClusterWorkload(1);
   const GoldenClusterRun par = RunShardedClusterWorkload(2);
-  EXPECT_EQ(par, seq);
+  ExpectPin(par, seq, "2-shard run vs. the single-queue run");
 }
 
-// Lost responses and failed first-arrival tenants, with router failover on
-// (free re-admission) and off (budgeted retries), at shards 1 and 4.
-const GoldenClusterRun kGoldenLostResponses{
-    .finish_ns = {1230287462, 1202134651, 1025052519, 1018794248, 1138995546,
-                  1182981105, 1038570923, 1020892112},
+// Failed first-arrival tenants, with router failover on (free
+// re-admission) and off (budgeted retries), at shards 1 and 4. Recorded on
+// the code that still had the response-dropping partition, with the
+// staging as above.
+const GoldenClusterRun kGoldenAllocFaults{
+    .finish_ns = {966392670, 824192799, 835388915, 840057881, 1002302908,
+                  820401112, 850673088, 840850378},
     .completed = {5, 5, 5, 5, 5, 5, 5, 5},
-    .events = 9325576,
-    .routed = 53,
+    .events = 4162032,
+    .routed = 49,
     .ok = 40,
-    .failed_over = 9,
-    .transitions = 18};
-const GoldenClusterRun kGoldenLostResponsesNoFailover{
-    .finish_ns = {230800187, 835279810, 509375448, 733307371, 230800267,
-                  838571307, 509909840, 733191152},
+    .failed_over = 5,
+    .transitions = 14};
+const GoldenClusterRun kGoldenAllocFaultsNoFailover{
+    .finish_ns = {230800187, 691715372, 509375448, 733307371, 230800267,
+                  693513868, 509909840, 733191152},
     .completed = {0, 5, 3, 5, 0, 5, 3, 5},
-    .events = 2073021,
-    .routed = 70,
+    .events = 1932832,
+    .routed = 68,
     .ok = 26,
     .failed_over = 0,
-    .transitions = 12};
+    .transitions = 8};
 
 TEST(GoldenDeterminismTest, ShardedClusterFaultPathsMatchGolden) {
-  const ClusterVariant lossy{.lost_responses = true};
-  const ClusterVariant no_failover{.lost_responses = true, .failover = false};
-  const ClusterVariant lossy_sinks{.lost_responses = true, .sinks = true};
+  const ClusterVariant alloc{.alloc_faults = true};
+  const ClusterVariant no_failover{.alloc_faults = true, .failover = false};
+  const ClusterVariant alloc_sinks{.alloc_faults = true, .sinks = true};
   const ClusterVariant no_failover_sinks{
-      .lost_responses = true, .failover = false, .sinks = true};
-  metrics::RouterCounters lossy_counters, no_failover_counters;
+      .alloc_faults = true, .failover = false, .sinks = true};
+  metrics::RouterCounters alloc_counters, no_failover_counters;
   const GoldenClusterRun a =
-      RunShardedClusterWorkload(1, lossy, &lossy_counters);
+      RunShardedClusterWorkload(1, alloc, &alloc_counters);
   const GoldenClusterRun b =
       RunShardedClusterWorkload(1, no_failover, &no_failover_counters);
   if (PrintRequested()) {
-    PrintGolden("GoldenClusterRun", "kGoldenLostResponses", a);
-    PrintGolden("GoldenClusterRun", "kGoldenLostResponsesNoFailover", b);
+    PrintGolden("GoldenClusterRun", "kGoldenAllocFaults", a);
+    PrintGolden("GoldenClusterRun", "kGoldenAllocFaultsNoFailover", b);
     return;
   }
-  EXPECT_EQ(a, kGoldenLostResponses);
-  EXPECT_EQ(b, kGoldenLostResponsesNoFailover);
-  EXPECT_EQ(RunShardedClusterWorkload(4, lossy), kGoldenLostResponses);
-  EXPECT_EQ(RunShardedClusterWorkload(4, no_failover),
-            kGoldenLostResponsesNoFailover);
+  ExpectPin(a, kGoldenAllocFaults, "kGoldenAllocFaults");
+  ExpectPin(b, kGoldenAllocFaultsNoFailover, "kGoldenAllocFaultsNoFailover");
+  ExpectPin(RunShardedClusterWorkload(4, alloc), kGoldenAllocFaults,
+            "kGoldenAllocFaults at shards=4");
+  ExpectPin(RunShardedClusterWorkload(4, no_failover),
+            kGoldenAllocFaultsNoFailover,
+            "kGoldenAllocFaultsNoFailover at shards=4");
   // The collector and the incident log only observe: installed, they leave
-  // both lossy trajectories on their pins at either shard count.
+  // both trajectories on their pins at either shard count.
   for (const std::size_t shards : {1, 4}) {
-    EXPECT_EQ(RunShardedClusterWorkload(shards, lossy_sinks),
-              kGoldenLostResponses)
-        << "shards=" << shards;
-    EXPECT_EQ(RunShardedClusterWorkload(shards, no_failover_sinks),
-              kGoldenLostResponsesNoFailover)
-        << "shards=" << shards;
+    const std::string at = " with sinks at shards=" + std::to_string(shards);
+    ExpectPin(RunShardedClusterWorkload(shards, alloc_sinks),
+              kGoldenAllocFaults, "kGoldenAllocFaults" + at);
+    ExpectPin(RunShardedClusterWorkload(shards, no_failover_sinks),
+              kGoldenAllocFaultsNoFailover,
+              "kGoldenAllocFaultsNoFailover" + at);
   }
   // The pins are only worth something if the branches they guard fired.
   // With failover on, crash victims and lost legs re-admit for free, so
   // budgeted retries certify that the alloc-fault window failed tenant
   // set-ups or legs.
-  EXPECT_GT(lossy_counters.responses_lost_from_server, 0u);
-  EXPECT_GT(lossy_counters.requests_lost_to_server, 0u);
-  EXPECT_GT(lossy_counters.retries, 0u);
-  EXPECT_GT(no_failover_counters.responses_lost_from_server, 0u);
+  EXPECT_GT(alloc_counters.requests_lost_to_server, 0u);
+  EXPECT_GT(alloc_counters.retries, 0u);
   EXPECT_GT(no_failover_counters.requests_failed, 0u);
 }
 
@@ -934,7 +942,7 @@ TEST(GoldenDeterminismTest, ShardedObservabilityExportsBitIdentical) {
   EXPECT_NE(seq.prometheus.find("olympian_router_requests_ok_total"),
             std::string::npos)
       << "router counters missing from the cluster registry export";
-  EXPECT_EQ(par.run, seq.run);
+  ExpectPin(par.run, seq.run, "4-shard observed run vs. the single-queue run");
   EXPECT_EQ(par.chrome_trace, seq.chrome_trace)
       << "sharded Chrome trace diverged from the unsharded export";
   EXPECT_EQ(par.prometheus, seq.prometheus)
@@ -968,10 +976,12 @@ ObservabilityPin PinOf(const GoldenObservabilityRun& r) {
 }
 
 // `prometheus` re-pinned when the per-server counter lines left the server
-// registry's export; the other fields were recorded with them.
+// registry's export, and again when the always-zero server-hang and
+// lost-response router counters left the cluster registry's export; the
+// other fields were recorded before both.
 const ObservabilityPin kGoldenObservability{
     .events = 523995,
-    .prometheus = 0xb8eef0c456c2deb9,
+    .prometheus = 0x263d33f08a8f7f8b,
     .timeline = 0x4fa63e730662897b,
     .trace = 0x8acea39de2de9562};
 
@@ -983,7 +993,8 @@ TEST(GoldenDeterminismTest, ShardedObservabilityExportsMatchGolden) {
       PrintGolden("ObservabilityPin", "kGoldenObservability", pin);
       continue;
     }
-    EXPECT_EQ(pin, kGoldenObservability) << "shards=" << shards;
+    ExpectPin(pin, kGoldenObservability,
+              "kGoldenObservability at shards=" + std::to_string(shards));
   }
 }
 
@@ -1248,12 +1259,12 @@ const GoldenGrayRun kGoldenGray{
 TEST(GoldenDeterminismTest, GrayClusterMatchesGoldenAndReplays) {
   const GoldenGrayRun a = RunGrayClusterWorkload(1);
   const GoldenGrayRun b = RunGrayClusterWorkload(1);
-  EXPECT_EQ(a, b) << "same-seed gray-failure replay diverged within one build";
+  ExpectPin(a, b, "same-seed gray-failure replay within one build");
   if (PrintRequested()) {
     PrintGolden("GoldenGrayRun", "kGoldenGray", a);
     return;
   }
-  EXPECT_EQ(a, kGoldenGray) << "gray-failure run diverged from golden values";
+  ExpectPin(a, kGoldenGray, "gray-failure run vs. golden values");
   // The scenario actually exercises the new machinery.
   EXPECT_GT(a.degrades, 0u);
   EXPECT_GT(a.brownouts, 0u);
@@ -1264,51 +1275,51 @@ TEST(GoldenDeterminismTest, GrayClusterShardedBitIdenticalToUnsharded) {
   const GoldenGrayRun seq = RunGrayClusterWorkload(1);
   const GoldenGrayRun par = RunGrayClusterWorkload(4);
   const GoldenGrayRun par2 = RunGrayClusterWorkload(4);
-  EXPECT_EQ(par, par2)
-      << "same-seed 4-shard gray replay diverged: thread scheduling leaked "
-         "into the trajectory";
-  EXPECT_EQ(par, seq)
-      << "4-shard gray run diverged from the single-queue run (same seed)";
+  ExpectPin(par, par2,
+            "same-seed 4-shard gray replay (thread scheduling must not leak "
+            "into the trajectory)");
+  ExpectPin(par, seq, "4-shard gray run vs. the single-queue run (same seed)");
 }
 
 // ---------------------------------------------------------------------------
-// Router health logs, edge by edge: the crash golden, the lossy fault-path
+// Router health logs, edge by edge: the crash golden, the alloc-fault
 // variant at shards 1 and 4, and the scored brownout run.
 
 const RouterLog kGoldenCrashRouterLog{
     .edges = 4,
     .incidents = 1,
     .hash = 0x99b4c78785bdd5b3};
-const RouterLog kGoldenLossyRouterLog{
-    .edges = 18,
-    .incidents = 3,
-    .hash = 0xb5a8137d985494b1};
+// Recorded with kGoldenAllocFaults.
+const RouterLog kGoldenAllocFaultRouterLog{
+    .edges = 14,
+    .incidents = 2,
+    .hash = 0xfca32edb61fe879f};
 const RouterLog kGoldenGrayRouterLog{
     .edges = 6,
     .incidents = 0,
     .hash = 0x09cab94b6a5a8a9b};
 
 TEST(GoldenDeterminismTest, RouterHealthLogsMatchGolden) {
-  const ClusterVariant lossy{.lost_responses = true};
-  RouterLog crash, lossy1, lossy4, gray;
+  const ClusterVariant alloc{.alloc_faults = true};
+  RouterLog crash, alloc1, alloc4, gray;
   RunClusterWorkload(&crash);
-  RunShardedClusterWorkload(1, lossy, nullptr, &lossy1);
-  RunShardedClusterWorkload(4, lossy, nullptr, &lossy4);
+  RunShardedClusterWorkload(1, alloc, nullptr, &alloc1);
+  RunShardedClusterWorkload(4, alloc, nullptr, &alloc4);
   RunGrayClusterWorkload(1, &gray);
   if (PrintRequested()) {
     PrintGolden("RouterLog", "kGoldenCrashRouterLog", crash);
-    PrintGolden("RouterLog", "kGoldenLossyRouterLog", lossy1);
-    PrintGolden("RouterLog", "kGoldenLossyRouterLog(shards=4)", lossy4);
+    PrintGolden("RouterLog", "kGoldenAllocFaultRouterLog", alloc1);
+    PrintGolden("RouterLog", "kGoldenAllocFaultRouterLog(shards=4)", alloc4);
     PrintGolden("RouterLog", "kGoldenGrayRouterLog", gray);
     return;
   }
   EXPECT_EQ(crash, kGoldenCrashRouterLog);
-  EXPECT_EQ(lossy1, kGoldenLossyRouterLog);
-  EXPECT_EQ(lossy4, kGoldenLossyRouterLog) << "shards=4";
+  EXPECT_EQ(alloc1, kGoldenAllocFaultRouterLog);
+  EXPECT_EQ(alloc4, kGoldenAllocFaultRouterLog) << "shards=4";
   EXPECT_EQ(gray, kGoldenGrayRouterLog);
   // The edge counts agree with the server_transitions pins above.
   EXPECT_EQ(crash.edges, kGoldenCluster.transitions);
-  EXPECT_EQ(lossy1.edges, kGoldenLostResponses.transitions);
+  EXPECT_EQ(alloc1.edges, kGoldenAllocFaults.transitions);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,16 +121,15 @@ TEST(GrayFailureTest, ServerPlanRejectsOutOfRangeGrayFaults) {
   // backwards, whichever adder set it.
   const Duration minus = Duration::Millis(-20);
   EXPECT_THROW(plan.Crash(At(1), minus, 0), std::invalid_argument);
-  EXPECT_THROW(plan.Hang(At(1), minus, 0), std::invalid_argument);
   EXPECT_THROW(
-      plan.Partition(At(1), minus, 0, fault::PartitionDirection::kBoth),
+      plan.Partition(At(1), minus, 0, fault::PartitionDirection::kToServer),
       std::invalid_argument);
   EXPECT_THROW(plan.CapacityLoss(At(1), minus, 0, 0.5), std::invalid_argument);
   EXPECT_THROW(plan.Jitter(At(1), minus, 0, 2.0), std::invalid_argument);
   EXPECT_TRUE(plan.empty());
   EXPECT_NO_THROW(plan.Jitter(At(1), Duration::Millis(1), 0, 1.0));
   // A zero window is an instant fault, as before.
-  EXPECT_NO_THROW(plan.Hang(At(1), Duration::Zero(), 0));
+  EXPECT_NO_THROW(plan.Crash(At(1), Duration::Zero(), 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -273,6 +272,8 @@ TEST(GrayFailureTest, BrownoutShedsLowestClassFirstAndRestores) {
   EXPECT_GE(cluster.counters().brownout_entries, 1u);
   EXPECT_GE(cluster.counters().brownout_exits, 1u);
   EXPECT_GT(cluster.counters().requests_shed_brownout, 0u);
+  // Every attempted request ends in one counted outcome, sheds included.
+  EXPECT_EQ(cluster.counters().requests_total(), 80u);
   EXPECT_EQ(cluster.router().brownout_level(), 0) << "restored by run end";
   // Shedding is strictly class-ordered: every brownout rejection landed on
   // the priority-0 clients; the top class was never shed.
