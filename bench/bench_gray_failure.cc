@@ -70,7 +70,7 @@ GrayRun RunGray(bool scoring, bool brownout,
   // Gray chaos only: capacity losses and jitter windows drawn from a
   // seeded plan. Every server stays up the whole run — a binary health
   // check has nothing to bite on.
-  fault::ServerFaultPlan::RandomOptions ro;
+  fault::FaultPlan::RandomOptions ro;
   ro.horizon = sim::Duration::Seconds(4.0);
   ro.num_servers = kServers;
   ro.expected_capacity_losses = 7.0;
@@ -81,7 +81,7 @@ GrayRun RunGray(bool scoring, bool brownout,
   ro.mean_jitter_window = sim::Duration::Millis(300);
   ro.jitter_factor_low = 3.0;
   ro.jitter_factor_high = 8.0;
-  opts.faults = fault::ServerFaultPlan::Random(ro, 4242);
+  opts.faults = fault::FaultPlan::Random(ro, 4242);
 
   serving::Cluster cluster(opts);
 

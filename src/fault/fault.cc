@@ -36,47 +36,93 @@ const char* ToString(FaultKind kind) {
       return "device-reset";
     case FaultKind::kAllocFault:
       return "alloc-fault";
+    case FaultKind::kCrash:
+      return "server-crash";
+    case FaultKind::kPartition:
+      return "partition";
+    case FaultKind::kCapacityLoss:
+      return "capacity-loss";
+    case FaultKind::kJitter:
+      return "jitter";
   }
   return "unknown";
 }
 
-FaultPlan& FaultPlan::KernelFailure(sim::TimePoint at, gpusim::StreamId stream,
-                                    std::size_t gpu_index) {
-  events_.push_back(FaultEvent{.kind = FaultKind::kKernelFailure,
-                               .at = at,
-                               .gpu_index = gpu_index,
-                               .stream = stream});
+FaultPlan& FaultPlan::Add(const FaultEvent& e, const char* window_field) {
+  CheckWindow(e.duration, window_field);
+  events_.push_back(e);
   return *this;
+}
+
+FaultPlan& FaultPlan::KernelFailure(sim::TimePoint at, gpusim::StreamId stream,
+                                    std::size_t gpu_index, std::size_t server) {
+  return Add({.kind = FaultKind::kKernelFailure, .at = at, .server = server,
+              .gpu_index = gpu_index, .stream = stream},
+             "FaultPlan::KernelFailure duration");
 }
 
 FaultPlan& FaultPlan::DeviceHang(sim::TimePoint at, sim::Duration duration,
-                                 std::size_t gpu_index) {
-  CheckWindow(duration, "FaultPlan::DeviceHang duration");
-  events_.push_back(FaultEvent{.kind = FaultKind::kDeviceHang,
-                               .at = at,
-                               .gpu_index = gpu_index,
-                               .duration = duration});
-  return *this;
+                                 std::size_t gpu_index, std::size_t server) {
+  return Add({.kind = FaultKind::kDeviceHang, .at = at, .server = server,
+              .gpu_index = gpu_index, .duration = duration},
+             "FaultPlan::DeviceHang duration");
 }
 
 FaultPlan& FaultPlan::DeviceReset(sim::TimePoint at, sim::Duration outage,
-                                  std::size_t gpu_index) {
-  CheckWindow(outage, "FaultPlan::DeviceReset outage");
-  events_.push_back(FaultEvent{.kind = FaultKind::kDeviceReset,
-                               .at = at,
-                               .gpu_index = gpu_index,
-                               .duration = outage});
-  return *this;
+                                  std::size_t gpu_index, std::size_t server) {
+  return Add({.kind = FaultKind::kDeviceReset, .at = at, .server = server,
+              .gpu_index = gpu_index, .duration = outage},
+             "FaultPlan::DeviceReset outage");
 }
 
 FaultPlan& FaultPlan::AllocFault(sim::TimePoint at, sim::Duration duration,
-                                 std::size_t gpu_index) {
-  CheckWindow(duration, "FaultPlan::AllocFault duration");
-  events_.push_back(FaultEvent{.kind = FaultKind::kAllocFault,
-                               .at = at,
-                               .gpu_index = gpu_index,
-                               .duration = duration});
-  return *this;
+                                 std::size_t gpu_index, std::size_t server) {
+  return Add({.kind = FaultKind::kAllocFault, .at = at, .server = server,
+              .gpu_index = gpu_index, .duration = duration},
+             "FaultPlan::AllocFault duration");
+}
+
+FaultPlan& FaultPlan::Crash(sim::TimePoint at, sim::Duration outage,
+                            std::size_t server) {
+  return Add({.kind = FaultKind::kCrash, .at = at, .server = server,
+              .duration = outage},
+             "FaultPlan::Crash outage");
+}
+
+FaultPlan& FaultPlan::Partition(sim::TimePoint at, sim::Duration window,
+                                std::size_t server,
+                                PartitionDirection /*direction*/) {
+  return Add({.kind = FaultKind::kPartition, .at = at, .server = server,
+              .duration = window},
+             "FaultPlan::Partition window");
+}
+
+FaultPlan& FaultPlan::CapacityLoss(sim::TimePoint at, sim::Duration window,
+                                   std::size_t server, double capacity) {
+  if (!(capacity > 0.0) || capacity > 1.0) {
+    throw std::invalid_argument("capacity multiplier must be in (0, 1]");
+  }
+  return Add({.kind = FaultKind::kCapacityLoss, .at = at, .server = server,
+              .duration = window, .capacity = capacity},
+             "FaultPlan::CapacityLoss window");
+}
+
+FaultPlan& FaultPlan::Jitter(sim::TimePoint at, sim::Duration window,
+                             std::size_t server, double factor) {
+  if (!(factor >= 1.0)) {
+    throw std::invalid_argument("jitter factor must be >= 1");
+  }
+  return Add({.kind = FaultKind::kJitter, .at = at, .server = server,
+              .duration = window, .factor = factor},
+             "FaultPlan::Jitter window");
+}
+
+FaultPlan FaultPlan::DeviceFaults(std::size_t server) const {
+  FaultPlan plan;
+  for (const FaultEvent& e : events_) {
+    if (IsDeviceFault(e.kind) && e.server == server) plan.events_.push_back(e);
+  }
+  return plan;
 }
 
 namespace {
@@ -88,15 +134,23 @@ constexpr std::int64_t kFaultStreamsPerGpu = 2;
 // probes, and a process restart outlasts a network heal.
 constexpr sim::Duration kMeanCrashOutage = sim::Duration::Millis(400);
 constexpr sim::Duration kMeanPartition = sim::Duration::Millis(100);
+// Largest expected count per kind. Knuth's sampler below stops once a
+// product of uniforms reaches exp(-expected), which underflows to zero
+// above ~745 and would stop the count early; NaN never reaches it.
+constexpr double kMaxExpected = 700.0;
 
 // Draw `expected` Poisson arrivals (in expectation) uniformly over the
 // horizon. Uniform placement of a Poisson-distributed count is an exact
 // construction of a homogeneous Poisson process.
 template <typename AddFn>
-void DrawArrivals(sim::Rng& rng, double expected, sim::Duration horizon,
-                  AddFn add) {
-  if (expected <= 0.0) return;
-  // Knuth's Poisson sampler; expected counts here are small (single digits).
+void DrawArrivals(sim::Rng& rng, double expected, const char* field,
+                  sim::Duration horizon, AddFn add) {
+  if (!(expected >= 0.0 && expected <= kMaxExpected)) {
+    throw std::invalid_argument(std::string("RandomOptions::") + field +
+                                " must be in [0, 700], got " +
+                                std::to_string(expected));
+  }
+  if (expected == 0.0) return;
   const double limit = std::exp(-expected);
   int count = 0;
   double p = 1.0;
@@ -112,173 +166,79 @@ void DrawArrivals(sim::Rng& rng, double expected, sim::Duration horizon,
 
 }  // namespace
 
+// Kinds draw from one stream in declaration order, each draw a statement of
+// its own: argument evaluation order is unspecified, so a draw inside an
+// argument list would make the plan depend on the compiler.
 FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
-  if (options.num_gpus < 1) {
-    throw std::invalid_argument("Random fault plan needs >= 1 gpu");
+  if (options.num_gpus < 1 || options.num_servers < 1) {
+    throw std::invalid_argument(
+        "Random fault plan needs >= 1 gpu and >= 1 server");
   }
+  CheckWindow(options.horizon, "RandomOptions::horizon");
   sim::Rng rng(seed);
   FaultPlan plan;
-  DrawArrivals(rng, options.expected_kernel_failures, options.horizon,
-               [&](sim::TimePoint at) {
-                 const auto gpu = static_cast<std::size_t>(rng.UniformInt(
-                     0, static_cast<std::int64_t>(options.num_gpus) - 1));
-                 const auto stream =
-                     rng.UniformInt(0, kFaultStreamsPerGpu - 1);
-                 plan.KernelFailure(at, stream, gpu);
-               });
-  DrawArrivals(rng, options.expected_hangs, options.horizon,
-               [&](sim::TimePoint at) {
-                 const auto gpu = static_cast<std::size_t>(rng.UniformInt(
-                     0, static_cast<std::int64_t>(options.num_gpus) - 1));
-                 plan.DeviceHang(
-                     at, options.mean_hang * (-std::log(1.0 - rng.NextDouble())),
-                     gpu);
-               });
-  DrawArrivals(rng, options.expected_resets, options.horizon,
-               [&](sim::TimePoint at) {
-                 const auto gpu = static_cast<std::size_t>(rng.UniformInt(
-                     0, static_cast<std::int64_t>(options.num_gpus) - 1));
-                 // A zero mean draws no outage: an instant reset.
-                 const sim::Duration outage =
-                     options.mean_reset_outage > sim::Duration::Zero()
-                         ? options.mean_reset_outage *
-                               (-std::log(1.0 - rng.NextDouble()))
-                         : sim::Duration::Zero();
-                 plan.DeviceReset(at, outage, gpu);
-               });
-  DrawArrivals(rng, options.expected_alloc_faults, options.horizon,
-               [&](sim::TimePoint at) {
-                 const auto gpu = static_cast<std::size_t>(rng.UniformInt(
-                     0, static_cast<std::int64_t>(options.num_gpus) - 1));
-                 plan.AllocFault(at,
-                                 options.mean_alloc_window *
-                                     (-std::log(1.0 - rng.NextDouble())),
-                                 gpu);
-               });
+  const auto draw_index = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto draw_window = [&](sim::Duration mean) {
+    return mean * (-std::log(1.0 - rng.NextDouble()));
+  };
+  const auto arrivals = [&](double expected, const char* field, auto add) {
+    DrawArrivals(rng, expected, field, options.horizon, add);
+  };
+  arrivals(options.expected_kernel_failures, "expected_kernel_failures",
+           [&](sim::TimePoint at) {
+             const std::size_t gpu = draw_index(options.num_gpus);
+             const auto stream = rng.UniformInt(0, kFaultStreamsPerGpu - 1);
+             plan.KernelFailure(at, stream, gpu);
+           });
+  arrivals(options.expected_hangs, "expected_hangs", [&](sim::TimePoint at) {
+    const std::size_t gpu = draw_index(options.num_gpus);
+    plan.DeviceHang(at, draw_window(options.mean_hang), gpu);
+  });
+  arrivals(options.expected_resets, "expected_resets", [&](sim::TimePoint at) {
+    const std::size_t gpu = draw_index(options.num_gpus);
+    // A zero mean draws no outage: an instant reset.
+    const sim::Duration outage =
+        options.mean_reset_outage > sim::Duration::Zero()
+            ? draw_window(options.mean_reset_outage)
+            : sim::Duration::Zero();
+    plan.DeviceReset(at, outage, gpu);
+  });
+  arrivals(options.expected_alloc_faults, "expected_alloc_faults",
+           [&](sim::TimePoint at) {
+             const std::size_t gpu = draw_index(options.num_gpus);
+             plan.AllocFault(at, draw_window(options.mean_alloc_window), gpu);
+           });
+  arrivals(options.expected_crashes, "expected_crashes",
+           [&](sim::TimePoint at) {
+             const std::size_t server = draw_index(options.num_servers);
+             plan.Crash(at, draw_window(kMeanCrashOutage), server);
+           });
+  arrivals(options.expected_partitions, "expected_partitions",
+           [&](sim::TimePoint at) {
+             const std::size_t server = draw_index(options.num_servers);
+             plan.Partition(at, draw_window(kMeanPartition), server,
+                            PartitionDirection::kToServer);
+           });
+  arrivals(options.expected_capacity_losses, "expected_capacity_losses",
+           [&](sim::TimePoint at) {
+             const double cap =
+                 rng.Uniform(options.capacity_low, options.capacity_high);
+             const std::size_t server = draw_index(options.num_servers);
+             plan.CapacityLoss(at, draw_window(options.mean_capacity_window),
+                               server, cap);
+           });
+  arrivals(options.expected_jitter, "expected_jitter", [&](sim::TimePoint at) {
+    const double factor =
+        rng.Uniform(options.jitter_factor_low, options.jitter_factor_high);
+    const std::size_t server = draw_index(options.num_servers);
+    plan.Jitter(at, draw_window(options.mean_jitter_window), server, factor);
+  });
   // Deterministic application order regardless of draw order.
   std::stable_sort(plan.events_.begin(), plan.events_.end(),
                    [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.at < b.at;
-                   });
-  return plan;
-}
-
-const char* ToString(ServerFaultKind kind) {
-  switch (kind) {
-    case ServerFaultKind::kCrash:
-      return "server-crash";
-    case ServerFaultKind::kPartition:
-      return "partition";
-    case ServerFaultKind::kCapacityLoss:
-      return "capacity-loss";
-    case ServerFaultKind::kJitter:
-      return "jitter";
-  }
-  return "unknown";
-}
-
-ServerFaultPlan& ServerFaultPlan::Crash(sim::TimePoint at, sim::Duration outage,
-                                        std::size_t server) {
-  CheckWindow(outage, "ServerFaultPlan::Crash outage");
-  events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kCrash,
-                                     .at = at,
-                                     .server = server,
-                                     .duration = outage});
-  return *this;
-}
-
-ServerFaultPlan& ServerFaultPlan::Partition(sim::TimePoint at,
-                                            sim::Duration window,
-                                            std::size_t server,
-                                            PartitionDirection /*direction*/) {
-  CheckWindow(window, "ServerFaultPlan::Partition window");
-  events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kPartition,
-                                     .at = at,
-                                     .server = server,
-                                     .duration = window});
-  return *this;
-}
-
-ServerFaultPlan& ServerFaultPlan::CapacityLoss(sim::TimePoint at,
-                                               sim::Duration window,
-                                               std::size_t server,
-                                               double capacity) {
-  CheckWindow(window, "ServerFaultPlan::CapacityLoss window");
-  if (!(capacity > 0.0) || capacity > 1.0) {
-    throw std::invalid_argument("capacity multiplier must be in (0, 1]");
-  }
-  events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kCapacityLoss,
-                                     .at = at,
-                                     .server = server,
-                                     .duration = window,
-                                     .capacity = capacity});
-  return *this;
-}
-
-ServerFaultPlan& ServerFaultPlan::Jitter(sim::TimePoint at,
-                                         sim::Duration window,
-                                         std::size_t server, double factor) {
-  CheckWindow(window, "ServerFaultPlan::Jitter window");
-  if (!(factor >= 1.0)) {
-    throw std::invalid_argument("jitter factor must be >= 1");
-  }
-  events_.push_back(ServerFaultEvent{.kind = ServerFaultKind::kJitter,
-                                     .at = at,
-                                     .server = server,
-                                     .duration = window,
-                                     .factor = factor});
-  return *this;
-}
-
-ServerFaultPlan ServerFaultPlan::Random(const RandomOptions& options,
-                                        std::uint64_t seed) {
-  if (options.num_servers < 1) {
-    throw std::invalid_argument("Random server fault plan needs >= 1 server");
-  }
-  sim::Rng rng(seed);
-  ServerFaultPlan plan;
-  const auto draw_server = [&] {
-    return static_cast<std::size_t>(rng.UniformInt(
-        0, static_cast<std::int64_t>(options.num_servers) - 1));
-  };
-  DrawArrivals(rng, options.expected_crashes, options.horizon,
-               [&](sim::TimePoint at) {
-                 plan.Crash(at,
-                            kMeanCrashOutage *
-                                (-std::log(1.0 - rng.NextDouble())),
-                            draw_server());
-               });
-  DrawArrivals(rng, options.expected_partitions, options.horizon,
-               [&](sim::TimePoint at) {
-                 plan.Partition(at,
-                                kMeanPartition *
-                                    (-std::log(1.0 - rng.NextDouble())),
-                                draw_server(), PartitionDirection::kToServer);
-               });
-  DrawArrivals(rng, options.expected_capacity_losses, options.horizon,
-               [&](sim::TimePoint at) {
-                 const double cap =
-                     options.capacity_low +
-                     (options.capacity_high - options.capacity_low) *
-                         rng.NextDouble();
-                 plan.CapacityLoss(at,
-                                   options.mean_capacity_window *
-                                       (-std::log(1.0 - rng.NextDouble())),
-                                   draw_server(), cap);
-               });
-  DrawArrivals(rng, options.expected_jitter, options.horizon,
-               [&](sim::TimePoint at) {
-                 const double factor =
-                     options.jitter_factor_low +
-                     (options.jitter_factor_high - options.jitter_factor_low) *
-                         rng.NextDouble();
-                 plan.Jitter(at,
-                             options.mean_jitter_window *
-                                 (-std::log(1.0 - rng.NextDouble())),
-                             draw_server(), factor);
-               });
-  std::stable_sort(plan.events_.begin(), plan.events_.end(),
-                   [](const ServerFaultEvent& a, const ServerFaultEvent& b) {
                      return a.at < b.at;
                    });
   return plan;
@@ -294,6 +254,11 @@ FaultInjector::FaultInjector(sim::Environment& env,
       counters_(counters),
       tracer_(tracer) {
   for (const FaultEvent& e : plan_.events()) {
+    if (!IsDeviceFault(e.kind)) {
+      throw std::invalid_argument(std::string("FaultInjector applies device "
+                                              "faults only, not ") +
+                                  ToString(e.kind) + ": a Cluster applies it");
+    }
     if (e.gpu_index >= gpus_.size()) {
       throw std::out_of_range("FaultPlan targets gpu " +
                               std::to_string(e.gpu_index) + " but only " +
@@ -335,6 +300,8 @@ void FaultInjector::Apply(const FaultEvent& e) {
     case FaultKind::kAllocFault:
       gpu.InjectAllocFault(e.duration);
       ++counters_.alloc_fault_windows;
+      break;
+    default:  // server kinds: the constructor rejects them
       break;
   }
   ++events_applied_;

@@ -13,8 +13,10 @@
 
 namespace olympian::fault {
 
-// What goes wrong. All faults are device-level; the serving layers above
-// convert them into per-request outcomes (timed_out / failed_retried / ...).
+// What goes wrong. The first four kinds are device faults: a server's
+// FaultInjector applies them to one of its GPUs. The last four are server
+// faults, which only a Cluster applies. The serving layers above convert
+// both into per-request outcomes (timed_out / failed_retried / ...).
 enum class FaultKind : std::uint8_t {
   // The next kernel to retire on `stream` of device `gpu_index` retires
   // with an error (a launch/exec failure attributed to one kernel).
@@ -27,91 +29,6 @@ enum class FaultKind : std::uint8_t {
   kDeviceReset,
   // AllocateMemory on the device fails transiently for `duration`.
   kAllocFault,
-};
-
-const char* ToString(FaultKind kind);
-
-// One scheduled fault.
-struct FaultEvent {
-  FaultKind kind = FaultKind::kDeviceHang;
-  sim::TimePoint at;
-  std::size_t gpu_index = 0;
-  gpusim::StreamId stream = -1;  // kKernelFailure only
-  // kDeviceHang / kAllocFault: window length.
-  // kDeviceReset: outage during which the device stays down (zero =
-  // instant reset, legacy semantics).
-  sim::Duration duration;
-};
-
-// Recovery pricing. Once a reset outage ends, the serving layer's health
-// monitor orchestrates readmission: driver re-init, parameter reload over
-// PCIe, then warm-up before traffic resumes (the re-init delay and the
-// warm-up probe count are constants in serving/health.cc).
-//
-// Fixed warm-up pause after a parameter load before the device — or a
-// lazily loaded replica or cluster tenant — serves traffic.
-inline constexpr sim::Duration kWarmup = sim::Duration::Millis(5);
-
-// Time to stream `params_mb` of parameters over PCIe: params_mb / 1024 /
-// kPcieGbps seconds (fault.cc), zero when `params_mb` is not positive.
-// Every parameter load is priced here: a post-outage reload, a lazy device
-// replica, and a cluster tenant's first arrival on a non-home server.
-sim::Duration ParamsTransferTime(double params_mb);
-
-// A declarative schedule of faults on the virtual clock. Build one with the
-// fluent adders (chainable) or generate one stochastically — but
-// deterministically — from a seed with `Random`. The plan is pure data; the
-// FaultInjector applies it to live devices.
-class FaultPlan {
- public:
-  FaultPlan& KernelFailure(sim::TimePoint at, gpusim::StreamId stream,
-                           std::size_t gpu_index = 0);
-  FaultPlan& DeviceHang(sim::TimePoint at, sim::Duration duration,
-                        std::size_t gpu_index = 0);
-  // Reset with a down window: submissions fail fast until `outage` elapses,
-  // then the device signals completion to its health listener. A zero
-  // outage is an instant reset.
-  FaultPlan& DeviceReset(sim::TimePoint at, sim::Duration outage,
-                         std::size_t gpu_index = 0);
-  FaultPlan& AllocFault(sim::TimePoint at, sim::Duration duration,
-                        std::size_t gpu_index = 0);
-
-  bool empty() const { return events_.empty(); }
-  std::size_t size() const { return events_.size(); }
-  const std::vector<FaultEvent>& events() const { return events_; }
-
-  // Expected fault counts over a horizon; Poisson arrivals per kind.
-  struct RandomOptions {
-    sim::Duration horizon = sim::Duration::Seconds(10.0);
-    std::size_t num_gpus = 1;
-    double expected_kernel_failures = 0.0;
-    double expected_hangs = 0.0;
-    sim::Duration mean_hang = sim::Duration::Millis(20);
-    double expected_resets = 0.0;
-    // Mean down-window per reset; zero keeps legacy instant resets (and
-    // draws no extra random number, preserving existing plans bit-for-bit).
-    sim::Duration mean_reset_outage = sim::Duration::Zero();
-    double expected_alloc_faults = 0.0;
-    sim::Duration mean_alloc_window = sim::Duration::Millis(10);
-  };
-
-  // Draw a plan from `seed`: same seed, same plan, bit-for-bit — fault
-  // injection must never break the simulator's reproducibility guarantee.
-  static FaultPlan Random(const RandomOptions& options, std::uint64_t seed);
-
- private:
-  std::vector<FaultEvent> events_;
-};
-
-// --- server-level faults ----------------------------------------------------
-//
-// Whole-server failure modes for the cluster layer: the unit of failure is
-// a serving process (all of its devices at once) or the network path
-// between the front-end router and one server. Like FaultPlan, a
-// ServerFaultPlan is pure data on the virtual clock; the cluster layer owns
-// the applier (this library cannot depend on serving).
-
-enum class ServerFaultKind : std::uint8_t {
   // Process crash: every device of the server resets and submissions fail
   // fast for `duration`; the process restarts when the outage ends and the
   // server's own recovery pipeline (driver re-init, reload, warm-up) runs
@@ -131,49 +48,98 @@ enum class ServerFaultKind : std::uint8_t {
   kJitter,
 };
 
-const char* ToString(ServerFaultKind kind);
+inline bool IsDeviceFault(FaultKind kind) { return kind < FaultKind::kCrash; }
+const char* ToString(FaultKind kind);
 
 // A partition drops traffic towards the server only, so kToServer is the
 // one direction. Kept, with Partition's parameter that takes it, because
 // perfbench/perfbench.cc:649 passes it.
 enum class PartitionDirection : std::uint8_t { kToServer };
 
-struct ServerFaultEvent {
-  ServerFaultKind kind = ServerFaultKind::kCrash;
+// One scheduled fault.
+struct FaultEvent {
+  FaultKind kind = FaultKind::kDeviceHang;
   sim::TimePoint at;
-  std::size_t server = 0;
-  sim::Duration duration;  // outage / partition / gray window length
+  std::size_t server = 0;  // a cluster's server; a lone server ignores it
+  std::size_t gpu_index = 0;  // device kinds only
+  gpusim::StreamId stream = -1;  // kKernelFailure only
+  // kDeviceHang / kAllocFault and every server kind: window length.
+  // kDeviceReset: outage during which the device stays down (zero =
+  // instant reset, legacy semantics).
+  sim::Duration duration;
   double capacity = 1.0;  // kCapacityLoss only: speed multiplier in (0, 1]
   double factor = 1.0;    // kJitter only: hop-delay multiplier >= 1
 };
 
-// Declarative schedule of server-level faults; fluent adders or a seeded
-// stochastic generator, mirroring FaultPlan.
-class ServerFaultPlan {
+// Recovery pricing. Once a reset outage ends, the serving layer's health
+// monitor orchestrates readmission: driver re-init, parameter reload over
+// PCIe, then warm-up before traffic resumes (the re-init delay and the
+// warm-up probe count are constants in serving/health.cc).
+//
+// Fixed warm-up pause after a parameter load before the device — or a
+// lazily loaded replica or cluster tenant — serves traffic.
+inline constexpr sim::Duration kWarmup = sim::Duration::Millis(5);
+
+// Time to stream `params_mb` of parameters over PCIe: params_mb / 1024 /
+// kPcieGbps seconds (fault.cc), zero when `params_mb` is not positive.
+// Every parameter load is priced here: a post-outage reload, a lazy device
+// replica, and a cluster tenant's first arrival on a non-home server.
+sim::Duration ParamsTransferTime(double params_mb);
+
+// A declarative schedule of faults on the virtual clock. Build one with the
+// fluent adders (chainable) or generate one stochastically — but
+// deterministically — from a seed with `Random`. The plan is pure data; a
+// FaultInjector applies its device faults, a Cluster its server faults.
+class FaultPlan {
  public:
-  ServerFaultPlan& Crash(sim::TimePoint at, sim::Duration outage,
-                         std::size_t server);
-  ServerFaultPlan& Partition(sim::TimePoint at, sim::Duration window,
-                             std::size_t server,
-                             PartitionDirection direction);
+  FaultPlan& KernelFailure(sim::TimePoint at, gpusim::StreamId stream,
+                           std::size_t gpu_index = 0, std::size_t server = 0);
+  FaultPlan& DeviceHang(sim::TimePoint at, sim::Duration duration,
+                        std::size_t gpu_index = 0, std::size_t server = 0);
+  // Reset with a down window: submissions fail fast until `outage` elapses,
+  // then the device signals completion to its health listener. A zero
+  // outage is an instant reset.
+  FaultPlan& DeviceReset(sim::TimePoint at, sim::Duration outage,
+                         std::size_t gpu_index = 0, std::size_t server = 0);
+  FaultPlan& AllocFault(sim::TimePoint at, sim::Duration duration,
+                        std::size_t gpu_index = 0, std::size_t server = 0);
+  FaultPlan& Crash(sim::TimePoint at, sim::Duration outage,
+                   std::size_t server);
+  FaultPlan& Partition(sim::TimePoint at, sim::Duration window,
+                       std::size_t server, PartitionDirection direction);
   // Gray faults: fractional capacity on every device of `server`, and
   // network jitter stretching router<->server hops by `factor`.
-  ServerFaultPlan& CapacityLoss(sim::TimePoint at, sim::Duration window,
-                                std::size_t server, double capacity);
-  ServerFaultPlan& Jitter(sim::TimePoint at, sim::Duration window,
-                          std::size_t server, double factor);
+  FaultPlan& CapacityLoss(sim::TimePoint at, sim::Duration window,
+                          std::size_t server, double capacity);
+  FaultPlan& Jitter(sim::TimePoint at, sim::Duration window,
+                    std::size_t server, double factor);
 
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
-  const std::vector<ServerFaultEvent>& events() const { return events_; }
+  const std::vector<FaultEvent>& events() const { return events_; }
+  // The device faults addressed to `server`, in plan order.
+  FaultPlan DeviceFaults(std::size_t server) const;
 
+  // Expected fault counts over a horizon; Poisson arrivals per kind. Each
+  // expected count must lie in [0, 700], and zero draws no random number,
+  // so a kind left at zero never moves another kind's draws.
   struct RandomOptions {
     sim::Duration horizon = sim::Duration::Seconds(10.0);
+    // Device kinds land on a GPU drawn from [0, num_gpus) of server 0.
+    std::size_t num_gpus = 1;
+    double expected_kernel_failures = 0.0;
+    double expected_hangs = 0.0;
+    sim::Duration mean_hang = sim::Duration::Millis(20);
+    double expected_resets = 0.0;
+    // Mean down-window per reset; zero keeps legacy instant resets (and
+    // draws no extra random number, preserving existing plans bit-for-bit).
+    sim::Duration mean_reset_outage = sim::Duration::Zero();
+    double expected_alloc_faults = 0.0;
+    sim::Duration mean_alloc_window = sim::Duration::Millis(10);
+    // Server kinds land on a server drawn from [0, num_servers).
     std::size_t num_servers = 2;
     double expected_crashes = 0.0;  // mean outage: fault.cc's kMeanCrashOutage
     double expected_partitions = 0.0;  // mean window: fault.cc's kMeanPartition
-    // Gray faults; zero expected events draws no extra random numbers,
-    // preserving existing plans bit-for-bit.
     double expected_capacity_losses = 0.0;
     sim::Duration mean_capacity_window = sim::Duration::Millis(300);
     double capacity_low = 0.25;   // multiplier drawn uniformly from
@@ -184,17 +150,26 @@ class ServerFaultPlan {
     double jitter_factor_high = 8.0;  // [jitter_factor_low, jitter_factor_high]
   };
 
-  // Draw a plan from `seed`: same seed, same plan, bit-for-bit.
-  static ServerFaultPlan Random(const RandomOptions& options,
-                                std::uint64_t seed);
+  // Draw a plan from `seed`: same seed, same plan, bit-for-bit, whichever
+  // compiler built it — fault injection must never break the simulator's
+  // reproducibility guarantee.
+  static FaultPlan Random(const RandomOptions& options, std::uint64_t seed);
 
  private:
-  std::vector<ServerFaultEvent> events_;
+  FaultPlan& Add(const FaultEvent& e, const char* window_field);
+
+  std::vector<FaultEvent> events_;
 };
 
-// Applies a FaultPlan to live devices at the scheduled virtual times.
-// Construct it after the Environment and Gpus, then call Arm() before (or
-// during) the run; events before the current time are dropped. Every applied
+// The cluster's plan once had a type of its own; perfbench/perfbench.cc:639
+// and :645 still spell it.
+using ServerFaultPlan = FaultPlan;
+
+// Applies a FaultPlan's device faults to live devices at the scheduled
+// virtual times. Construct it after the Environment and Gpus, then call
+// Arm() before (or during) the run; events before the current time are
+// dropped. A server fault or an event on a missing GPU throws from the
+// constructor. Every applied
 // event counts into `counters`; tracer spans (on metrics::Tracer::kFaultTrack)
 // are optional.
 class FaultInjector {

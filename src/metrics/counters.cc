@@ -4,6 +4,31 @@
 #include <string>
 
 namespace olympian::metrics {
+namespace {
+
+// The one Print and ExportTo behind both counter tables: `Counters` is
+// ServingCounters or RouterCounters, each with its single Fields() table.
+template <typename Counters>
+void PrintFields(const Counters& c, std::ostream& os) {
+  for (const auto& f : Counters::Fields()) {
+    const std::uint64_t v = c.*f.member;
+    if (v != 0) os << "  " << f.name << " " << v << "\n";
+  }
+}
+
+template <typename Counters>
+void ExportFields(const Counters& c, const char* prefix,
+                  MetricRegistry& registry) {
+  std::string name;
+  for (const auto& f : Counters::Fields()) {
+    name.assign(prefix);
+    name.append(f.name);
+    name.append("_total");
+    registry.GetCounter(name).Set(c.*f.member);
+  }
+}
+
+}  // namespace
 
 std::span<const ServingCounters::Field> ServingCounters::Fields() {
   static constexpr Field kFields[] = {
@@ -33,21 +58,10 @@ std::span<const ServingCounters::Field> ServingCounters::Fields() {
   return kFields;
 }
 
-void ServingCounters::Print(std::ostream& os) const {
-  for (const Field& f : Fields()) {
-    const std::uint64_t v = this->*f.member;
-    if (v != 0) os << "  " << f.name << " " << v << "\n";
-  }
-}
+void ServingCounters::Print(std::ostream& os) const { PrintFields(*this, os); }
 
 void ServingCounters::ExportTo(MetricRegistry& registry) const {
-  std::string name;
-  for (const Field& f : Fields()) {
-    name.assign("olympian_");
-    name.append(f.name);
-    name.append("_total");
-    registry.GetCounter(name).Set(this->*f.member);
-  }
+  ExportFields(*this, "olympian_", registry);
 }
 
 std::span<const RouterCounters::Field> RouterCounters::Fields() {
@@ -80,21 +94,10 @@ std::span<const RouterCounters::Field> RouterCounters::Fields() {
   return kFields;
 }
 
-void RouterCounters::Print(std::ostream& os) const {
-  for (const Field& f : Fields()) {
-    const std::uint64_t v = this->*f.member;
-    if (v != 0) os << "  " << f.name << " " << v << "\n";
-  }
-}
+void RouterCounters::Print(std::ostream& os) const { PrintFields(*this, os); }
 
 void RouterCounters::ExportTo(MetricRegistry& registry) const {
-  std::string name;
-  for (const Field& f : Fields()) {
-    name.assign("olympian_router_");
-    name.append(f.name);
-    name.append("_total");
-    registry.GetCounter(name).Set(this->*f.member);
-  }
+  ExportFields(*this, "olympian_router_", registry);
 }
 
 }  // namespace olympian::metrics

@@ -58,9 +58,9 @@ Cluster::Cluster(ClusterOptions options)
   if (options_.num_servers < 1) {
     throw std::invalid_argument("num_servers must be >= 1");
   }
-  for (const fault::ServerFaultEvent& e : options_.faults.events()) {
+  for (const fault::FaultEvent& e : options_.faults.events()) {
     if (e.server >= options_.num_servers) {
-      throw std::out_of_range("ServerFaultPlan targets server " +
+      throw std::out_of_range("FaultPlan targets server " +
                               std::to_string(e.server) + " but only " +
                               std::to_string(options_.num_servers) + " exist");
     }
@@ -75,6 +75,12 @@ Cluster::Cluster(ClusterOptions options)
         "Experiment::Run, never by a cluster, whose requests are charged and "
         "counted end to end across router and servers: leave it unset and "
         "set ClusterOptions::registry or ClusterOptions::phases instead");
+  }
+  if (!options_.server.faults.empty()) {
+    throw std::invalid_argument(
+        "ClusterOptions::server.faults would give every server the same "
+        "device faults: leave it empty and add each device fault to "
+        "ClusterOptions::faults, naming its server");
   }
   // Per-server private trace buffers. Each server records into its own
   // buffer on its own shard (no cross-thread writes); FinishRun merges them
@@ -96,6 +102,7 @@ Cluster::Cluster(ClusterOptions options)
   for (std::size_t s = 0; s < options_.num_servers; ++s) {
     ServerOptions so = options_.server;
     so.seed = master.NextU64();
+    so.faults = options_.faults.DeviceFaults(s);
     // The cross-server contract needs the in-server placer: a server whose
     // devices are all down must reject promptly (kRejected + no usable
     // device), which is the signal the router converts into failover.
@@ -159,7 +166,10 @@ bool Cluster::HasUsableDevice(std::size_t server) const {
 void Cluster::ArmServerFaults() {
   const auto& events = options_.faults.events();
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].at < env_.Now()) continue;  // already in the past
+    // Device faults are armed by the server they name; past ones dropped.
+    if (fault::IsDeviceFault(events[i].kind) || events[i].at < env_.Now()) {
+      continue;
+    }
     env_.ScheduleCallbackAt(events[i].at, &Cluster::FaultTrampoline, this, i);
   }
 }
@@ -169,14 +179,14 @@ void Cluster::FaultTrampoline(void* ctx, std::uint64_t index) {
   self->ApplyServerFault(self->options_.faults.events()[index]);
 }
 
-void Cluster::ApplyServerFault(const fault::ServerFaultEvent& e) {
+void Cluster::ApplyServerFault(const fault::FaultEvent& e) {
   const sim::TimePoint now = env_.Now();
   const sim::TimePoint until = now + e.duration;
   Experiment& srv = *servers_.at(e.server);
   incidents_.Inject(static_cast<int>(e.server), fault::ToString(e.kind), now,
                     e.duration);
   switch (e.kind) {
-    case fault::ServerFaultKind::kCrash:
+    case fault::FaultKind::kCrash:
       // Process crash: every device resets at once and submissions fail
       // fast for the outage; restart hands each device to the server's own
       // recovery pipeline (re-init, reload, warm-up).
@@ -186,11 +196,11 @@ void Cluster::ApplyServerFault(const fault::ServerFaultEvent& e) {
       }
       ++counters_.server_crashes;
       break;
-    case fault::ServerFaultKind::kPartition:
+    case fault::FaultKind::kPartition:
       part_to_until_[e.server] = std::max(part_to_until_[e.server], until);
       ++counters_.partitions;
       break;
-    case fault::ServerFaultKind::kCapacityLoss:
+    case fault::FaultKind::kCapacityLoss:
       // Gray failure: every device throttles but the server stays up and
       // keeps answering probes. Nothing is push-announced — the router can
       // only detect this through measured probe RTT (scoring).
@@ -200,7 +210,7 @@ void Cluster::ApplyServerFault(const fault::ServerFaultEvent& e) {
       ++counters_.capacity_losses;
       router_->NoteFaultOnset(e.server);
       break;
-    case fault::ServerFaultKind::kJitter:
+    case fault::FaultKind::kJitter:
       // Overlapping jitter windows keep the worst factor and the furthest
       // end point.
       jitter_factor_[e.server] = now < jitter_until_[e.server]
@@ -210,6 +220,8 @@ void Cluster::ApplyServerFault(const fault::ServerFaultEvent& e) {
       jitter_until_[e.server] = std::max(jitter_until_[e.server], until);
       ++counters_.jitter_windows;
       router_->NoteFaultOnset(e.server);
+      break;
+    default:  // device kinds: ArmServerFaults skips them
       break;
   }
   if (hub_tracer_ != nullptr && !hub_tracer_->full()) {

@@ -53,9 +53,12 @@ struct ClusterOptions {
   ServerOptions server;
   std::size_t num_servers = 2;
   RouterOptions router;
-  // Server-level fault schedule (crashes, partitions, gray faults). The
-  // constructor throws std::out_of_range for an event on a missing server.
-  fault::ServerFaultPlan faults;
+  // The cluster's one fault schedule. The hub applies its server faults
+  // (crashes, partitions, gray faults); each device fault goes to the
+  // server it names. The constructor throws std::out_of_range for an event
+  // on a missing server, and std::invalid_argument for a non-empty
+  // `server.faults`.
+  fault::FaultPlan faults;
   // Router counters + per-server health series land here (may be null).
   metrics::MetricRegistry* registry = nullptr;
   // Latency anatomy: a set collector receives each finished request's
@@ -79,7 +82,7 @@ struct ClusterOptions {
   // byte-identically to shards=1 (each server traces into a private buffer
   // on its own shard, and the cluster merges the buffers hub-side in a
   // canonical order after the run). Capacity is throttled only by the
-  // hub-applied ServerFaultPlan::CapacityLoss, so the router probe's
+  // hub-applied FaultPlan::CapacityLoss, so the router probe's
   // hub-side read of device capacity is exact at any shard count. The
   // engine lookahead is cluster.cc's kNetDelay, the router <-> server hop
   // latency.
@@ -196,7 +199,7 @@ class Cluster : private RouterTransport {
   void FinishRun(std::size_t generators);
 
   void ArmServerFaults();
-  void ApplyServerFault(const fault::ServerFaultEvent& e);
+  void ApplyServerFault(const fault::FaultEvent& e);
   static void FaultTrampoline(void* ctx, std::uint64_t index);
   void StopAll();
   // Hop-delay multiplier for `server` at instant `at` (a hop's send

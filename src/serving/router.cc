@@ -37,9 +37,11 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
     if (!options_.score.enabled) {
       throw std::invalid_argument("brownout requires health scoring");
     }
-    if (!(options_.brownout.enter_below > 0.0) ||
-        options_.brownout.enter_below >= options_.brownout.exit_above ||
-        options_.brownout.exit_above > 1.0) {
+    // Written so that a NaN threshold fails it: a NaN exit_above would
+    // keep the brownout level from ever falling.
+    const auto& b = options_.brownout;
+    if (!(0.0 < b.enter_below && b.enter_below < b.exit_above &&
+          b.exit_above <= 1.0)) {
       throw std::invalid_argument(
           "brownout needs 0 < enter_below < exit_above <= 1");
     }

@@ -49,6 +49,15 @@ Experiment::Experiment(ServerOptions options, sim::Environment* env)
   executors_.resize(gpus_.size());
   hooks_.resize(gpus_.size(), nullptr);
   pool_ = std::make_unique<graph::ThreadPool>(env_, options_.pool_threads);
+  // Built here so that a plan naming a missing GPU, or holding a server
+  // fault, throws before anything runs; StartServing arms it.
+  if (!options_.faults.empty()) {
+    std::vector<gpusim::Gpu*> gpu_ptrs;
+    for (const auto& g : gpus_) gpu_ptrs.push_back(g.get());
+    injector_ = std::make_unique<fault::FaultInjector>(
+        env_, std::move(gpu_ptrs), options_.faults, counters_,
+        options_.executor.tracer);
+  }
 }
 
 Experiment::~Experiment() = default;
@@ -533,12 +542,7 @@ void Experiment::StartServing() {
   // Arm the fault schedule before any client starts, so an event at t=0
   // still lands. All faults fire on the virtual clock: a run with the same
   // seed and plan is bit-for-bit reproducible.
-  if (!options_.faults.events().empty()) {
-    injector_ = std::make_unique<fault::FaultInjector>(
-        env_, std::move(gpu_ptrs), options_.faults, counters_,
-        options_.executor.tracer);
-    injector_->Arm();
-  }
+  if (injector_ != nullptr) injector_->Arm();
 }
 
 std::size_t Experiment::AddTenant(const ClientSpec& spec) {

@@ -82,7 +82,9 @@ struct ServerOptions {
   // can sustain (paper §4.3).
   std::size_t pool_threads = 300;
   graph::ExecutorOptions executor;
-  // Deterministic fault schedule applied during Run (empty = no faults).
+  // Deterministic device-fault schedule applied during Run (empty = no
+  // faults). A server fault, or an event on a missing GPU, throws from the
+  // constructor.
   fault::FaultPlan faults;
   // Graceful-degradation knobs: the retry policy. Defaults preserve the
   // legacy fail-stop behaviour.
@@ -249,7 +251,7 @@ class Experiment : private HealthObserver {
   double utilization() const;
   // Fault / retry / degradation counters accumulated during Run.
   const metrics::ServingCounters& counters() const { return counters_; }
-  // The fault injector armed for the last Run (nullptr when no faults).
+  // The fault injector of `faults` (nullptr when the plan is empty).
   const fault::FaultInjector* injector() const { return injector_.get(); }
   // Health monitor / placer of the failover subsystem (nullptr unless
   // `failover.enabled`; valid during and after Run).

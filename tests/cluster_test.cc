@@ -444,9 +444,11 @@ TEST(ClusterTest, FailoverTenantAddedUnderInFlightRequests) {
   serving::ClusterOptions opts = SmallCluster(2);
   opts.faults.Crash(At(100), Duration::Millis(400), /*server=*/0);
   opts.server.degradation.retry.max_retries = 50;
-  for (double t = 90; t < 400; t += 2) {
-    for (gpusim::StreamId s = 1; s <= 4; ++s) {
-      opts.server.faults.KernelFailure(At(t), s);
+  for (std::size_t server = 0; server < 2; ++server) {
+    for (double t = 90; t < 400; t += 2) {
+      for (gpusim::StreamId s = 1; s <= 4; ++s) {
+        opts.faults.KernelFailure(At(t), s, /*gpu_index=*/0, server);
+      }
     }
   }
   serving::Cluster cluster(opts);
@@ -474,7 +476,9 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
   // tracer both construct at shards=2.
   serving::ClusterOptions lifted = SmallCluster(2);
   lifted.shards = 2;
-  lifted.server.faults.AllocFault(At(10), Duration::Millis(5));
+  for (std::size_t server = 0; server < 2; ++server) {
+    lifted.faults.AllocFault(At(10), Duration::Millis(5), 0, server);
+  }
   metrics::Tracer tracer(1000);
   lifted.server.executor.tracer = &tracer;
   EXPECT_NO_THROW(serving::Cluster{lifted});
@@ -500,6 +504,15 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
               std::string::npos)
         << msg;
   }
+  // A per-server fault template would give every server the same device
+  // faults; the cluster's one plan names each fault's server instead.
+  serving::ClusterOptions templated = SmallCluster(2);
+  templated.server.faults.AllocFault(At(10), Duration::Millis(5));
+  const std::string msg =
+      InvalidArgumentMessage([&] { serving::Cluster cluster(templated); });
+  EXPECT_NE(msg.find("ClusterOptions::server.faults"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("ClusterOptions::faults"), std::string::npos) << msg;
   // The single-server legacy open loop would silently run closed-loop in a
   // cluster, so Run rejects it and names the arrival generator as the fix.
   serving::ClusterClientSpec legacy;
@@ -543,15 +556,40 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
 // A fault on a server the cluster does not have is rejected when the
 // cluster is built, before any server starts serving or any probe loop runs.
 TEST(ClusterTest, ConstructorRejectsFaultOnMissingServer) {
-  serving::ClusterOptions opts = SmallCluster(2);
-  opts.faults.Crash(At(10), Duration::Millis(5), /*server=*/2);
-  try {
-    serving::Cluster cluster(opts);
-    ADD_FAILURE() << "a crash on server 2 of 2 constructed";
-  } catch (const std::out_of_range& e) {
-    EXPECT_NE(std::string(e.what()).find("server 2"), std::string::npos)
-        << e.what();
+  for (const bool device : {false, true}) {
+    serving::ClusterOptions opts = SmallCluster(2);
+    if (device) {
+      opts.faults.AllocFault(At(10), Duration::Millis(5), 0, /*server=*/2);
+    } else {
+      opts.faults.Crash(At(10), Duration::Millis(5), /*server=*/2);
+    }
+    try {
+      serving::Cluster cluster(opts);
+      ADD_FAILURE() << "a fault on server 2 of 2 constructed";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find("server 2"), std::string::npos)
+          << e.what();
+    }
   }
+}
+
+// A device fault in the cluster's plan reaches only the server it names,
+// whose own injector applies it; the hub applies none of it.
+TEST(ClusterTest, DeviceFaultReachesOnlyTheServerItNames) {
+  serving::ClusterOptions opts = SmallCluster(2);
+  opts.faults.KernelFailure(At(1), /*stream=*/1, /*gpu_index=*/0, /*server=*/1)
+      .DeviceHang(At(2), Duration::Millis(5), /*gpu_index=*/0, /*server=*/1);
+  serving::Cluster cluster(opts);
+  cluster.Run(std::vector<serving::ClusterClientSpec>(
+      2, PoissonClient("googlenet", 100.0, 4)));
+  EXPECT_EQ(cluster.server(0).counters().kernel_failures_injected, 0u);
+  EXPECT_EQ(cluster.server(0).counters().device_hangs, 0u);
+  EXPECT_EQ(cluster.server(1).counters().kernel_failures_injected, 1u);
+  EXPECT_EQ(cluster.server(1).counters().device_hangs, 1u);
+  const metrics::RouterCounters& hub = cluster.counters();
+  EXPECT_EQ(hub.server_crashes + hub.partitions + hub.capacity_losses +
+                hub.jitter_windows,
+            0u);
 }
 
 TEST(ClusterTest, ShardedAllocFaultMatchesUnshardedTrajectory) {
@@ -566,7 +604,9 @@ TEST(ClusterTest, ShardedAllocFaultMatchesUnshardedTrajectory) {
     opts.seed = 23;
     opts.shards = shards;
     opts.faults.Crash(At(30), Duration::Millis(80), /*server=*/0);
-    opts.server.faults.AllocFault(At(25), Duration::Millis(120));
+    for (std::size_t server = 0; server < 2; ++server) {
+      opts.faults.AllocFault(At(25), Duration::Millis(120), 0, server);
+    }
     serving::Cluster cluster(opts);
     std::vector<serving::ClusterClientSpec> clients(
         4, PoissonClient("googlenet", 150.0, 20));
@@ -682,13 +722,13 @@ TEST(ClusterTest, StreamRunIsBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ClusterTest, RandomServerFaultPlanIsSeedStable) {
-  fault::ServerFaultPlan::RandomOptions ro;
+TEST(ClusterTest, RandomServerFaultsAreSeedStable) {
+  fault::FaultPlan::RandomOptions ro;
   ro.num_servers = 4;
   ro.expected_crashes = 2.0;
   ro.expected_partitions = 2.0;
-  const auto a = fault::ServerFaultPlan::Random(ro, 99);
-  const auto b = fault::ServerFaultPlan::Random(ro, 99);
+  const auto a = fault::FaultPlan::Random(ro, 99);
+  const auto b = fault::FaultPlan::Random(ro, 99);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.events()[i].kind, b.events()[i].kind);

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/profiler.h"
@@ -158,6 +163,148 @@ TEST(FaultPlanTest, RandomEventsAreTimeSorted) {
   }
 }
 
+// FNV-1a over every field of every event, each kind by its ToString name.
+std::uint64_t Fingerprint(const fault::FaultPlan& plan) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix_byte = [&h](unsigned char b) {
+    h = (h ^ b) * 1099511628211ull;
+  };
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      mix_byte(static_cast<unsigned char>(v >> 8 * i));
+    }
+  };
+  for (const fault::FaultEvent& e : plan.events()) {
+    for (const char* c = fault::ToString(e.kind); *c != '\0'; ++c) {
+      mix_byte(static_cast<unsigned char>(*c));
+    }
+    mix(static_cast<std::uint64_t>(e.at.nanos()));
+    mix(e.gpu_index);
+    mix(e.server);
+    mix(static_cast<std::uint64_t>(e.stream));
+    mix(static_cast<std::uint64_t>(e.duration.nanos()));
+    mix(std::bit_cast<std::uint64_t>(e.capacity));
+    mix(std::bit_cast<std::uint64_t>(e.factor));
+  }
+  return h;
+}
+
+// Seeded plans, pinned by size and fingerprint. Every pin but the last was
+// recorded when device and server faults had a generator each, so the one
+// generator draws both bit-for-bit as they did. A draw moved, or placed in
+// an argument list whose evaluation order the compiler picks, breaks them.
+TEST(FaultPlanTest, SeededPlansArePinned) {
+  // bench_fault_degradation's plans at scales 1, 2, 4 and 8.
+  const struct {
+    double scale;
+    std::size_t size;
+    std::uint64_t fingerprint;
+  } degradation[] = {{1.0, 4, 0xb3317bcd3b4217cdull},
+                     {2.0, 9, 0x4130d1ff3f656516ull},
+                     {4.0, 32, 0xedb0b45246bc6293ull},
+                     {8.0, 50, 0xd2d0c581274556a4ull}};
+  for (const auto& pin : degradation) {
+    fault::FaultPlan::RandomOptions ro;
+    ro.horizon = Duration::Seconds(20.0);
+    ro.num_gpus = 2;
+    ro.expected_kernel_failures = 4.0 * pin.scale;
+    ro.expected_hangs = 1.0 * pin.scale;
+    ro.mean_hang = Duration::Millis(400);
+    ro.expected_alloc_faults = 2.0 * pin.scale;
+    ro.mean_alloc_window = Duration::Millis(20);
+    const auto plan = fault::FaultPlan::Random(ro, 1234);
+    EXPECT_EQ(plan.size(), pin.size) << pin.scale;
+    EXPECT_EQ(Fingerprint(plan), pin.fingerprint) << pin.scale;
+  }
+  // All four device kinds.
+  fault::FaultPlan::RandomOptions device;
+  device.num_gpus = 3;
+  device.expected_kernel_failures = 3.0;
+  device.expected_hangs = 2.0;
+  device.expected_resets = 2.0;
+  device.mean_reset_outage = Duration::Millis(50);
+  device.expected_alloc_faults = 2.0;
+  const auto device_plan = fault::FaultPlan::Random(device, 6);
+  EXPECT_EQ(device_plan.size(), 12u);
+  EXPECT_EQ(Fingerprint(device_plan), 0x8af631e69012f9c0ull);
+  // bench_gray_failure's plan.
+  fault::FaultPlan::RandomOptions gray;
+  gray.horizon = Duration::Seconds(4.0);
+  gray.num_servers = 4;
+  gray.expected_capacity_losses = 7.0;
+  gray.mean_capacity_window = Duration::Millis(700);
+  gray.capacity_low = 0.10;
+  gray.capacity_high = 0.30;
+  gray.expected_jitter = 3.0;
+  gray.mean_jitter_window = Duration::Millis(300);
+  gray.jitter_factor_low = 3.0;
+  gray.jitter_factor_high = 8.0;
+  const auto gray_plan = fault::FaultPlan::Random(gray, 4242);
+  EXPECT_EQ(gray_plan.size(), 7u);
+  EXPECT_EQ(Fingerprint(gray_plan), 0xaf966d784409e503ull);
+  // All four server kinds.
+  fault::FaultPlan::RandomOptions server;
+  server.num_servers = 3;
+  server.expected_crashes = 2.0;
+  server.expected_partitions = 2.0;
+  server.expected_capacity_losses = 2.0;
+  server.expected_jitter = 2.0;
+  const auto server_plan = fault::FaultPlan::Random(server, 77);
+  EXPECT_EQ(server_plan.size(), 11u);
+  EXPECT_EQ(Fingerprint(server_plan), 0x5d3c6708f067b226ull);
+  // All eight kinds from one stream, which only the one generator draws.
+  fault::FaultPlan::RandomOptions all = device;
+  all.num_servers = server.num_servers;
+  all.expected_crashes = server.expected_crashes;
+  all.expected_partitions = server.expected_partitions;
+  all.expected_capacity_losses = server.expected_capacity_losses;
+  all.expected_jitter = server.expected_jitter;
+  const auto all_plan = fault::FaultPlan::Random(all, 2);
+  std::set<fault::FaultKind> kinds;
+  for (const auto& e : all_plan.events()) kinds.insert(e.kind);
+  EXPECT_EQ(kinds.size(), 8u);
+  EXPECT_EQ(all_plan.size(), 18u);
+  EXPECT_EQ(Fingerprint(all_plan), 0x7b59592349c39b25ull);
+}
+
+// Knuth's sampler stops once a product of uniforms reaches exp(-expected).
+// A NaN expectation never reaches it and spun forever; above ~745 the limit
+// underflows to zero and the count stopped early (2000 drew 742 events).
+// Each is rejected, naming the field, as is a negative horizon.
+TEST(FaultPlanTest, RandomRejectsExpectationsItCannotDraw) {
+  using Options = fault::FaultPlan::RandomOptions;
+  const std::pair<double Options::*, const char*> fields[] = {
+      {&Options::expected_kernel_failures, "expected_kernel_failures"},
+      {&Options::expected_hangs, "expected_hangs"},
+      {&Options::expected_resets, "expected_resets"},
+      {&Options::expected_alloc_faults, "expected_alloc_faults"},
+      {&Options::expected_crashes, "expected_crashes"},
+      {&Options::expected_partitions, "expected_partitions"},
+      {&Options::expected_capacity_losses, "expected_capacity_losses"},
+      {&Options::expected_jitter, "expected_jitter"}};
+  for (const auto& [field, name] : fields) {
+    for (const double bad : {std::nan(""), -1.0, 701.0, 2000.0}) {
+      Options opts;
+      opts.*field = bad;
+      try {
+        fault::FaultPlan::Random(opts, 1);
+        ADD_FAILURE() << name << " = " << bad << " drew a plan";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+    Options edge;
+    edge.*field = 700.0;
+    EXPECT_GT(fault::FaultPlan::Random(edge, 1).size(), 600u) << name;
+  }
+  Options negative;
+  negative.horizon = Duration::Millis(-1);
+  EXPECT_THROW(fault::FaultPlan::Random(negative, 1), std::invalid_argument);
+  // Zero expects nothing and draws nothing.
+  EXPECT_TRUE(fault::FaultPlan::Random(Options{}, 1).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Device-level fault semantics
 
@@ -301,6 +448,18 @@ TEST(ServingFaultTest, KernelFailureIsRetriedToSuccess) {
   EXPECT_EQ(c.retries, 1u);
   EXPECT_EQ(c.requests_retried_ok, 1u);
   EXPECT_EQ(c.requests_total(), 2u);
+}
+
+// A plan the server cannot apply throws when the experiment is built,
+// before anything runs: a fault on a missing GPU, or a server fault, which
+// only a Cluster applies.
+TEST(ServingFaultTest, ConstructorRejectsFaultsItCannotApply) {
+  serving::ServerOptions missing_gpu;  // one GPU
+  missing_gpu.faults.KernelFailure(At(1), /*stream=*/0, /*gpu_index=*/1);
+  EXPECT_THROW(serving::Experiment{missing_gpu}, std::out_of_range);
+  serving::ServerOptions crash;
+  crash.faults.Crash(At(1), Duration::Millis(5), /*server=*/0);
+  EXPECT_THROW(serving::Experiment{crash}, std::invalid_argument);
 }
 
 TEST(ServingFaultTest, RetryBudgetExhaustionFailsRequest) {

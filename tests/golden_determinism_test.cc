@@ -714,9 +714,9 @@ GoldenClusterRun RunShardedClusterWorkload(
   opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(300),
                         sim::Duration::Millis(300), /*server=*/2,
                         fault::PartitionDirection::kToServer);
-  if (variant.alloc_faults) {
-    opts.server.faults.AllocFault(sim::TimePoint() + sim::Duration::Millis(95),
-                                  sim::Duration::Millis(40));
+  for (std::size_t s = 0; variant.alloc_faults && s < 4; ++s) {
+    opts.faults.AllocFault(sim::TimePoint() + sim::Duration::Millis(95),
+                           sim::Duration::Millis(40), /*gpu_index=*/0, s);
   }
   opts.router.failover = variant.failover;
   metrics::PhaseCollector phases;
@@ -891,9 +891,10 @@ GoldenObservabilityRun RunShardedObservabilityWorkload(std::size_t shards) {
                         fault::PartitionDirection::kToServer);
   // Alloc faults so the lifted per-request failure path runs under
   // observability too.
-  opts.server.faults.AllocFault(
-      sim::TimePoint() + sim::Duration::Millis(80),
-      sim::Duration::Millis(250));
+  for (std::size_t s = 0; s < 4; ++s) {
+    opts.faults.AllocFault(sim::TimePoint() + sim::Duration::Millis(80),
+                           sim::Duration::Millis(250), /*gpu_index=*/0, s);
+  }
   serving::Cluster cluster(opts);
   serving::ClusterClientSpec c;
   c.request.model = "googlenet";

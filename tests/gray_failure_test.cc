@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -104,7 +105,7 @@ TEST(GpuCapacityTest, RejectsOutOfRangeCapacity) {
 }
 
 TEST(GrayFailureTest, ServerPlanRejectsOutOfRangeGrayFaults) {
-  fault::ServerFaultPlan plan;
+  fault::FaultPlan plan;
   for (const double capacity : {0.0, 1.5, std::nan("")}) {
     EXPECT_THROW(plan.CapacityLoss(At(1), Duration::Millis(1), 0, capacity),
                  std::invalid_argument)
@@ -288,16 +289,39 @@ TEST(GrayFailureTest, BrownoutShedsLowestClassFirstAndRestores) {
   EXPECT_EQ(high_rejected, 0);
 }
 
+// The router needs 0 < enter_below < exit_above <= 1. A NaN exit_above
+// used to pass the check, and then the shed level could never fall: no
+// score is >= NaN.
+TEST(GrayFailureTest, BrownoutRejectsThresholdsOutsideItsRange) {
+  const double nan = std::nan("");
+  const std::pair<double, double> bad[] = {
+      {0.8, 0.6}, {0.7, 0.7}, {0.6, 1.5}, {0.0, 0.8}, {nan, 0.8}, {0.6, nan}};
+  for (const auto& [enter_below, exit_above] : bad) {
+    serving::ClusterOptions opts;
+    opts.router.score.enabled = true;
+    opts.router.brownout.enabled = true;
+    opts.router.brownout.enter_below = enter_below;
+    opts.router.brownout.exit_above = exit_above;
+    EXPECT_THROW(serving::Cluster{opts}, std::invalid_argument)
+        << enter_below << " " << exit_above;
+  }
+  serving::ClusterOptions ok;
+  ok.router.score.enabled = true;
+  ok.router.brownout.enabled = true;
+  ok.router.brownout.exit_above = 1.0;
+  EXPECT_NO_THROW(serving::Cluster{ok});
+}
+
 // ---------------------------------------------------------------------------
 // Random plans: gray faults ride the same seed-stable draw
 
 TEST(GrayFailureTest, RandomPlansWithGrayFaultsAreSeedStable) {
-  fault::ServerFaultPlan::RandomOptions srv;
+  fault::FaultPlan::RandomOptions srv;
   srv.num_servers = 3;
   srv.expected_capacity_losses = 2.0;
   srv.expected_jitter = 2.0;
-  const fault::ServerFaultPlan sa = fault::ServerFaultPlan::Random(srv, 78);
-  const fault::ServerFaultPlan sb = fault::ServerFaultPlan::Random(srv, 78);
+  const fault::FaultPlan sa = fault::FaultPlan::Random(srv, 78);
+  const fault::FaultPlan sb = fault::FaultPlan::Random(srv, 78);
   ASSERT_EQ(sa.size(), sb.size());
   EXPECT_GT(sa.size(), 0u);
   for (std::size_t i = 0; i < sa.size(); ++i) {
@@ -307,10 +331,10 @@ TEST(GrayFailureTest, RandomPlansWithGrayFaultsAreSeedStable) {
     EXPECT_EQ(sa.events()[i].factor, sb.events()[i].factor);
   }
   for (const auto& e : sa.events()) {
-    if (e.kind == fault::ServerFaultKind::kJitter) {
+    if (e.kind == fault::FaultKind::kJitter) {
       EXPECT_GE(e.factor, 1.0);
     } else {
-      ASSERT_EQ(e.kind, fault::ServerFaultKind::kCapacityLoss);
+      ASSERT_EQ(e.kind, fault::FaultKind::kCapacityLoss);
       EXPECT_GT(e.capacity, 0.0);
       EXPECT_LE(e.capacity, 1.0);
     }
